@@ -1,10 +1,11 @@
 """Command-line front end: evaluate, tabulate, verify, and emit convergence
 studies for the Zagier-polynomial formulas.
 
-Exit codes: 0 success, 1 failed verification, 2 bad arguments, 3 series
-non-convergence.  Output is deterministic: floats are printed with 17
-significant digits, CSV uses '.' decimals, JSON arrays keep a fixed field
-order, and multi-threaded sweeps assemble results by input index.
+Exit codes: 0 success, 1 failed verification, 2 bad arguments or a value
+outside the double range, 3 series non-convergence.  Output is
+deterministic: floats are printed with 17 significant digits, CSV uses '.'
+decimals, JSON arrays keep a fixed field order, and table rows follow the
+input order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,32 +39,39 @@ class RunConfig:
     max_terms: int = 20000
     output_format: str = "text"  # text | json | csv
     cache_path: str | None = None
-    x_window: tuple[float, float] = (0.01, 0.99)
-    threads: int = 1
 
     def validate(self) -> None:
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        lo, hi = self.x_window
-        if not (0.0 < lo < hi < 1.0):
-            raise ValueError("x_window must satisfy 0 < lo < hi < 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        if self.output_format not in ("text", "json", "csv"):
+            raise ValueError("output_format must be text, json or csv")
+
+
+# config-file key -> parser of its value; every other key is an error
+CONFIG_KEYS = {"tol": float, "max_terms": int, "output_format": str, "cache_path": str}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line: {raw.rstrip()}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} in {path}; "
+                             f"known keys: {', '.join(CONFIG_KEYS)}")
+        out[key] = value.strip()
     return out
 
 
@@ -72,22 +79,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
-        updates: dict = {}
-        if "tol" in raw:
-            updates["tol"] = float(raw["tol"])
-        if "max_terms" in raw:
-            updates["max_terms"] = int(raw["max_terms"])
-        if "output_format" in raw:
-            updates["output_format"] = raw["output_format"]
-        if "cache_path" in raw:
-            updates["cache_path"] = raw["cache_path"]
-        if "threads" in raw:
-            updates["threads"] = int(raw["threads"])
-        if "x_min" in raw or "x_max" in raw:
-            lo = float(raw.get("x_min", cfg.x_window[0]))
-            hi = float(raw.get("x_max", cfg.x_window[1]))
-            updates["x_window"] = (lo, hi)
-        cfg = replace(cfg, **updates)
+        cfg = replace(cfg, **{key: CONFIG_KEYS[key](value) for key, value in raw.items()})
     if os.environ.get(ENV_CACHE):
         cfg = replace(cfg, cache_path=os.environ[ENV_CACHE])
     if getattr(args, "cache_path", None):
@@ -98,8 +90,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg = replace(cfg, max_terms=args.max_terms)
     if getattr(args, "format", None):
         cfg = replace(cfg, output_format=args.format)
-    if getattr(args, "threads", None) is not None:
-        cfg = replace(cfg, threads=args.threads)
     cfg.validate()
     return cfg
 
@@ -162,7 +152,7 @@ def _zagier_index_report(method: str, n: int, x_text: str | None, cfg: RunConfig
         if x_text is None:
             raise ValueError(f"{method} requires --x")
         xf, xq = parse_x(x_text)
-        lo, hi = cfg.x_window
+        lo, hi = series_engine.DEFAULT_X_WINDOW
         if not lo <= xf <= hi:
             print(f"warning: x={xf} lies outside the supported window "
                   f"[{lo}, {hi}]; accuracy near the endpoints degrades like "
@@ -236,15 +226,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _table_cell(method: str, n: int, x_text: str | None, cfg: RunConfig,
                 compare: bool) -> dict:
-    xf, xq = parse_x(x_text) if x_text is not None else (0.0, Fraction(0))
-    exact = None
-    if xq is not None:
-        exact = (exact_core.zagier_eval(n, xq) if n >= 1 else None)
-    row: dict = {"n": n, "x": x_text if x_text is not None else "0",
-                 "exact": float(exact) if exact is not None else None,
+    x_label = x_text if x_text is not None else "0"
+    xq = parse_x(x_text)[1] if x_text is not None else Fraction(0)
+    exact = exact_core.zagier_eval(n, xq) if xq is not None and n >= 1 else None
+    try:
+        exact_f = float(exact) if exact is not None else None
+    except OverflowError:
+        raise ValueError(f"table cell n={n}, x={x_label}: the exact value exceeds the "
+                         f"double range; print it with eval --method exact") from None
+    row: dict = {"n": n, "x": x_label, "exact": exact_f,
                  "formula": None, "abs_err": None, "rel_err": None, "terms_used": 0}
     if method == "exact":
-        row["formula"] = float(exact) if exact is not None else None
+        row["formula"] = exact_f
         row["abs_err"] = 0.0 if exact is not None else None
         return row
     res = _zagier_index_report(method, n, x_text, cfg)
@@ -255,8 +248,8 @@ def _table_cell(method: str, n: int, x_text: str | None, cfg: RunConfig,
         row["formula"] = rep.formula_value
         row["terms_used"] = max((m.terms_used for m in rep.series_meta), default=0)
     if compare and exact is not None and row["formula"] is not None:
-        row["abs_err"] = abs(row["formula"] - float(exact))
-        row["rel_err"] = (row["abs_err"] / abs(float(exact))) if exact != 0 else None
+        row["abs_err"] = abs(row["formula"] - exact_f)
+        row["rel_err"] = (row["abs_err"] / abs(exact_f)) if exact != 0 else None
     return row
 
 
@@ -265,16 +258,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     _wire_cache(cfg)
     ns = list(range(args.n_start, args.n_end + 1, args.n_step))
     xs = args.x.split(",") if args.x else [None]
-    cells = [(n, x) for n in ns for x in xs]
     try:
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                rows = list(pool.map(
-                    lambda cell: _table_cell(args.method, cell[0], cell[1], cfg, args.compare),
-                    cells,
-                ))
-        else:
-            rows = [_table_cell(args.method, n, x, cfg, args.compare) for n, x in cells]
+        rows = [_table_cell(args.method, n, x, cfg, args.compare) for n in ns for x in xs]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -325,72 +310,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if n_failed == 0 else EXIT_CHECK_FAILED
 
 
-def _converge_rows(series: str, n: int, x_text: str | None, m_list: list[int],
-                   cfg: RunConfig) -> list[dict]:
+def _converge_rows(series: str, n: int, x_text: str | None,
+                   m_list: list[int]) -> list[dict]:
+    """Plain partial and accelerated Bessel sums against the exact value.
+
+    For bessel-cos/-sin the exact column is the exact B_nu^*(x) minus the
+    non-Bessel part of its formula, so the errors are those of the Bessel sum
+    alone; for zagier-number every column carries the whole formula for B_{2n}^*.
+    """
     if series in ("bessel-cos", "bessel-sin"):
         if x_text is None:
             raise ValueError(f"{series} requires --x")
         xf, xq = parse_x(x_text)
         if xq is None:
             raise ValueError("convergence study needs a rational x for the exact column")
-        if series == "bessel-cos":
-            nu = 2 * n
-            gx = series_engine.g_tail_sum(n, xf, tol=1e-14)
-            g1x = series_engine.g_tail_sum(n, 1.0 - xf, tol=1e-14)
-            rest = (0.25 * formulas._u_quadruple(nu - 1, xf)
-                    + 2.0 ** -(nu + 1) * (gx.value + g1x.value))
-            exact_sum = float(exact_core.zagier_eval(nu, xq)) - rest
-            closed = series_engine._cs_pair(0.5, xf)[0]
-        else:
-            nu = 2 * n + 1
-            gx = series_engine.g_tail_sum(n + 0.5, xf, tol=1e-14)
-            g1x = series_engine.g_tail_sum(n + 0.5, 1.0 - xf, tol=1e-14)
-            rest = (0.25 * formulas._u_quadruple(nu - 1, xf)
-                    + 2.0 ** -(nu + 1) * (gx.value - g1x.value))
-            exact_sum = float(exact_core.zagier_eval(nu, xq)) - rest
-            closed = series_engine._cs_pair(0.5, xf)[1]
-        rows = []
-        for m in m_list:
-            partial = series_engine.bessel_series_partial(nu, xf, m)
-            reg = series_engine.regularized_bracket_sum(nu, xf, m_terms=m)
-            accel = reg.value - 0.5 * closed
-            rows.append({
-                "m_terms": m,
-                "partial_value": partial,
-                "partial_error": abs(partial - exact_sum),
-                "accelerated_value": accel,
-                "accelerated_error": abs(accel - exact_sum),
-                "exact": exact_sum,
-            })
-        return rows
-    if series == "zagier-number":
-        exact = float(exact_core.modified_bernoulli(2 * n))
-        alg = series_engine.conjugate_power_sum(3.0, float(n), 4.0, tol=1e-14)
-        base = -float(n) - 0.5 * _zeta_half() + 2.0 ** -(2 * n) * alg.value
-        rows = []
-        for m in m_list:
-            ms = np.arange(1, m + 1, dtype=float)
-            brackets = series_engine._bracket_values(2 * n, ms)
+        nu = 2 * n if series == "bessel-cos" else 2 * n + 1
+        tps = series_engine.trig_power_sums(xf)  # rejects x outside (0, 1)
+        closed = tps.cos_sum_half if nu % 2 == 0 else tps.sin_sum_half
+        rest, _ = formulas._formula_rest(nu, xf, 0.0, 1e-14)
+        exact = float(exact_core.zagier_eval(nu, xq)) - rest
+    elif series == "zagier-number":
+        nu, xf = 2 * n, 0.0
+        rest, _ = formulas._formula_rest(nu, 0.0, 0.0, 1e-14)
+        exact = float(exact_core.modified_bernoulli(nu))
+    else:
+        raise ValueError(f"unknown series {series}")
+    rows = []
+    for m in m_list:
+        reg = series_engine.regularized_bracket_sum(nu, xf, m_terms=m)
+        if series == "zagier-number":
             # naive column: truncate the regularized sum, no tail correction
-            partial = base + series_engine.chunked_fsum(brackets)
-            reg = series_engine.regularized_bracket_sum(2 * n, 0.0, m_terms=m)
-            accel = base + reg.value
-            rows.append({
-                "m_terms": m,
-                "partial_value": partial,
-                "partial_error": abs(partial - exact),
-                "accelerated_value": accel,
-                "accelerated_error": abs(accel - exact),
-                "exact": exact,
-            })
-        return rows
-    raise ValueError(f"unknown series {series}")
-
-
-def _zeta_half() -> float:
-    from .specfun import zeta_half
-
-    return zeta_half()
+            brackets = series_engine._bracket_values(nu, np.arange(1, m + 1, dtype=float))
+            partial = rest + series_engine.chunked_fsum(brackets)
+            accel = rest + reg.value
+        else:
+            partial = series_engine.bessel_series_partial(nu, xf, m)
+            accel = reg.value - 0.5 * closed
+        rows.append({
+            "m_terms": m,
+            "partial_value": partial,
+            "partial_error": abs(partial - exact),
+            "accelerated_value": accel,
+            "accelerated_error": abs(accel - exact),
+            "exact": exact,
+        })
+    return rows
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -398,7 +362,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     _wire_cache(cfg)
     try:
         m_list = [int(tok) for tok in args.m_list.split(",")]
-        rows = _converge_rows(args.series, args.n, args.x, m_list, cfg)
+        rows = _converge_rows(args.series, args.n, args.x, m_list)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
@@ -421,9 +385,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-terms", type=int, default=None, dest="max_terms")
     p.add_argument("--format", choices=("text", "json", "csv"), default=None)
     p.add_argument("--cache-path", dest="cache_path", default=None,
-                   help="Bernoulli disk cache (env ZAGIER_CACHE also honored)")
+                   help="Bernoulli cache file to read, as written by BernoulliCache.save "
+                        "(env ZAGIER_CACHE also honored)")
     p.add_argument("--config", default=None, help="config file with key = value lines")
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

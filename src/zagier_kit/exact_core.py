@@ -79,12 +79,6 @@ class RationalPolynomial:
             acc = acc * xf + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + float(c)
-        return acc
-
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):

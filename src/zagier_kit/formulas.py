@@ -77,10 +77,27 @@ def _report(n: int, x, exact: Fraction | None, value: float,
                       extras=extras or {})
 
 
-def _u_quadruple(k: int, x: float) -> float:
-    """U_k((x+1)/2) + U_k(x/2) + U_k((x-1)/2) + U_k((x-2)/2)."""
-    u = specfun.chebyshev_U_value
-    return u(k, (x + 1.0) / 2) + u(k, x / 2) + u(k, (x - 1.0) / 2) + u(k, (x - 2.0) / 2)
+def _formula_rest(nu: int, x: float, head: float,
+                  g_tol: float) -> tuple[float, list[SeriesResult]]:
+    """head plus the non-Bessel part of the series formula for B_nu^*(x).
+
+    For 0 < x < 1 that part is (1/4)[U_{nu-1} quadruple] + 2^{-(nu+1)}
+    [G(x) +- G(1-x)], with G the g-sum at exponent nu/2 and the sign + for
+    even nu, - for odd nu.  At x = 0 (even nu = 2n, the modified Bernoulli
+    number) it is -n - zeta(1/2)/2 + 2^{-2n} sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n}
+    / sqrt(m(m+4)).  The formulas pass their Bessel sum as head, the
+    convergence study passes 0.0, so both add the terms in the same order.
+    """
+    if x == 0.0:
+        alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol)
+        value = head - nu // 2 - 0.5 * specfun.zeta_half() + 2.0 ** -nu * alg.value
+        return value, [alg]
+    gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol)
+    g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol)
+    g = gx.value + g1x.value if nu % 2 == 0 else gx.value - g1x.value
+    u, k = specfun.chebyshev_U_value, nu - 1
+    quad = u(k, (x + 1.0) / 2) + u(k, x / 2) + u(k, (x - 1.0) / 2) + u(k, (x - 2.0) / 2)
+    return head + 0.25 * quad + 2.0 ** -(nu + 1) * g, [gx, g1x]
 
 
 def zagier_even_formula(
@@ -101,16 +118,10 @@ def zagier_even_formula(
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
     bessel = series_engine.bessel_cos_series(n, xf, tol=tol, max_terms=max_terms)
-    gx = series_engine.g_tail_sum(n, xf, tol=tol * 1e-3)
-    g1x = series_engine.g_tail_sum(n, 1.0 - xf, tol=tol * 1e-3)
-    value = (
-        bessel.value
-        + 0.25 * _u_quadruple(2 * n - 1, xf)
-        + 2.0 ** -(2 * n + 1) * (gx.value + g1x.value)
-    )
+    value, g_meta = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3)
     exact = exact_core.zagier_eval(2 * n, xq) if xq is not None else None
     return _report(2 * n, xq if xq is not None else xf, exact, value,
-                   [bessel, gx, g1x])
+                   [bessel, *g_meta])
 
 
 def zagier_odd_formula(
@@ -130,16 +141,10 @@ def zagier_odd_formula(
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
     bessel = series_engine.bessel_sin_series(n, xf, tol=tol, max_terms=max_terms)
-    gx = series_engine.g_tail_sum(n + 0.5, xf, tol=tol * 1e-3)
-    g1x = series_engine.g_tail_sum(n + 0.5, 1.0 - xf, tol=tol * 1e-3)
-    value = (
-        bessel.value
-        + 0.25 * _u_quadruple(2 * n, xf)
-        + 2.0 ** -(2 * n + 2) * (gx.value - g1x.value)
-    )
+    value, g_meta = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3)
     exact = exact_core.zagier_eval(2 * n + 1, xq) if xq is not None else None
     return _report(2 * n + 1, xq if xq is not None else xf, exact, value,
-                   [bessel, gx, g1x])
+                   [bessel, *g_meta])
 
 
 def zagier_number_formula(
@@ -156,10 +161,9 @@ def zagier_number_formula(
     if n < 1:
         raise ValueError("n must be positive")
     reg = series_engine.regularized_bracket_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
-    alg = series_engine.conjugate_power_sum(3.0, float(n), 4.0, tol=tol * 1e-3)
-    value = -float(n) + reg.value - 0.5 * specfun.zeta_half() + 2.0 ** -(2 * n) * alg.value
+    value, alg_meta = _formula_rest(2 * n, 0.0, reg.value, tol * 1e-3)
     exact = exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(0), exact, value, [reg, alg])
+    return _report(2 * n, Fraction(0), exact, value, [reg, *alg_meta])
 
 
 def zagier_type_sum(
@@ -196,24 +200,37 @@ def even_asymptotic(n: int, x: float) -> float:
 
     (-1)^n pi Y_{2n}(4 pi) cos(2 pi x); at x = 1/4 or 3/4 the first series
     term vanishes and the 8 pi argument takes over with flipped sign.
-    x = 0 gives the plain modified-Bernoulli approximation.
+    x = 0 gives the plain modified-Bernoulli approximation.  Raises
+    ValueError when the value overflows a double (from index about 260 on).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= x < 1.0:
         raise ValueError("x must lie in [0, 1)")
     if abs(x - 0.25) < 1e-12 or abs(x - 0.75) < 1e-12:
-        return (-1.0) ** (n + 1) * pi * specfun.bessel_Y_int(2 * n, 8.0 * pi).value
-    return (-1.0) ** n * pi * specfun.bessel_Y_int(2 * n, 4.0 * pi).value * cos(2.0 * pi * x)
+        value = (-1.0) ** (n + 1) * pi * specfun.bessel_Y_int(2 * n, 8.0 * pi).value
+    else:
+        value = (-1.0) ** n * pi * specfun.bessel_Y_int(2 * n, 4.0 * pi).value * cos(2.0 * pi * x)
+    return _finite(value, 2 * n)
 
 
 def odd_asymptotic(n: int, x: float) -> float:
-    """One-term large-n approximation of B_{2n+1}^*(x), x != 1/2."""
+    """One-term large-n approximation of B_{2n+1}^*(x), x != 1/2.
+
+    Raises ValueError when the value overflows a double.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    return (-1.0) ** n * pi * specfun.bessel_Y_int(2 * n + 1, 4.0 * pi).value * sin(2.0 * pi * x)
+    value = (-1.0) ** n * pi * specfun.bessel_Y_int(2 * n + 1, 4.0 * pi).value * sin(2.0 * pi * x)
+    return _finite(value, 2 * n + 1)
+
+
+def _finite(value: float, index: int) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"the one-term asymptotic of B_{index}^*(x) exceeds the double range")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -96,24 +96,24 @@ def chunked_fsum(values: np.ndarray) -> float:
 
 
 def _cs_pair(s: float, x: float) -> tuple[float, float]:
-    """(C_s(x), S_s(x)) for half-integer s via the Hurwitz functional equation."""
-    if x == 0.0 or x == 1.0:
-        if s <= 1.0:
-            raise ValueError("trig power sums at x in {0,1} require s > 1")
-        return hurwitz_zeta(s, 1.0), 0.0
+    """(C_s(x), S_s(x)) for half-integer s = k + 1/2 via the Hurwitz functional
+    equation (DLMF 25.11.9).
+
+    C_s = sigma_c (8 pi)^k k!/(2 (2k)!) (zeta(1-s, x) + zeta(1-s, 1-x)) and
+    S_s = sigma_s (same factor) (zeta(1-s, x) - zeta(1-s, 1-x)), where the signs
+    are those of cos(pi s/2) and sin(pi s/2): sigma_c = +1 for k mod 4 in {0, 3},
+    sigma_s = +1 for k mod 4 in {0, 1}.
+    """
+    k = int(s)
+    if s != k + 0.5 or k < 0:
+        raise ValueError(f"unsupported exponent {s}")
+    # divide by the exact integer 2 (2k)!/k!; k!/(2 (2k)!) itself is no double
+    factor = (8.0 * pi) ** k / (2 * math.factorial(2 * k) // math.factorial(k))
+    c = factor if k % 4 in (0, 3) else -factor
+    sn = factor if k % 4 in (0, 1) else -factor
     zx = hurwitz_zeta(1.0 - s, x)
     z1x = hurwitz_zeta(1.0 - s, 1.0 - x)
-    if s == 0.5:
-        return 0.5 * (zx + z1x), 0.5 * (zx - z1x)
-    if s == 1.5:
-        return -2.0 * pi * (zx + z1x), 2.0 * pi * (zx - z1x)
-    if s == 2.5:
-        c = 8.0 * pi**2 / 3.0
-        return -c * (zx + z1x), -c * (zx - z1x)
-    if s == 3.5:
-        c = 32.0 * pi**3 / 15.0
-        return c * (zx + z1x), -c * (zx - z1x)
-    raise ValueError(f"unsupported exponent {s}")
+    return c * (zx + z1x), sn * (zx - z1x)
 
 
 def trig_power_sums(x: float) -> TrigPowerSums:
@@ -196,37 +196,15 @@ def g_tail_sum(
     start_m: int = 1,
     tol: float = 1e-12,
     max_terms: int = DEFAULT_MAX_TERMS,
-    accelerate: bool = True,
 ) -> SeriesResult:
     """sum_{m >= start_m} g(m, r, x).
 
-    In plain mode terms accumulate until the power-law tail bound
-    g(m) * m/(2r) drops under tol; with acceleration (default) a short
-    prefix is closed by the Euler-Maclaurin tail, which is what makes the
-    r = 1/2 exponent affordable.
+    A short prefix is closed by the Euler-Maclaurin tail, which is what
+    makes the r = 1/2 exponent affordable.
     """
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
-    a0 = start_m + 1.0 + x
-    if accelerate:
-        return conjugate_power_sum(a0, r, 4.0, tol=tol, max_terms=max_terms)
-    total = 0.0
-    m = start_m
-    terms = 0
-    while True:
-        t = g_term(float(m), r, x)
-        total += t
-        terms += 1
-        bound = t * m / (2.0 * r)
-        if bound < tol and terms > 4:
-            return SeriesResult(total, terms, bound, accelerated=False)
-        if terms >= max_terms:
-            best = SeriesResult(total, terms, bound, accelerated=False)
-            raise SeriesConvergenceError(
-                f"g_tail_sum: bound {bound:.2e} > tol {tol:.2e} after {terms} terms",
-                best,
-            )
-        m += 1
+    return conjugate_power_sum(start_m + 1.0 + x, r, 4.0, tol=tol, max_terms=max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +323,8 @@ def regularized_bracket_sum(
     return result
 
 
-def _window_flag(x: float, x_window: tuple[float, float]) -> bool:
-    return not (x_window[0] <= x <= x_window[1])
+def _window_flag(x: float) -> bool:
+    return not (DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
 
 
 def bessel_cos_series(
@@ -354,7 +332,6 @@ def bessel_cos_series(
     x: float,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    x_window: tuple[float, float] = DEFAULT_X_WINDOW,
 ) -> SeriesResult:
     """sum_m (-1)^n pi Y_{2n}(4 pi m) cos(2 pi m x), 0 < x < 1.
 
@@ -372,7 +349,7 @@ def bessel_cos_series(
         reg.terms_used,
         reg.tail_bound,
         accelerated=True,
-        outside_window=_window_flag(x, x_window),
+        outside_window=_window_flag(x),
     )
 
 
@@ -381,7 +358,6 @@ def bessel_sin_series(
     x: float,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    x_window: tuple[float, float] = DEFAULT_X_WINDOW,
 ) -> SeriesResult:
     """sum_m (-1)^n pi Y_{2n+1}(4 pi m) sin(2 pi m x), 0 < x < 1."""
     if n < 0:
@@ -391,7 +367,7 @@ def bessel_sin_series(
     if x == 0.5:
         # sin(pi m) vanishes term by term
         return SeriesResult(0.0, 0, 0.0, accelerated=True,
-                            outside_window=_window_flag(x, x_window))
+                            outside_window=_window_flag(x))
     reg = regularized_bracket_sum(2 * n + 1, x, tol=tol, max_terms=max_terms)
     _, s12 = _cs_pair(0.5, x)
     return SeriesResult(
@@ -399,7 +375,7 @@ def bessel_sin_series(
         reg.terms_used,
         reg.tail_bound,
         accelerated=True,
-        outside_window=_window_flag(x, x_window),
+        outside_window=_window_flag(x),
     )
 
 

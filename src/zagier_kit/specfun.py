@@ -24,7 +24,6 @@ __all__ = [
     "EvalResult",
     "QuadratureError",
     "EULER_GAMMA",
-    "euler_gamma",
     "digamma_int",
     "asymptotic_crossover",
     "bessel_J",
@@ -68,10 +67,6 @@ class EvalResult:
 
     def __float__(self) -> float:
         return self.value
-
-
-def euler_gamma() -> float:
-    return EULER_GAMMA
 
 
 def digamma_int(n: int) -> float:
@@ -202,19 +197,6 @@ def bessel_Y_int(n: int, z: float) -> EvalResult:
         return EvalResult(y_val, err, "asymptotic")
     val = float(sp_special.yn(n, z))
     return EvalResult(val, 2e-14 * max(abs(val), 1e-30) + 1e-16, "recurrence")
-
-
-def bessel_Y_int_many(n: int, z: np.ndarray) -> np.ndarray:
-    """Vectorized Y_n over an array of arguments, same routing as bessel_Y_int."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    cross = asymptotic_crossover(n)
-    small = z <= cross
-    if small.any():
-        out[small] = sp_special.yn(n, z[small])
-    if (~small).any():
-        out[~small] = [_asymptotic_JY(float(n), zz)[1] for zz in z[~small]]
-    return out
 
 
 def dJ_dnu_at_int(n: int, z: float) -> EvalResult:

@@ -2,13 +2,14 @@
 
 These deliberately avoid the production code paths: power series are summed
 in extended precision with mpmath, Bernoulli numbers come from the
-Akiyama-Tanigawa triangle, and trigonometric power sums are checked against
-the polylogarithm.
+Akiyama-Tanigawa triangle, trigonometric power sums are checked against
+the polylogarithm, and the algebraic g-series is summed term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import sqrt
 
 import mpmath as mp
 import pytest
@@ -65,3 +66,34 @@ def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:
     if n >= 1:
         out[1] = -out[1]  # triangle yields +1/2; our convention is -1/2
     return out
+
+
+def g_sum_plain_oracle(r: float, x: float, tol: float, max_terms: int) -> float:
+    """sum_{m>=1} g(m, r, x) term by term, until the power-law tail bound
+    g(m) m/(2r) drops under tol.
+
+    g(m) = (A - sqrt(A^2-4))^{2r}/sqrt(A^2-4) with A = m+1+x and
+    A^2-4 = (m-1+x)(m+3+x), written as (4/(A + sqrt(A^2-4)))^{2r}/sqrt(A^2-4)
+    to avoid the cancellation.
+    """
+    total = 0.0
+    for m in range(1, max_terms + 1):
+        root = sqrt((m - 1.0 + x) * (m + 3.0 + x))
+        t = (4.0 / (m + 1.0 + x + root)) ** (2.0 * r) / root
+        total += t
+        if t * m / (2.0 * r) < tol and m > 4:
+            return total
+    raise RuntimeError(f"plain g-sum not within {tol} after {max_terms} terms")
+
+
+def g_sum_nsum_oracle(r: float, x: float, dps: int = 40) -> float:
+    """sum_{m>=1} g(m, r, x) by mpmath's extrapolated nsum in extended precision."""
+    with mp.workdps(dps):
+        rr, xx = mp.mpf(r), mp.mpf(x)
+
+        def g(m):
+            a = m + 1 + xx
+            root = mp.sqrt((a - 2) * (a + 2))
+            return (a - root) ** (2 * rr) / root
+
+        return float(mp.nsum(g, [1, mp.inf]))

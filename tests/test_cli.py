@@ -119,8 +119,7 @@ def test_table_deterministic_and_thread_stable():
             "--n-step", "2", "--x", "1/10,1/3,1/2", "--compare", "--format", "json")
     _, out1 = run_cli(*args)
     _, out2 = run_cli(*args)
-    _, out4 = run_cli(*args, "--threads", "4")
-    assert out1 == out2 == out4
+    assert out1 == out2
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +204,7 @@ def test_converge_requires_rational_x():
 
 def test_config_file(tmp_path):
     cfg = tmp_path / "zk.conf"
-    cfg.write_text("tol = 1e-8\nmax_terms = 9999\noutput_format = json\nthreads = 2\n")
+    cfg.write_text("tol = 1e-8\nmax_terms = 9999\noutput_format = json\n")
     code, out = run_cli("eval", "--n", "2", "--x", "1/2", "--method",
                         "even-formula", "--config", str(cfg))
     assert code == 0
@@ -237,6 +236,36 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(tol=2.0).validate()
     with pytest.raises(ValueError):
-        cli.RunConfig(x_window=(0.5, 0.4)).validate()
-    with pytest.raises(ValueError):
-        cli.RunConfig(threads=0).validate()
+        cli.RunConfig(max_terms=0).validate()
+
+
+@pytest.mark.parametrize("argv, config, needle", [
+    (("eval", "--n", "2", "--method", "exact", "--config", "{missing}"), None,
+     "cannot read config file"),
+    (("eval", "--n", "2", "--method", "exact"), "threds = 4\n", "unknown config key 'threds'"),
+    (("eval", "--n", "2", "--method", "exact"), "threads = 2\n", "unknown config key 'threads'"),
+    (("eval", "--n", "2", "--method", "exact"), "x_min = 0.1\n", "unknown config key 'x_min'"),
+    (("eval", "--n", "2", "--method", "exact"), "x_max = 0.9\n", "unknown config key 'x_max'"),
+    (("eval", "--n", "2", "--method", "exact"), "output_format = xml\n", "output_format must be"),
+    (("table", "--method", "exact", "--n-start", "300", "--n-end", "300", "--x", "1/3"), None,
+     "table cell n=300, x=1/3"),
+    (("eval", "--n", "400", "--x", "0.3", "--method", "asymptotic"), None,
+     "B_400^*(x) exceeds the double range"),
+    (("eval", "--n", "401", "--x", "0.3", "--method", "asymptotic"), None,
+     "B_401^*(x) exceeds the double range"),
+    (("converge", "--series", "bessel-cos", "--n", "1", "--x", "0"), None, "x must lie in"),
+    (("converge", "--series", "bessel-sin", "--n", "1", "--x", "1"), None, "x must lie in"),
+], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key", "bad-format",
+        "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
+        "converge-x-0", "converge-x-1"])
+def test_clean_failures_exit_2(tmp_path, capsys, argv, config, needle):
+    argv = [a.replace("{missing}", str(tmp_path / "missing.conf")) for a in argv]
+    if config is not None:
+        path = tmp_path / "zk.conf"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
