@@ -1,8 +1,11 @@
 """Exact rational arithmetic for Bernoulli and Zagier polynomials.
 
-Everything in this module is computed with `fractions.Fraction`, so results
+Every result is a `fractions.Fraction` (or a polynomial of them), so results
 are bit-exact and safe to use as ground truth against the floating-point
-formula evaluators.
+formula evaluators.  The inner loops run in integers: Bernoulli numbers come
+from the integer tangent-number recurrence, and modified Bernoulli numbers,
+Zagier polynomials and their values are summed as integer numerators over
+one common denominator, reduced once at the end.
 
 Convention: Bernoulli numbers come from the generating function
 z*e^{xz}/(e^z - 1), so B_1 = -1/2.  The other sign convention (B_1 = +1/2)
@@ -17,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -131,23 +134,28 @@ class BernoulliCache:
             self.load(path)
 
     def get(self, n: int) -> Fraction:
+        return self.prefix(n)[n]
+
+    def prefix(self, n: int) -> list[Fraction]:
+        """The table B_0..B_m for some m >= n (read only; do not mutate)."""
         if n < 0:
             raise ValueError("Bernoulli index must be nonnegative")
-        if n >= len(self._values):
+        values = self._values
+        if n >= len(values):
             with self._lock:
                 self._extend_locked(n)
-        return self._values[n]
+                values = self._values
+        return values
 
     def _extend_locked(self, n: int) -> None:
         values = self._values
-        while len(values) <= n:
-            m = len(values)
-            # sum_{k=0}^{m} C(m+1,k) B_k = 0  ->  B_m
-            acc = Fraction(0)
-            for k in range(m):
-                if values[k] != 0:
-                    acc += comb(m + 1, k) * values[k]
-            values.append(-acc / (m + 1))
+        if n < len(values):
+            return
+        # recompute from scratch, at least doubling, so n = 1, 2, 3, ... costs
+        # O(log n) rebuilds; the longer list is swapped in by one assignment,
+        # so a lock-free reader never sees a changed prefix
+        fresh = _bernoulli_table(max(n, 2 * (len(values) - 1)))
+        self._values = values + fresh[len(values):]
 
     def known(self) -> int:
         return len(self._values) - 1
@@ -188,6 +196,38 @@ class BernoulliCache:
                 self._values = values
 
 
+def _tangent_numbers(k_max: int) -> list[int]:
+    """T_1..T_k_max (index 0 unused), the tangent numbers.
+
+    Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers" (arXiv:1108.0286), Algorithm TangentNumbers: O(k_max^2)
+    integer operations, no division.
+    """
+    t = [0] * (k_max + 1)
+    if k_max >= 1:
+        t[1] = 1
+    for k in range(2, k_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, k_max + 1):
+        for j in range(k, k_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _bernoulli_table(n: int) -> list[Fraction]:
+    """B_0..B_n with B_1 = -1/2, from B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    values = [Fraction(0)] * (n + 1)
+    values[0] = Fraction(1)
+    if n >= 1:
+        values[1] = Fraction(-1, 2)
+    t = _tangent_numbers(n // 2)
+    for k in range(1, n // 2 + 1):
+        four_k = 1 << (2 * k)
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        values[2 * k] = b if k % 2 else -b
+    return values
+
+
 _DEFAULT_CACHE = BernoulliCache()
 
 
@@ -220,31 +260,91 @@ def bernoulli_polynomial(n: int) -> RationalPolynomial:
 
 
 def modified_bernoulli(n: int) -> Fraction:
-    """Modified Bernoulli number B_n^* = sum_{r=0}^n C(n+r,2r) B_r/(n+r)."""
+    """Modified Bernoulli number B_n^* = sum_{r=0}^n C(n+r,2r) B_r/(n+r).
+
+    Only r = 0, r = 1 and even r = 2s contribute, and C(n+r,2r)/(n+r) =
+    C(n+r-1,2r-1)/(2r), so B_n^* = 1/n - n/4 + sum_{s=1}^{n//2}
+    C(n+2s-1,4s-1) B_2s/(4s), summed in integers over one denominator.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    acc = Fraction(0)
-    for r in range(n + 1):
-        br = bernoulli_number(r)
-        if br != 0:
-            acc += Fraction(comb(n + r, 2 * r), n + r) * br
-    return acc
+    half = n // 2
+    evens = _DEFAULT_CACHE.prefix(2 * half)[2: 2 * half + 1: 2]
+    den = lcm(n, 4 * lcm(*range(1, half + 1))) * lcm(*(b.denominator for b in evens))
+    acc = den // n - n * (den // 4)
+    c = (n + 1) * n * (n - 1) // 6  # C(n+2s-1, 4s-1), by the ratio recurrence in s
+    for s, b in enumerate(evens, 1):
+        acc += c * b.numerator * (den // (4 * s * b.denominator))
+        c = (c * (n + 2 * s) * (n + 2 * s + 1) * (n - 2 * s) * (n - 2 * s - 1)
+             // ((4 * s) * (4 * s + 1) * (4 * s + 2) * (4 * s + 3)))
+    return Fraction(acc, den)
 
 
 @lru_cache(maxsize=None)
+def _zagier_numerators(n: int) -> tuple[tuple[int, ...], int]:
+    """B_n^*(x) = sum_j nums[j] x^j / den, in integers.
+
+    Over L = lcm(n..2n) and M = lcm(den B_0, ..., den B_n), write
+    C(n+r,2r)/(n+r) = w_r/L and B_k = beta_k/M; expanding each
+    B_r(x) = sum_k C(r,k) B_k x^(r-k) in place gives
+    nums[j] = sum_k beta_k C(j+k,k) w_{j+k} and den = L*M.
+    """
+    bern = _DEFAULT_CACHE.prefix(n)[: n + 1]
+    lcm_w = lcm(*range(n, 2 * n + 1))
+    lcm_b = lcm(*(b.denominator for b in bern))
+    w = []
+    c = 1  # C(n+r, 2r), by the ratio recurrence in r
+    for r in range(n + 1):
+        w.append(c * (lcm_w // (n + r)))
+        c = c * (n + r + 1) * (n - r) // ((2 * r + 1) * (2 * r + 2))
+    nums = [0] * (n + 1)
+    for k, b in enumerate(bern):
+        if not b:
+            continue
+        beta = b.numerator * (lcm_b // b.denominator)
+        c = 1  # C(j+k, k), by the ratio recurrence in j
+        for j in range(n - k + 1):
+            nums[j] += c * w[j + k] * beta
+            c = c * (j + k + 1) // (j + 1)
+    return tuple(nums), lcm_w * lcm_b
+
+
 def zagier_polynomial(n: int) -> RationalPolynomial:
     """Zagier polynomial B_n^*(x) = sum_{r=0}^n C(n+r,2r) B_r(x)/(n+r)."""
     if n < 1:
         raise ValueError("n must be positive")
-    acc = RationalPolynomial.zero()
-    for r in range(n + 1):
-        acc = acc + bernoulli_polynomial(r).scale(Fraction(comb(n + r, 2 * r), n + r))
-    return acc
+    nums, den = _zagier_numerators(n)
+    return RationalPolynomial(tuple(Fraction(c, den) for c in nums))
 
 
 def zagier_eval(n: int, x: RationalLike) -> Fraction:
-    """Exact B_n^*(x) at rational x (Horner on the cached polynomial)."""
-    return zagier_polynomial(n)(x)
+    """Exact B_n^*(x) at rational x = p/q.
+
+    Horner in integers on sum_j nums[j] p^j q^(n-j), reduced once at the end.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    nums, den = _zagier_numerators(n)
+    xf = Fraction(x)
+    p, q = xf.numerator, xf.denominator
+    acc, q_pow = 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * q_pow
+        q_pow *= q
+    return Fraction(acc, den * q ** n)
+
+
+def _chebyshev_coeffs(n: int, first: list[int]) -> list[int]:
+    """Integer coefficients of P_n from P_0 = 1, P_1 = first, P_{m+1} = 2x P_m - P_{m-1}."""
+    prev, cur = [1], first
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
 
 
 @lru_cache(maxsize=None)
@@ -252,12 +352,7 @@ def chebyshev_T(n: int) -> RationalPolynomial:
     """Chebyshev polynomial of the first kind, integer coefficients."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return RationalPolynomial((Fraction(1),))
-    if n == 1:
-        return RationalPolynomial((Fraction(0), Fraction(1)))
-    two_x = RationalPolynomial((Fraction(0), Fraction(2)))
-    return two_x * chebyshev_T(n - 1) - chebyshev_T(n - 2)
+    return RationalPolynomial.from_coeffs(_chebyshev_coeffs(n, [0, 1]))
 
 
 @lru_cache(maxsize=None)
@@ -265,18 +360,20 @@ def chebyshev_U(n: int) -> RationalPolynomial:
     """Chebyshev polynomial of the second kind: U_0 = 1, U_1 = 2x."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return RationalPolynomial((Fraction(1),))
-    if n == 1:
-        return RationalPolynomial((Fraction(0), Fraction(2)))
-    two_x = RationalPolynomial((Fraction(0), Fraction(2)))
-    return two_x * chebyshev_U(n - 1) - chebyshev_U(n - 2)
+    return RationalPolynomial.from_coeffs(_chebyshev_coeffs(n, [0, 2]))
 
 
 def _chebyshev_u_at(n: int, x: Fraction) -> Fraction:
+    """U_n(a/b) by the three-term recurrence on V_m = b^m U_m(a/b), in integers:
+    V_{-1} = 0, V_0 = 1, V_{m+1} = 2a V_m - b^2 V_{m-1}."""
     if n < 0:
         return Fraction(0)  # U_{-1} = 0, consistent with the recurrence
-    return chebyshev_U(n)(x)
+    a2, b = 2 * x.numerator, x.denominator
+    b2 = b * b
+    prev, cur = 0, 1
+    for _ in range(n):
+        prev, cur = cur, a2 * cur - b2 * prev
+    return Fraction(cur, b ** n)
 
 
 def zagier_shift(n: int, x: RationalLike, k: int) -> Fraction:

@@ -2,14 +2,16 @@
 
 These deliberately avoid the production code paths: power series are summed
 in extended precision with mpmath, Bernoulli numbers come from the
-Akiyama-Tanigawa triangle, trigonometric power sums are checked against
-the polylogarithm, and the algebraic g-series is summed term by term.
+Akiyama-Tanigawa triangle, modified Bernoulli numbers and Zagier
+polynomials are assembled term by term in `Fraction`s, trigonometric power
+sums are checked against the polylogarithm, and the algebraic g-series is
+summed term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
+from math import comb, sqrt
 
 import mpmath as mp
 import pytest
@@ -66,6 +68,33 @@ def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:
     if n >= 1:
         out[1] = -out[1]  # triangle yields +1/2; our convention is -1/2
     return out
+
+
+def modified_bernoulli_oracle(n: int, bern: list[Fraction]) -> Fraction:
+    """B_n^* = sum_{r=0}^n C(n+r,2r) B_r/(n+r), one Fraction operation per term.
+
+    `bern` holds B_0..B_n (from `akiyama_tanigawa_bernoulli`).
+    """
+    acc = Fraction(0)
+    for r in range(n + 1):
+        if bern[r] != 0:
+            acc += Fraction(comb(n + r, 2 * r), n + r) * bern[r]
+    return acc
+
+
+def zagier_polynomial_oracle(n: int, bern: list[Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients (index = power of x) of B_n^*(x) = sum_r C(n+r,2r) B_r(x)/(n+r).
+
+    Adds one scaled Bernoulli polynomial B_r(x) = sum_k C(r,k) B_k x^(r-k)
+    per r, in Fractions.  `bern` holds B_0..B_n.  The leading coefficient
+    1/(2n) is never 0, so no trailing zeros need stripping.
+    """
+    acc = [Fraction(0)] * (n + 1)
+    for r in range(n + 1):
+        weight = Fraction(comb(n + r, 2 * r), n + r)
+        for k in range(r + 1):
+            acc[r - k] += (comb(r, k) * bern[k]) * weight
+    return tuple(acc)
 
 
 def g_sum_plain_oracle(r: float, x: float, tol: float, max_terms: int) -> float:

@@ -1,9 +1,11 @@
 """Exact-layer tests: every value here is either a frozen known constant or
-recomputed through an independent oracle (Akiyama-Tanigawa, brute-force
-quadratic residues, direct defining sums)."""
+recomputed through an independent oracle (Akiyama-Tanigawa, the term-by-term
+Fraction assemblies of conftest, brute-force quadratic residues, direct
+defining sums)."""
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb
@@ -14,7 +16,13 @@ from hypothesis import strategies as st
 
 from zagier_kit import exact_core as ec
 
-from conftest import akiyama_tanigawa_bernoulli
+from conftest import akiyama_tanigawa_bernoulli, modified_bernoulli_oracle, zagier_polynomial_oracle
+
+
+@pytest.fixture(scope="module")
+def at_bernoulli():
+    """B_0..B_300 from the Akiyama-Tanigawa triangle (~0.35 s)."""
+    return akiyama_tanigawa_bernoulli(300)
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +37,9 @@ def test_bernoulli_basics():
         assert ec.bernoulli_number(n) == 0
 
 
-def test_bernoulli_vs_akiyama_tanigawa():
-    oracle = akiyama_tanigawa_bernoulli(40)
-    for n in range(41):
-        assert ec.bernoulli_number(n) == oracle[n], n
+def test_bernoulli_vs_akiyama_tanigawa(at_bernoulli):
+    for n in range(301):
+        assert ec.bernoulli_number(n) == at_bernoulli[n], n
 
 
 def test_bernoulli_polynomial_small():
@@ -80,6 +87,16 @@ def test_modified_bernoulli_values():
     assert ec.modified_bernoulli(2) == Fraction(1, 24)
     for n in range(1, 30):
         assert ec.modified_bernoulli(n) == _modified_direct(n)
+
+
+def test_modified_bernoulli_vs_fraction_oracle(at_bernoulli):
+    for n in range(1, 201):
+        assert ec.modified_bernoulli(n) == modified_bernoulli_oracle(n, at_bernoulli), n
+
+
+def test_zagier_polynomial_vs_fraction_oracle(at_bernoulli):
+    for n in list(range(1, 61)) + [120]:
+        assert ec.zagier_polynomial(n).coefficients == zagier_polynomial_oracle(n, at_bernoulli), n
 
 
 def test_six_periodicity_table():
@@ -156,6 +173,17 @@ def test_chebyshev_integer_coefficients():
             assert c.denominator == 1
 
 
+def test_chebyshev_high_degree_matches_recurrence():
+    # degree 520 used to exhaust the interpreter's recursion limit
+    t = Fraction(3, 7)
+    ts, us = [Fraction(1), t], [Fraction(1), 2 * t]
+    while len(ts) <= 520:
+        ts.append(2 * t * ts[-1] - ts[-2])
+        us.append(2 * t * us[-1] - us[-2])
+    assert ec.chebyshev_T(520)(t) == ts[520]
+    assert ec.chebyshev_U(520)(t) == us[520]
+
+
 def test_chebyshev_pell_identity():
     # T_n^2 - (x^2-1) U_{n-1}^2 = 1
     x2m1 = ec.RationalPolynomial((Fraction(-1), Fraction(0), Fraction(1)))
@@ -188,6 +216,10 @@ def test_shift_unit_on_even():
 def test_shift_bit_exact(n, k, num, den):
     x = Fraction(num, den)
     assert ec.zagier_shift(n, x, k) == ec.zagier_eval(n, x + k)
+
+
+def test_shift_high_degree():
+    assert ec.zagier_shift(520, Fraction(1, 3), 2) == ec.zagier_eval(520, Fraction(7, 3))
 
 
 def test_even_split_identity_as_polynomials():
@@ -304,6 +336,63 @@ def test_cache_rejects_bad_header(tmp_path):
     path.write_text("something else\n1\t-1/2\n")
     with pytest.raises(ValueError):
         ec.BernoulliCache(str(path))
+
+
+def test_cache_fill_orders_agree(tmp_path):
+    stepwise = ec.BernoulliCache()
+    first = stepwise.prefix(10)
+    first_copy = list(first)
+    for n in (10, 601, 333):
+        stepwise.get(n)
+    # extension swaps in a new list: a reader holding the old one sees it unchanged
+    assert first == first_copy
+    assert all(a is b for a, b in zip(first, stepwise.prefix(601)))
+
+    fresh = ec.BernoulliCache()
+    fresh.get(601)
+
+    path = tmp_path / "bern50.tsv"
+    lines = ["zagier-kit bernoulli-cache v1"]
+    lines += [f"{n}\t{v.numerator}/{v.denominator}" for n, v in enumerate(fresh.prefix(49)[:50])]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = ec.BernoulliCache(str(path))
+    assert loaded.known() == 49
+    loaded.get(600)
+    assert loaded.known() >= 600
+
+    table = stepwise.prefix(601)[:602]
+    assert fresh.prefix(601)[:602] == table
+    assert loaded.prefix(600)[:601] == table[:601]
+
+
+def test_cache_concurrent_extension_stress():
+    # more threads than cores, a short switch interval, and indices in an
+    # order that forces many extensions while other threads read
+    reference = ec.BernoulliCache().prefix(400)
+    cache = ec.BernoulliCache()
+    errors = []
+
+    def worker(seed):
+        try:
+            for n in sorted(range(0, 401, 7), key=lambda m: (m * seed) % 401):
+                assert cache.get(n) == reference[n]
+                table = cache.prefix(n)
+                assert table[: n + 1] == reference[: n + 1]
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(3, 13)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
 
 
 def test_cache_concurrent_reads():
