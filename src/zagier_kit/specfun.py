@@ -10,6 +10,7 @@ coefficients and its exact-phase form on the 4*pi*m lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import cos, log, pi, sin, sqrt
@@ -320,21 +321,15 @@ def pq_cross_check(n: int, z: float) -> dict[str, float]:
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
-    """Hurwitz zeta by Euler-Maclaurin, for real s != 1 and x > 0.
-
-    For s > 0 this uses M = 50 with Bernoulli corrections through B_6; for
-    s <= 0 a short prefix (M = 6) with corrections through B_24 keeps the
-    a^{1-s} continuation term small enough that cancellation stays near
-    machine level.
-    """
+    """Hurwitz zeta by Euler-Maclaurin (M = 50, corrections through B_6),
+    for real s > 0, s != 1, and x > 0."""
     if x <= 0:
         raise ValueError("x must be positive")
+    if s <= 0:
+        raise ValueError("s must be positive")
     if s == 1.0:
         raise ValueError("s = 1 is a pole")
-    if s > 0:
-        m_terms, j_corr = 50, 3
-    else:
-        m_terms, j_corr = 6, 12
+    m_terms, j_corr = 50, 3
     parts = [(m + x) ** (-s) for m in range(m_terms)]
     a = m_terms + x
     parts.append(a ** (1.0 - s) / (s - 1.0))
@@ -362,8 +357,9 @@ def hurwitz_zeta_half(x: float) -> EvalResult:
     return EvalResult(val, omitted + 60 * 2.3e-16, "series")
 
 
+@functools.cache
 def zeta_half() -> float:
-    """zeta(1/2) = zeta(1/2, 1)."""
+    """zeta(1/2) = zeta(1/2, 1), computed once."""
     return hurwitz_zeta_half(1.0).value
 
 

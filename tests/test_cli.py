@@ -69,6 +69,20 @@ def test_eval_nonconvergence_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ("--method", "even-formula", "--n", "16", "--x", "1/3"),
+    ("--method", "odd-formula", "--n", "17", "--x", "2/7"),
+    ("--method", "zagier-number", "--n", "16"),
+    ("--method", "zagier-type", "--n", "16"),
+    ("--method", "even-formula", "--n", "20", "--x", "1/3"),
+    ("--method", "zagier-number", "--n", "20"),
+])
+def test_eval_high_index_reaches_tight_tol(args):
+    code, out = run_cli("eval", "--tol", "1e-10", "--format", "json", *args)
+    assert code == 0
+    assert float(json.loads(out)[0]["abs_err"]) <= 1e-10
+
+
 def test_eval_decimal_snapping():
     # 0.25 sits within 1e-12 of 1/4 (denominator <= 64) and is snapped
     code, out = run_cli("eval", "--n", "4", "--x", "0.25", "--method", "exact")

@@ -32,6 +32,26 @@ def test_odd_formula_headline_values():
     assert rep.abs_error < 1e-8
 
 
+@pytest.mark.parametrize("n", range(6, 13))
+def test_tight_tolerance_is_met_or_refused(n):
+    # at tol 1e-12 relative the closed tails sit at their rounding floor:
+    # each evaluator either lands within tol of the exact value or raises
+    points = [Fraction(1, 4), Fraction(3, 4), Fraction(13, 48), Fraction(8, 17),
+              Fraction(4, 7), Fraction(1, 3)]
+    type_exact = ec.zagier_eval(2 * n, Fraction(-3, 2)) + ec.modified_bernoulli(2 * n)
+    calls = [(fm.zagier_even_formula, (n, x), ec.zagier_eval(2 * n, x)) for x in points]
+    calls += [(fm.zagier_odd_formula, (n, x), ec.zagier_eval(2 * n + 1, x)) for x in points]
+    calls += [(fm.zagier_number_formula, (n,), ec.modified_bernoulli(2 * n)),
+              (fm.zagier_type_sum, (n,), type_exact)]
+    for fn, args, exact in calls:
+        tol = 1e-12 * max(1.0, abs(float(exact)))
+        try:
+            rep = fn(*args, tol=tol)
+        except se.SeriesConvergenceError:
+            continue
+        assert rep.abs_error <= tol, (fn.__name__, args)
+
+
 def test_even_formula_float_x_has_no_exact():
     rep = fm.zagier_even_formula(1, 0.371)
     assert rep.exact is None and rep.abs_error is None

@@ -64,18 +64,30 @@ def test_ladder_consistency():
         assert abs(tps.cos_sum_half - 0.5 * (zx + z1x)) < 1e-10
 
 
-def test_cs_pair_closed_form_past_seven_halves():
-    # one closed form for every half-integer s; 1e-9 covers the Hurwitz
-    # values at negative first argument, whose error grows with k
-    for s in (4.5, 5.5):
-        for x in (0.1, 0.37, 0.8):
-            c, sn = polylog_trig_oracle(s, x)
-            got_c, got_s = se._cs_pair(s, x)
-            assert abs(got_c - c) < 1e-9, (s, x)
-            assert abs(got_s - sn) < 1e-9, (s, x)
-    for s in (1.0, 0.7, -0.5):
+@pytest.mark.parametrize("k", range(21))
+def test_periodic_zeta_vs_polylog(k):
+    # one closed form for every half-integer s = k + 1/2
+    for x in (0.01, 0.1, 0.37, 0.5, 0.8, 0.99):
+        c, sn = polylog_trig_oracle(k + 0.5, x)
+        got_c, got_s = se.periodic_zeta(x, k)
+        assert abs(got_c[k] - c) < 1e-14, (k, x)
+        assert abs(got_s[k] - sn) < 1e-14, (k, x)
+
+
+def test_periodic_zeta_at_zero_is_riemann_zeta():
+    c, s = se.periodic_zeta(0.0, 20)
+    for k in range(21):
+        ref = float(mp.zeta(k + 0.5))
+        assert abs(c[k] - ref) < 1e-15 * abs(ref), k
+    assert not s.any()
+
+
+def test_periodic_zeta_domain():
+    for x in (-0.1, 1.0):
         with pytest.raises(ValueError):
-            se._cs_pair(s, 0.3)
+            se.periodic_zeta(x, 2)
+    with pytest.raises(ValueError):
+        se.periodic_zeta(0.3, -1)
 
 
 def test_trig_sums_domain():
@@ -138,6 +150,20 @@ def test_g_tail_sum_stability_under_prefix_doubling():
     assert abs(a - b) < 1e-12
 
 
+def test_g_tail_sum_honours_tol():
+    # the prefix grows as tol shrinks, and the reported bound covers the error
+    ref = g_sum_nsum_oracle(1.0, 0.3, dps=40)
+    used = []
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+        res = se.g_tail_sum(1.0, 0.3, tol=tol)
+        used.append(res.terms_used)
+        assert abs(res.value - ref) <= min(res.tail_bound, tol + 1e-15), tol
+    assert used == sorted(used) and used[0] < 400 < used[-1]
+    with pytest.raises(se.SeriesConvergenceError) as err:
+        se.g_tail_sum(0.5, 0.3, tol=1e-30, max_terms=64)
+    assert err.value.best.terms_used == 64
+
+
 def test_g_tail_sum_rejects_small_exponent():
     with pytest.raises(ValueError):
         se.g_tail_sum(0.25, 0.5)
@@ -176,7 +202,7 @@ def test_cos_series_doubling_stability():
     tol = 1e-9
     res = se.bessel_cos_series(2, 0.3, tol=tol)
     forced = se.regularized_bracket_sum(4, 0.3, m_terms=2 * res.terms_used)
-    doubled = forced.value - 0.5 * se._cs_pair(0.5, 0.3)[0]
+    doubled = forced.value - 0.5 * se.periodic_zeta(0.3, 0)[0][0]
     assert abs(res.value - doubled) < 2 * tol
 
 
@@ -230,11 +256,39 @@ def test_acceleration_consistency_across_budgets():
         assert abs(base.value - wide.value) <= allowed, (n, x)
 
 
+def _default_or_best(nu, x, lattice):
+    try:
+        return se.regularized_bracket_sum(nu, x, lattice=lattice)
+    except se.SeriesConvergenceError as err:
+        return err.best
+
+
+@pytest.mark.parametrize("lattice", (1, 2))
+def test_bracket_sum_bounds_are_honest(lattice):
+    # the default evaluation (or the result it gave up on) and one over a
+    # 4x explicit range differ by no more than their two reported bounds
+    for nu in range(1, 41):
+        for x in (0.0, 0.01, 1.0 / 3.0, 0.5, 0.99):
+            base = _default_or_best(nu, x, lattice)
+            wide = se.regularized_bracket_sum(nu, x, lattice=lattice,
+                                              m_terms=4 * max(base.terms_used, 1))
+            assert abs(base.value - wide.value) <= base.tail_bound + wide.tail_bound, (nu, x)
+
+
+def test_closed_tails_keep_the_explicit_range_at_the_crossover():
+    # every order past M is closed, so a tight tolerance costs orders, not terms
+    res = se.regularized_bracket_sum(4, 1.0 / 3.0, tol=1e-12)
+    assert res.terms_used <= 64
+    assert res.tail_bound <= 1e-12
+    for tol in (1e-6, 1e-9, 1e-12):
+        assert se.regularized_bracket_sum(40, 0.3, tol=tol * 1e15).terms_used == 256
+
+
 def test_series_convergence_error():
     with pytest.raises(se.SeriesConvergenceError) as err:
         se.regularized_bracket_sum(4, 0.3, tol=1e-30, max_terms=50)
     assert err.value.best is not None
-    assert err.value.best.terms_used == 50
+    assert err.value.best.terms_used <= 50
 
 
 def test_outside_window_flag():

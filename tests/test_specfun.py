@@ -247,6 +247,8 @@ def test_hurwitz_domain():
         sf.hurwitz_zeta_half(2.5)
     with pytest.raises(ValueError):
         sf.hurwitz_zeta(1.0, 0.5)
+    with pytest.raises(ValueError):
+        sf.hurwitz_zeta(-0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
