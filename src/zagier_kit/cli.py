@@ -139,152 +139,100 @@ def _emit_rows(rows: list[dict], columns: list[str], cfg: RunConfig,
             stream.write("  ".join(fmt(row.get(c)).ljust(widths[c]) for c in columns).rstrip() + "\n")
 
 
-def _zagier_index_report(method: str, n: int, x_text: str | None, cfg: RunConfig):
-    """Dispatch an eval by polynomial index n of B_n^*(x)."""
+# series formula -> (evaluator, parity of the index n, whether it takes --x)
+FORMULAS = {
+    "even-formula": (formulas.zagier_even_formula, 0, True),
+    "odd-formula": (formulas.zagier_odd_formula, 1, True),
+    "zagier-number": (formulas.zagier_number_formula, 0, False),
+    "zagier-type": (formulas.zagier_type_sum, 0, False),
+}
+
+
+def _evaluate(method: str, n: int, x_text: str | None, cfg: RunConfig) -> dict:
+    """B_n^*(x) by one method, the one path behind eval and table.
+
+    Returns n, the x label (None when no --x is given or taken), the value
+    under "formula", its exact rational reference under "exact" (None at an
+    irrational x) and, for the series formulas, their EvalReport.  The
+    zagier-type value is B_n^*(-3/2) + B_n^*, and so is its reference.
+    """
+    xf, xq = parse_x(x_text) if x_text is not None else (0.0, Fraction(0))
+    row = {"n": n, "x": x_text, "terms_used": 0, "report": None}
+    if method in FORMULAS:
+        formula, parity, takes_x = FORMULAS[method]
+        if takes_x != (x_text is not None):
+            raise ValueError(f"{method} requires --x" if takes_x else f"{method} takes no --x")
+        if n % 2 != parity or n < 2 - parity:
+            raise ValueError(f"{method} needs an {('even', 'odd')[parity]} index n >= {2 - parity}")
+        point = (xq if xq is not None else xf,) if takes_x else ()
+        rep = formula(n // 2, *point, tol=cfg.tol, max_terms=cfg.max_terms)
+        if rep.series_meta[0].outside_window:
+            print(f"warning: x={x_text} lies outside the supported window; accuracy near "
+                  f"the endpoints degrades like x^(-1/2)", file=sys.stderr)
+        return {**row, "x": "-3/2" if method == "zagier-type" else x_text,
+                "formula": rep.formula_value, "exact": rep.exact, "report": rep,
+                "terms_used": max(m.terms_used for m in rep.series_meta)}
     if method == "exact":
-        if x_text is None:
-            return {"n": n, "x": "0", "exact": exact_core.modified_bernoulli(n)}
-        _, xq = parse_x(x_text)
         if xq is None:
             raise ValueError("exact evaluation needs a rational x (p/q)")
-        return {"n": n, "x": str(xq), "exact": exact_core.zagier_eval(n, xq)}
-    if method in ("even-formula", "odd-formula"):
-        if x_text is None:
-            raise ValueError(f"{method} requires --x")
-        xf, xq = parse_x(x_text)
-        lo, hi = series_engine.DEFAULT_X_WINDOW
-        if not lo <= xf <= hi:
-            print(f"warning: x={xf} lies outside the supported window "
-                  f"[{lo}, {hi}]; accuracy near the endpoints degrades like "
-                  f"x^(-1/2)", file=sys.stderr)
-        if method == "even-formula":
-            if n % 2 or n < 2:
-                raise ValueError("even-formula needs an even index n >= 2")
-            rep = formulas.zagier_even_formula(n // 2, xq if xq is not None else xf,
-                                               tol=cfg.tol, max_terms=cfg.max_terms)
-        else:
-            if n % 2 == 0 or n < 1:
-                raise ValueError("odd-formula needs an odd index n >= 1")
-            rep = formulas.zagier_odd_formula((n - 1) // 2, xq if xq is not None else xf,
-                                              tol=cfg.tol, max_terms=cfg.max_terms)
-        return {"n": n, "x": x_text, "report": rep}
-    if method == "zagier-number":
-        if n % 2 or n < 2:
-            raise ValueError("zagier-number needs an even index n >= 2")
-        return {"n": n, "x": None,
-                "report": formulas.zagier_number_formula(n // 2, tol=cfg.tol,
-                                                         max_terms=cfg.max_terms)}
-    if method == "zagier-type":
-        if n % 2 or n < 2:
-            raise ValueError("zagier-type needs an even index n >= 2")
-        return {"n": n, "x": "-3/2",
-                "report": formulas.zagier_type_sum(n // 2, tol=cfg.tol,
-                                                   max_terms=cfg.max_terms)}
+        exact = (exact_core.modified_bernoulli(n) if x_text is None
+                 else exact_core.zagier_eval(n, xq))
+        return {**row, "formula": exact, "exact": exact}
     if method == "asymptotic":
-        xf = parse_x(x_text)[0] if x_text is not None else 0.0
         if n % 2 == 0:
             value = formulas.even_asymptotic(n // 2, xf)
+        elif x_text is None:
+            raise ValueError("asymptotic odd-index evaluation requires --x")
         else:
-            if x_text is None:
-                raise ValueError("asymptotic odd-index evaluation requires --x")
-            value = formulas.odd_asymptotic((n - 1) // 2, xf)
-        return {"n": n, "x": x_text, "value": value}
+            value = formulas.odd_asymptotic(n // 2, xf)
+        exact = exact_core.zagier_eval(n, xq) if xq is not None else None
+        return {**row, "formula": value, "exact": exact}
     raise ValueError(f"unknown method {method}")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    _wire_cache(cfg)
-    try:
-        res = _zagier_index_report(args.method, args.n, args.x, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except SeriesConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    out = sys.stdout
-    if "exact" in res:
-        out.write(fmt(res["exact"]) + "\n")
-        return EXIT_OK
-    if "value" in res:
-        out.write(fmt(res["value"]) + "\n")
-        return EXIT_OK
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    res = _evaluate(args.method, args.n, args.x, cfg)
     rep = res["report"]
-    row = {
-        "n": res["n"], "x": res["x"],
-        "formula": rep.formula_value,
-        "exact": rep.exact,
-        "abs_err": rep.abs_error,
-        "terms_used": max((m.terms_used for m in rep.series_meta), default=0),
-        "tail_bound": max((m.tail_bound for m in rep.series_meta), default=0.0),
-    }
+    if rep is None:
+        sys.stdout.write(fmt(res["formula"]) + "\n")
+        return EXIT_OK
+    row = {**res, "abs_err": rep.abs_error, "tail_bound": rep.tail_bound}
     _emit_rows([row], ["n", "x", "formula", "exact", "abs_err", "terms_used", "tail_bound"],
-               cfg, out)
+               cfg, sys.stdout)
     return EXIT_OK
 
 
-def _table_cell(method: str, n: int, x_text: str | None, cfg: RunConfig,
-                compare: bool) -> dict:
-    x_label = x_text if x_text is not None else "0"
-    xq = parse_x(x_text)[1] if x_text is not None else Fraction(0)
-    exact = exact_core.zagier_eval(n, xq) if xq is not None and n >= 1 else None
-    try:
-        exact_f = float(exact) if exact is not None else None
-    except OverflowError:
-        raise ValueError(f"table cell n={n}, x={x_label}: the exact value exceeds the "
-                         f"double range; print it with eval --method exact") from None
-    row: dict = {"n": n, "x": x_label, "exact": exact_f,
-                 "formula": None, "abs_err": None, "rel_err": None, "terms_used": 0}
-    if method == "exact":
-        row["formula"] = exact_f
-        row["abs_err"] = 0.0 if exact is not None else None
-        return row
-    res = _zagier_index_report(method, n, x_text, cfg)
-    if "value" in res:
-        row["formula"] = res["value"]
-    else:
-        rep = res["report"]
-        row["formula"] = rep.formula_value
-        row["terms_used"] = max((m.terms_used for m in rep.series_meta), default=0)
-    if compare and exact is not None and row["formula"] is not None:
-        row["abs_err"] = abs(row["formula"] - exact_f)
-        row["rel_err"] = (row["abs_err"] / abs(exact_f)) if exact != 0 else None
-    return row
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    _wire_cache(cfg)
-    ns = list(range(args.n_start, args.n_end + 1, args.n_step))
-    xs = args.x.split(",") if args.x else [None]
-    try:
-        rows = [_table_cell(args.method, n, x, cfg, args.compare) for n in ns for x in xs]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except SeriesConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
+    rows = []
+    for n in range(args.n_start, args.n_end + 1, args.n_step):
+        for x_text in args.x.split(",") if args.x else [None]:
+            res = _evaluate(args.method, n, x_text, cfg)
+            x_label = res["x"] or "0"
+            try:
+                exact = float(res["exact"]) if res["exact"] is not None else None
+            except OverflowError:
+                raise ValueError(f"table cell n={n}, x={x_label}: the exact value exceeds the "
+                                 f"double range; print it with eval --method exact") from None
+            row = {**res, "x": x_label, "exact": exact, "abs_err": None, "rel_err": None}
+            if args.method == "exact":
+                row.update(formula=exact, abs_err=0.0)
+            elif args.compare and exact is not None:
+                row["abs_err"] = abs(row["formula"] - exact)
+                row["rel_err"] = row["abs_err"] / abs(exact) if res["exact"] != 0 else None
+            rows.append(row)
     _emit_rows(rows, ["n", "x", "exact", "formula", "abs_err", "rel_err", "terms_used"],
                cfg, sys.stdout)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    _wire_cache(cfg)
+def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     names = sorted(verify.IDENTITIES) if args.identity == "all" else [args.identity]
     options = {}
     if args.n_max is not None:
         options["n_max"] = args.n_max
     all_checks: list[verify.CheckResult] = []
     for name in names:
-        try:
-            all_checks.extend(verify.run_identity(name, **options))
-        except SeriesConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        all_checks.extend(verify.run_identity(name, **options))
     n_failed = sum(1 for c in all_checks if not c.passed)
     summary = {
         "identities": names,
@@ -327,11 +275,11 @@ def _converge_rows(series: str, n: int, x_text: str | None,
         nu = 2 * n if series == "bessel-cos" else 2 * n + 1
         tps = series_engine.trig_power_sums(xf)  # rejects x outside (0, 1)
         closed = tps.cos_sum_half if nu % 2 == 0 else tps.sin_sum_half
-        rest, _ = formulas._formula_rest(nu, xf, 0.0, 1e-14)
+        rest = formulas._formula_rest(nu, xf, 0.0, 1e-14)[0]
         exact = float(exact_core.zagier_eval(nu, xq)) - rest
     elif series == "zagier-number":
         nu, xf = 2 * n, 0.0
-        rest, _ = formulas._formula_rest(nu, 0.0, 0.0, 1e-14)
+        rest = formulas._formula_rest(nu, 0.0, 0.0, 1e-14)[0]
         exact = float(exact_core.modified_bernoulli(nu))
     else:
         raise ValueError(f"unknown series {series}")
@@ -357,27 +305,13 @@ def _converge_rows(series: str, n: int, x_text: str | None,
     return rows
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    _wire_cache(cfg)
-    try:
-        m_list = [int(tok) for tok in args.m_list.split(",")]
-        rows = _converge_rows(args.series, args.n, args.x, m_list)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except SeriesConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+def cmd_converge(args: argparse.Namespace, cfg: RunConfig) -> int:
+    m_list = [int(tok) for tok in args.m_list.split(",")]
+    rows = _converge_rows(args.series, args.n, args.x, m_list)
     _emit_rows(rows, ["m_terms", "partial_value", "partial_error",
                       "accelerated_value", "accelerated_error", "exact"],
                cfg, sys.stdout)
     return EXIT_OK
-
-
-def _wire_cache(cfg: RunConfig) -> None:
-    if cfg.cache_path:
-        exact_core.attach_disk_cache(cfg.cache_path)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -443,10 +377,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except ValueError as exc:
+        cfg = build_config(args)
+        if cfg.cache_path:
+            exact_core.attach_disk_cache(cfg.cache_path)
+        return args.func(args, cfg)
+    except (ValueError, SeriesConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+        return EXIT_BAD_ARGS if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import cos, pi, sin, sqrt
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp_special
 
 from . import exact_core, series_engine, specfun
@@ -50,6 +49,9 @@ class EvalReport:
     series_meta: list[SeriesResult] = field(default_factory=list)
     reference: float | None = None
     extras: dict[str, float] = field(default_factory=dict)
+    # bounds of series_meta weighted by their coefficients in the formula;
+    # None where no bound is assembled (lemma-level checks)
+    tail_bound: float | None = None
 
 
 def _as_point(x: float | Fraction | str) -> tuple[float, Fraction | None]:
@@ -64,7 +66,8 @@ def _as_point(x: float | Fraction | str) -> tuple[float, Fraction | None]:
 
 
 def _report(n: int, x, exact: Fraction | None, value: float,
-            meta: list[SeriesResult], reference: float | None = None,
+            meta: list[SeriesResult], tail_bound: float | None = None,
+            reference: float | None = None,
             extras: dict[str, float] | None = None) -> EvalReport:
     abs_err = rel_err = None
     target = float(exact) if exact is not None else reference
@@ -74,11 +77,11 @@ def _report(n: int, x, exact: Fraction | None, value: float,
     return EvalReport(n=n, x=x, exact=exact, formula_value=value,
                       abs_error=abs_err, rel_error=rel_err,
                       series_meta=meta, reference=reference,
-                      extras=extras or {})
+                      extras=extras or {}, tail_bound=tail_bound)
 
 
 def _formula_rest(nu: int, x: float, head: float,
-                  g_tol: float) -> tuple[float, list[SeriesResult]]:
+                  g_tol: float) -> tuple[float, list[SeriesResult], float]:
     """head plus the non-Bessel part of the series formula for B_nu^*(x).
 
     For 0 < x < 1 that part is (1/4)[U_{nu-1} quadruple] + 2^{-(nu+1)}
@@ -87,17 +90,20 @@ def _formula_rest(nu: int, x: float, head: float,
     number) it is -n - zeta(1/2)/2 + 2^{-2n} sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n}
     / sqrt(m(m+4)).  The formulas pass their Bessel sum as head, the
     convergence study passes 0.0, so both add the terms in the same order.
+    Also returns the sums' bounds weighted by their coefficients, to which
+    the caller adds the bound of head.
     """
     if x == 0.0:
         alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol)
         value = head - nu // 2 - 0.5 * specfun.zeta_half() + 2.0 ** -nu * alg.value
-        return value, [alg]
+        return value, [alg], 2.0 ** -nu * alg.tail_bound
     gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol)
     g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol)
     g = gx.value + g1x.value if nu % 2 == 0 else gx.value - g1x.value
     u, k = specfun.chebyshev_U_value, nu - 1
     quad = u(k, (x + 1.0) / 2) + u(k, x / 2) + u(k, (x - 1.0) / 2) + u(k, (x - 2.0) / 2)
-    return head + 0.25 * quad + 2.0 ** -(nu + 1) * g, [gx, g1x]
+    return (head + 0.25 * quad + 2.0 ** -(nu + 1) * g, [gx, g1x],
+            2.0 ** -(nu + 1) * (gx.tail_bound + g1x.tail_bound))
 
 
 def zagier_even_formula(
@@ -118,10 +124,10 @@ def zagier_even_formula(
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
     bessel = series_engine.bessel_cos_series(n, xf, tol=tol, max_terms=max_terms)
-    value, g_meta = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3)
+    value, g_meta, g_bound = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3)
     exact = exact_core.zagier_eval(2 * n, xq) if xq is not None else None
     return _report(2 * n, xq if xq is not None else xf, exact, value,
-                   [bessel, *g_meta])
+                   [bessel, *g_meta], bessel.tail_bound + g_bound)
 
 
 def zagier_odd_formula(
@@ -141,10 +147,10 @@ def zagier_odd_formula(
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
     bessel = series_engine.bessel_sin_series(n, xf, tol=tol, max_terms=max_terms)
-    value, g_meta = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3)
+    value, g_meta, g_bound = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3)
     exact = exact_core.zagier_eval(2 * n + 1, xq) if xq is not None else None
     return _report(2 * n + 1, xq if xq is not None else xf, exact, value,
-                   [bessel, *g_meta])
+                   [bessel, *g_meta], bessel.tail_bound + g_bound)
 
 
 def zagier_number_formula(
@@ -161,9 +167,10 @@ def zagier_number_formula(
     if n < 1:
         raise ValueError("n must be positive")
     reg = series_engine.regularized_bracket_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
-    value, alg_meta = _formula_rest(2 * n, 0.0, reg.value, tol * 1e-3)
+    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, reg.value, tol * 1e-3)
     exact = exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(0), exact, value, [reg, *alg_meta])
+    return _report(2 * n, Fraction(0), exact, value, [reg, *alg_meta],
+                   reg.tail_bound + alg_bound)
 
 
 def zagier_type_sum(
@@ -192,7 +199,8 @@ def zagier_type_sum(
         + 2.0 ** (1 - 4 * n) * alg.value
     )
     exact = exact_core.zagier_eval(2 * n, Fraction(-3, 2)) + exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(-3, 2), exact, value, [reg, alg])
+    return _report(2 * n, Fraction(-3, 2), exact, value, [reg, alg],
+                   2.0 * reg.tail_bound + 2.0 ** (1 - 4 * n) * alg.tail_bound)
 
 
 def even_asymptotic(n: int, x: float) -> float:
@@ -268,6 +276,8 @@ _QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-12)
 def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
     """Quadrature Fourier cosine coefficient of the arccos-Chebyshev profile
     against P_{2n}(4 pi m); the constant term must vanish."""
+    from scipy import integrate  # only the quadrature checks need it
+
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     a0, _ = integrate.quad(lambda t: _lemma_P_profile(t, n), 0.0, 1.0, **_QUAD_OPTS)
@@ -281,6 +291,8 @@ def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
 def fourier_coeff_dJ_check(n: int, m: int) -> EvalReport:
     """Quadrature Fourier cosine coefficient of the arcsin-Chebyshev/g profile
     against the order derivative of J at nu = 2n; constant term must vanish."""
+    from scipy import integrate
+
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     b0, _ = integrate.quad(lambda t: _lemma_dJ_profile(t, n), 0.0, 1.0, **_QUAD_OPTS)
@@ -368,6 +380,8 @@ def poisson_J_series_check(
     else:
         snu = sin(nu * pi / 2.0)
     if snu != 0.0:
+        from scipy import integrate
+
         for first, sign in ((2, +1.0), (3, -1.0)):
             def term_fn(t):
                 arg = 2.0 * pi * (t + sign * x)

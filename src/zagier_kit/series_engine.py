@@ -402,8 +402,9 @@ def regularized_bracket_sum(
     explicit terms, of the closed differences and of the window (with its
     remainder); SeriesConvergenceError is raised when it exceeds tol.  A
     forced m_terms truncates at the smallest dropped order instead, closes
-    every order and never raises.  terms_used counts the m summed term by
-    term, max(M, W).
+    every order and never raises that.  ValueError is raised when a bracket
+    exceeds the double range (from nu = 261 on the 4 pi m lattice).
+    terms_used counts the m summed term by term, max(M, W).
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -430,6 +431,9 @@ def regularized_bracket_sum(
     ms = np.arange(1, M + 1, dtype=float)
     q = lam * ms
     brackets = _bracket_values(nu, q)
+    if not np.isfinite(brackets).all():  # yn(nu, 4 pi) is -inf from nu = 261
+        raise ValueError(f"regularized_bracket_sum: the Bessel term Y_{nu}({4 * lattice} pi) "
+                         f"exceeds the double range")
     trig = _trig(even_nu, x, ms)
     explicit = chunked_fsum(brackets * trig)
     phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)

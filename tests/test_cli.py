@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -67,6 +69,9 @@ def test_eval_nonconvergence_exit_3():
     code, _ = run_cli("eval", "--n", "4", "--x", "1/3", "--method", "even-formula",
                       "--tol", "1e-30", "--max-terms", "50")
     assert code == 3
+    # Y_260(4 pi) is still finite, so the tolerance is what fails there
+    code, _ = run_cli("eval", "--n", "260", "--method", "zagier-number")
+    assert code == 3
 
 
 @pytest.mark.parametrize("args", [
@@ -80,7 +85,9 @@ def test_eval_nonconvergence_exit_3():
 def test_eval_high_index_reaches_tight_tol(args):
     code, out = run_cli("eval", "--tol", "1e-10", "--format", "json", *args)
     assert code == 0
-    assert float(json.loads(out)[0]["abs_err"]) <= 1e-10
+    row = json.loads(out)[0]
+    # tail_bound weights each component bound by its coefficient in the formula
+    assert float(row["abs_err"]) <= float(row["tail_bound"]) <= 1e-10
 
 
 def test_eval_decimal_snapping():
@@ -126,6 +133,36 @@ def test_table_asymptotic_compare_decreasing():
     rows = json.loads(out)
     rels = [float(r["rel_err"]) for r in rows]
     assert rels[0] > rels[1] > rels[2]
+
+
+@pytest.mark.parametrize("method, n, x", [
+    ("even-formula", 2, "1/2"), ("even-formula", 6, "1/10"), ("even-formula", 8, "0.3"),
+    ("odd-formula", 3, "2/7"), ("odd-formula", 7, "1/3"),
+    ("zagier-number", 2, None), ("zagier-number", 10, None),
+    ("zagier-type", 2, None), ("zagier-type", 8, None),
+])
+def test_table_matches_eval(method, n, x):
+    point = ("--x", x) if x is not None else ()
+    code, out = run_cli("eval", "--method", method, "--n", str(n), *point, "--format", "json")
+    assert code == 0
+    want = json.loads(out)[0]
+    code, out = run_cli("table", "--method", method, "--n-start", str(n), "--n-end", str(n),
+                        *point, "--compare", "--format", "json")
+    assert code == 0
+    got = json.loads(out)[0]
+    assert got["x"] == (want["x"] or "0")
+    assert got["formula"] == want["formula"]
+    assert got["exact"] == float(Fraction(want["exact"]))
+    assert got["abs_err"] == want["abs_err"] < 1e-9
+
+
+def test_import_leaves_out_quadrature():
+    # only the lemma and Poisson checks import scipy.integrate, on first use
+    code = "import sys, zagier_kit.cli; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_table_deterministic_and_thread_stable():
@@ -269,9 +306,29 @@ def test_run_config_validation():
      "B_401^*(x) exceeds the double range"),
     (("converge", "--series", "bessel-cos", "--n", "1", "--x", "0"), None, "x must lie in"),
     (("converge", "--series", "bessel-sin", "--n", "1", "--x", "1"), None, "x must lie in"),
+    (("table", "--method", "exact", "--n-start", "1", "--n-end", "2", "--x", "0.123456789"),
+     None, "exact evaluation needs a rational x"),
+    (("table", "--method", "exact", "--n-start", "0", "--n-end", "2"), None,
+     "n must be positive"),
+    (("eval", "--method", "zagier-number", "--n", "8", "--x", "1/3"), None,
+     "zagier-number takes no --x"),
+    (("eval", "--method", "zagier-type", "--n", "8", "--x", "1/3"), None,
+     "zagier-type takes no --x"),
+    (("table", "--method", "zagier-number", "--n-start", "2", "--n-end", "4", "--n-step", "2",
+      "--x", "1/3", "--compare"), None, "zagier-number takes no --x"),
+    (("table", "--method", "zagier-type", "--n-start", "2", "--n-end", "4", "--n-step", "2",
+      "--x", "1/3", "--compare"), None, "zagier-type takes no --x"),
+    (("eval", "--method", "even-formula", "--n", "400", "--x", "1/3"), None,
+     "Y_400(4 pi) exceeds the double range"),
+    (("eval", "--method", "odd-formula", "--n", "261", "--x", "1/3"), None,
+     "Y_261(4 pi) exceeds the double range"),
+    (("eval", "--method", "zagier-number", "--n", "600"), None,
+     "Y_600(4 pi) exceeds the double range"),
 ], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key", "bad-format",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
-        "converge-x-0", "converge-x-1"])
+        "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
+        "eval-number-x", "eval-type-x", "table-number-x", "table-type-x",
+        "even-bessel-overflow", "odd-bessel-overflow", "number-bessel-overflow"])
 def test_clean_failures_exit_2(tmp_path, capsys, argv, config, needle):
     argv = [a.replace("{missing}", str(tmp_path / "missing.conf")) for a in argv]
     if config is not None:
