@@ -52,7 +52,6 @@ from .specfun import (
     digamma_int,
     hurwitz_zeta_half,
     schlafli_S,
-    zeta_even,
 )
 
 __version__ = "1.0.0"
@@ -97,6 +96,5 @@ __all__ = [
     "digamma_int",
     "hurwitz_zeta_half",
     "schlafli_S",
-    "zeta_even",
     "__version__",
 ]

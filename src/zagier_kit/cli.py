@@ -11,13 +11,13 @@ input order.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from . import exact_core, formulas, series_engine, verify
 from .series_engine import SeriesConvergenceError
@@ -97,8 +97,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, Fraction):  # Decimal prints integers past str()'s 4,300-digit limit
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -111,10 +111,13 @@ def parse_x(text: str) -> tuple[float, Fraction | None]:
     within 1e-12 of one with denominator <= 64 (then it is flagged exact).
     """
     text = text.strip()
+    try:
+        frac = Fraction(text)  # also rejects inf and nan
+        value = float(frac)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"bad evaluation point {text!r}: not p/q or a finite decimal") from None
     if "/" in text:
-        frac = Fraction(text)
-        return float(frac), frac
-    value = float(text)
+        return value, frac
     snapped = Fraction(value).limit_denominator(64)
     if abs(float(snapped) - value) < 1e-12:
         return float(snapped), snapped
@@ -229,6 +232,11 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     names = sorted(verify.IDENTITIES) if args.identity == "all" else [args.identity]
     options = {}
     if args.n_max is not None:
+        if args.n_max < 1:
+            raise ValueError("--n-max must be >= 1")
+        if args.identity != "all" and \
+                "n_max" not in inspect.signature(verify.IDENTITIES[args.identity]).parameters:
+            raise ValueError(f"{args.identity} has no index range; drop --n-max")
         options["n_max"] = args.n_max
     all_checks: list[verify.CheckResult] = []
     for name in names:
@@ -288,7 +296,7 @@ def _converge_rows(series: str, n: int, x_text: str | None,
         reg = series_engine.regularized_bracket_sum(nu, xf, m_terms=m)
         if series == "zagier-number":
             # naive column: truncate the regularized sum, no tail correction
-            brackets = series_engine._bracket_values(nu, np.arange(1, m + 1, dtype=float))
+            brackets = series_engine._bracket_values(nu, 1, m)
             partial = rest + series_engine.chunked_fsum(brackets)
             accel = rest + reg.value
         else:

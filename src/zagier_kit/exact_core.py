@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -167,7 +168,8 @@ class BernoulliCache:
         with self._lock:
             lines = [CACHE_HEADER]
             for n, v in enumerate(self._values):
-                lines.append(f"{n}\t{v.numerator}/{v.denominator}")
+                # Decimal writes and reads integers past str()'s 4,300-digit limit
+                lines.append(f"{n}\t{Decimal(v.numerator)}/{Decimal(v.denominator)}")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -185,7 +187,9 @@ class BernoulliCache:
                     continue
                 idx_s, frac_s = line.split("\t")
                 num_s, den_s = frac_s.split("/")
-                loaded[int(idx_s)] = Fraction(int(num_s), int(den_s))
+                if not (num_s.lstrip("-") + den_s).isdigit():
+                    raise ValueError(f"bad cache record: {line[:40]!r}")
+                loaded[int(idx_s)] = Fraction(int(Decimal(num_s)), int(Decimal(den_s)))
         with self._lock:
             n = 0
             values = [Fraction(1)]

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import cos, pi, sin, sqrt
 
 import numpy as np
-from scipy import special as sp_special
 
 from . import exact_core, series_engine, specfun
 from .series_engine import SeriesResult
@@ -30,9 +29,7 @@ __all__ = [
     "odd_asymptotic",
     "fourier_coeff_P_check",
     "fourier_coeff_dJ_check",
-    "A_function_two_ways",
     "poisson_J_series_check",
-    "bernoulli_fourier_eval",
 ]
 
 
@@ -270,20 +267,24 @@ def _lemma_dJ_profile(x: float, n: int) -> float:
     return h1 + h2
 
 
-_QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-12)
+def _fourier_pair(profile, n: int, m: int) -> tuple[float, float]:
+    """integral_0^1 profile(t, n) times 1 and 2 cos(2 pi m t), as twice the integral
+    over [0, 1/2] (both are symmetric about 1/2, so 1 - t never nears 0), by
+    64-node Gauss-Legendre in theta, t = sin^2 theta: dt = sin(2 theta) dtheta
+    cancels the t^{-1/2} endpoint singularity."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.125 * pi * (nodes + 1.0)
+    t = np.sin(theta) ** 2
+    vals = 0.25 * pi * weights * np.sin(2.0 * theta) * np.array([profile(ti, n) for ti in t])
+    return math.fsum(vals.tolist()), 2.0 * math.fsum((vals * np.cos(2.0 * pi * m * t)).tolist())
 
 
 def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
     """Quadrature Fourier cosine coefficient of the arccos-Chebyshev profile
     against P_{2n}(4 pi m); the constant term must vanish."""
-    from scipy import integrate  # only the quadrature checks need it
-
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    a0, _ = integrate.quad(lambda t: _lemma_P_profile(t, n), 0.0, 1.0, **_QUAD_OPTS)
-    am, _ = integrate.quad(lambda t: _lemma_P_profile(t, n) * cos(2.0 * pi * m * t),
-                           0.0, 1.0, **_QUAD_OPTS)
-    am *= 2.0
+    a0, am = _fourier_pair(_lemma_P_profile, n, m)
     ref = specfun.P_func(2 * n, 4.0 * pi * m).value
     return _report(n, float(m), None, am, [], reference=ref, extras={"a0": a0})
 
@@ -291,65 +292,34 @@ def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
 def fourier_coeff_dJ_check(n: int, m: int) -> EvalReport:
     """Quadrature Fourier cosine coefficient of the arcsin-Chebyshev/g profile
     against the order derivative of J at nu = 2n; constant term must vanish."""
-    from scipy import integrate
-
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    b0, _ = integrate.quad(lambda t: _lemma_dJ_profile(t, n), 0.0, 1.0, **_QUAD_OPTS)
-    bm, _ = integrate.quad(lambda t: _lemma_dJ_profile(t, n) * cos(2.0 * pi * m * t),
-                           0.0, 1.0, **_QUAD_OPTS)
-    bm *= 2.0
+    b0, bm = _fourier_pair(_lemma_dJ_profile, n, m)
     ref = specfun.dJ_dnu_at_int(2 * n, 4.0 * pi * m).value
     return _report(n, float(m), None, bm, [], reference=ref, extras={"b0": b0})
 
 
 # ---------------------------------------------------------------------------
-# Schlaefli cross-assembly and the Poisson-summation check
+# the Poisson-summation check
 # ---------------------------------------------------------------------------
-
-def A_function_two_ways(n: int, x: float, tol: float = 1e-8) -> EvalReport:
-    """The cosine series of Schlaefli values, two independent ways.
-
-    Way 1 (reference): direct summation of (-1)^{n+1} S_{2n}(4 pi m) cos(2 pi m x),
-    absolutely convergent with O(m^{-2}) terms.  Way 2: the closed form built
-    from the accelerated Bessel series, g-tails and Chebyshev values.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    # way 1: direct; the oscillatory tail is O(n M^{-2} / (4 pi^2 sin(pi x)))
-    # by summation by parts, so the term count only grows like 1/sqrt(tol)
-    m_terms = int(math.sqrt(n / (4.0 * pi**2 * math.sin(pi * x) * (tol / 8.0)))) + 2000
-    m_terms = min(m_terms, 2_000_000)
-    ms = np.arange(1, m_terms + 1, dtype=float)
-    svals = np.zeros_like(ms)
-    a = 2  # 2n is even
-    half_z = 2.0 * pi * ms
-    for r in range((2 * n - a) // 2 + 1):
-        coef = math.factorial(2 * n - r - 1) / math.factorial(r)
-        svals += coef * half_z ** (2 * r - 2 * n)
-    way1 = (-1.0) ** (n + 1) * series_engine.chunked_fsum(
-        svals * np.cos(2.0 * pi * x * ms)
-    )
-    # way 2: closed form
-    bessel = series_engine.bessel_cos_series(n, x, tol=tol * 1e-2)
-    gx = series_engine.g_tail_sum(n, x)
-    g1x = series_engine.g_tail_sum(n, 1.0 - x)
-    u = specfun.chebyshev_U_value
-    k = 2 * n - 1
-    way2 = (
-        bessel.value
-        + (-1.0) ** (n + 1) / (2.0 * n)
-        + 2.0 ** -(2 * n + 1) * (gx.value + g1x.value)
-        - 0.25 * (u(k, x / 2) + u(k, (x + 1.0) / 2) + u(k, (1.0 - x) / 2) + u(k, (2.0 - x) / 2))
-    )
-    return _report(n, x, None, way2, [bessel, gx, g1x], reference=way1)
-
 
 def _cesaro_mean(terms: np.ndarray, window: int) -> float:
     partial = np.cumsum(terms)
     return float(np.mean(partial[-window:]))
+
+
+def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
+    """J_nu(4 pi m), m = 1..n_terms; past the crossover the Hankel series at its
+    constant phase w = -(nu/2 + 1/4) pi: pi J_nu(4 pi m) = sum_k d_k m^{-(k+1/2)},
+    d_k = u_k (-1)^{floor(k/2)} (cos w for even k, -sin w for odd k) / (sqrt 2 (4 pi)^k)."""
+    near = min(int(specfun.asymptotic_crossover(nu) / (4.0 * pi)), n_terms)
+    ks = np.arange(31)
+    w = -(0.5 * nu + 0.25) * pi
+    d = (np.array(specfun.hankel_coefficients(nu, 30)) / (sqrt(2.0) * (4.0 * pi) ** ks)
+         * np.where(ks % 2 == 0, cos(w), -sin(w)) * (-1.0) ** (ks // 2))
+    far = series_engine._hankel_sum(d, 0, np.arange(near + 1, n_terms + 1, dtype=float)) / pi
+    return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m).value for m in range(1, near + 1)],
+                           far])
 
 
 def poisson_J_series_check(
@@ -369,48 +339,15 @@ def poisson_J_series_check(
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
     ms = np.arange(1, n_terms + 1, dtype=float)
-    lhs = _cesaro_mean(sp_special.jv(nu, 4.0 * pi * ms) * np.cos(2.0 * pi * ms * x), window)
+    lhs = _cesaro_mean(_lattice_J(nu, n_terms) * np.cos(2.0 * pi * ms * x), window)
 
     def kernel(t: float) -> float:
         return cos(nu * math.asin(t / 2.0)) / sqrt((4.0 * pi) ** 2 - (2.0 * pi * t) ** 2)
 
     rhs = kernel(x) + kernel(x + 1.0) + kernel(1.0 - x) + kernel(2.0 - x)
-    if abs(nu - round(nu)) < 1e-12 and round(nu) % 2 == 0:
-        snu = 0.0
-    else:
-        snu = sin(nu * pi / 2.0)
-    if snu != 0.0:
-        from scipy import integrate
-
-        for first, sign in ((2, +1.0), (3, -1.0)):
-            def term_fn(t):
-                arg = 2.0 * pi * (t + sign * x)
-                root = np.sqrt(arg * arg - (4.0 * pi) ** 2)
-                return (4.0 * pi) ** nu * snu / (root * (arg + root) ** nu)
-
-            # explicit block, then the smooth remainder as a midpoint integral
-            last = first + 1500
-            ms = np.arange(first, last, dtype=float)
-            explicit = series_engine.chunked_fsum(term_fn(ms))
-            integral, _ = integrate.quad(term_fn, last - 0.5, np.inf,
-                                         epsabs=1e-12, limit=200)
-            rhs -= explicit + integral
+    snu = 0.0 if abs(nu - round(nu)) < 1e-12 and round(nu) % 2 == 0 else sin(nu * pi / 2.0)
+    # the tails over 2 pi (m + x), m >= 2, and 2 pi (m - x), m >= 3, are the
+    # g-sums at exponent nu/2 on the gaps x and 1 - x
+    g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0).value for gap in (x, 1.0 - x))
+    rhs -= snu / (2.0 * pi * 2.0**nu) * g
     return _report(0, x, None, rhs, [], reference=lhs)
-
-
-def bernoulli_fourier_eval(index: int, x: float, m_terms: int) -> float:
-    """Truncated Fourier series of the Bernoulli polynomial B_index(x).
-
-    Even index 2n: 2 (-1)^{n+1} (2n)! sum cos(2 pi m x)/(2 pi m)^{2n};
-    odd index 2n+1: the sine companion.  Convergence demonstration only.
-    """
-    if index < 1 or m_terms < 1:
-        raise ValueError("index and m_terms must be positive")
-    ms = np.arange(1, m_terms + 1, dtype=float)
-    if index % 2 == 0:
-        n = index // 2
-        series = np.cos(2.0 * pi * ms * x) / (2.0 * pi * ms) ** index
-        return 2.0 * (-1.0) ** (n + 1) * math.factorial(index) * series_engine.chunked_fsum(series)
-    n = (index - 1) // 2
-    series = np.sin(2.0 * pi * ms * x) / (2.0 * pi * ms) ** index
-    return 2.0 * (-1.0) ** (n + 1) * math.factorial(index) * series_engine.chunked_fsum(series)

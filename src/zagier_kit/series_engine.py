@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from math import pi, sqrt
 
 import numpy as np
-from scipy import special as sp_special
 
-from .specfun import asymptotic_crossover, hankel_coefficients, hurwitz_zeta
+from .specfun import (ASYM_Z_MIN, asymptotic_crossover, bessel_Y01, bessel_Y_int,
+                      bessel_Y_upward, hankel_coefficients, hurwitz_zeta)
 
 __all__ = [
     "SeriesResult",
@@ -242,8 +242,15 @@ def conjugate_power_sum(
     """
     if r < 0.5:
         raise ValueError("exponent r must be >= 1/2 for a usable tail bound")
-    if a0 * a0 <= csq:
-        raise ValueError("series start must satisfy a0^2 > csq")
+    return _conjugate_sum(a0 - sqrt(csq), r, sqrt(csq), tol, max_terms, prefix)
+
+
+def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS, prefix=None):
+    """:func:`conjugate_power_sum` at a0 = c + gap, any r > 0: each A^2 - c^2 is
+    formed as (A - c)(A + c) from the gap, so a small gap keeps its digits."""
+    if gap <= 0.0:
+        raise ValueError("series start must satisfy a0 > sqrt(csq)")
+    csq, a0 = c * c, c + gap
 
     def correction(n: int) -> float:
         # next Euler-Maclaurin correction (B_4 f''' / 4!) as the honest remainder scale
@@ -259,18 +266,16 @@ def conjugate_power_sum(
         n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), max_terms)
         while correction(n_direct) > tol and n_direct < max_terms:
             n_direct = min(2 * n_direct, max_terms)
-    a_vals = a0 + np.arange(n_direct, dtype=float)
-    roots = np.sqrt(a_vals * a_vals - csq)
-    w = csq / (a_vals + roots)
+    gaps = gap + np.arange(n_direct, dtype=float)
+    roots = np.sqrt(gaps * (gaps + 2.0 * c))
+    w = csq / (c + gaps + roots)  # A - sqrt(A^2 - csq)
     terms = w ** (2.0 * r) / roots
     head = chunked_fsum(terms)
     a_end = a0 + n_direct
     f_end, fp_end, integral = _conj_f(a_end, r, csq)
     value = head + integral + 0.5 * f_end - fp_end / 12.0
     truncation = correction(n_direct)
-    # each term carries ~2r+1 roundings of A^2 - csq, which cancels by at
-    # most a0^2/(a0^2 - csq)
-    rounding = 1e-16 + _EPS * (2.0 * r + 1.0) * head * a0 * a0 / (a0 * a0 - csq)
+    rounding = 1e-16 + _EPS * (2.0 * r + 1.0) * head  # ~2r+1 roundings per term
     result = SeriesResult(value, n_direct, truncation + rounding, accelerated=True)
     if prefix is None and truncation > tol:
         raise SeriesConvergenceError(
@@ -291,11 +296,11 @@ def g_tail_sum(
     """sum_{m >= start_m} g(m, r, x).
 
     A short prefix is closed by the Euler-Maclaurin tail, which is what
-    makes the r = 1/2 exponent affordable.
+    makes the r = 1/2 exponent affordable.  It runs on the gap A - 2 = m - 1 + x.
     """
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
-    return conjugate_power_sum(start_m + 1.0 + x, r, 4.0, tol=tol, max_terms=max_terms)
+    return _conjugate_sum(start_m - 1.0 + x, r, 2.0, tol, max_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +329,20 @@ def _bracket_coeffs(nu: int) -> np.ndarray:
     return b
 
 
-def _bracket_asymptotic(nu: int, m: np.ndarray) -> np.ndarray:
-    """Regularized bracket on the 4*pi lattice from the power series in 1/m,
-    for an ascending array m.
+def _hankel_sum(b: np.ndarray, lo: int, m: np.ndarray) -> np.ndarray:
+    """sum_{k >= lo} b_k m^{-(k+1/2)} past the crossover, for an ascending array m,
+    through the last order that reaches 1e-17 of the largest at min(m)."""
+    if not m.size:
+        return m
+    sizes = np.abs(b[lo:]) * float(m[0]) ** -np.arange(lo, b.size, dtype=float)
+    top = lo + int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1])
+    return _orders_sum(b, lo, top, m)
 
-    No trig of large arguments, no phase-reduction error.  Valid beyond the
-    asymptotic crossover.
-    """
-    b = _bracket_coeffs(nu)
-    # orders past the last one that reaches 1e-17 of the largest at min(m)
-    # cannot move a double; the terms only shrink for larger m
-    sizes = np.abs(b[1:]) * float(m[0]) ** -np.arange(1.0, _ORDERS + 1)
-    top = int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1]) + 1
-    return _orders_sum(b, 1, top, m)
+
+def _bracket_asymptotic(nu: int, m: np.ndarray) -> np.ndarray:
+    """Regularized bracket on the 4*pi lattice past the crossover from its power
+    series in 1/m (ascending m): no trig of large arguments, no phase error."""
+    return _hankel_sum(_bracket_coeffs(nu), 1, m)
 
 
 def _orders_sum(b: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
@@ -347,19 +353,31 @@ def _orders_sum(b: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
     return total * q ** -(lo + 0.5)
 
 
-def _bracket_values(nu: int, q: np.ndarray) -> np.ndarray:
-    """bracket(q) for an ascending array of lattice indices q."""
-    n = nu // 2
-    sign = (-1.0) ** n
-    cross = asymptotic_crossover(nu)
-    out = np.empty_like(q)
-    small = 4.0 * pi * q <= cross
-    if small.any():
-        zs = 4.0 * pi * q[small]
-        out[small] = sign * pi * sp_special.yn(nu, zs) + 0.5 / np.sqrt(q[small])
-    if (~small).any():
-        out[~small] = _bracket_asymptotic(nu, q[~small])
+@functools.cache
+def _lattice_brackets(nu: int, lattice: int) -> np.ndarray:
+    """bracket(lattice m) for every m with 4 pi lattice m at or below the crossover:
+    Y_0, Y_1 from :func:`specfun.bessel_Y01` up to z = 40 and from their lattice
+    series beyond, carried up to Y_nu.  ValueError past the double range."""
+    if not math.isfinite(pi * bessel_Y_int(nu, 4.0 * pi * lattice).value):  # largest at m = 1
+        raise ValueError(f"the Bessel term Y_{nu}({4 * lattice} pi) exceeds the double range")
+    q = lattice * np.arange(1.0, int(asymptotic_crossover(nu) / (4.0 * pi * lattice)) + 1.0)
+    z, root = 4.0 * pi * q, np.sqrt(q)
+    low = int(np.count_nonzero(z <= ASYM_Z_MIN))
+    y01 = np.empty((2, q.size))
+    for i in range(low):
+        y01[:, i] = bessel_Y01(z[i])
+    for k in (0, 1):  # bracket = pi Y_k + 1/(2 sqrt(q)) at orders 0 and 1
+        y01[k, low:] = (_bracket_asymptotic(k, q[low:]) - 0.5 / root[low:]) / pi
+    out = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
+    out.flags.writeable = False
     return out
+
+
+def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
+    """bracket(lattice m) for m = 1..m_terms."""
+    near = _lattice_brackets(nu, lattice)[:m_terms]
+    q = lattice * np.arange(near.size + 1, m_terms + 1, dtype=float)
+    return np.concatenate([near, _bracket_asymptotic(nu, q)])
 
 
 def _tail_envelopes(b: np.ndarray, lam: float, m: int) -> np.ndarray:
@@ -430,10 +448,7 @@ def regularized_bracket_sum(
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)
     q = lam * ms
-    brackets = _bracket_values(nu, q)
-    if not np.isfinite(brackets).all():  # yn(nu, 4 pi) is -inf from nu = 261
-        raise ValueError(f"regularized_bracket_sum: the Bessel term Y_{nu}({4 * lattice} pi) "
-                         f"exceeds the double range")
+    brackets = _bracket_values(nu, lattice, M)
     trig = _trig(even_nu, x, ms)
     explicit = chunked_fsum(brackets * trig)
     phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)
@@ -539,15 +554,6 @@ def bessel_series_partial(nu: int, x: float, m_terms: int) -> float:
     """
     if nu < 1 or m_terms < 1:
         raise ValueError("nu and m_terms must be positive")
-    n = nu // 2
     ms = np.arange(1, m_terms + 1, dtype=float)
-    ys = np.empty_like(ms)
-    cross = asymptotic_crossover(nu)
-    small = 4.0 * pi * ms <= cross
-    if small.any():
-        ys[small] = sp_special.yn(nu, 4.0 * pi * ms[small])
-    if (~small).any():
-        big = ms[~small]
-        sign = (-1.0) ** n
-        ys[~small] = sign * (_bracket_asymptotic(nu, big) - 0.5 / np.sqrt(big)) / pi
-    return chunked_fsum(((-1.0) ** n * pi) * ys * _trig(nu % 2 == 0, x, ms))
+    terms = _bracket_values(nu, 1, m_terms) - 0.5 / np.sqrt(ms)
+    return chunked_fsum(terms * _trig(nu % 2 == 0, x, ms))

@@ -2,8 +2,9 @@
 
 Double precision throughout.  Each evaluator returns an :class:`EvalResult`
 carrying a heuristic absolute-error estimate and the method that produced
-the value.  Base Bessel values at moderate argument come from scipy
-(cephes/AMOS); the large-argument branch is our own Hankel-type expansion
+the value.  Integer J comes from Miller's recurrence, integer Y from the
+upward recurrence over Y_0, Y_1, and non-integer J from mpmath (imported
+on first use); the large-argument branch is our own Hankel-type expansion
 with smallest-term truncation, because the series engine needs its
 coefficients and its exact-phase form on the 4*pi*m lattice.
 """
@@ -17,7 +18,6 @@ from math import cos, log, pi, sin, sqrt
 from typing import Literal
 
 import numpy as np
-from scipy import special as sp_special
 
 from .exact_core import bernoulli_number
 
@@ -34,13 +34,11 @@ __all__ = [
     "schlafli_S",
     "P_func",
     "Q_func",
-    "pq_cross_check",
     "hurwitz_zeta",
     "hurwitz_zeta_half",
     "zeta_half",
     "coates_integral",
     "coates_series",
-    "zeta_even",
     "chebyshev_U_value",
 ]
 
@@ -164,8 +162,8 @@ def bessel_J(nu: float, z: float) -> EvalResult:
     """J_nu(z) for nu >= 0, z >= 0.
 
     Integer orders ride the Miller batch below the asymptotic crossover;
-    non-integer orders delegate to scipy.special.jv there.  Above the
-    crossover both use the Hankel expansion.
+    non-integer orders come from mpmath there.  Above the crossover both
+    use the Hankel expansion.
     """
     if nu < 0 or z < 0:
         raise ValueError("bessel_J requires nu >= 0 and z >= 0")
@@ -178,15 +176,35 @@ def bessel_J(nu: float, z: float) -> EvalResult:
     if abs(nu - n) < 1e-12:
         val = float(bessel_J_int_batch(int(n), z)[int(n)])
         return EvalResult(val, 1e-13 * max(abs(val), 1e-30) + 1e-16, "recurrence")
-    val = float(sp_special.jv(nu, z))
+    import mpmath  # only non-integer orders below the crossover need it
+
+    val = float(mpmath.besselj(nu, z))
     return EvalResult(val, 4e-15 * max(abs(val), 1e-30) + 1e-16, "series")
+
+
+def bessel_Y_upward(n: int, z, y0, y1):
+    """Y_n from Y_0 and Y_1 (floats or arrays) by the stable upward recurrence
+    Y_{k+1} = (2k/z) Y_k - Y_{k-1}; past the double range it gives inf or nan."""
+    prev, cur = y0, y1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            prev, cur = cur, (2.0 * k / z) * cur - prev
+    return y0 if n == 0 else cur
+
+
+@functools.lru_cache(maxsize=64)  # the lattice needs only 4 pi, 8 pi and 12 pi
+def bessel_Y01(z: float) -> tuple[float, float]:
+    """(Y_0(z), Y_1(z)) for 0 < z <= ASYM_Z_MIN from the order derivative of J:
+    (pi/2) Y_0 = dJ/dnu at 0, (pi/2) Y_1 = dJ/dnu at 1 - J_0/z (DLMF 10.15.4)."""
+    dj0, dj1 = dJ_dnu_at_int(0, z).value, dJ_dnu_at_int(1, z).value
+    return 2.0 / pi * dj0, 2.0 / pi * (dj1 - bessel_J(0.0, z).value / z)
 
 
 def bessel_Y_int(n: int, z: float) -> EvalResult:
     """Y_n(z) for integer n >= 0, z > 0.
 
-    Below the crossover: Y_0, Y_1 base values with the stable upward
-    recurrence (Y is the dominant solution, so upward is safe); above it,
+    Below the crossover: Y_0, Y_1 (:func:`bessel_Y01` up to z = 40, the
+    large-argument expansion beyond) with the upward recurrence; above it,
     the large-argument expansion truncated at its smallest term.
     """
     if z <= 0:
@@ -196,7 +214,8 @@ def bessel_Y_int(n: int, z: float) -> EvalResult:
     if z > asymptotic_crossover(n):
         _, y_val, err = _asymptotic_JY(float(n), z)
         return EvalResult(y_val, err, "asymptotic")
-    val = float(sp_special.yn(n, z))
+    y01 = bessel_Y01(z) if z <= ASYM_Z_MIN else [_asymptotic_JY(k, z)[1] for k in (0.0, 1.0)]
+    val = float(bessel_Y_upward(n, z, *y01))
     return EvalResult(val, 2e-14 * max(abs(val), 1e-30) + 1e-16, "recurrence")
 
 
@@ -269,55 +288,6 @@ def Q_func(n: int, z: float) -> EvalResult:
         parts.append((-1) ** k * (n + 2 * k) / (k * (n + k)) * jvals[n + 2 * k])
     val = math.fsum(parts)
     return EvalResult(val, 1e-13 * max(abs(val), 1e-16) + 1e-16, "series")
-
-
-def _p_func_reference(n: int, z: float) -> float:
-    """Digamma-series definition of P_n, evaluated in extended precision.
-
-    The power series cancels catastrophically in doubles for z beyond ~20,
-    so this reference path runs under mpmath and is meant for cross-checks,
-    not production.
-    """
-    import mpmath as mp
-
-    with mp.workdps(40):
-        zz = mp.mpf(z)
-        head = -mp.fsum(
-            mp.factorial(n - r - 1) / mp.factorial(r) * (zz / 2) ** (2 * r - n)
-            for r in range((n + 1) // 2, n)
-        )
-        tail = mp.nsum(
-            lambda l: (-1) ** l * (zz / 2) ** (n + 2 * l)
-            * (mp.digamma(n + l + 1) - mp.digamma(l + 1))
-            / (mp.factorial(l) * mp.factorial(n + l)),
-            [0, mp.inf],
-        )
-        return float(head + tail)
-
-
-def _q_func_reference(n: int, z: float) -> float:
-    import mpmath as mp
-
-    with mp.workdps(40):
-        zz = mp.mpf(z)
-        return float(
-            mp.nsum(
-                lambda l: (-1) ** l * (zz / 2) ** (n + 2 * l)
-                * (mp.digamma(n + l + 1) + mp.euler)
-                / (mp.factorial(l) * mp.factorial(n + l)),
-                [0, mp.inf],
-            )
-        )
-
-
-def pq_cross_check(n: int, z: float) -> dict[str, float]:
-    """Both routes to P_n and Q_n: the production J-series and the digamma series."""
-    return {
-        "P_series": P_func(n, z).value,
-        "P_digamma": _p_func_reference(n, z),
-        "Q_series": Q_func(n, z).value,
-        "Q_digamma": _q_func_reference(n, z),
-    }
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
@@ -431,17 +401,6 @@ def coates_series(n: int, u: float) -> EvalResult:
         parts.append(-sgn * jp / (k + 2 * n))
     val = math.fsum(parts)
     return EvalResult(val, 1e-13 * max(abs(val), 1e-16) + 1e-15, "series")
-
-
-def zeta_even(n: int) -> float:
-    """zeta(2n) from the exact Bernoulli number B_{2n}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    from fractions import Fraction
-
-    sign = 1 if n % 2 else -1
-    frac = bernoulli_number(2 * n) * Fraction(sign, 2 * math.factorial(2 * n))
-    return float(frac) * (2.0 * pi) ** (2 * n)
 
 
 def chebyshev_U_value(n: int, t: float) -> float:

@@ -11,9 +11,10 @@ summed term by term.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, factorial, fsum, pi, sin, sqrt
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 
@@ -126,3 +127,87 @@ def g_sum_nsum_oracle(r: float, x: float, dps: int = 40) -> float:
             return (a - root) ** (2 * rr) / root
 
         return float(mp.nsum(g, [1, mp.inf]))
+
+
+# ---------------------------------------------------------------------------
+# cross-checks between two routes, kept out of the library: nothing in the
+# package calls them
+# ---------------------------------------------------------------------------
+
+def zeta_even(n: int) -> float:
+    """zeta(2n) from the exact Bernoulli number B_{2n} (Akiyama-Tanigawa)."""
+    sign = 1 if n % 2 else -1
+    frac = akiyama_tanigawa_bernoulli(2 * n)[2 * n] * Fraction(sign, 2 * factorial(2 * n))
+    return float(frac) * (2.0 * pi) ** (2 * n)
+
+
+def p_func_reference(n: int, z: float) -> float:
+    """Digamma-series definition of P_n, evaluated in extended precision.
+
+    The power series cancels catastrophically in doubles for z beyond ~20,
+    so it runs under mpmath.
+    """
+    with mp.workdps(40):
+        zz = mp.mpf(z)
+        head = -mp.fsum(
+            mp.factorial(n - r - 1) / mp.factorial(r) * (zz / 2) ** (2 * r - n)
+            for r in range((n + 1) // 2, n)
+        )
+        tail = mp.nsum(
+            lambda l: (-1) ** l * (zz / 2) ** (n + 2 * l)
+            * (mp.digamma(n + l + 1) - mp.digamma(l + 1))
+            / (mp.factorial(l) * mp.factorial(n + l)),
+            [0, mp.inf],
+        )
+        return float(head + tail)
+
+
+def q_func_reference(n: int, z: float) -> float:
+    """Digamma-series definition of Q_n in extended precision."""
+    with mp.workdps(40):
+        zz = mp.mpf(z)
+        return float(
+            mp.nsum(
+                lambda l: (-1) ** l * (zz / 2) ** (n + 2 * l)
+                * (mp.digamma(n + l + 1) + mp.euler)
+                / (mp.factorial(l) * mp.factorial(n + l)),
+                [0, mp.inf],
+            )
+        )
+
+
+def A_function_two_ways(n: int, x: float, tol: float = 1e-8) -> tuple[float, float]:
+    """The cosine series of Schlaefli values, two independent ways: (closed, direct).
+
+    Direct (reference): (-1)^{n+1} sum_m S_{2n}(4 pi m) cos(2 pi m x),
+    absolutely convergent with O(m^{-2}) terms; the oscillatory tail is
+    O(n M^{-2} / (4 pi^2 sin(pi x))) by summation by parts, so the term
+    count only grows like 1/sqrt(tol).  Closed: the accelerated Bessel
+    series, g-tails and Chebyshev values.
+    """
+    from zagier_kit import series_engine, specfun
+
+    m_terms = int(sqrt(n / (4.0 * pi**2 * sin(pi * x) * (tol / 8.0)))) + 2000
+    ms = np.arange(1, min(m_terms, 2_000_000) + 1, dtype=float)
+    svals = np.zeros_like(ms)
+    for r in range(n):  # S_{2n}(z) = sum_{r < n} (2n-r-1)!/r! (z/2)^{2r-2n}
+        svals += factorial(2 * n - r - 1) / factorial(r) * (2.0 * pi * ms) ** (2 * r - 2 * n)
+    direct = (-1.0) ** (n + 1) * series_engine.chunked_fsum(svals * np.cos(2.0 * pi * x * ms))
+    bessel = series_engine.bessel_cos_series(n, x, tol=tol * 1e-2)
+    g = series_engine.g_tail_sum(n, x).value + series_engine.g_tail_sum(n, 1.0 - x).value
+    u, k = specfun.chebyshev_U_value, 2 * n - 1
+    quad = u(k, x / 2) + u(k, (x + 1.0) / 2) + u(k, (1.0 - x) / 2) + u(k, (2.0 - x) / 2)
+    closed = bessel.value + (-1.0) ** (n + 1) / (2.0 * n) + 2.0 ** -(2 * n + 1) * g - 0.25 * quad
+    return closed, direct
+
+
+def bernoulli_fourier_eval(index: int, x: float, m_terms: int) -> float:
+    """Truncated Fourier series of the Bernoulli polynomial B_index(x).
+
+    Even index 2n: 2 (-1)^{n+1} (2n)! sum cos(2 pi m x)/(2 pi m)^{2n};
+    odd index 2n+1: the sine companion.
+    """
+    ms = np.arange(1, m_terms + 1, dtype=float)
+    trig = np.cos if index % 2 == 0 else np.sin
+    series = trig(2.0 * pi * ms * x) / (2.0 * pi * ms) ** index
+    return 2.0 * (-1.0) ** (index // 2 + 1) * factorial(index) * fsum(series.tolist())

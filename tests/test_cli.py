@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -156,13 +157,41 @@ def test_table_matches_eval(method, n, x):
     assert got["abs_err"] == want["abs_err"] < 1e-9
 
 
-def test_import_leaves_out_quadrature():
-    # only the lemma and Poisson checks import scipy.integrate, on first use
-    code = "import sys, zagier_kit.cli; print('scipy.integrate' in sys.modules)"
+def test_runs_without_scipy():
+    # scipy is a test oracle only: with it unimportable every identity suite
+    # and every eval method still run
+    code = textwrap.dedent("""
+        import io, json, sys
+        from contextlib import redirect_stdout
+        sys.modules["scipy"] = None
+        from zagier_kit import cli
+        runs = [["verify", "--identity", "all", "--format", "json"],
+                ["eval", "--n", "6", "--x", "1/3", "--method", "exact"],
+                ["eval", "--n", "6", "--x", "1/3", "--method", "even-formula"],
+                ["eval", "--n", "7", "--x", "2/7", "--method", "odd-formula"],
+                ["eval", "--n", "8", "--method", "zagier-number"],
+                ["eval", "--n", "6", "--method", "zagier-type"],
+                ["eval", "--n", "30", "--x", "1/10", "--method", "asymptotic"]]
+        out = []
+        for argv in runs:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                out.append((argv[0], cli.main(argv), buf.getvalue()))
+        print(json.dumps(out))
+    """)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    runs = json.loads(done.stdout)
+    assert [code for _, code, _ in runs] == [0] * 7
+    summary = json.loads(runs[0][2])["summary"]
+    assert summary["passed"] is True and summary["checks"] == 351
+    assert all(out.strip() for _, _, out in runs)
+
+
+def test_fmt_prints_fractions_past_str_digit_limit():
+    value = Fraction(-(10**5000 + 1), 3)
+    assert cli.fmt(value) == "-1" + "0" * 4999 + "1/3"
 
 
 def test_table_deterministic_and_thread_stable():
@@ -324,11 +353,22 @@ def test_run_config_validation():
      "Y_261(4 pi) exceeds the double range"),
     (("eval", "--method", "zagier-number", "--n", "600"), None,
      "Y_600(4 pi) exceeds the double range"),
+    *[(("eval", "--n", "2", "--method", "exact", "--x", x), None, "bad evaluation point")
+      for x in ("1/0", "inf", "1e400", "nan")],
+    *[(("verify", "--identity", "thm12", "--n-max", n), None, "--n-max must be >= 1")
+      for n in ("0", "-1")],
+    *[(("verify", "--identity", name, "--n-max", "3"), None, f"{name} has no index range")
+      for name in ("lemma33", "lemma34", "integral-id", "form-s1", "poisson-series",
+                   "series-007", "telescope")],
 ], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key", "bad-format",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
         "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
         "eval-number-x", "eval-type-x", "table-number-x", "table-type-x",
-        "even-bessel-overflow", "odd-bessel-overflow", "number-bessel-overflow"])
+        "even-bessel-overflow", "odd-bessel-overflow", "number-bessel-overflow",
+        "x-zero-denominator", "x-inf", "x-1e400", "x-nan", "n-max-0", "n-max-negative",
+        "n-max-lemma33", "n-max-lemma34", "n-max-integral-id", "n-max-form-s1",
+        "n-max-poisson-series", "n-max-series-007", "n-max-telescope"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_clean_failures_exit_2(tmp_path, capsys, argv, config, needle):
     argv = [a.replace("{missing}", str(tmp_path / "missing.conf")) for a in argv]
     if config is not None:

@@ -331,6 +331,28 @@ def test_cache_disk_roundtrip(tmp_path):
         assert fresh.get(n) == ec.bernoulli_number(n)
 
 
+def test_cache_round_trip_past_str_digit_limit(tmp_path):
+    # a 5,001-digit numerator is written and read in full, with the
+    # interpreter's int/str digit limit left as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    digits = "1" + "0" * 4999 + "1"
+    path = tmp_path / "long.tsv"
+    path.write_text(f"{ec.CACHE_HEADER}\n0\t1/1\n1\t-{digits}/3\n")
+    cache = ec.BernoulliCache(str(path))
+    assert cache.get(1) == Fraction(-(10**5000 + 1), 3)
+    again = tmp_path / "again.tsv"
+    cache.save(str(again))
+    assert again.read_text() == path.read_text()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_cache_rejects_bad_record(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"{ec.CACHE_HEADER}\n1\t-1.5/2\n")
+    with pytest.raises(ValueError):
+        ec.BernoulliCache(str(path))
+
+
 def test_cache_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("something else\n1\t-1/2\n")

@@ -12,6 +12,8 @@ from zagier_kit import exact_core as ec
 from zagier_kit import formulas as fm
 from zagier_kit import series_engine as se
 
+from conftest import A_function_two_ways, bernoulli_fourier_eval
+
 
 def test_even_formula_headline_values():
     rep = fm.zagier_even_formula(1, Fraction(1, 2))
@@ -158,6 +160,14 @@ def test_odd_asymptotic():
     assert abs(approx - exact) / abs(exact) < 1e-2
 
 
+def test_lemma_profiles_symmetric_about_half():
+    # the Fourier quadrature integrates over [0, 1/2] and doubles
+    for n in (1, 2, 3):
+        for t in (0.01, 0.2, 0.37):
+            for profile in (fm._lemma_P_profile, fm._lemma_dJ_profile):
+                assert abs(profile(t, n) - profile(1.0 - t, n)) < 1e-13, (n, t)
+
+
 def test_fourier_coeff_P():
     rep = fm.fourier_coeff_P_check(1, 1)
     assert abs(rep.formula_value - rep.reference) < 1e-8
@@ -172,8 +182,8 @@ def test_fourier_coeff_dJ():
 
 @pytest.mark.parametrize("n,x", [(1, 0.3), (2, 0.7)])
 def test_A_function_two_ways(n, x):
-    rep = fm.A_function_two_ways(n, x)
-    assert abs(rep.formula_value - rep.reference) < 1e-6
+    closed, direct = A_function_two_ways(n, x)
+    assert abs(closed - direct) < 1e-6
 
 
 def test_A_function_reconstructs_zagier():
@@ -182,7 +192,7 @@ def test_A_function_reconstructs_zagier():
 
     n, xq = 2, Fraction(3, 10)
     x = float(xq)
-    a_val = fm.A_function_two_ways(n, x).formula_value
+    a_val = A_function_two_ways(n, x)[0]
     rebuilt = ((-1.0) ** n / (2 * n) + a_val
                + 0.5 * (u(2 * n - 1, x / 2) + u(2 * n - 1, (x + 1) / 2)))
     assert abs(rebuilt - float(ec.zagier_eval(2 * n, xq))) < 1e-6
@@ -204,15 +214,15 @@ def test_poisson_half_order_reduction():
 
 
 def test_bernoulli_fourier():
-    b2 = fm.bernoulli_fourier_eval(2, 0.5, 1000)
+    b2 = bernoulli_fourier_eval(2, 0.5, 1000)
     assert abs(b2 - float(ec.bernoulli_polynomial(2)(Fraction(1, 2)))) < 1e-6
-    b3 = fm.bernoulli_fourier_eval(3, 0.25, 2000)
+    b3 = bernoulli_fourier_eval(3, 0.25, 2000)
     assert abs(b3 - float(ec.bernoulli_polynomial(3)(Fraction(1, 4)))) < 1e-6
     # parity: even index symmetric, odd antisymmetric under x -> 1-x
-    assert abs(fm.bernoulli_fourier_eval(4, 0.3, 500)
-               - fm.bernoulli_fourier_eval(4, 0.7, 500)) < 1e-12
-    assert abs(fm.bernoulli_fourier_eval(5, 0.3, 500)
-               + fm.bernoulli_fourier_eval(5, 0.7, 500)) < 1e-12
+    assert abs(bernoulli_fourier_eval(4, 0.3, 500)
+               - bernoulli_fourier_eval(4, 0.7, 500)) < 1e-12
+    assert abs(bernoulli_fourier_eval(5, 0.3, 500)
+               + bernoulli_fourier_eval(5, 0.7, 500)) < 1e-12
 
 
 def test_formula_domain_errors():

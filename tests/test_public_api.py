@@ -23,7 +23,6 @@ PACKAGE_ALL = [
     "bessel_sin_series", "g_tail_sum", "g_term", "trig_power_sums",
     "EvalResult", "bessel_J", "bessel_J_int_batch", "bessel_Y_int", "coates_integral",
     "coates_series", "dJ_dnu_at_int", "digamma_int", "hurwitz_zeta_half", "schlafli_S",
-    "zeta_even",
     "__version__",
 ]
 

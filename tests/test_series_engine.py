@@ -144,6 +144,16 @@ def test_g_tail_sum_vs_extended_precision():
         assert abs(got - ref) < 5e-12, (r, x)
 
 
+@pytest.mark.parametrize("x", (0.01, 1e-4, 1e-6))
+@pytest.mark.parametrize("r", (1.0, 8.5))
+def test_g_tail_sum_keeps_small_x_digits(r, x):
+    # A^2 - 4 is formed as (m-1+x)(m+3+x), so x is not rounded inside 2 + x
+    ref = g_sum_nsum_oracle(r, x, dps=40)
+    res = se.g_tail_sum(r, x)
+    assert abs(res.value - ref) <= 1e-14 * abs(ref)
+    assert abs(res.value - ref) <= res.tail_bound
+
+
 def test_g_tail_sum_stability_under_prefix_doubling():
     a = se.conjugate_power_sum(2.5, 1.0, 4.0, prefix=400).value
     b = se.conjugate_power_sum(2.5, 1.0, 4.0, prefix=800).value
@@ -186,13 +196,25 @@ def test_bracket_asymptotic_matches_true_bracket():
             assert abs(got - ref) < 1e-13, (nu, m)
 
 
+@pytest.mark.parametrize("nu", (16, 200))
+def test_lattice_brackets_vs_oracle(nu):
+    # upward recurrence from exact-phase Y_0, Y_1 over the explicit range
+    # (scipy's yn is off by ~5e-14 at nu = 16 and ~1e-12 at nu = 200 here)
+    brackets = se._lattice_brackets(nu, 1)
+    for m in (1, 2, 3, 4, 11, brackets.size // 3, brackets.size):
+        with mp.workdps(40):
+            ref = float((-1) ** (nu // 2) * mp.pi * mp.bessely(nu, 4 * mp.pi * m)
+                        + 1 / (2 * mp.sqrt(m)))
+        assert abs(brackets[m - 1] - ref) < 5e-14 * max(abs(ref), 0.5 / sqrt(m)), m
+
+
 def test_bracket_decay_bound():
     # |bracket(m)| <= K m^{-3/2} with K stable under doubling of the range
     for nu in (2, 4, 6):
         ms1 = np.arange(1, 5001, dtype=float)
         ms2 = np.arange(1, 10001, dtype=float)
-        b1 = se._bracket_values(nu, ms1)
-        b2 = se._bracket_values(nu, ms2)
+        b1 = se._bracket_values(nu, 1, ms1.size)
+        b2 = se._bracket_values(nu, 1, ms2.size)
         k1 = float(np.max(np.abs(b1) * ms1**1.5))
         k2 = float(np.max(np.abs(b2) * ms2**1.5))
         assert k2 <= k1 * 1.01, nu

@@ -17,6 +17,9 @@ from conftest import (
     bessel_j_series_oracle,
     bessel_y_oracle,
     dj_dnu_fd_oracle,
+    p_func_reference,
+    q_func_reference,
+    zeta_even,
 )
 
 
@@ -113,6 +116,14 @@ def test_batch_agrees_with_bessel_j():
 )
 def test_bessel_y_published_digits(n, printed, tol):
     assert abs(sf.bessel_Y_int(n, 4 * pi).value - printed) < tol
+
+
+def test_y0_y1_from_order_derivative_vs_oracle():
+    # (pi/2) Y_0 and (pi/2) Y_1 + J_0/z are the order derivative of J at 0 and 1
+    for z in (0.5, 1.0, 3.7, 4 * pi, 8 * pi, 12 * pi, 39.9, 40.0):
+        y0, y1 = sf.bessel_Y01(z)
+        assert abs(y0 - bessel_y_oracle(0, z)) < 1e-15 * max(1.0, abs(y0)), z
+        assert abs(y1 - bessel_y_oracle(1, z)) < 1e-15 * max(1.0, abs(y1)), z
 
 
 def test_bessel_y_domain():
@@ -271,9 +282,8 @@ def test_schlafli_direct_sum():
 
 @pytest.mark.parametrize("n,z", [(2, 4 * pi), (4, 8 * pi)])
 def test_pq_mutual_oracle(n, z):
-    both = sf.pq_cross_check(n, z)
-    assert abs(both["P_series"] - both["P_digamma"]) < 1e-9
-    assert abs(both["Q_series"] - both["Q_digamma"]) < 1e-9
+    assert abs(sf.P_func(n, z).value - p_func_reference(n, z)) < 1e-9
+    assert abs(sf.Q_func(n, z).value - q_func_reference(n, z)) < 1e-9
 
 
 def test_schlafli_bessel_assembly():
@@ -316,13 +326,13 @@ def test_coates_panel_limit():
 # ---------------------------------------------------------------------------
 
 def test_zeta_even_classical_values():
-    assert abs(sf.zeta_even(1) - pi**2 / 6.0) < 1e-15
-    assert abs(sf.zeta_even(2) - pi**4 / 90.0) < 1e-15
+    assert abs(zeta_even(1) - pi**2 / 6.0) < 1e-15
+    assert abs(zeta_even(2) - pi**4 / 90.0) < 1e-15
 
 
 def test_zeta_even_direct_sum():
     direct = math.fsum(m ** -20.0 for m in range(1, 21))
-    assert abs(sf.zeta_even(10) - direct) < 1e-15
+    assert abs(zeta_even(10) - direct) < 1e-15
 
 
 # ---------------------------------------------------------------------------
