@@ -206,6 +206,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if args.n_step < 1 or args.n_end < args.n_start:
+        raise ValueError("empty index range: need --n-start <= --n-end and --n-step >= 1")
     rows = []
     for n in range(args.n_start, args.n_end + 1, args.n_step):
         for x_text in args.x.split(",") if args.x else [None]:
@@ -274,34 +276,36 @@ def _converge_rows(series: str, n: int, x_text: str | None,
     non-Bessel part of its formula, so the errors are those of the Bessel sum
     alone; for zagier-number every column carries the whole formula for B_{2n}^*.
     """
-    if series in ("bessel-cos", "bessel-sin"):
+    if series == "zagier-number":
+        nu, xf = 2 * n, 0.0
+    elif series in ("bessel-cos", "bessel-sin"):
         if x_text is None:
             raise ValueError(f"{series} requires --x")
         xf, xq = parse_x(x_text)
         if xq is None:
             raise ValueError("convergence study needs a rational x for the exact column")
+        if not 0.0 < xf < 1.0:
+            raise ValueError("x must lie in (0, 1)")
         nu = 2 * n if series == "bessel-cos" else 2 * n + 1
-        tps = series_engine.trig_power_sums(xf)  # rejects x outside (0, 1)
-        closed = tps.cos_sum_half if nu % 2 == 0 else tps.sin_sum_half
-        rest = formulas._formula_rest(nu, xf, 0.0, 1e-14)[0]
-        exact = float(exact_core.zagier_eval(nu, xq)) - rest
-    elif series == "zagier-number":
-        nu, xf = 2 * n, 0.0
-        rest = formulas._formula_rest(nu, 0.0, 0.0, 1e-14)[0]
-        exact = float(exact_core.modified_bernoulli(nu))
     else:
         raise ValueError(f"unknown series {series}")
+    if nu < 1:
+        raise ValueError("n must be nonnegative" if nu % 2 else "n must be positive")
+    rest = formulas._formula_rest(nu, xf, 0.0, 1e-14)[0]
+    if series == "zagier-number":
+        exact = float(exact_core.modified_bernoulli(nu))
+    else:  # the columns carry the Bessel sum alone
+        exact, rest = float(exact_core.zagier_eval(nu, xq)) - rest, 0.0
     rows = []
     for m in m_list:
-        reg = series_engine.regularized_bracket_sum(nu, xf, m_terms=m)
+        accel = rest + series_engine.lattice_bessel_sum(nu, xf, m_terms=m).value
         if series == "zagier-number":
-            # naive column: truncate the regularized sum, no tail correction
+            # naive column: the explicit brackets and the closed regularizer, no tail correction
             brackets = series_engine._bracket_values(nu, 1, m)
-            partial = rest + series_engine.chunked_fsum(brackets)
-            accel = rest + reg.value
+            partial = (rest + series_engine.chunked_fsum(brackets)
+                       - series_engine._regularizer_sum(nu, 0.0, 1))
         else:
             partial = series_engine.bessel_series_partial(nu, xf, m)
-            accel = reg.value - 0.5 * closed
         rows.append({
             "m_terms": m,
             "partial_value": partial,
@@ -314,7 +318,10 @@ def _converge_rows(series: str, n: int, x_text: str | None,
 
 
 def cmd_converge(args: argparse.Namespace, cfg: RunConfig) -> int:
-    m_list = [int(tok) for tok in args.m_list.split(",")]
+    tokens = args.m_list.split(",")
+    if not all(tok.strip().isdigit() and int(tok) > 0 for tok in tokens):
+        raise ValueError(f"bad --m-list {args.m_list!r}: need comma-separated positive integers")
+    m_list = [int(tok) for tok in tokens]
     rows = _converge_rows(args.series, args.n, args.x, m_list)
     _emit_rows(rows, ["m_terms", "partial_value", "partial_error",
                       "accelerated_value", "accelerated_error", "exact"],

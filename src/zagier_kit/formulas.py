@@ -17,7 +17,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from . import exact_core, series_engine, specfun
-from .series_engine import SeriesResult
+from .series_engine import _EPS, SeriesResult
 
 __all__ = [
     "EvalReport",
@@ -77,6 +77,13 @@ def _report(n: int, x, exact: Fraction | None, value: float,
                       extras=extras or {}, tail_bound=tail_bound)
 
 
+def _cheb_rounding(k: int, t: float) -> float:
+    """Rounding bound of chebyshev_U_value(k, t), -1 < t < 1: t and acos(t) carry
+    a few units, which sin((k+1) theta)/sin(theta) turns into at most
+    10 (k+1) units/(1 - t^2), since |U_k| <= k + 1."""
+    return 10.0 * (k + 1) * _EPS / (1.0 - t * t)
+
+
 def _formula_rest(nu: int, x: float, head: float,
                   g_tol: float) -> tuple[float, list[SeriesResult], float]:
     """head plus the non-Bessel part of the series formula for B_nu^*(x).
@@ -84,23 +91,28 @@ def _formula_rest(nu: int, x: float, head: float,
     For 0 < x < 1 that part is (1/4)[U_{nu-1} quadruple] + 2^{-(nu+1)}
     [G(x) +- G(1-x)], with G the g-sum at exponent nu/2 and the sign + for
     even nu, - for odd nu.  At x = 0 (even nu = 2n, the modified Bernoulli
-    number) it is -n - zeta(1/2)/2 + 2^{-2n} sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n}
-    / sqrt(m(m+4)).  The formulas pass their Bessel sum as head, the
-    convergence study passes 0.0, so both add the terms in the same order.
-    Also returns the sums' bounds weighted by their coefficients, to which
-    the caller adds the bound of head.
+    number) it is -n + sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n} / sqrt(m(m+4)).
+    The formulas pass their Bessel sum as head, the convergence study passes
+    0.0, so both add the terms in the same order.  Also returns the sums'
+    bounds weighted by their coefficients plus the rounding of the Chebyshev
+    values and of the assembly, to which the caller adds the bound of head.
     """
     if x == 0.0:
         alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol)
-        value = head - nu // 2 - 0.5 * specfun.zeta_half() + 2.0 ** -nu * alg.value
-        return value, [alg], 2.0 ** -nu * alg.tail_bound
+        value = head - nu // 2 + 2.0 ** -nu * alg.value
+        return value, [alg], (2.0 ** -nu * alg.tail_bound
+                              + 2.0 * _EPS * (abs(head) + nu // 2 + 2.0 ** -nu * alg.value))
     gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol)
     g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol)
     g = gx.value + g1x.value if nu % 2 == 0 else gx.value - g1x.value
-    u, k = specfun.chebyshev_U_value, nu - 1
-    quad = u(k, (x + 1.0) / 2) + u(k, x / 2) + u(k, (x - 1.0) / 2) + u(k, (x - 2.0) / 2)
+    k, points = nu - 1, ((x + 1.0) / 2, x / 2, (x - 1.0) / 2, (x - 2.0) / 2)
+    us = [specfun.chebyshev_U_value(k, t) for t in points]
+    quad = sum(us)
+    rounding = (0.25 * sum(_cheb_rounding(k, t) for t in points)
+                + 2.0 * _EPS * (abs(head) + 0.25 * sum(map(abs, us))
+                                + 2.0 ** -(nu + 1) * (gx.value + g1x.value)))
     return (head + 0.25 * quad + 2.0 ** -(nu + 1) * g, [gx, g1x],
-            2.0 ** -(nu + 1) * (gx.tail_bound + g1x.tail_bound))
+            2.0 ** -(nu + 1) * (gx.tail_bound + g1x.tail_bound) + rounding)
 
 
 def zagier_even_formula(
@@ -157,17 +169,17 @@ def zagier_number_formula(
 ) -> EvalReport:
     """Exact series formula for the modified Bernoulli number B_{2n}^*.
 
-    B_{2n}^* = -n + sum_m [(-1)^n pi Y_{2n}(4 pi m) + 1/(2 sqrt(m))]
-             - zeta(1/2)/2
-             + sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n} / sqrt(m(m+4)).
+    B_{2n}^* = -n + sum_m (-1)^n pi Y_{2n}(4 pi m)
+             + sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n} / sqrt(m(m+4)),
+    the Bessel sum being the regularized bracket sum minus zeta(1/2)/2.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    reg = series_engine.regularized_bracket_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
-    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, reg.value, tol * 1e-3)
+    bessel = series_engine.lattice_bessel_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
+    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, bessel.value, tol * 1e-3)
     exact = exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(0), exact, value, [reg, *alg_meta],
-                   reg.tail_bound + alg_bound)
+    return _report(2 * n, Fraction(0), exact, value, [bessel, *alg_meta],
+                   bessel.tail_bound + alg_bound)
 
 
 def zagier_type_sum(
@@ -177,27 +189,26 @@ def zagier_type_sum(
 ) -> EvalReport:
     """Series formula for B_{2n}^*(-3/2) + B_{2n}^* over the 8 pi m lattice.
 
-    RHS = 2 sum_m [(-1)^n pi Y_{2n}(8 pi m) + 1/(2 sqrt(2m))] - n
-        - (1/2)[U_{2n-1}(1/4) + U_{2n-1}(3/4)] - zeta(1/2)/sqrt(2)
-        + 2^{1-4n} sum_m (m+4-sqrt(m(m+8)))^{2n}/sqrt(m(m+8)).
+    RHS = 2 sum_m (-1)^n pi Y_{2n}(8 pi m) - n
+        - (1/2)[U_{2n-1}(1/4) + U_{2n-1}(3/4)]
+        + 2^{1-4n} sum_m (m+4-sqrt(m(m+8)))^{2n}/sqrt(m(m+8)),
+    the Bessel sum being the regularized bracket sum minus zeta(1/2)/(2 sqrt 2).
     """
     if n < 1:
         raise ValueError("n must be positive")
-    reg = series_engine.regularized_bracket_sum(
+    bessel = series_engine.lattice_bessel_sum(
         2 * n, 0.0, tol=tol * 0.5, max_terms=max_terms, lattice=2
     )
     alg = series_engine.conjugate_power_sum(5.0, float(n), 16.0, tol=tol * 1e-3)
-    u = specfun.chebyshev_U_value
-    value = (
-        2.0 * reg.value
-        - float(n)
-        - 0.5 * (u(2 * n - 1, 0.25) + u(2 * n - 1, 0.75))
-        - specfun.zeta_half() / sqrt(2.0)
-        + 2.0 ** (1 - 4 * n) * alg.value
-    )
+    k = 2 * n - 1
+    u1, u3 = specfun.chebyshev_U_value(k, 0.25), specfun.chebyshev_U_value(k, 0.75)
+    value = 2.0 * bessel.value - float(n) - 0.5 * (u1 + u3) + 2.0 ** (1 - 4 * n) * alg.value
+    rounding = (0.5 * (_cheb_rounding(k, 0.25) + _cheb_rounding(k, 0.75))
+                + 2.0 * _EPS * (2.0 * abs(bessel.value) + n + 0.5 * (abs(u1) + abs(u3))
+                                + 2.0 ** (1 - 4 * n) * alg.value))
     exact = exact_core.zagier_eval(2 * n, Fraction(-3, 2)) + exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(-3, 2), exact, value, [reg, alg],
-                   2.0 * reg.tail_bound + 2.0 ** (1 - 4 * n) * alg.tail_bound)
+    return _report(2 * n, Fraction(-3, 2), exact, value, [bessel, alg],
+                   2.0 * bessel.tail_bound + 2.0 ** (1 - 4 * n) * alg.tail_bound + rounding)
 
 
 def even_asymptotic(n: int, x: float) -> float:
@@ -309,15 +320,11 @@ def _cesaro_mean(terms: np.ndarray, window: int) -> float:
 
 
 def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
-    """J_nu(4 pi m), m = 1..n_terms; past the crossover the Hankel series at its
-    constant phase w = -(nu/2 + 1/4) pi: pi J_nu(4 pi m) = sum_k d_k m^{-(k+1/2)},
-    d_k = u_k (-1)^{floor(k/2)} (cos w for even k, -sin w for odd k) / (sqrt 2 (4 pi)^k)."""
+    """J_nu(4 pi m), m = 1..n_terms; past the crossover from the lattice Hankel
+    series pi J_nu(4 pi m) = sum_k d^J_k m^{-(k+1/2)} (:func:`specfun.hankel_lattice`)."""
     near = min(int(specfun.asymptotic_crossover(nu) / (4.0 * pi)), n_terms)
-    ks = np.arange(31)
-    w = -(0.5 * nu + 0.25) * pi
-    d = (np.array(specfun.hankel_coefficients(nu, 30)) / (sqrt(2.0) * (4.0 * pi) ** ks)
-         * np.where(ks % 2 == 0, cos(w), -sin(w)) * (-1.0) ** (ks // 2))
-    far = series_engine._hankel_sum(d, 0, np.arange(near + 1, n_terms + 1, dtype=float)) / pi
+    far = specfun._hankel_sum(specfun.hankel_lattice(nu)[0], 0,
+                              np.arange(near + 1, n_terms + 1, dtype=float)) / pi
     return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m).value for m in range(1, near + 1)],
                            far])
 

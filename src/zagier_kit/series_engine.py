@@ -27,8 +27,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .specfun import (ASYM_Z_MIN, asymptotic_crossover, bessel_Y01, bessel_Y_int,
-                      bessel_Y_upward, hankel_coefficients, hurwitz_zeta)
+from .specfun import (ASYM_Z_MIN, HANKEL_ORDERS, _hankel_sum, _orders_sum, asymptotic_crossover,
+                      bessel_Y01, bessel_Y_int, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
 
 __all__ = [
     "SeriesResult",
@@ -41,6 +41,7 @@ __all__ = [
     "conjugate_power_sum",
     "bessel_cos_series",
     "bessel_sin_series",
+    "lattice_bessel_sum",
     "regularized_bracket_sum",
     "bessel_series_partial",
     "chunked_fsum",
@@ -54,7 +55,7 @@ DEFAULT_MAX_TERMS = 20000
 DEFAULT_X_WINDOW = (0.01, 0.99)
 
 _CHUNK = 4096
-_ORDERS = 30        # orders k of the bracket expansion sum_k b_k m^{-(k+1/2)}
+_ORDERS = HANKEL_ORDERS  # orders k of the bracket expansion sum_k b_k m^{-(k+1/2)}
 _WOOD_TERMS = 64    # terms of Wood's expansion; 2^{-64} is far below rounding
 _EPS = 2.2e-16      # two units of double rounding
 _ZETA_EPS = 2.5e-15  # periodic_zeta (<= 1.8e-15 against mpmath) and the subtraction
@@ -307,57 +308,25 @@ def g_tail_sum(
 # regularized Bessel sums
 # ---------------------------------------------------------------------------
 
-def _bracket_sign(nu: int, k: int) -> float:
-    if nu % 2 == 0:
-        return 1.0 if k % 4 in (1, 2) else -1.0
-    return 1.0 if k % 4 in (2, 3) else -1.0
-
-
-@functools.cache
+@functools.lru_cache(maxsize=512)
 def _bracket_coeffs(nu: int) -> np.ndarray:
     """b_0..b_ORDERS with bracket(q) ~ sum_k b_k q^{-(k+1/2)} past the crossover.
 
-    bracket(q) = (-1)^{floor(nu/2)} pi Y_nu(4 pi q) + 1/(2 sqrt(q)) and
-    b_k = sign(nu, k) u_k / (2 (4 pi)^k) with the Hankel coefficients u_k;
-    b_0 = 0.  On arguments 4 pi q the oscillatory phase of Y_nu is a
-    constant, which is what leaves a pure power series.
+    bracket(q) = (-1)^{floor(nu/2)} pi Y_nu(4 pi q) + 1/(2 sqrt(q)), so b is
+    (-1)^{floor(nu/2)} d^Y of :func:`specfun.hankel_lattice` with b_0 = 0:
+    the regularizer cancels the order-0 term -1/(2 sqrt(q)).
     """
-    u = hankel_coefficients(float(nu), _ORDERS)
-    b = np.array([0.0] + [_bracket_sign(nu, k) * u[k] / (2.0 * (4.0 * pi) ** k)
-                          for k in range(1, _ORDERS + 1)])
+    b = (-1.0) ** (nu // 2) * hankel_lattice(nu)[1]
+    b[0] = 0.0
     b.flags.writeable = False
     return b
-
-
-def _hankel_sum(b: np.ndarray, lo: int, m: np.ndarray) -> np.ndarray:
-    """sum_{k >= lo} b_k m^{-(k+1/2)} past the crossover, for an ascending array m,
-    through the last order that reaches 1e-17 of the largest at min(m)."""
-    if not m.size:
-        return m
-    sizes = np.abs(b[lo:]) * float(m[0]) ** -np.arange(lo, b.size, dtype=float)
-    top = lo + int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1])
-    return _orders_sum(b, lo, top, m)
-
-
-def _bracket_asymptotic(nu: int, m: np.ndarray) -> np.ndarray:
-    """Regularized bracket on the 4*pi lattice past the crossover from its power
-    series in 1/m (ascending m): no trig of large arguments, no phase error."""
-    return _hankel_sum(_bracket_coeffs(nu), 1, m)
-
-
-def _orders_sum(b: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
-    """sum_{k=lo}^{hi} b_k q^{-(k+1/2)} by Horner's rule in 1/q."""
-    total = np.full_like(q, b[hi])
-    for k in range(hi - 1, lo - 1, -1):
-        total = total / q + b[k]
-    return total * q ** -(lo + 0.5)
 
 
 @functools.cache
 def _lattice_brackets(nu: int, lattice: int) -> np.ndarray:
     """bracket(lattice m) for every m with 4 pi lattice m at or below the crossover:
     Y_0, Y_1 from :func:`specfun.bessel_Y01` up to z = 40 and from their lattice
-    series beyond, carried up to Y_nu.  ValueError past the double range."""
+    series d^Y beyond, carried up to Y_nu.  ValueError past the double range."""
     if not math.isfinite(pi * bessel_Y_int(nu, 4.0 * pi * lattice).value):  # largest at m = 1
         raise ValueError(f"the Bessel term Y_{nu}({4 * lattice} pi) exceeds the double range")
     q = lattice * np.arange(1.0, int(asymptotic_crossover(nu) / (4.0 * pi * lattice)) + 1.0)
@@ -366,18 +335,18 @@ def _lattice_brackets(nu: int, lattice: int) -> np.ndarray:
     y01 = np.empty((2, q.size))
     for i in range(low):
         y01[:, i] = bessel_Y01(z[i])
-    for k in (0, 1):  # bracket = pi Y_k + 1/(2 sqrt(q)) at orders 0 and 1
-        y01[k, low:] = (_bracket_asymptotic(k, q[low:]) - 0.5 / root[low:]) / pi
+    y01[:, low:] = [_hankel_sum(hankel_lattice(k)[1], 0, q[low:]) / pi for k in (0, 1)]
     out = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
     out.flags.writeable = False
     return out
 
 
 def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
-    """bracket(lattice m) for m = 1..m_terms."""
+    """bracket(lattice m) for m = 1..m_terms; past the crossover from its power
+    series in 1/q: no trig of large arguments, no phase error."""
     near = _lattice_brackets(nu, lattice)[:m_terms]
     q = lattice * np.arange(near.size + 1, m_terms + 1, dtype=float)
-    return np.concatenate([near, _bracket_asymptotic(nu, q)])
+    return np.concatenate([near, _hankel_sum(_bracket_coeffs(nu), 1, q)])
 
 
 def _tail_envelopes(b: np.ndarray, lam: float, m: int) -> np.ndarray:
@@ -491,8 +460,34 @@ def regularized_bracket_sum(
     return result
 
 
-def _window_flag(x: float) -> bool:
-    return not (DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
+def _regularizer_sum(nu: int, x: float, lattice: int) -> float:
+    """sum_m trig(2 pi m x)/(2 sqrt(lattice m)): (1/2) lattice^{-1/2} times C_{1/2}(x)
+    for even nu, S_{1/2}(x) for odd nu."""
+    return 0.5 * lattice**-0.5 * float(periodic_zeta(x, 0)[nu % 2][0])
+
+
+def lattice_bessel_sum(
+    nu: int,
+    x: float,
+    tol: float = DEFAULT_TOL,
+    max_terms: int = DEFAULT_MAX_TERMS,
+    lattice: int = 1,
+    m_terms: int | None = None,
+) -> SeriesResult:
+    """sum_m (-1)^{floor(nu/2)} pi Y_nu(4 pi lattice m) trig(2 pi m x), 0 <= x < 1.
+
+    The regularized bracket sum minus the closed sum of its regularizer,
+    zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that value's
+    _ZETA_EPS.  For odd nu at x = 0 and 1/2 the sum is exactly 0.  Points
+    0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
+    """
+    outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
+    if nu % 2 and x in (0.0, 0.5):
+        return SeriesResult(0.0, 0, 0.0, accelerated=True, outside_window=outside)
+    reg = regularized_bracket_sum(nu, x, tol, max_terms, lattice, m_terms)
+    return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
+                        reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, accelerated=True,
+                        outside_window=outside)
 
 
 def bessel_cos_series(
@@ -501,24 +496,12 @@ def bessel_cos_series(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """sum_m (-1)^n pi Y_{2n}(4 pi m) cos(2 pi m x), 0 < x < 1.
-
-    Evaluated as the regularized bracket sum minus half the closed
-    cos/sqrt(m) power sum.
-    """
+    """sum_m (-1)^n pi Y_{2n}(4 pi m) cos(2 pi m x), 0 < x < 1 (:func:`lattice_bessel_sum`)."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    reg = regularized_bracket_sum(2 * n, x, tol=tol, max_terms=max_terms)
-    c12 = float(periodic_zeta(x, 0)[0][0])
-    return SeriesResult(
-        reg.value - 0.5 * c12,
-        reg.terms_used,
-        reg.tail_bound,
-        accelerated=True,
-        outside_window=_window_flag(x),
-    )
+    return lattice_bessel_sum(2 * n, x, tol, max_terms)
 
 
 def bessel_sin_series(
@@ -527,24 +510,12 @@ def bessel_sin_series(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """sum_m (-1)^n pi Y_{2n+1}(4 pi m) sin(2 pi m x), 0 < x < 1."""
+    """sum_m (-1)^n pi Y_{2n+1}(4 pi m) sin(2 pi m x), 0 < x < 1 (:func:`lattice_bessel_sum`)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    if x == 0.5:
-        # sin(pi m) vanishes term by term
-        return SeriesResult(0.0, 0, 0.0, accelerated=True,
-                            outside_window=_window_flag(x))
-    reg = regularized_bracket_sum(2 * n + 1, x, tol=tol, max_terms=max_terms)
-    s12 = float(periodic_zeta(x, 0)[1][0])
-    return SeriesResult(
-        reg.value - 0.5 * s12,
-        reg.terms_used,
-        reg.tail_bound,
-        accelerated=True,
-        outside_window=_window_flag(x),
-    )
+    return lattice_bessel_sum(2 * n + 1, x, tol, max_terms)
 
 
 def bessel_series_partial(nu: int, x: float, m_terms: int) -> float:

@@ -4,9 +4,12 @@ Double precision throughout.  Each evaluator returns an :class:`EvalResult`
 carrying a heuristic absolute-error estimate and the method that produced
 the value.  Integer J comes from Miller's recurrence, integer Y from the
 upward recurrence over Y_0, Y_1, and non-integer J from mpmath (imported
-on first use); the large-argument branch is our own Hankel-type expansion
-with smallest-term truncation, because the series engine needs its
-coefficients and its exact-phase form on the 4*pi*m lattice.
+on first use).  Past the crossover every J and Y comes from one Hankel
+series (DLMF 10.17).  On the lattice z = 4*pi*q its phase is a constant,
+so pi C_nu(4 pi q) is a power series in 1/q: the series engine sums its
+tails in closed form, and off the lattice the same series is turned by
+libm's exactly reduced cos z and sin z.  That exact phase is why the
+package keeps its own expansion.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ EULER_GAMMA = 0.57721566490153286
 Method = Literal["series", "recurrence", "asymptotic", "quadrature"]
 
 # large-argument branch activates for z > max(ASYM_Z_MIN, ASYM_NU_FACTOR * nu^2);
-# with these values the smallest-term truncation error sits below 1e-12
+# past it the Hankel series falls below 1e-17 of its first order within
+# HANKEL_ORDERS orders
 ASYM_Z_MIN = 40.0
 ASYM_NU_FACTOR = 2.0
+HANKEL_ORDERS = 30
 
 DEFAULT_PANEL_LIMIT = 500_000
 
@@ -79,47 +84,56 @@ def asymptotic_crossover(nu: float) -> float:
     return max(ASYM_Z_MIN, ASYM_NU_FACTOR * nu * nu)
 
 
-def hankel_coefficients(nu: float, kmax: int) -> list[float]:
-    """u_k of the large-argument expansion; term k is u_k / z^k.
+@functools.lru_cache(maxsize=512)  # the lattice needs nu <= 260; sweeps stay bounded
+def hankel_lattice(nu: float) -> np.ndarray:
+    """Rows d^J, d^Y with pi C_nu(4 pi q) ~ sum_k d_k q^{-(k+1/2)} at integer q.
 
-    u_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k).
+    On z = 4 pi q the Hankel phase z - nu pi/2 - pi/4 is the constant w =
+    -(nu/2 + 1/4) pi: d_k = (-1)^{floor(k/2)} u_k f_k / (sqrt 2 (4 pi)^k), u_k =
+    prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8j), f_k = cos w, -sin w (even, odd k) in
+    d^J and sin w, cos w in d^Y, from nu pi/2 reduced by whole quarter turns.
     """
-    out = [1.0]
-    acc = 1.0
-    four_nu2 = 4.0 * nu * nu
-    for k in range(1, kmax + 1):
-        acc *= (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k)
-        out.append(acc)
+    turns = round(nu)
+    c, s = cos(0.5 * pi * (nu - turns)), sin(0.5 * pi * (nu - turns))
+    for _ in range(turns % 4):  # (c, s) = (cos, sin) of nu pi/2, exact at integer nu
+        c, s = -s, c
+    u, dj, dy = 1.0, [], []
+    for k in range(HANKEL_ORDERS + 1):
+        u *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k) if k else 1.0
+        t = (-1.0) ** (k // 2) * u / (4.0 * pi) ** k  # sqrt 2 (cos w, sin w) = (c - s, -c - s)
+        dj.append(t * (c + s if k % 2 else c - s) / 2)
+        dy.append(t * (c - s if k % 2 else -c - s) / 2)
+    out = np.array([dj, dy])
+    out.flags.writeable = False
     return out
 
 
+def _orders_sum(d: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
+    """sum_{k=lo}^{hi} d_k q^{-(k+1/2)} by Horner's rule in 1/q."""
+    total = np.full_like(q, d[hi])
+    for k in range(hi - 1, lo - 1, -1):
+        total = total / q + d[k]
+    return total * q ** -(lo + 0.5)
+
+
+def _hankel_sum(d: np.ndarray, lo: int, q: np.ndarray) -> np.ndarray:
+    """sum_{k >= lo} d_k q^{-(k+1/2)} past the crossover, for an ascending array q,
+    through the last order that reaches 1e-17 of the largest at min(q)."""
+    if not q.size:
+        return q
+    sizes = np.abs(d[lo:]) * float(q[0]) ** -np.arange(lo, d.size, dtype=float)
+    top = lo + int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1])
+    return _orders_sum(d, lo, top, q)
+
+
 def _asymptotic_JY(nu: float, z: float) -> tuple[float, float, float]:
-    """(J_nu(z), Y_nu(z), err) via the Hankel expansion, smallest-term truncated."""
-    w = z - 0.5 * pi * nu - 0.25 * pi
-    u = hankel_coefficients(nu, 60)
-    p_sum = 1.0
-    q_sum = 0.0
-    term = 1.0
-    last_mag = 1.0
-    dropped = 0.0
-    for k in range(1, 61):
-        term /= z
-        t = u[k] * term
-        mag = abs(t)
-        if mag >= last_mag:
-            dropped = mag
-            break
-        if k % 2 == 0:
-            p_sum += t if k % 4 == 0 else -t
-        else:
-            q_sum += t if k % 4 == 1 else -t
-        last_mag = mag
-        dropped = mag
-    amp = sqrt(2.0 / (pi * z))
-    j_val = amp * (cos(w) * p_sum - sin(w) * q_sum)
-    y_val = amp * (sin(w) * p_sum + cos(w) * q_sum)
-    err = amp * dropped + 4e-16 * (abs(j_val) + abs(y_val)) + abs(z) * 1.2e-16 * amp
-    return j_val, y_val, err
+    """(J_nu(z), Y_nu(z), err) past the crossover: the lattice series S_J, S_Y at
+    q = z/(4 pi) turned by the phase z, pi J = cos z S_J - sin z S_Y and
+    pi Y = cos z S_Y + sin z S_J, with libm's exactly reduced cos z and sin z."""
+    q = np.array([z / (4.0 * pi)])
+    s_j, s_y = (float(_hankel_sum(d, 0, q)[0]) for d in hankel_lattice(nu))
+    cz, sz = cos(z), sin(z)
+    return (cz * s_j - sz * s_y) / pi, (cz * s_y + sz * s_j) / pi, 1e-15 * sqrt(2.0 / (pi * z))
 
 
 def bessel_J_int_batch(n_max: int, z: float) -> np.ndarray:
@@ -201,20 +215,13 @@ def bessel_Y01(z: float) -> tuple[float, float]:
 
 
 def bessel_Y_int(n: int, z: float) -> EvalResult:
-    """Y_n(z) for integer n >= 0, z > 0.
-
-    Below the crossover: Y_0, Y_1 (:func:`bessel_Y01` up to z = 40, the
-    large-argument expansion beyond) with the upward recurrence; above it,
-    the large-argument expansion truncated at its smallest term.
-    """
+    """Y_n(z) for integer n >= 0, z > 0: Y_0, Y_1 (:func:`bessel_Y01` up to
+    z = 40, the Hankel series beyond), then the upward recurrence."""
     if z <= 0:
         raise ValueError("bessel_Y_int requires z > 0")
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if z > asymptotic_crossover(n):
-        _, y_val, err = _asymptotic_JY(float(n), z)
-        return EvalResult(y_val, err, "asymptotic")
-    y01 = bessel_Y01(z) if z <= ASYM_Z_MIN else [_asymptotic_JY(k, z)[1] for k in (0.0, 1.0)]
+    y01 = bessel_Y01(z) if z <= ASYM_Z_MIN else [_asymptotic_JY(k, z)[1] for k in (0, 1)]
     val = float(bessel_Y_upward(n, z, *y01))
     return EvalResult(val, 2e-14 * max(abs(val), 1e-30) + 1e-16, "recurrence")
 

@@ -360,6 +360,17 @@ def test_run_config_validation():
     *[(("verify", "--identity", name, "--n-max", "3"), None, f"{name} has no index range")
       for name in ("lemma33", "lemma34", "integral-id", "form-s1", "poisson-series",
                    "series-007", "telescope")],
+    (("table", "--method", "exact", "--n-start", "5", "--n-end", "2"), None,
+     "empty index range"),
+    *[(("table", "--method", "exact", "--n-start", "2", "--n-end", "5", "--n-step", step), None,
+       "empty index range") for step in ("-1", "0")],
+    (("converge", "--series", "zagier-number", "--n", "0"), None, "n must be positive"),
+    (("converge", "--series", "bessel-cos", "--n", "0", "--x", "1/3"), None,
+     "n must be positive"),
+    (("converge", "--series", "bessel-sin", "--n", "-1", "--x", "1/3"), None,
+     "n must be nonnegative"),
+    *[(("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", m), None,
+       "bad --m-list") for m in ("10,,20", "10,0")],
 ], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key", "bad-format",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
         "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
@@ -367,7 +378,9 @@ def test_run_config_validation():
         "even-bessel-overflow", "odd-bessel-overflow", "number-bessel-overflow",
         "x-zero-denominator", "x-inf", "x-1e400", "x-nan", "n-max-0", "n-max-negative",
         "n-max-lemma33", "n-max-lemma34", "n-max-integral-id", "n-max-form-s1",
-        "n-max-poisson-series", "n-max-series-007", "n-max-telescope"])
+        "n-max-poisson-series", "n-max-series-007", "n-max-telescope",
+        "table-end-before-start", "table-step-negative", "table-step-0", "converge-number-n-0",
+        "converge-cos-n-0", "converge-sin-n-negative", "m-list-empty-token", "m-list-zero"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_clean_failures_exit_2(tmp_path, capsys, argv, config, needle):
     argv = [a.replace("{missing}", str(tmp_path / "missing.conf")) for a in argv]

@@ -232,3 +232,27 @@ def test_formula_domain_errors():
         fm.zagier_even_formula(1, Fraction(3, 2))
     with pytest.raises(ValueError):
         fm.odd_asymptotic(1, 0.0)
+
+
+@pytest.mark.parametrize("nu", (0.5, 2, 2.5, 7.3))
+def test_lattice_j_vs_oracle(nu):
+    # past the crossover J_nu(4 pi m) comes from the lattice Hankel series d^J
+    import mpmath as mp
+    from zagier_kit import specfun as sf
+
+    near = int(sf.asymptotic_crossover(nu) / (4 * pi))
+    values = fm._lattice_J(nu, 3000)
+    for m in (near + 1, near + 2, near + 7, 100, 3000):
+        with mp.workdps(40):
+            ref = float(mp.besselj(nu, 4 * mp.pi * m))
+        assert abs(values[m - 1] - ref) < 2e-15 * max(abs(ref), 1 / (pi * sqrt(2 * m))), m
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_tail_bound_covers_abs_error(n):
+    # the reported bound covers the series, the Chebyshev values and the assembly
+    reports = [fm.zagier_number_formula(n), fm.zagier_type_sum(n)]
+    for x in ("1/10", "1/4", "1/3", "1/2", "2/3", "3/4", "9/10", "2/7"):
+        reports += [fm.zagier_even_formula(n, x), fm.zagier_odd_formula(n, x)]
+    for rep in reports:
+        assert rep.abs_error <= rep.tail_bound, (rep.n, rep.x, rep.abs_error, rep.tail_bound)

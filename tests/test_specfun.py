@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from math import pi, sqrt
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp_special
@@ -135,9 +136,30 @@ def test_bessel_y_domain():
 
 def test_bessel_y_large_argument_vs_oracle():
     for (n, z) in [(2, 1e4), (0, 500.0), (9, 2.0e3)]:
-        res = sf.bessel_Y_int(n, z)
-        assert res.method == "asymptotic"
-        assert abs(res.value - bessel_y_oracle(n, z)) < 1e-11
+        ref = bessel_y_oracle(n, z)
+        assert abs(sf.bessel_Y_int(n, z).value - ref) < 2e-15 * max(abs(ref), sqrt(2 / (pi * z)))
+
+
+@pytest.mark.parametrize("kind,nu,z", [
+    ("Y", 40, 400 * pi), ("Y", 2, 1e4), ("Y", 0, 1e6 + 0.3), ("Y", 0, 500.0), ("Y", 9, 2000.0),
+    ("J", 0, 1e6 + 0.3), ("J", 7.3, 5000.0), ("J", 0.5, 1000.0),
+])
+def test_bessel_off_lattice_vs_oracle(kind, nu, z):
+    # past z = 40 the Hankel series is turned by libm's exactly reduced cos z, sin z:
+    # no phase error growing with z (a float phase z - pi/4 was off by ~z * 1e-16)
+    with mp.workdps(40):
+        ref = float(mp.bessely(nu, z) if kind == "Y" else mp.besselj(nu, z))
+    got = (sf.bessel_Y_int(nu, z) if kind == "Y" else sf.bessel_J(nu, z)).value
+    assert abs(got - ref) < 2e-15 * max(abs(ref), sqrt(2 / (pi * z)))
+
+
+def test_hankel_lattice_exact_at_integer_order():
+    # on the lattice every coefficient of an integer order is +-u_k / (2 (4 pi)^k)
+    for nu in (0, 1, 2, 3, 16, 261):
+        dj, dy = sf.hankel_lattice(nu)
+        assert abs(dj[0]) == abs(dy[0]) == 0.5
+        assert np.array_equal(np.abs(dj), np.abs(dy))
+    assert sf.hankel_lattice.cache_info().maxsize is not None
 
 
 def test_crossover_continuity():
