@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import islice
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -125,10 +126,16 @@ class BernoulliCache:
     The on-disk format is line oriented: a header line followed by one
     record per line, "n<TAB>numerator/denominator".  Reads are lock-free;
     writes hold a lock so concurrent callers cannot corrupt the table.
+    Beside the table it keeps the tangent-number column that extends it
+    and the B_2s/(4s)! table of `modified_bernoulli`; neither is saved.
     """
 
     def __init__(self, path: str | None = None):
         self._values: list[Fraction] = [Fraction(1)]
+        # the tangent-number column of B_0..B_2K (see `_next_column`); only
+        # touched under the lock
+        self._column: list[int] = []
+        self._gamma: tuple[list[int], list[tuple[int, list[int]]]] = ([1], [(1, [0])])
         self._lock = threading.Lock()
         self.path = path
         if path and os.path.exists(path):
@@ -138,7 +145,11 @@ class BernoulliCache:
         return self.prefix(n)[n]
 
     def prefix(self, n: int) -> list[Fraction]:
-        """The table B_0..B_m for some m >= n (read only; do not mutate)."""
+        """The table B_0..B_m, m >= n; m = n when this call extended it.
+
+        Read only; do not mutate.  A reader keeps the list it was given:
+        an extension swaps in a longer list by one assignment.
+        """
         if n < 0:
             raise ValueError("Bernoulli index must be nonnegative")
         values = self._values
@@ -152,11 +163,74 @@ class BernoulliCache:
         values = self._values
         if n < len(values):
             return
-        # recompute from scratch, at least doubling, so n = 1, 2, 3, ... costs
-        # O(log n) rebuilds; the longer list is swapped in by one assignment,
-        # so a lock-free reader never sees a changed prefix
-        fresh = _bernoulli_table(max(n, 2 * (len(values) - 1)))
-        self._values = values + fresh[len(values):]
+        column = self._column
+        if len(column) != (len(values) - 1) // 2:
+            # a table loaded from disk carries no column: rebuild it once
+            column = []
+            for _ in range((len(values) - 1) // 2):
+                column = _next_column(column)
+        fresh = []
+        for i in range(len(values), n + 1):
+            if i % 2:
+                fresh.append(Fraction(-1, 2) if i == 1 else Fraction(0))
+                continue
+            column = _next_column(column)
+            k, four_k = i // 2, 1 << i
+            b = Fraction(2 * k * column[-1], four_k * (four_k - 1))
+            fresh.append(b if k % 2 else -b)
+        self._column = column
+        self._values = values + fresh
+
+    def _gamma_table(self, half: int) -> tuple[list[int], tuple[int, list[int]]]:
+        """gamma_s = B_2s/(4s)! for s <= S, S >= half, as (rho, (G_S, g)).
+
+        With G_t = (4t)! lcm(den B_2, ..., den B_2t): rho[t] = G_t/G_{t-1},
+        a small integer, and g[s] = gamma_s G_S with S = len(g) - 1 and
+        g[0] = 0, so the Horner sum of `modified_bernoulli` runs on integers
+        of about G_S bits.  S is the smallest of the kept scales 0, 1, 3, 7,
+        ..., 2^j - 1 and the top one that reaches half: that size depends on
+        half alone, within a factor of about 2, and not on the largest index
+        asked so far.  Read only.
+        """
+        rho, tables = self._gamma
+        if half >= len(rho):
+            with self._lock:
+                if half >= len(self._gamma[0]):
+                    self._grow_gamma_locked(half)
+                rho, tables = self._gamma
+        return rho, tables[min(half.bit_length(), len(tables) - 1)]
+
+    def _grow_gamma_locked(self, half: int) -> None:
+        # each scale comes from the one below: its entries times the integer
+        # G_stop/G_top, then the new ones from the top down as
+        # g_s = num_s (lcm/den_s) (4 stop)!/(4s)!; the new state is swapped
+        # in whole, so a lock-free reader sees a consistent (rho, tables) pair
+        self._extend_locked(2 * half)
+        bern = self._values
+        rho, tables = self._gamma
+        rho, tables = list(rho), list(tables)
+        big, g = tables[-1]
+        lcm_den = big // factorial(4 * len(g) - 4)
+        for t in range(len(rho), half + 1):
+            grown = lcm(lcm_den, bern[2 * t].denominator)
+            rho.append((4 * t) * (4 * t - 1) * (4 * t - 2) * (4 * t - 3) * (grown // lcm_den))
+            lcm_den = grown
+        while len(g) <= half:
+            top = len(g) - 1
+            stop = min(half, (1 << (top + 1).bit_length()) - 1)
+            ratio = prod(rho[top + 1: stop + 1])
+            big *= ratio
+            lcm_stop = big // factorial(4 * stop)
+            fresh, rising = [], 1
+            for s in range(stop, top, -1):
+                b = bern[2 * s]
+                fresh.append(b.numerator * (lcm_stop // b.denominator) * rising)
+                rising *= (4 * s) * (4 * s - 1) * (4 * s - 2) * (4 * s - 3)
+            if top & (top + 1):
+                tables.pop()  # a top scale that is not 2^j - 1 is not kept
+            g = [c * ratio for c in g] + fresh[::-1]
+            tables.append((big, g))
+        self._gamma = (rho, tables)
 
     def known(self) -> int:
         return len(self._values) - 1
@@ -200,36 +274,26 @@ class BernoulliCache:
                 self._values = values
 
 
-def _tangent_numbers(k_max: int) -> list[int]:
-    """T_1..T_k_max (index 0 unused), the tangent numbers.
+def _next_column(column: list[int]) -> list[int]:
+    """The tangent-number recurrence of Brent & Harvey, one column at a time.
 
     Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
-    numbers" (arXiv:1108.0286), Algorithm TangentNumbers: O(k_max^2)
-    integer operations, no division.
+    numbers" (arXiv:1108.0286), Algorithm TangentNumbers runs stages
+    k = 2..K over t[k..K], t[j] <- (j-k) t[j-1] + (j-k+2) t[j], from
+    t[j] = (j-1)!.  `column` holds t[K] as it starts and after each stage
+    2..K (its last entry is the tangent number T_K); the result is the same
+    for K + 1, in K + 1 small multiply-adds and no division.
     """
-    t = [0] * (k_max + 1)
-    if k_max >= 1:
-        t[1] = 1
-    for k in range(2, k_max + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, k_max + 1):
-        for j in range(k, k_max + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
-def _bernoulli_table(n: int) -> list[Fraction]:
-    """B_0..B_n with B_1 = -1/2, from B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
-    values = [Fraction(0)] * (n + 1)
-    values[0] = Fraction(1)
-    if n >= 1:
-        values[1] = Fraction(-1, 2)
-    t = _tangent_numbers(n // 2)
-    for k in range(1, n // 2 + 1):
-        four_k = 1 << (2 * k)
-        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
-        values[2 * k] = b if k % 2 else -b
-    return values
+    if not column:
+        return [1]
+    prev = len(column) * column[0]
+    out = [prev]
+    # stage k = 2..K: (K+1-k) t[K] + (K+3-k) t[K+1]; stage K+1 doubles
+    for a, c in zip(range(len(column) - 1, 0, -1), islice(column, 1, None)):
+        prev = a * c + (a + 2) * prev
+        out.append(prev)
+    out.append(2 * prev)
+    return out
 
 
 _DEFAULT_CACHE = BernoulliCache()
@@ -266,22 +330,30 @@ def bernoulli_polynomial(n: int) -> RationalPolynomial:
 def modified_bernoulli(n: int) -> Fraction:
     """Modified Bernoulli number B_n^* = sum_{r=0}^n C(n+r,2r) B_r/(n+r).
 
-    Only r = 0, r = 1 and even r = 2s contribute, and C(n+r,2r)/(n+r) =
-    C(n+r-1,2r-1)/(2r), so B_n^* = 1/n - n/4 + sum_{s=1}^{n//2}
-    C(n+2s-1,4s-1) B_2s/(4s), summed in integers over one denominator.
+    Only r = 0, r = 1 and even r = 2s contribute, and C(n+2s,4s)/(n+2s) =
+    C(n+2s-1,4s-1)/(4s) = n prod_{j<2s} (n^2 - j^2)/(4s)!, so with y = n^2
+    and gamma_s = B_2s/(4s)!:
+
+        B_n^* = 1/n - n/4 + n (y-1) [gamma_1 + (y-4)(y-9) [gamma_2
+                + (y-16)(y-25) [gamma_3 + ...]]],
+
+    summed to s = n//2 by Horner over the integers g_s = gamma_s G of
+    `BernoulliCache._gamma_table`: one multiply by a small integer and one
+    add per step.  The common factor G/G_{n//2} is divided out before the
+    one reduction.
     """
     if n < 1:
         raise ValueError("n must be positive")
     half = n // 2
-    evens = _DEFAULT_CACHE.prefix(2 * half)[2: 2 * half + 1: 2]
-    den = lcm(n, 4 * lcm(*range(1, half + 1))) * lcm(*(b.denominator for b in evens))
-    acc = den // n - n * (den // 4)
-    c = (n + 1) * n * (n - 1) // 6  # C(n+2s-1, 4s-1), by the ratio recurrence in s
-    for s, b in enumerate(evens, 1):
-        acc += c * b.numerator * (den // (4 * s * b.denominator))
-        c = (c * (n + 2 * s) * (n + 2 * s + 1) * (n - 2 * s) * (n - 2 * s - 1)
-             // ((4 * s) * (4 * s + 1) * (4 * s + 2) * (4 * s + 3)))
-    return Fraction(acc, den)
+    rho, (big, g) = _DEFAULT_CACHE._gamma_table(half)
+    y = n * n
+    acc = 0
+    for s in range(half, 0, -1):
+        acc = acc * ((y - 4 * s * s) * (y - (2 * s + 1) ** 2)) + g[s]
+    cut = prod(rho[half + 1: len(g)])  # G_S/G_{n//2}
+    den = big // cut
+    acc //= cut
+    return Fraction((4 - y) * den + 4 * y * (y - 1) * acc, 4 * n * den)
 
 
 @lru_cache(maxsize=None)

@@ -71,10 +71,38 @@ def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:
     return out
 
 
+def brent_harvey_bernoulli(n: int) -> list[Fraction]:
+    """B_0..B_n from the tangent numbers, computed in one batch.
+
+    Brent & Harvey (arXiv:1108.0286), Algorithm TangentNumbers: stages
+    k = 2..K over the whole row t[k..K], then B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)).  The library runs the same recurrence one column at a
+    time, so this checks the column order against the row order.
+    """
+    k_max = n // 2
+    t = [0] * (k_max + 1)
+    if k_max >= 1:
+        t[1] = 1
+    for k in range(2, k_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, k_max + 1):
+        for j in range(k, k_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(0)] * (n + 1)
+    out[0] = Fraction(1)
+    if n >= 1:
+        out[1] = Fraction(-1, 2)
+    for k in range(1, k_max + 1):
+        four_k = 1 << (2 * k)
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], four_k * (four_k - 1))
+    return out
+
+
 def modified_bernoulli_oracle(n: int, bern: list[Fraction]) -> Fraction:
     """B_n^* = sum_{r=0}^n C(n+r,2r) B_r/(n+r), one Fraction operation per term.
 
-    `bern` holds B_0..B_n (from `akiyama_tanigawa_bernoulli`).
+    `bern` holds B_0..B_n (from `akiyama_tanigawa_bernoulli` or
+    `brent_harvey_bernoulli`).
     """
     acc = Fraction(0)
     for r in range(n + 1):

@@ -16,13 +16,32 @@ from hypothesis import strategies as st
 
 from zagier_kit import exact_core as ec
 
-from conftest import akiyama_tanigawa_bernoulli, modified_bernoulli_oracle, zagier_polynomial_oracle
+from conftest import (akiyama_tanigawa_bernoulli, brent_harvey_bernoulli, modified_bernoulli_oracle,
+                      zagier_polynomial_oracle)
 
 
 @pytest.fixture(scope="module")
 def at_bernoulli():
     """B_0..B_300 from the Akiyama-Tanigawa triangle (~0.35 s)."""
     return akiyama_tanigawa_bernoulli(300)
+
+
+@pytest.fixture(scope="module")
+def bh_bernoulli():
+    """B_0..B_1200 from the row-at-a-time tangent-number batch (~0.2 s)."""
+    return brent_harvey_bernoulli(1200)
+
+
+@pytest.fixture(scope="module")
+def modified_reference(bh_bernoulli):
+    """B_n^* for n = 1..600 from the term-by-term Fraction oracle (~1.5 s)."""
+    return {n: modified_bernoulli_oracle(n, bh_bernoulli) for n in range(1, 601)}
+
+
+@pytest.fixture
+def fresh_default_cache(monkeypatch):
+    """An empty process-wide Bernoulli cache, restored afterwards."""
+    monkeypatch.setattr(ec, "_DEFAULT_CACHE", ec.BernoulliCache())
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +111,56 @@ def test_modified_bernoulli_values():
 def test_modified_bernoulli_vs_fraction_oracle(at_bernoulli):
     for n in range(1, 201):
         assert ec.modified_bernoulli(n) == modified_bernoulli_oracle(n, at_bernoulli), n
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 258, 511, 512, 513, 514, 598, 599, 600])
+def test_modified_bernoulli_large_index(n, modified_reference):
+    assert ec.modified_bernoulli(n) == modified_reference[n]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "scrambled"])
+def test_modified_bernoulli_call_orders(order, modified_reference, fresh_default_cache):
+    # the tables grow one step at a time, in one jump, or in uneven jumps,
+    # with smaller indices read from tables built for larger ones
+    ns = list(range(1, 601))
+    if order == "descending":
+        ns.reverse()
+    elif order == "scrambled":
+        ns.sort(key=lambda n: (n * 389) % 601)
+    for n in ns:
+        assert ec.modified_bernoulli(n) == modified_reference[n], n
+    cache = ec.default_cache()
+    assert cache.known() == 600
+    # whatever the order, index n runs on a scale set by n alone: the
+    # Horner table for n//2 = h stops at some S with h <= S < 2h
+    for half in range(1, 301):
+        assert half <= len(cache._gamma_table(half)[1][1]) - 1 < 2 * half, half
+
+
+def test_modified_bernoulli_concurrent_growth_stress(modified_reference, fresh_default_cache):
+    # threads grow the shared Bernoulli and B_2s/(4s)! tables while others
+    # read them
+    errors = []
+
+    def worker(seed):
+        try:
+            for n in sorted(range(1, 601, 5), key=lambda m: (m * seed) % 601):
+                assert ec.modified_bernoulli(n) == modified_reference[n], n
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(3, 13)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
 
 
 def test_zagier_polynomial_vs_fraction_oracle(at_bernoulli):
@@ -385,6 +454,32 @@ def test_cache_fill_orders_agree(tmp_path):
     table = stepwise.prefix(601)[:602]
     assert fresh.prefix(601)[:602] == table
     assert loaded.prefix(600)[:601] == table[:601]
+
+
+def test_cache_extends_to_exactly_the_index_asked(bh_bernoulli):
+    cache = ec.BernoulliCache()
+    cache.prefix(600)
+    assert cache.known() == 600
+    cache.get(601)
+    assert cache.known() == 601
+    assert cache.prefix(1200) == bh_bernoulli
+    assert cache.known() == 1200
+
+
+@pytest.mark.parametrize("last", [48, 49])
+def test_loaded_cache_extends(tmp_path, last, bh_bernoulli):
+    # a table read from disk carries no tangent-number column; the first
+    # extension rebuilds it, whether the file ends at an odd or even index
+    path = tmp_path / "bern.tsv"
+    lines = [ec.CACHE_HEADER]
+    lines += [f"{n}\t{v.numerator}/{v.denominator}" for n, v in enumerate(bh_bernoulli[: last + 1])]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = ec.BernoulliCache(str(path))
+    assert loaded.known() == last
+    for n in (last + 1, last + 2, 301):
+        assert loaded.get(n) == bh_bernoulli[n]
+        assert loaded.known() == n
+    assert loaded.prefix(301) == bh_bernoulli[:302]
 
 
 def test_cache_concurrent_extension_stress():
