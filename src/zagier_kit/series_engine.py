@@ -16,12 +16,28 @@ the rounding of every piece, and a tolerance below it raises.
 All reductions over m run in fixed ascending order through exact float
 summation (math.fsum) over fixed-size chunks, so results are reproducible
 bit for bit.
+
+In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
+is built once and cached, and every cached array is the one a call would
+otherwise build, so no value changes:
+  * the bracket values through the base explicit range, per (nu, lattice)
+    (:func:`_lattice_brackets`, 512 entries of at most 10,760 floats);
+  * the tail envelopes, per (nu, lattice, M) (1,024 entries of 29 floats);
+  * the powers (lattice m)^{-(k+1/2)}, one table per lattice whatever nu
+    (:class:`_PowerTable`, 8 lattices), grown to the most orders and the
+    largest base range asked (at most 29 x 10,760 floats, 2.5 MB, at
+    nu = 260 on lattice 1); a call that sums
+    past its own base range (a forced m_terms, a doubled M) builds what the
+    table lacks for itself and keeps nothing;
+  * the periodic zeta values at every order, per x (64 entries), so a
+    bracket sum and its regularizer share one evaluation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from math import pi, sqrt
 
@@ -106,6 +122,13 @@ def chunked_fsum(values: np.ndarray) -> float:
     return math.fsum(partials)
 
 
+def _row_fsums(rows: np.ndarray) -> np.ndarray:
+    """:func:`chunked_fsum` of each row of a 2-D array."""
+    if rows.shape[1] <= _CHUNK:
+        return np.array([math.fsum(row) for row in rows.tolist()])
+    return np.array([chunked_fsum(row) for row in rows])
+
+
 @functools.cache
 def _wood_tables() -> tuple[np.ndarray, ...]:
     """Coefficients of the expansions in :func:`periodic_zeta`, s = k + 1/2.
@@ -160,24 +183,36 @@ def periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x must lie in [0, 1)")
     if not 0 <= k_max <= _ORDERS:
         raise ValueError(f"k_max must lie in [0, {_ORDERS}]")
+    c, s = _periodic_zeta_rows(x)
+    return c[: k_max + 1].copy(), s[: k_max + 1].copy()
+
+
+@functools.lru_cache(maxsize=64)  # a bracket sum and its regularizer ask at the same x
+def _periodic_zeta_rows(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`periodic_zeta` at every order 0.._ORDERS; each entry is the same
+    whatever the number of orders formed beside it."""
     zeta, eta, gamma_c, gamma_s, re, im = _wood_tables()
     if x == 0.0:
-        return zeta[: k_max + 1, 0].copy(), np.zeros(k_max + 1)
-    t = 1.0 - x if x > 0.5 else x
-    if t <= 0.25:
-        a = 2.0 * pi * t
-        rows = zeta[: k_max + 1]
-        singular = a ** (np.arange(k_max + 1) - 0.5)
-        c = gamma_c[: k_max + 1] * singular
-        s = gamma_s[: k_max + 1] * singular
+        c, s = zeta[:, 0].copy(), np.zeros(_ORDERS + 1)
     else:
-        a = pi * (2.0 * t - 1.0)
-        rows = -eta[: k_max + 1]
-        c = s = 0.0
-    powers = a ** np.arange(_WOOD_TERMS, dtype=float)
-    c = c + (rows * (powers * re)).sum(axis=1)
-    s = s + (rows * (powers * im)).sum(axis=1)
-    return c, -s if x > 0.5 else s
+        t = 1.0 - x if x > 0.5 else x
+        if t <= 0.25:
+            a = 2.0 * pi * t
+            rows = zeta
+            singular = a ** (np.arange(_ORDERS + 1) - 0.5)
+            c = gamma_c * singular
+            s = gamma_s * singular
+        else:
+            a = pi * (2.0 * t - 1.0)
+            rows = -eta
+            c = s = 0.0
+        powers = a ** np.arange(_WOOD_TERMS, dtype=float)
+        c = c + (rows * (powers * re)).sum(axis=1)
+        s = s + (rows * (powers * im)).sum(axis=1)
+        if x > 0.5:
+            s = -s
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
 
 
 def trig_power_sums(x: float) -> TrigPowerSums:
@@ -322,42 +357,123 @@ def _bracket_coeffs(nu: int) -> np.ndarray:
     return b
 
 
-@functools.cache
+def _base_range(nu: int, lattice: int) -> int:
+    """M0 = max(ceil(crossover/(4 pi lattice)) + 1, 8): the explicit range of every
+    call that neither forces m_terms nor has to double it."""
+    return max(int(math.ceil(asymptotic_crossover(nu) / (4.0 * pi * float(lattice)))) + 1, 8)
+
+
+def _near_range(nu: int, lattice: int) -> int:
+    """The last m with 4 pi lattice m at or below the crossover."""
+    return int(asymptotic_crossover(nu) / (4.0 * pi * lattice))
+
+
+@functools.lru_cache(maxsize=512)  # at most 10,760 floats each (nu = 260, lattice 1)
 def _lattice_brackets(nu: int, lattice: int) -> np.ndarray:
-    """bracket(lattice m) for every m with 4 pi lattice m at or below the crossover:
-    Y_0, Y_1 from :func:`specfun.bessel_Y01` up to z = 40 and from their lattice
-    series d^Y beyond, carried up to Y_nu.  ValueError past the double range."""
+    """bracket(lattice m) for m = 1.._base_range(nu, lattice).
+
+    Up to the crossover Y_0, Y_1 come from :func:`specfun.bessel_Y01` up to
+    z = 40 and from their lattice series d^Y beyond, carried up to Y_nu; past
+    it the bracket is its power series in 1/q, no trig of large arguments.
+    ValueError past the double range.
+    """
     if not math.isfinite(pi * bessel_Y_int(nu, 4.0 * pi * lattice).value):  # largest at m = 1
         raise ValueError(f"the Bessel term Y_{nu}({4 * lattice} pi) exceeds the double range")
-    q = lattice * np.arange(1.0, int(asymptotic_crossover(nu) / (4.0 * pi * lattice)) + 1.0)
+    q = lattice * np.arange(1.0, _near_range(nu, lattice) + 1.0)
     z, root = 4.0 * pi * q, np.sqrt(q)
     low = int(np.count_nonzero(z <= ASYM_Z_MIN))
     y01 = np.empty((2, q.size))
     for i in range(low):
         y01[:, i] = bessel_Y01(z[i])
     y01[:, low:] = [_hankel_sum(hankel_lattice(k)[1], 0, q[low:]) / pi for k in (0, 1)]
-    out = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
+    near = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
+    out = np.concatenate([near, _far_brackets(nu, lattice, _base_range(nu, lattice))])
     out.flags.writeable = False
     return out
 
 
+def _far_brackets(nu: int, lattice: int, m_terms: int) -> np.ndarray:
+    """bracket(lattice m) past the crossover up to m_terms, from its power series
+    in 1/q; the orders summed are set by the first m past the crossover, so
+    every value is the same whatever m_terms."""
+    q = lattice * np.arange(_near_range(nu, lattice) + 1, m_terms + 1, dtype=float)
+    return _hankel_sum(_bracket_coeffs(nu), 1, q)
+
+
 def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
-    """bracket(lattice m) for m = 1..m_terms; past the crossover from its power
-    series in 1/q: no trig of large arguments, no phase error."""
-    near = _lattice_brackets(nu, lattice)[:m_terms]
-    q = lattice * np.arange(near.size + 1, m_terms + 1, dtype=float)
-    return np.concatenate([near, _hankel_sum(_bracket_coeffs(nu), 1, q)])
+    """bracket(lattice m) for m = 1..m_terms: a slice of the cached
+    :func:`_lattice_brackets` through the base range, built afresh beyond it."""
+    base = _lattice_brackets(nu, lattice)
+    if m_terms <= base.size:
+        return base[:m_terms]
+    return np.concatenate([base[: _near_range(nu, lattice)], _far_brackets(nu, lattice, m_terms)])
 
 
-def _tail_envelopes(b: np.ndarray, lam: float, m: int) -> np.ndarray:
-    """Entry K-1: |b_{K+1}| sum_{j>m} (lam j)^{-(K+3/2)} bounded by its
+_S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
+
+
+@functools.lru_cache(maxsize=1024)  # _ORDERS - 1 floats each
+def _tail_envelopes(nu: int, lattice: int, m: int) -> np.ndarray:
+    """Entry K-1: |b_{K+1}| sum_{j>m} (lattice j)^{-(K+3/2)} bounded by its
     integral, the first order dropped when orders 1..K are closed past m."""
     ks = np.arange(1, _ORDERS, dtype=float)
-    return np.abs(b[2:]) * (lam * m) ** -(ks + 1.5) * m / (ks + 0.5)
+    out = np.abs(_bracket_coeffs(nu)[2:]) * (float(lattice) * m) ** -(ks + 1.5) * m / (ks + 0.5)
+    out.flags.writeable = False
+    return out
+
+
+class _PowerTable:
+    """(lattice m)^{-s}, row k-1 for s = k + 1/2 and column m-1, for one lattice.
+
+    The table only grows, to the most orders and the largest base range
+    asked, so it holds at most 29 x 10,760 floats (2.5 MB, nu = 260 on
+    lattice 1).  Growth runs under a lock; readers slice whatever table is
+    current, and every table holds the same values where they overlap.
+    """
+
+    def __init__(self, lattice: int):
+        self.lattice = float(lattice)
+        self.table = np.empty((0, 0))
+        self._lock = threading.Lock()
+
+    def _build(self, orders: int, m_terms: int) -> np.ndarray:
+        return (self.lattice * np.arange(1, m_terms + 1, dtype=float)) ** -_S[:orders, None]
+
+    def powers(self, orders: int, m_terms: int, keep: bool) -> np.ndarray:
+        """Rows s = 3/2..orders + 1/2 and columns m = 1..m_terms.  A table too
+        small grows first when keep is set; otherwise the call builds its own."""
+        table = self.table
+        if table.shape[0] < orders or table.shape[1] < m_terms:
+            if not keep:
+                return self._build(orders, m_terms)
+            with self._lock:
+                table = self.table
+                shape = (max(orders, table.shape[0]), max(m_terms, table.shape[1]))
+                if shape != table.shape:
+                    table = self._build(*shape)
+                    table.flags.writeable = False
+                    self.table = table
+        # a C-ordered copy, laid out as a freshly built array: the matrix-vector
+        # product then sees the same operand as without the table
+        return np.ascontiguousarray(table[:orders, :m_terms])
+
+
+@functools.lru_cache(maxsize=8)  # the formulas use lattices 1 and 2
+def _power_table(lattice: int) -> _PowerTable:
+    return _PowerTable(lattice)
 
 
 def _trig(even_nu: bool, x: float, ms: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
+
+
+def _check_lattice_args(nu, lattice, max_terms) -> None:
+    if not isinstance(nu, (int, np.integer)) or nu < 1:
+        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
+    if not isinstance(lattice, (int, np.integer)) or lattice < 1:
+        raise ValueError(f"lattice must be a positive integer, got {lattice!r}")
+    if not max_terms >= 1:
+        raise ValueError(f"max_terms must be >= 1, got {max_terms!r}")
 
 
 def regularized_bracket_sum(
@@ -387,28 +503,33 @@ def regularized_bracket_sum(
 
     The reported bound is the dropped order plus the rounding of the
     explicit terms, of the closed differences and of the window (with its
-    remainder); SeriesConvergenceError is raised when it exceeds tol.  A
-    forced m_terms truncates at the smallest dropped order instead, closes
-    every order and never raises that.  ValueError is raised when a bracket
+    remainder); SeriesConvergenceError is raised unless it is at most tol.
+    A forced m_terms truncates at the smallest dropped order instead, closes
+    every order and never raises that.  ValueError is raised for nu or
+    lattice not a positive integer, max_terms < 1, and when a bracket
     exceeds the double range (from nu = 261 on the 4 pi m lattice).
     terms_used counts the m summed term by term, max(M, W).
+
+    Only the phases depend on x: the bracket values, the tail envelopes and
+    the powers (lattice m)^{-s} come from caches keyed by (nu, lattice),
+    (nu, lattice, M) and the lattice, and are the same arrays a call
+    without them would build.
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    _check_lattice_args(nu, lattice, max_terms)
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
         return SeriesResult(0.0, 0, 0.0, accelerated=True)
     b = _bracket_coeffs(nu)
     lam = float(lattice)
+    base = _base_range(nu, lattice)
     if m_terms is not None:
         M = max(int(m_terms), 1)
-        envelopes = _tail_envelopes(b, lam, M)
+        envelopes = _tail_envelopes(nu, lattice, M)
         K = int(np.argmin(envelopes)) + 1
     else:
-        cross = asymptotic_crossover(nu)
-        M = min(max(int(math.ceil(cross / (4.0 * pi * lam))) + 1, 8), max_terms)
+        M = min(base, max_terms)
         while True:
-            envelopes = _tail_envelopes(b, lam, M)
+            envelopes = _tail_envelopes(nu, lattice, M)
             below = np.flatnonzero(envelopes <= tol)
             if below.size or M >= max_terms:
                 break
@@ -416,14 +537,13 @@ def regularized_bracket_sum(
         K = int(below[0]) + 1 if below.size else int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)
-    q = lam * ms
     brackets = _bracket_values(nu, lattice, M)
     trig = _trig(even_nu, x, ms)
     explicit = chunked_fsum(brackets * trig)
     phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)
-    s = np.arange(1, K + 1) + 0.5
+    s = _S[:K]
     b_abs = np.abs(b[1 : K + 1])
-    powers = q ** -s[:, None]  # row k-1: (lattice m)^{-s}
+    powers = _power_table(lattice).powers(K, M, keep=M <= base)  # row k-1: (lattice m)^{-s}
     closed_err = b_abs * (_ZETA_EPS * lam**-s + powers @ phase)
     fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
     W, split, bound = M, K, fixed + float(closed_err.sum())
@@ -444,13 +564,13 @@ def regularized_bracket_sum(
     tail = 0.0
     if split:
         closed = periodic_zeta(x, split)[0 if even_nu else 1][1:] * lam**-s[:split]
-        partial = np.array([chunked_fsum(trig * row) for row in powers[:split]])
+        partial = _row_fsums(trig * powers[:split])
         tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
     if split < K:
         mw = np.arange(M + 1, W + 1, dtype=float)
         tail += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lam * mw))
     result = SeriesResult(explicit + tail, W, bound, accelerated=True)
-    if m_terms is None and bound > tol:
+    if m_terms is None and not bound <= tol:
         cause = (f"truncation term {truncation:.2e} at the {max_terms}-term budget"
                  if truncation > tol else f"rounding bound {bound - truncation:.2e}")
         raise SeriesConvergenceError(
@@ -480,7 +600,10 @@ def lattice_bessel_sum(
     zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that value's
     _ZETA_EPS.  For odd nu at x = 0 and 1/2 the sum is exactly 0.  Points
     0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
+    ValueError for nu, lattice or max_terms out of their domains, as in
+    :func:`regularized_bracket_sum`.
     """
+    _check_lattice_args(nu, lattice, max_terms)
     outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
     if nu % 2 and x in (0.0, 0.5):
         return SeriesResult(0.0, 0, 0.0, accelerated=True, outside_window=outside)

@@ -5,12 +5,14 @@ in extended precision with mpmath, Bernoulli numbers come from the
 Akiyama-Tanigawa triangle, modified Bernoulli numbers and Zagier
 polynomials are assembled term by term in `Fraction`s, trigonometric power
 sums are checked against the polylogarithm, and the algebraic g-series is
-summed term by term.
+summed term by term.  The regularized bracket sum is rebuilt from scratch
+on every call, without the library's caches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 from math import comb, factorial, fsum, pi, sin, sqrt
 
 import mpmath as mp
@@ -239,3 +241,119 @@ def bernoulli_fourier_eval(index: int, x: float, m_terms: int) -> float:
     trig = np.cos if index % 2 == 0 else np.sin
     series = trig(2.0 * pi * ms * x) / (2.0 * pi * ms) ** index
     return 2.0 * (-1.0) ** (index // 2 + 1) * factorial(index) * fsum(series.tolist())
+
+
+def uncached_periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """`series_engine.periodic_zeta` forming only the orders 0..k_max asked,
+    from the library's constant Wood tables."""
+    from zagier_kit.series_engine import _WOOD_TERMS, _wood_tables
+
+    zeta, eta, gamma_c, gamma_s, re, im = _wood_tables()
+    if x == 0.0:
+        return zeta[: k_max + 1, 0].copy(), np.zeros(k_max + 1)
+    t = 1.0 - x if x > 0.5 else x
+    if t <= 0.25:
+        a = 2.0 * pi * t
+        rows = zeta[: k_max + 1]
+        singular = a ** (np.arange(k_max + 1) - 0.5)
+        c = gamma_c[: k_max + 1] * singular
+        s = gamma_s[: k_max + 1] * singular
+    else:
+        a = pi * (2.0 * t - 1.0)
+        rows = -eta[: k_max + 1]
+        c = s = 0.0
+    powers = a ** np.arange(_WOOD_TERMS, dtype=float)
+    c = c + (rows * (powers * re)).sum(axis=1)
+    s = s + (rows * (powers * im)).sum(axis=1)
+    return c, -s if x > 0.5 else s
+
+
+def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 20000,
+                         lattice: int = 1, m_terms: int | None = None):
+    """The regularized bracket sum rebuilt from scratch on every call.
+
+    The same arithmetic as `series_engine.regularized_bracket_sum`, with the
+    bracket values, tail envelopes and powers (lattice m)^{-s} formed inside
+    the call instead of taken from the library's caches, so a cache that
+    hands out a wrong or stale slice shows as a difference in the last bit.
+    Returns (value, tail_bound, terms_used, raised).
+    """
+    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS, chunked_fsum
+    from zagier_kit.specfun import (ASYM_Z_MIN, _hankel_sum, _orders_sum, asymptotic_crossover,
+                                    bessel_Y01, bessel_Y_upward, hankel_lattice)
+
+    even_nu = nu % 2 == 0
+    if not even_nu and x == 0.0:
+        return 0.0, 0.0, 0, False
+    b = (-1.0) ** (nu // 2) * hankel_lattice(nu)[1]
+    b[0] = 0.0
+    lam = float(lattice)
+
+    def envelopes_at(m):
+        ks = np.arange(1, _ORDERS, dtype=float)
+        return np.abs(b[2:]) * (lam * m) ** -(ks + 1.5) * m / (ks + 0.5)
+
+    def trig_at(ms):
+        return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
+
+    if m_terms is not None:
+        M = max(int(m_terms), 1)
+        envelopes = envelopes_at(M)
+        K = int(np.argmin(envelopes)) + 1
+    else:
+        cross = asymptotic_crossover(nu)
+        M = min(max(int(math.ceil(cross / (4.0 * pi * lam))) + 1, 8), max_terms)
+        while True:
+            envelopes = envelopes_at(M)
+            below = np.flatnonzero(envelopes <= tol)
+            if below.size or M >= max_terms:
+                break
+            M = min(2 * M, max_terms)
+        K = int(below[0]) + 1 if below.size else int(np.argmin(envelopes)) + 1
+    truncation = float(envelopes[K - 1])
+    ms = np.arange(1, M + 1, dtype=float)
+    q = lam * ms
+    # bracket(lattice m): Y_0, Y_1 and the upward recurrence below the
+    # crossover, the power series in 1/q past it
+    near = int(asymptotic_crossover(nu) / (4.0 * pi * lattice))
+    qn = lattice * np.arange(1.0, near + 1.0)
+    z, root = 4.0 * pi * qn, np.sqrt(qn)
+    low = int(np.count_nonzero(z <= ASYM_Z_MIN))
+    y01 = np.empty((2, qn.size))
+    for i in range(low):
+        y01[:, i] = bessel_Y01(z[i])
+    y01[:, low:] = [_hankel_sum(hankel_lattice(k)[1], 0, qn[low:]) / pi for k in (0, 1)]
+    near_values = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
+    far_q = lattice * np.arange(near + 1, M + 1, dtype=float)
+    brackets = np.concatenate([near_values[:M], _hankel_sum(b, 1, far_q)])
+    trig = trig_at(ms)
+    explicit = chunked_fsum(brackets * trig)
+    phase = _EPS * (1.0 + 2.0 * pi * x * ms)
+    s = np.arange(1, K + 1) + 0.5
+    b_abs = np.abs(b[1 : K + 1])
+    powers = q ** -s[:, None]
+    closed_err = b_abs * (_ZETA_EPS * lam**-s + powers @ phase)
+    fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
+    W, split, bound = M, K, fixed + float(closed_err.sum())
+
+    def windowed(w):
+        err = (b_abs * lam**-s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
+               / (s - 1.0))
+        better = err < closed_err
+        k = 0 if better.all() else K - int(np.argmin(better[::-1]))
+        return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
+
+    if m_terms is None and bound > tol and M < max_terms and windowed(max_terms)[1] <= tol:
+        W = min(2 * M, max_terms)
+        while (found := windowed(W))[1] > tol:
+            W = min(2 * W, max_terms)
+        split, bound = found
+    tail = 0.0
+    if split:
+        closed = uncached_periodic_zeta(x, split)[0 if even_nu else 1][1:] * lam**-s[:split]
+        partial = np.array([chunked_fsum(trig * row) for row in powers[:split]])
+        tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
+    if split < K:
+        mw = np.arange(M + 1, W + 1, dtype=float)
+        tail += chunked_fsum(trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw))
+    return explicit + tail, bound, W, m_terms is None and bound > tol

@@ -3,7 +3,11 @@ against extended precision, bracket decay, and the acceleration contracts."""
 
 from __future__ import annotations
 
+import functools
 import math
+import random
+import sys
+import threading
 from math import pi, sqrt
 
 import mpmath as mp
@@ -14,7 +18,8 @@ from scipy import special as sp_special
 from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
-from conftest import g_sum_nsum_oracle, g_sum_plain_oracle, polylog_trig_oracle
+from conftest import (g_sum_nsum_oracle, g_sum_plain_oracle, polylog_trig_oracle, uncached_bracket_sum,
+                      uncached_periodic_zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +340,177 @@ def test_chunked_fsum_matches_fsum():
     rng = np.random.default_rng(7)
     arr = rng.standard_normal(10_000) * 10.0 ** rng.integers(-8, 8, size=10_000)
     assert se.chunked_fsum(arr) == math.fsum(arr.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the x-free caches: bit-identical to the uncached sum, in any order, across
+# threads, and bounded in what they keep
+# ---------------------------------------------------------------------------
+
+_GRID_NUS = tuple(range(1, 61)) + (120, 260)
+_GRID_TOLS = (1e-6, 1e-9, 1e-12, 1e-14)
+
+
+def _grid_cases(nus):
+    """(nu, x, tol, lattice, m_terms) over the pinned grid, nu in the given order.
+
+    Forced m_terms ignore tol; 3000 terms, the slow forced case, takes one
+    point per (nu, lattice)."""
+    rng = random.Random(20260418)
+    xs = (0.0, 0.25, 0.5, 1.0 / 3.0, rng.random(), rng.random())
+    for nu in nus:
+        for lattice in (1, 2):
+            for x in xs:
+                for tol in _GRID_TOLS:
+                    yield nu, x, tol, lattice, None
+                yield nu, x, 1e-9, lattice, 50
+            yield nu, xs[3], 1e-9, lattice, 3000
+
+
+def _library_sum(nu, x, tol, lattice, m_terms):
+    try:
+        res = se.regularized_bracket_sum(nu, x, tol=tol, lattice=lattice, m_terms=m_terms)
+        raised = False
+    except se.SeriesConvergenceError as err:
+        res, raised = err.best, True
+    return res.value, res.tail_bound, res.terms_used, raised
+
+
+@pytest.fixture(scope="module")
+def uncached_grid():
+    return {case: uncached_bracket_sum(*case[:2], tol=case[2], lattice=case[3], m_terms=case[4])
+            for case in _grid_cases(_GRID_NUS)}
+
+
+_CACHES = ("_bracket_coeffs", "_lattice_brackets", "_tail_envelopes", "_power_table",
+           "_periodic_zeta_rows")
+
+
+def _empty_caches(monkeypatch):
+    for name in _CACHES:
+        cached = getattr(se, name)
+        fresh = functools.lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+        monkeypatch.setattr(se, name, fresh)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty caches for one test; the module's own come back afterwards."""
+    _empty_caches(monkeypatch)
+
+
+@pytest.mark.parametrize("order", ("ascending", "descending", "scrambled"))
+def test_cached_bracket_sum_is_bit_identical_to_the_uncached_sum(order, uncached_grid, fresh_caches):
+    # value, tail_bound, terms_used and the raise decision, whichever nu
+    # grew the tables first
+    nus = list(_GRID_NUS)
+    if order == "descending":
+        nus.reverse()
+    elif order == "scrambled":
+        random.Random(7).shuffle(nus)
+    for case in _grid_cases(nus):
+        assert _library_sum(*case) == uncached_grid[case], case
+
+
+def test_lattice_sum_is_bit_identical_to_the_uncached_sums(uncached_grid):
+    # the regularizer's C_{1/2}, S_{1/2} come from the row the bracket sum formed
+    for (nu, x, tol, lattice, m_terms), (value, bound, terms, raised) in uncached_grid.items():
+        if raised or nu > 24 or (nu % 2 and x in (0.0, 0.5)):
+            continue
+        half = uncached_periodic_zeta(x, 0)[nu % 2][0]
+        got = se.lattice_bessel_sum(nu, x, tol=tol, lattice=lattice, m_terms=m_terms)
+        assert got.value == value - 0.5 * lattice**-0.5 * float(half), (nu, x, tol, lattice, m_terms)
+        assert got.terms_used == terms
+
+
+@pytest.mark.parametrize("k_max", (0, 1, 5, 29, 30))
+def test_periodic_zeta_entries_do_not_depend_on_k_max(k_max):
+    rng = random.Random(k_max)
+    for x in (0.0, 0.25, 0.5, 0.75, 1.0 / 3.0, *(rng.random() for _ in range(200))):
+        c, s = se.periodic_zeta(x, k_max)
+        ref_c, ref_s = uncached_periodic_zeta(x, k_max)
+        assert np.array_equal(c, ref_c) and np.array_equal(s, ref_s), x
+
+
+def test_cached_bracket_sum_under_threads(uncached_grid, monkeypatch):
+    # ten threads grow and slice the same tables at a tiny switch interval;
+    # every value stays exact and no table loses rows or columns
+    cases = [case for case in uncached_grid if case[0] <= 24 or case[0] == 120]
+    # each thread climbs in nu, so the tables grow while the others read them
+    samples = [sorted(random.Random(seed).sample(cases, 200), key=lambda case: case[0])
+               for seed in range(10)]
+    mismatches, errors, shrunk = [], [], []
+
+    def worker(sample):
+        seen = {1: (0, 0), 2: (0, 0)}
+        try:
+            for case in sample:
+                if _library_sum(*case) != uncached_grid[case]:
+                    mismatches.append(case)
+                for lattice, before in seen.items():
+                    now = seen[lattice] = se._power_table(lattice).table.shape
+                    if now[0] < before[0] or now[1] < before[1]:
+                        shrunk.append((lattice, before, now))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    _empty_caches(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(sample,)) for sample in samples]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and not mismatches and not shrunk, (errors, mismatches[:5], shrunk[:5])
+
+
+def test_kept_tables_stay_small(fresh_caches):
+    for nu in range(1, 122):
+        for lattice in (1, 2):
+            try:
+                se.lattice_bessel_sum(nu, 1.0 / 3.0, tol=1e-12, lattice=lattice)
+            except se.SeriesConvergenceError:
+                pass
+    tables = [se._power_table(lattice).table for lattice in (1, 2)]
+    kept = sum(table.nbytes for table in tables)
+    assert 0 < kept < 1 << 20
+    se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=100_000)
+    assert se._power_table(1).table is tables[0]
+    # the bracket cache holds the base range only, and every cache is bounded
+    assert se._lattice_brackets(4, 1).size == se._base_range(4, 1)
+    for name in _CACHES:
+        assert getattr(se, name).cache_info().maxsize is not None, name
+
+
+@pytest.mark.parametrize("fn", (se.regularized_bracket_sum, se.lattice_bessel_sum))
+@pytest.mark.parametrize("kwargs", (
+    {"lattice": 0}, {"lattice": -1}, {"lattice": 1.25}, {"lattice": 2.0},
+    {"nu": 0}, {"nu": -2}, {"nu": 4.0}, {"max_terms": 0}, {"max_terms": -5},
+))
+def test_lattice_sums_reject_bad_arguments(fn, kwargs):
+    args = {"nu": 4, "x": 0.3, **kwargs}
+    with pytest.raises(ValueError, match="nu|lattice|max_terms"):
+        fn(**args)
+
+
+def test_lattice_bessel_sum_checks_arguments_before_exact_zeros():
+    # odd nu at x = 0 and 1/2 returns 0 without summing; the arguments are checked first
+    assert se.lattice_bessel_sum(3, 0.5).value == 0.0
+    for kwargs in ({"lattice": 0}, {"max_terms": 0}):
+        with pytest.raises(ValueError):
+            se.lattice_bessel_sum(3, 0.5, **kwargs)
+
+
+def test_nan_bound_raises(monkeypatch):
+    # a NaN tolerance or a NaN bound cannot meet the tolerance
+    with pytest.raises(se.SeriesConvergenceError):
+        se.regularized_bracket_sum(4, 0.3, tol=float("nan"), max_terms=64)
+    monkeypatch.setattr(se, "_tail_envelopes", lambda nu, lattice, m: np.full(se._ORDERS - 1, np.nan))
+    with pytest.raises(se.SeriesConvergenceError) as err:
+        se.regularized_bracket_sum(4, 0.3)
+    assert math.isnan(err.value.best.tail_bound)
