@@ -291,14 +291,17 @@ def _converge_rows(series: str, n: int, x_text: str | None,
         raise ValueError(f"unknown series {series}")
     if nu < 1:
         raise ValueError("n must be nonnegative" if nu % 2 else "n must be positive")
+    # the sums first: past the double range they raise the engine's ValueError
+    # before the exact value meets its float conversion
+    sums = [series_engine.lattice_bessel_sum(nu, xf, m_terms=m).value for m in m_list]
     rest = formulas._formula_rest(nu, xf, 0.0, 1e-14)[0]
     if series == "zagier-number":
         exact = float(exact_core.modified_bernoulli(nu))
     else:  # the columns carry the Bessel sum alone
         exact, rest = float(exact_core.zagier_eval(nu, xq)) - rest, 0.0
     rows = []
-    for m in m_list:
-        accel = rest + series_engine.lattice_bessel_sum(nu, xf, m_terms=m).value
+    for m, bessel in zip(m_list, sums):
+        accel = rest + bessel
         if series == "zagier-number":
             # naive column: the explicit brackets and the closed regularizer, no tail correction
             brackets = series_engine._bracket_values(nu, 1, m)

@@ -84,8 +84,9 @@ def _cheb_rounding(k: int, t: float) -> float:
     return 10.0 * (k + 1) * _EPS / (1.0 - t * t)
 
 
-def _formula_rest(nu: int, x: float, head: float,
-                  g_tol: float) -> tuple[float, list[SeriesResult], float]:
+def _formula_rest(nu: int, x: float, head: float, g_tol: float,
+                  max_terms: int = series_engine.DEFAULT_MAX_TERMS,
+                  ) -> tuple[float, list[SeriesResult], float]:
     """head plus the non-Bessel part of the series formula for B_nu^*(x).
 
     For 0 < x < 1 that part is (1/4)[U_{nu-1} quadruple] + 2^{-(nu+1)}
@@ -93,17 +94,18 @@ def _formula_rest(nu: int, x: float, head: float,
     even nu, - for odd nu.  At x = 0 (even nu = 2n, the modified Bernoulli
     number) it is -n + sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n} / sqrt(m(m+4)).
     The formulas pass their Bessel sum as head, the convergence study passes
-    0.0, so both add the terms in the same order.  Also returns the sums'
+    0.0, so both add the terms in the same order.  The sums get the
+    caller's g_tol and max_terms.  Also returns the sums'
     bounds weighted by their coefficients plus the rounding of the Chebyshev
     values and of the assembly, to which the caller adds the bound of head.
     """
     if x == 0.0:
-        alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol)
+        alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol, max_terms=max_terms)
         value = head - nu // 2 + 2.0 ** -nu * alg.value
         return value, [alg], (2.0 ** -nu * alg.tail_bound
                               + 2.0 * _EPS * (abs(head) + nu // 2 + 2.0 ** -nu * alg.value))
-    gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol)
-    g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol)
+    gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol, max_terms=max_terms)
+    g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol, max_terms=max_terms)
     g = gx.value + g1x.value if nu % 2 == 0 else gx.value - g1x.value
     k, points = nu - 1, ((x + 1.0) / 2, x / 2, (x - 1.0) / 2, (x - 2.0) / 2)
     us = [specfun.chebyshev_U_value(k, t) for t in points]
@@ -133,7 +135,7 @@ def zagier_even_formula(
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
     bessel = series_engine.bessel_cos_series(n, xf, tol=tol, max_terms=max_terms)
-    value, g_meta, g_bound = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3)
+    value, g_meta, g_bound = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3, max_terms)
     exact = exact_core.zagier_eval(2 * n, xq) if xq is not None else None
     return _report(2 * n, xq if xq is not None else xf, exact, value,
                    [bessel, *g_meta], bessel.tail_bound + g_bound)
@@ -156,7 +158,7 @@ def zagier_odd_formula(
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
     bessel = series_engine.bessel_sin_series(n, xf, tol=tol, max_terms=max_terms)
-    value, g_meta, g_bound = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3)
+    value, g_meta, g_bound = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3, max_terms)
     exact = exact_core.zagier_eval(2 * n + 1, xq) if xq is not None else None
     return _report(2 * n + 1, xq if xq is not None else xf, exact, value,
                    [bessel, *g_meta], bessel.tail_bound + g_bound)
@@ -176,7 +178,7 @@ def zagier_number_formula(
     if n < 1:
         raise ValueError("n must be positive")
     bessel = series_engine.lattice_bessel_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
-    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, bessel.value, tol * 1e-3)
+    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, bessel.value, tol * 1e-3, max_terms)
     exact = exact_core.modified_bernoulli(2 * n)
     return _report(2 * n, Fraction(0), exact, value, [bessel, *alg_meta],
                    bessel.tail_bound + alg_bound)
@@ -199,7 +201,8 @@ def zagier_type_sum(
     bessel = series_engine.lattice_bessel_sum(
         2 * n, 0.0, tol=tol * 0.5, max_terms=max_terms, lattice=2
     )
-    alg = series_engine.conjugate_power_sum(5.0, float(n), 16.0, tol=tol * 1e-3)
+    alg = series_engine.conjugate_power_sum(5.0, float(n), 16.0, tol=tol * 1e-3,
+                                            max_terms=max_terms)
     k = 2 * n - 1
     u1, u3 = specfun.chebyshev_U_value(k, 0.25), specfun.chebyshev_U_value(k, 0.75)
     value = 2.0 * bessel.value - float(n) - 0.5 * (u1 + u3) + 2.0 ** (1 - 4 * n) * alg.value
@@ -212,40 +215,47 @@ def zagier_type_sum(
 
 
 def even_asymptotic(n: int, x: float) -> float:
-    """One-term large-n approximation of B_{2n}^*(x).
+    """One-term large-n approximation of B_{2n}^*(x), 0 <= x < 1 (:func:`_one_term`).
 
-    (-1)^n pi Y_{2n}(4 pi) cos(2 pi x); at x = 1/4 or 3/4 the first series
-    term vanishes and the 8 pi argument takes over with flipped sign.
-    x = 0 gives the plain modified-Bernoulli approximation.  Raises
-    ValueError when the value overflows a double (from index about 260 on).
+    x = 0 gives the plain modified-Bernoulli approximation.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= x < 1.0:
         raise ValueError("x must lie in [0, 1)")
-    if abs(x - 0.25) < 1e-12 or abs(x - 0.75) < 1e-12:
-        value = (-1.0) ** (n + 1) * pi * specfun.bessel_Y_int(2 * n, 8.0 * pi).value
-    else:
-        value = (-1.0) ** n * pi * specfun.bessel_Y_int(2 * n, 4.0 * pi).value * cos(2.0 * pi * x)
-    return _finite(value, 2 * n)
+    return _one_term(2 * n, x)
 
 
 def odd_asymptotic(n: int, x: float) -> float:
-    """One-term large-n approximation of B_{2n+1}^*(x), x != 1/2.
-
-    Raises ValueError when the value overflows a double.
-    """
+    """One-term large-n approximation of B_{2n+1}^*(x), 0 < x < 1, x != 1/2
+    (:func:`_one_term`)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    value = (-1.0) ** n * pi * specfun.bessel_Y_int(2 * n + 1, 4.0 * pi).value * sin(2.0 * pi * x)
-    return _finite(value, 2 * n + 1)
+    return _one_term(2 * n + 1, x)
 
 
-def _finite(value: float, index: int) -> float:
+def _one_term(nu: int, x: float) -> float:
+    """(-1)^{floor(nu/2)} pi Y_nu(4 pi) trig(2 pi x), the first term of the lattice
+    sum, cos for even nu and sin for odd nu.
+
+    Where that term vanishes for even nu (x = 1/4, 3/4) the 8 pi term takes
+    over with flipped sign.  For odd nu at x = 1/2 every sine term vanishes,
+    so there is no one-term value: ValueError, as when the value overflows a
+    double (from index about 260 on).
+    """
+    sign = (-1.0) ** (nu // 2)
+    if nu % 2 == 0 and (abs(x - 0.25) < 1e-12 or abs(x - 0.75) < 1e-12):
+        value = -sign * pi * specfun.bessel_Y_int(nu, 8.0 * pi).value
+    elif nu % 2 and abs(x - 0.5) < 1e-12:
+        raise ValueError(f"the one-term asymptotic of B_{nu}^*(x) does not exist at x = 1/2, "
+                         f"where every sine term vanishes")
+    else:
+        trig = cos if nu % 2 == 0 else sin
+        value = sign * pi * specfun.bessel_Y_int(nu, 4.0 * pi).value * trig(2.0 * pi * x)
     if not math.isfinite(value):
-        raise ValueError(f"the one-term asymptotic of B_{index}^*(x) exceeds the double range")
+        raise ValueError(f"the one-term asymptotic of B_{nu}^*(x) exceeds the double range")
     return value
 
 
@@ -290,24 +300,26 @@ def _fourier_pair(profile, n: int, m: int) -> tuple[float, float]:
     return math.fsum(vals.tolist()), 2.0 * math.fsum((vals * np.cos(2.0 * pi * m * t)).tolist())
 
 
-def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
-    """Quadrature Fourier cosine coefficient of the arccos-Chebyshev profile
-    against P_{2n}(4 pi m); the constant term must vanish."""
+def _fourier_check(profile, reference, constant: str, n: int, m: int) -> EvalReport:
+    """The m-th quadrature Fourier cosine coefficient of profile against
+    reference(2n, 4 pi m); the constant term, under extras[constant], must vanish."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    a0, am = _fourier_pair(_lemma_P_profile, n, m)
-    ref = specfun.P_func(2 * n, 4.0 * pi * m).value
-    return _report(n, float(m), None, am, [], reference=ref, extras={"a0": a0})
+    c0, cm = _fourier_pair(profile, n, m)
+    ref = reference(2 * n, 4.0 * pi * m).value
+    return _report(n, float(m), None, cm, [], reference=ref, extras={constant: c0})
+
+
+def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
+    """Quadrature Fourier cosine coefficient of the arccos-Chebyshev profile
+    against P_{2n}(4 pi m); the constant term a0 must vanish."""
+    return _fourier_check(_lemma_P_profile, specfun.P_func, "a0", n, m)
 
 
 def fourier_coeff_dJ_check(n: int, m: int) -> EvalReport:
     """Quadrature Fourier cosine coefficient of the arcsin-Chebyshev/g profile
-    against the order derivative of J at nu = 2n; constant term must vanish."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    b0, bm = _fourier_pair(_lemma_dJ_profile, n, m)
-    ref = specfun.dJ_dnu_at_int(2 * n, 4.0 * pi * m).value
-    return _report(n, float(m), None, bm, [], reference=ref, extras={"b0": b0})
+    against the order derivative of J at nu = 2n; the constant term b0 must vanish."""
+    return _fourier_check(_lemma_dJ_profile, specfun.dJ_dnu_at_int, "b0", n, m)
 
 
 # ---------------------------------------------------------------------------

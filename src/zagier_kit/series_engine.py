@@ -20,9 +20,10 @@ bit for bit.
 In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
 is built once and cached, and every cached array is the one a call would
 otherwise build, so no value changes:
-  * the bracket values through the base explicit range, per (nu, lattice)
-    (:func:`_lattice_brackets`, 512 entries of at most 10,760 floats);
-  * the tail envelopes, per (nu, lattice, M) (1,024 entries of 29 floats);
+  * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
+    coefficients b_k, the bracket values through the base explicit range M0
+    (at most 10,760 floats) and the tail envelopes at M0 (29 floats);
+    envelopes at any other M are formed by the call that needs them;
   * the powers (lattice m)^{-(k+1/2)}, one table per lattice whatever nu
     (:class:`_PowerTable`, 8 lattices), grown to the most orders and the
     largest base range asked (at most 29 x 10,760 floats, 2.5 MB, at
@@ -44,7 +45,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .specfun import (ASYM_Z_MIN, HANKEL_ORDERS, _hankel_sum, _orders_sum, asymptotic_crossover,
-                      bessel_Y01, bessel_Y_int, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
+                      bessel_Y01, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
 
 __all__ = [
     "SeriesResult",
@@ -90,7 +91,6 @@ class SeriesResult:
     value: float
     terms_used: int
     tail_bound: float
-    accelerated: bool
     outside_window: bool = False
 
     def __float__(self) -> float:
@@ -263,7 +263,6 @@ def conjugate_power_sum(
     csq: float,
     tol: float = 1e-12,
     max_terms: int = DEFAULT_MAX_TERMS,
-    prefix: int | None = None,
 ) -> SeriesResult:
     """sum_{j>=0} f(a0 + j) with f(A) = (A - sqrt(A^2-csq))^{2r}/sqrt(A^2-csq).
 
@@ -272,16 +271,16 @@ def conjugate_power_sum(
     (A - sqrt(A^2-csq))^{2r}/(2r).  The prefix is the smallest power of two
     >= 8 whose next Euler-Maclaurin correction is <= tol, at most
     max_terms; SeriesConvergenceError is raised if that correction still
-    exceeds tol there.  A forced prefix is used as given and never raises.
-    The reported bound adds the rounding of the terms, at least 1e-16, to
-    that correction; the rounding drives neither the prefix nor the raise.
+    exceeds tol there.  The reported bound adds the rounding of the terms,
+    at least 1e-16, to that correction; the rounding drives neither the
+    prefix nor the raise.
     """
     if r < 0.5:
         raise ValueError("exponent r must be >= 1/2 for a usable tail bound")
-    return _conjugate_sum(a0 - sqrt(csq), r, sqrt(csq), tol, max_terms, prefix)
+    return _conjugate_sum(a0 - sqrt(csq), r, sqrt(csq), tol, max_terms)
 
 
-def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS, prefix=None):
+def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS):
     """:func:`conjugate_power_sum` at a0 = c + gap, any r > 0: each A^2 - c^2 is
     formed as (A - c)(A + c) from the gap, so a small gap keeps its digits."""
     if gap <= 0.0:
@@ -293,15 +292,12 @@ def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS, prefix=Non
         a_end = a0 + n
         return _conj_f(a_end, r, csq)[0] * (2.0 * r + 3.0) ** 3 / (720.0 * a_end * a_end)
 
-    if prefix is not None:
-        n_direct = min(prefix, max_terms)
-    else:
-        # start from where the large-A form f ~ (csq/2A)^{2r}/A puts the
-        # correction at tol; f lies above that form, so only doubling remains
-        a_tol = ((csq / 2.0) ** (2.0 * r) * (2.0 * r + 3.0) ** 3 / (720.0 * tol)) ** (1.0 / (2.0 * r + 3.0))
-        n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), max_terms)
-        while correction(n_direct) > tol and n_direct < max_terms:
-            n_direct = min(2 * n_direct, max_terms)
+    # start from where the large-A form f ~ (csq/2A)^{2r}/A puts the
+    # correction at tol; f lies above that form, so only doubling remains
+    a_tol = ((csq / 2.0) ** (2.0 * r) * (2.0 * r + 3.0) ** 3 / (720.0 * tol)) ** (1.0 / (2.0 * r + 3.0))
+    n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), max_terms)
+    while correction(n_direct) > tol and n_direct < max_terms:
+        n_direct = min(2 * n_direct, max_terms)
     gaps = gap + np.arange(n_direct, dtype=float)
     roots = np.sqrt(gaps * (gaps + 2.0 * c))
     w = csq / (c + gaps + roots)  # A - sqrt(A^2 - csq)
@@ -312,8 +308,8 @@ def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS, prefix=Non
     value = head + integral + 0.5 * f_end - fp_end / 12.0
     truncation = correction(n_direct)
     rounding = 1e-16 + _EPS * (2.0 * r + 1.0) * head  # ~2r+1 roundings per term
-    result = SeriesResult(value, n_direct, truncation + rounding, accelerated=True)
-    if prefix is None and truncation > tol:
+    result = SeriesResult(value, n_direct, truncation + rounding)
+    if truncation > tol:
         raise SeriesConvergenceError(
             f"conjugate_power_sum: Euler-Maclaurin correction {truncation:.2e} exceeds "
             f"tol {tol:.2e} at the {max_terms}-term budget",
@@ -325,101 +321,103 @@ def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS, prefix=Non
 def g_tail_sum(
     r: float,
     x: float,
-    start_m: int = 1,
     tol: float = 1e-12,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> SeriesResult:
-    """sum_{m >= start_m} g(m, r, x).
+    """sum_{m >= 1} g(m, r, x); the sum from m = k is g_tail_sum(r, x + k - 1).
 
     A short prefix is closed by the Euler-Maclaurin tail, which is what
     makes the r = 1/2 exponent affordable.  It runs on the gap A - 2 = m - 1 + x.
     """
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
-    return _conjugate_sum(start_m - 1.0 + x, r, 2.0, tol, max_terms)
+    return _conjugate_sum(x, r, 2.0, tol, max_terms)
 
 
 # ---------------------------------------------------------------------------
 # regularized Bessel sums
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=512)
-def _bracket_coeffs(nu: int) -> np.ndarray:
-    """b_0..b_ORDERS with bracket(q) ~ sum_k b_k q^{-(k+1/2)} past the crossover.
+@dataclass(frozen=True)
+class _Plan:
+    """The x-free part of the lattice sum for one (nu, lattice)."""
+
+    b: np.ndarray          # b_0..b_ORDERS of bracket(q) ~ sum_k b_k q^{-(k+1/2)}, b_0 = 0
+    near: int              # the last m with 4 pi lattice m at or below the crossover
+    brackets: np.ndarray   # bracket(lattice m) for m = 1..M0, the base explicit range
+    envelopes: np.ndarray  # :func:`_envelopes` at M0
+
+
+@functools.lru_cache(maxsize=512)  # at most 10,760 brackets each (nu = 260, lattice 1)
+def _plan(nu: int, lattice: int) -> _Plan:
+    """The coefficients, ranges, brackets and tail envelopes of one (nu, lattice).
 
     bracket(q) = (-1)^{floor(nu/2)} pi Y_nu(4 pi q) + 1/(2 sqrt(q)), so b is
     (-1)^{floor(nu/2)} d^Y of :func:`specfun.hankel_lattice` with b_0 = 0:
-    the regularizer cancels the order-0 term -1/(2 sqrt(q)).
+    the regularizer cancels the order-0 term -1/(2 sqrt(q)).  M0 =
+    max(ceil(crossover/(4 pi lattice)) + 1, 8) is the explicit range of every
+    call that neither forces m_terms nor has to double it.  Up to the
+    crossover Y_0, Y_1 (:func:`_lattice_y01`) are carried up to Y_nu; past
+    it the bracket is its power series in 1/q, no trig of large arguments.
+    ValueError when the first, largest bracket exceeds the double range.
     """
+    cross = asymptotic_crossover(nu) / (4.0 * pi * lattice)
+    near, base = int(cross), max(int(math.ceil(cross)) + 1, 8)
+    # the first, largest term in floats first: past the double range nothing
+    # of size near (which grows like nu^2) is built
+    y0, y1 = _lattice_y01(np.array([float(lattice)]))[:, 0].tolist()
+    if not math.isfinite(pi * bessel_Y_upward(nu, 4.0 * pi * lattice, y0, y1)):
+        raise ValueError(f"the Bessel term Y_{nu}({4 * lattice} pi) exceeds the double range")
     b = (-1.0) ** (nu // 2) * hankel_lattice(nu)[1]
     b[0] = 0.0
-    b.flags.writeable = False
-    return b
+    q = lattice * np.arange(1.0, near + 1.0)
+    y_nu = bessel_Y_upward(nu, 4.0 * pi * q, *_lattice_y01(q))
+    brackets = np.concatenate([(-1.0) ** (nu // 2) * pi * y_nu + 0.5 / np.sqrt(q),
+                               _far_brackets(b, near, lattice, base)])
+    plan = _Plan(b, near, brackets, _envelopes(b, lattice, base))
+    for array in (plan.b, plan.brackets, plan.envelopes):
+        array.flags.writeable = False
+    return plan
 
 
-def _base_range(nu: int, lattice: int) -> int:
-    """M0 = max(ceil(crossover/(4 pi lattice)) + 1, 8): the explicit range of every
-    call that neither forces m_terms nor has to double it."""
-    return max(int(math.ceil(asymptotic_crossover(nu) / (4.0 * pi * float(lattice)))) + 1, 8)
-
-
-def _near_range(nu: int, lattice: int) -> int:
-    """The last m with 4 pi lattice m at or below the crossover."""
-    return int(asymptotic_crossover(nu) / (4.0 * pi * lattice))
-
-
-@functools.lru_cache(maxsize=512)  # at most 10,760 floats each (nu = 260, lattice 1)
-def _lattice_brackets(nu: int, lattice: int) -> np.ndarray:
-    """bracket(lattice m) for m = 1.._base_range(nu, lattice).
-
-    Up to the crossover Y_0, Y_1 come from :func:`specfun.bessel_Y01` up to
-    z = 40 and from their lattice series d^Y beyond, carried up to Y_nu; past
-    it the bracket is its power series in 1/q, no trig of large arguments.
-    ValueError past the double range.
-    """
-    if not math.isfinite(pi * bessel_Y_int(nu, 4.0 * pi * lattice).value):  # largest at m = 1
-        raise ValueError(f"the Bessel term Y_{nu}({4 * lattice} pi) exceeds the double range")
-    q = lattice * np.arange(1.0, _near_range(nu, lattice) + 1.0)
-    z, root = 4.0 * pi * q, np.sqrt(q)
+def _lattice_y01(q: np.ndarray) -> np.ndarray:
+    """Rows Y_0, Y_1 at z = 4 pi q for ascending lattice points q at or below the
+    crossover: :func:`specfun.bessel_Y01` up to z = 40, their lattice series d^Y
+    beyond."""
+    z = 4.0 * pi * q
     low = int(np.count_nonzero(z <= ASYM_Z_MIN))
     y01 = np.empty((2, q.size))
     for i in range(low):
         y01[:, i] = bessel_Y01(z[i])
     y01[:, low:] = [_hankel_sum(hankel_lattice(k)[1], 0, q[low:]) / pi for k in (0, 1)]
-    near = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
-    out = np.concatenate([near, _far_brackets(nu, lattice, _base_range(nu, lattice))])
-    out.flags.writeable = False
-    return out
+    return y01
 
 
-def _far_brackets(nu: int, lattice: int, m_terms: int) -> np.ndarray:
-    """bracket(lattice m) past the crossover up to m_terms, from its power series
-    in 1/q; the orders summed are set by the first m past the crossover, so
-    every value is the same whatever m_terms."""
-    q = lattice * np.arange(_near_range(nu, lattice) + 1, m_terms + 1, dtype=float)
-    return _hankel_sum(_bracket_coeffs(nu), 1, q)
+def _far_brackets(b: np.ndarray, near: int, lattice: int, m_terms: int) -> np.ndarray:
+    """bracket(lattice m) for m = near+1..m_terms, from its power series in 1/q;
+    the orders summed are set by the first m past the crossover, so every
+    value is the same whatever m_terms."""
+    return _hankel_sum(b, 1, lattice * np.arange(near + 1, m_terms + 1, dtype=float))
 
 
 def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
-    """bracket(lattice m) for m = 1..m_terms: a slice of the cached
-    :func:`_lattice_brackets` through the base range, built afresh beyond it."""
-    base = _lattice_brackets(nu, lattice)
-    if m_terms <= base.size:
-        return base[:m_terms]
-    return np.concatenate([base[: _near_range(nu, lattice)], _far_brackets(nu, lattice, m_terms)])
+    """bracket(lattice m) for m = 1..m_terms: a slice of the plan's brackets
+    through the base range, built afresh beyond it."""
+    plan = _plan(nu, lattice)
+    if m_terms <= plan.brackets.size:
+        return plan.brackets[:m_terms]
+    far = _far_brackets(plan.b, plan.near, lattice, m_terms)
+    return np.concatenate([plan.brackets[: plan.near], far])
 
 
-_S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
-
-
-@functools.lru_cache(maxsize=1024)  # _ORDERS - 1 floats each
-def _tail_envelopes(nu: int, lattice: int, m: int) -> np.ndarray:
+def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
     """Entry K-1: |b_{K+1}| sum_{j>m} (lattice j)^{-(K+3/2)} bounded by its
     integral, the first order dropped when orders 1..K are closed past m."""
     ks = np.arange(1, _ORDERS, dtype=float)
-    out = np.abs(_bracket_coeffs(nu)[2:]) * (float(lattice) * m) ** -(ks + 1.5) * m / (ks + 0.5)
-    out.flags.writeable = False
-    return out
+    return np.abs(b[2:]) * (float(lattice) * m) ** -(ks + 1.5) * m / (ks + 0.5)
+
+
+_S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
 
 
 class _PowerTable:
@@ -510,26 +508,30 @@ def regularized_bracket_sum(
     exceeds the double range (from nu = 261 on the 4 pi m lattice).
     terms_used counts the m summed term by term, max(M, W).
 
-    Only the phases depend on x: the bracket values, the tail envelopes and
-    the powers (lattice m)^{-s} come from caches keyed by (nu, lattice),
-    (nu, lattice, M) and the lattice, and are the same arrays a call
-    without them would build.
+    Only the phases depend on x: the bracket values and the tail envelopes
+    come from the :func:`_plan` of (nu, lattice), the powers (lattice m)^{-s}
+    from one table per lattice, and both are the same arrays a call without
+    them would build.
     """
     _check_lattice_args(nu, lattice, max_terms)
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
-        return SeriesResult(0.0, 0, 0.0, accelerated=True)
-    b = _bracket_coeffs(nu)
+        return SeriesResult(0.0, 0, 0.0)
+    plan = _plan(nu, lattice)
+    b, base = plan.b, plan.brackets.size
     lam = float(lattice)
-    base = _base_range(nu, lattice)
+
+    def envelopes_at(m: int) -> np.ndarray:
+        return plan.envelopes if m == base else _envelopes(b, lattice, m)
+
     if m_terms is not None:
         M = max(int(m_terms), 1)
-        envelopes = _tail_envelopes(nu, lattice, M)
+        envelopes = envelopes_at(M)
         K = int(np.argmin(envelopes)) + 1
     else:
         M = min(base, max_terms)
         while True:
-            envelopes = _tail_envelopes(nu, lattice, M)
+            envelopes = envelopes_at(M)
             below = np.flatnonzero(envelopes <= tol)
             if below.size or M >= max_terms:
                 break
@@ -569,7 +571,7 @@ def regularized_bracket_sum(
     if split < K:
         mw = np.arange(M + 1, W + 1, dtype=float)
         tail += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lam * mw))
-    result = SeriesResult(explicit + tail, W, bound, accelerated=True)
+    result = SeriesResult(explicit + tail, W, bound)
     if m_terms is None and not bound <= tol:
         cause = (f"truncation term {truncation:.2e} at the {max_terms}-term budget"
                  if truncation > tol else f"rounding bound {bound - truncation:.2e}")
@@ -606,11 +608,10 @@ def lattice_bessel_sum(
     _check_lattice_args(nu, lattice, max_terms)
     outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
     if nu % 2 and x in (0.0, 0.5):
-        return SeriesResult(0.0, 0, 0.0, accelerated=True, outside_window=outside)
+        return SeriesResult(0.0, 0, 0.0, outside_window=outside)
     reg = regularized_bracket_sum(nu, x, tol, max_terms, lattice, m_terms)
     return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
-                        reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, accelerated=True,
-                        outside_window=outside)
+                        reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, outside_window=outside)
 
 
 def bessel_cos_series(

@@ -22,8 +22,6 @@ from typing import Literal
 
 import numpy as np
 
-from .exact_core import bernoulli_number
-
 __all__ = [
     "EvalResult",
     "QuadratureError",
@@ -57,6 +55,8 @@ ASYM_NU_FACTOR = 2.0
 HANKEL_ORDERS = 30
 
 DEFAULT_PANEL_LIMIT = 500_000
+
+_B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
 
 
 class QuadratureError(RuntimeError):
@@ -314,7 +314,7 @@ def hurwitz_zeta(s: float, x: float) -> float:
     poch = s
     fac = a ** (-s - 1.0)
     for j in range(1, j_corr + 1):
-        parts.append(float(bernoulli_number(2 * j)) / math.factorial(2 * j) * poch * fac)
+        parts.append(_B2J[j - 1] / math.factorial(2 * j) * poch * fac)
         poch *= (s + 2 * j - 1.0) * (s + 2 * j)
         fac /= a * a
     return math.fsum(parts)
@@ -330,7 +330,7 @@ def hurwitz_zeta_half(x: float) -> EvalResult:
     poch = 0.5
     for i in range(1, 7):
         poch *= 0.5 + i
-    omitted = abs(float(bernoulli_number(8))) / math.factorial(8) * poch * a ** (-7.5)
+    omitted = abs(_B2J[3]) / math.factorial(8) * poch * a ** (-7.5)
     return EvalResult(val, omitted + 60 * 2.3e-16, "series")
 
 

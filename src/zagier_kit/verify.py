@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from functools import partial
 from math import pi, sqrt
 
 import numpy as np
@@ -44,65 +45,33 @@ def _check(identity: str, case: str, value: float, expected: float,
     return CheckResult(identity, case, value, expected, err, tolerance, err < tolerance)
 
 
-def _suite_thm12(n_max: int = 5, tol: float = 1e-7, **_) -> list[CheckResult]:
+def _formula_suite(identity: str, formula: str, first: int, points: tuple,
+                   n_max: int, tol: float = 1e-7, **_) -> list[CheckResult]:
+    """The series formula of that name in `formulas` at n = first..n_max and each
+    point against its exact value; points is X_GRID for the formulas that take
+    x, else ((),).  The name is looked up per call, so a profiler that rebinds
+    the module attribute sees every call."""
     out = []
-    for n in range(1, n_max + 1):
-        for x in X_GRID:
-            rep = formulas.zagier_even_formula(n, x)
-            out.append(_check("thm12", f"n={n} x={x}", rep.formula_value,
-                              float(rep.exact), tol))
+    for n in range(first, n_max + 1):
+        for x in points:
+            rep = getattr(formulas, formula)(n, *x)
+            case = f"n={n} x={x[0]}" if x else f"n={n}"
+            out.append(_check(identity, case, rep.formula_value, float(rep.exact), tol))
     return out
 
 
-def _suite_thm13(n_max: int = 5, tol: float = 1e-7, **_) -> list[CheckResult]:
-    out = []
-    for n in range(0, n_max + 1):
-        for x in X_GRID:
-            rep = formulas.zagier_odd_formula(n, x)
-            out.append(_check("thm13", f"n={n} x={x}", rep.formula_value,
-                              float(rep.exact), tol))
-    return out
-
-
-def _suite_zagier_sum(n_max: int = 8, tol: float = 1e-7, **_) -> list[CheckResult]:
-    out = []
-    for n in range(1, n_max + 1):
-        rep = formulas.zagier_number_formula(n)
-        out.append(_check("zagier-sum", f"n={n}", rep.formula_value,
-                          float(rep.exact), tol))
-    return out
-
-
-def _suite_thm15(n_max: int = 5, tol: float = 1e-7, **_) -> list[CheckResult]:
-    out = []
-    for n in range(1, n_max + 1):
-        rep = formulas.zagier_type_sum(n)
-        out.append(_check("thm15", f"n={n}", rep.formula_value,
-                          float(rep.exact), tol))
-    return out
-
-
-def _suite_lemma33(tol: float = 1e-8, **_) -> list[CheckResult]:
+def _lemma_suite(identity: str, check: str, constant: str, tol: float,
+                 constant_tol: float, **_) -> list[CheckResult]:
+    """The Fourier-coefficient check of that name in `formulas` at n, m in {1, 2}
+    against its reference, and the constant term against 0 once per n."""
     out = []
     for n in (1, 2):
         for m in (1, 2):
-            rep = formulas.fourier_coeff_P_check(n, m)
-            out.append(_check("lemma33", f"n={n} m={m}", rep.formula_value,
-                              rep.reference, tol))
+            rep = getattr(formulas, check)(n, m)
+            out.append(_check(identity, f"n={n} m={m}", rep.formula_value, rep.reference, tol))
             if m == 1:
-                out.append(_check("lemma33", f"n={n} a0", rep.extras["a0"], 0.0, 1e-10))
-    return out
-
-
-def _suite_lemma34(tol: float = 1e-7, **_) -> list[CheckResult]:
-    out = []
-    for n in (1, 2):
-        for m in (1, 2):
-            rep = formulas.fourier_coeff_dJ_check(n, m)
-            out.append(_check("lemma34", f"n={n} m={m}", rep.formula_value,
-                              rep.reference, tol))
-            if m == 1:
-                out.append(_check("lemma34", f"n={n} b0", rep.extras["b0"], 0.0, 1e-9))
+                out.append(_check(identity, f"n={n} {constant}", rep.extras[constant], 0.0,
+                                  constant_tol))
     return out
 
 
@@ -225,13 +194,18 @@ def _suite_reflection(n_max: int = 20, **_) -> list[CheckResult]:
     return out
 
 
+_EACH_X = tuple((x,) for x in X_GRID)
+
 IDENTITIES = {
-    "thm12": _suite_thm12,
-    "thm13": _suite_thm13,
-    "zagier-sum": _suite_zagier_sum,
-    "thm15": _suite_thm15,
-    "lemma33": _suite_lemma33,
-    "lemma34": _suite_lemma34,
+    "thm12": partial(_formula_suite, "thm12", "zagier_even_formula", 1, _EACH_X, n_max=5),
+    "thm13": partial(_formula_suite, "thm13", "zagier_odd_formula", 0, _EACH_X, n_max=5),
+    "zagier-sum": partial(_formula_suite, "zagier-sum", "zagier_number_formula", 1, ((),),
+                          n_max=8),
+    "thm15": partial(_formula_suite, "thm15", "zagier_type_sum", 1, ((),), n_max=5),
+    "lemma33": partial(_lemma_suite, "lemma33", "fourier_coeff_P_check", "a0",
+                       tol=1e-8, constant_tol=1e-10),
+    "lemma34": partial(_lemma_suite, "lemma34", "fourier_coeff_dJ_check", "b0",
+                       tol=1e-7, constant_tol=1e-9),
     "integral-id": _suite_integral_id,
     "form-s1": _suite_form_s1,
     "poisson-series": _suite_poisson,

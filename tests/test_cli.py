@@ -371,6 +371,14 @@ def test_run_config_validation():
      "n must be nonnegative"),
     *[(("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", m), None,
        "bad --m-list") for m in ("10,,20", "10,0")],
+    (("converge", "--series", "bessel-sin", "--n", "130", "--x", "1/3"), None,
+     "Y_261(4 pi) exceeds the double range"),
+    (("converge", "--series", "bessel-cos", "--n", "131", "--x", "1/3"), None,
+     "Y_262(4 pi) exceeds the double range"),
+    (("converge", "--series", "zagier-number", "--n", "131"), None,
+     "Y_262(4 pi) exceeds the double range"),
+    (("eval", "--n", "201", "--x", "1/2", "--method", "asymptotic"), None,
+     "does not exist at x = 1/2"),
 ], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key", "bad-format",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
         "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
@@ -380,7 +388,9 @@ def test_run_config_validation():
         "n-max-lemma33", "n-max-lemma34", "n-max-integral-id", "n-max-form-s1",
         "n-max-poisson-series", "n-max-series-007", "n-max-telescope",
         "table-end-before-start", "table-step-negative", "table-step-0", "converge-number-n-0",
-        "converge-cos-n-0", "converge-sin-n-negative", "m-list-empty-token", "m-list-zero"])
+        "converge-cos-n-0", "converge-sin-n-negative", "m-list-empty-token", "m-list-zero",
+        "converge-sin-overflow", "converge-cos-overflow", "converge-number-overflow",
+        "odd-asymptotic-at-half"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_clean_failures_exit_2(tmp_path, capsys, argv, config, needle):
     argv = [a.replace("{missing}", str(tmp_path / "missing.conf")) for a in argv]

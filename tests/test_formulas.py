@@ -102,7 +102,7 @@ def test_zagier_number_component_consistency():
         limit_form = se.g_tail_sum(float(n), 1.0 - 1e-9).value
         number_form = se.conjugate_power_sum(3.0, float(n), 4.0).value
         assert abs(limit_form - number_form) < 1e-6
-        shifted = se.g_tail_sum(float(n), 1e-12, start_m=2).value
+        shifted = se.g_tail_sum(float(n), 1.0 + 1e-12).value  # from m = 2 at x = 1e-12
         assert abs(shifted - number_form) < 1e-6
 
 
@@ -256,3 +256,19 @@ def test_tail_bound_covers_abs_error(n):
         reports += [fm.zagier_even_formula(n, x), fm.zagier_odd_formula(n, x)]
     for rep in reports:
         assert rep.abs_error <= rep.tail_bound, (rep.n, rep.x, rep.abs_error, rep.tail_bound)
+
+
+@pytest.mark.parametrize("max_terms", (1, 8, 64, 512, 4096))
+def test_no_component_runs_past_max_terms(max_terms):
+    # the budget reaches the Bessel sum and the algebraic sums alike
+    calls = [lambda: fm.zagier_even_formula(8, "1/3", max_terms=max_terms),
+             lambda: fm.zagier_odd_formula(7, "2/7", max_terms=max_terms),
+             lambda: fm.zagier_number_formula(8, max_terms=max_terms),
+             lambda: fm.zagier_type_sum(8, max_terms=max_terms)]
+    for call in calls:
+        try:
+            rep = call()
+        except se.SeriesConvergenceError as err:
+            assert err.best.terms_used <= max_terms
+            continue
+        assert all(meta.terms_used <= max_terms for meta in rep.series_meta), rep.series_meta
