@@ -6,6 +6,11 @@ outside the double range, 3 series non-convergence.  Output is
 deterministic: floats are printed with 17 significant digits, CSV uses '.'
 decimals, JSON arrays keep a fixed field order, and table rows follow the
 input order.
+
+Only the exact core is imported at load time; a command imports the numeric
+modules (and numpy) when it evaluates a series formula, an asymptotic, a
+convergence study or an identity suite, so the exact methods start without
+them.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
-from . import exact_core, formulas, series_engine, verify
-from .series_engine import SeriesConvergenceError
+from . import exact_core
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,6 +35,11 @@ ENV_CACHE = "ZAGIER_CACHE"
 
 EVAL_METHODS = ("exact", "even-formula", "odd-formula", "zagier-number",
                 "zagier-type", "asymptotic")
+
+# sorted(verify.IDENTITIES), spelled out so that parsing imports no numeric module
+IDENTITY_NAMES = ("denominators", "form-s1", "integral-id", "lemma33", "lemma34",
+                  "poisson-series", "reflection", "series-007", "shift", "telescope",
+                  "thm12", "thm13", "thm15", "zagier-sum")
 
 
 @dataclass(frozen=True)
@@ -142,12 +151,12 @@ def _emit_rows(rows: list[dict], columns: list[str], cfg: RunConfig,
             stream.write("  ".join(fmt(row.get(c)).ljust(widths[c]) for c in columns).rstrip() + "\n")
 
 
-# series formula -> (evaluator, parity of the index n, whether it takes --x)
+# series formula -> (evaluator in `formulas`, parity of the index n, whether it takes --x)
 FORMULAS = {
-    "even-formula": (formulas.zagier_even_formula, 0, True),
-    "odd-formula": (formulas.zagier_odd_formula, 1, True),
-    "zagier-number": (formulas.zagier_number_formula, 0, False),
-    "zagier-type": (formulas.zagier_type_sum, 0, False),
+    "even-formula": ("zagier_even_formula", 0, True),
+    "odd-formula": ("zagier_odd_formula", 1, True),
+    "zagier-number": ("zagier_number_formula", 0, False),
+    "zagier-type": ("zagier_type_sum", 0, False),
 }
 
 
@@ -167,8 +176,10 @@ def _evaluate(method: str, n: int, x_text: str | None, cfg: RunConfig) -> dict:
             raise ValueError(f"{method} requires --x" if takes_x else f"{method} takes no --x")
         if n % 2 != parity or n < 2 - parity:
             raise ValueError(f"{method} needs an {('even', 'odd')[parity]} index n >= {2 - parity}")
+        from . import formulas
+
         point = (xq if xq is not None else xf,) if takes_x else ()
-        rep = formula(n // 2, *point, tol=cfg.tol, max_terms=cfg.max_terms)
+        rep = getattr(formulas, formula)(n // 2, *point, tol=cfg.tol, max_terms=cfg.max_terms)
         if rep.series_meta[0].outside_window:
             print(f"warning: x={x_text} lies outside the supported window; accuracy near "
                   f"the endpoints degrades like x^(-1/2)", file=sys.stderr)
@@ -182,6 +193,8 @@ def _evaluate(method: str, n: int, x_text: str | None, cfg: RunConfig) -> dict:
                  else exact_core.zagier_eval(n, xq))
         return {**row, "formula": exact, "exact": exact}
     if method == "asymptotic":
+        from . import formulas
+
         if n % 2 == 0:
             value = formulas.even_asymptotic(n // 2, xf)
         elif x_text is None:
@@ -231,7 +244,9 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    names = sorted(verify.IDENTITIES) if args.identity == "all" else [args.identity]
+    from . import verify
+
+    names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
     options = {}
     if args.n_max is not None:
         if args.n_max < 1:
@@ -276,6 +291,8 @@ def _converge_rows(series: str, n: int, x_text: str | None,
     non-Bessel part of its formula, so the errors are those of the Bessel sum
     alone; for zagier-number every column carries the whole formula for B_{2n}^*.
     """
+    from . import formulas, series_engine
+
     if series == "zagier-number":
         nu, xf = 2 * n, 0.0
     elif series in ("bessel-cos", "bessel-sin"):
@@ -370,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--identity", required=True,
-                          choices=sorted(verify.IDENTITIES) + ["all"])
+                          choices=[*IDENTITY_NAMES, "all"])
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -399,9 +416,17 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.cache_path:
             exact_core.attach_disk_cache(cfg.cache_path)
         return args.func(args, cfg)
-    except (ValueError, SeriesConvergenceError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS if isinstance(exc, ValueError) else EXIT_NO_CONVERGENCE
+        return EXIT_BAD_ARGS
+    except RuntimeError as exc:
+        # only a loaded engine can raise its convergence error: look the
+        # engine up, never import it here
+        engine = sys.modules.get(f"{__package__}.series_engine")
+        if engine is None or not isinstance(exc, engine.SeriesConvergenceError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

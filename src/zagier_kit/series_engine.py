@@ -13,9 +13,10 @@ expansion).  The explicit range therefore sits at the crossover
 orders are closed.  The reported bound is the first dropped order plus
 the rounding of every piece, and a tolerance below it raises.
 
-All reductions over m run in fixed ascending order through exact float
-summation (math.fsum) over fixed-size chunks, so results are reproducible
-bit for bit.
+Every reduction over m is one correctly rounded math.fsum, fed its terms a
+fixed-size chunk at a time so that only one chunk is held as Python floats;
+a correctly rounded sum depends on neither the order nor the chunking, so
+results are reproducible bit for bit.
 
 In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
 is built once and cached, and every cached array is the one a call would
@@ -37,6 +38,7 @@ otherwise build, so no value changes:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -112,14 +114,13 @@ class TrigPowerSums:
 
 
 def chunked_fsum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction: exact fsum over fixed chunks."""
+    """The correctly rounded sum of values: one math.fsum over the chunks of
+    _CHUNK values, each converted to Python floats only when the sum reaches it."""
     flat = np.ascontiguousarray(values, dtype=float)
     if flat.size <= _CHUNK:
         return math.fsum(flat.tolist())
-    partials = [
-        math.fsum(flat[i : i + _CHUNK].tolist()) for i in range(0, flat.size, _CHUNK)
-    ]
-    return math.fsum(partials)
+    chunks = (flat[i : i + _CHUNK].tolist() for i in range(0, flat.size, _CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def _row_fsums(rows: np.ndarray) -> np.ndarray:
@@ -502,8 +503,11 @@ def regularized_bracket_sum(
     The reported bound is the dropped order plus the rounding of the
     explicit terms, of the closed differences and of the window (with its
     remainder); SeriesConvergenceError is raised unless it is at most tol.
-    A forced m_terms truncates at the smallest dropped order instead, closes
-    every order and never raises that.  ValueError is raised for nu or
+    It is raised as well when max_terms ends the explicit range at or below
+    the Hankel crossover, where the power series of the tail is only
+    asymptotic and the bound does not hold.  A forced m_terms truncates at
+    the smallest dropped order instead, closes every order and never raises
+    that.  ValueError is raised for nu or
     lattice not a positive integer, max_terms < 1, and when a bracket
     exceeds the double range (from nu = 261 on the 4 pi m lattice).
     terms_used counts the m summed term by term, max(M, W).
@@ -572,6 +576,12 @@ def regularized_bracket_sum(
         mw = np.arange(M + 1, W + 1, dtype=float)
         tail += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lam * mw))
     result = SeriesResult(explicit + tail, W, bound)
+    if m_terms is None and M <= plan.near:
+        raise SeriesConvergenceError(
+            f"regularized_bracket_sum: the {max_terms}-term budget ends the explicit range "
+            f"at or below the Hankel crossover (nu={nu}, M={M}, crossover past m={plan.near})",
+            result,
+        )
     if m_terms is None and not bound <= tol:
         cause = (f"truncation term {truncation:.2e} at the {max_terms}-term budget"
                  if truncation > tol else f"rounding bound {bound - truncation:.2e}")

@@ -189,6 +189,12 @@ def test_runs_without_scipy():
     assert all(out.strip() for _, _, out in runs)
 
 
+def test_identity_names_are_the_verify_registry():
+    from zagier_kit import verify
+
+    assert cli.IDENTITY_NAMES == tuple(sorted(verify.IDENTITIES))
+
+
 def test_fmt_prints_fractions_past_str_digit_limit():
     value = Fraction(-(10**5000 + 1), 3)
     assert cli.fmt(value) == "-1" + "0" * 4999 + "1/3"

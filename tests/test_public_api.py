@@ -1,9 +1,14 @@
 """Public surface: every exported name resolves, and the package exports a
-pinned list, so a deletion cannot silently drop a public name."""
+pinned list, so a deletion cannot silently drop a public name.  The exact
+side imports and runs without the numeric stack."""
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -37,3 +42,53 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_pinned_list():
     assert zagier_kit.__all__ == PACKAGE_ALL
+
+
+def test_dir_lists_every_exported_name():
+    assert set(zagier_kit.__all__) <= set(dir(zagier_kit))
+
+
+def test_numeric_name_is_bound_on_first_use():
+    value = zagier_kit.zagier_even_formula
+    assert vars(zagier_kit)["zagier_even_formula"] is value
+    assert value is importlib.import_module("zagier_kit.formulas").zagier_even_formula
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zagier_kit.no_such_name
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(zagier_kit.__file__))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_loads_no_numeric_module():
+    done = _python("""
+        import sys
+        import zagier_kit, zagier_kit.cli
+        numeric = ("numpy", "mpmath", "zagier_kit.formulas", "zagier_kit.series_engine",
+                   "zagier_kit.specfun", "zagier_kit.verify")
+        print(sorted(name for name in numeric if name in sys.modules))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_exact_side_runs_with_numpy_blocked():
+    done = _python("""
+        import io, sys
+        from contextlib import redirect_stdout
+        sys.modules["numpy"] = None
+        import zagier_kit, zagier_kit.cli
+        runs = [["eval", "--method", "exact", "--n", "8", "--x", "1/3"],
+                ["eval", "--method", "exact", "--n", "600"],
+                ["table", "--method", "exact", "--n-start", "1", "--n-end", "40", "--x", "1/3"]]
+        for argv in runs:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = zagier_kit.cli.main(argv)
+            assert code == 0 and buf.getvalue().strip(), (argv, code)
+        print(zagier_kit.modified_bernoulli(12))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(zagier_kit.modified_bernoulli(12))

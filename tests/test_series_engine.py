@@ -319,6 +319,28 @@ def test_series_convergence_error():
     assert err.value.best.terms_used <= 50
 
 
+def test_budget_below_the_crossover_raises():
+    # at nu = 16 the crossover lies past m = 40; a 32-term budget would close
+    # the tail with its power series below it, off by 5.94e-3 against a
+    # reported bound of 5.88e-3
+    assert se._plan(16, 1).near >= 32
+    with pytest.raises(se.SeriesConvergenceError, match="crossover") as err:
+        se.regularized_bracket_sum(16, 0.0, 1e-2, 32)
+    assert err.value.best.terms_used <= 32
+
+
+@pytest.mark.parametrize("nu", (4, 16, 37, 60))
+def test_every_budget_at_or_below_the_crossover_raises(nu):
+    near = se._plan(nu, 1).near
+    for max_terms in sorted({1, near // 2, near} - {0}):
+        for x in (0.0, 0.3, 0.8):
+            if nu % 2 and x == 0.0:
+                continue  # exactly 0, no sum
+            with pytest.raises(se.SeriesConvergenceError, match="crossover") as err:
+                se.regularized_bracket_sum(nu, x, 1e-2, max_terms)
+            assert err.value.best.terms_used <= max_terms
+
+
 def test_outside_window_flag():
     res = se.bessel_cos_series(1, 0.005, tol=1e-8)
     assert res.outside_window
@@ -340,6 +362,22 @@ def test_partial_sum_error_scaling():
 def test_chunked_fsum_matches_fsum():
     rng = np.random.default_rng(7)
     arr = rng.standard_normal(10_000) * 10.0 ** rng.integers(-8, 8, size=10_000)
+    assert se.chunked_fsum(arr) == math.fsum(arr.tolist())
+
+
+def test_chunked_fsum_is_one_exact_sum_across_chunks():
+    # summing per-chunk sums would round 1e16 + 1.0 in the first chunk
+    # before -1e16 arrives in the second, and return 0.0
+    values = np.array([1e16] + [0.0] * 4095 + [1.0, -1e16])
+    assert se.chunked_fsum(values) == 1.0
+
+
+@pytest.mark.parametrize("size", (4097, 3 * 4096 + 5, 40_000))
+def test_chunked_fsum_matches_fsum_with_cancellation_across_chunks(size):
+    rng = np.random.default_rng(size)
+    arr = rng.standard_normal(size) * 10.0 ** rng.integers(-16, 16, size=size)
+    arr = np.concatenate([arr, -arr[rng.permutation(size)[: size // 2]]])
+    rng.shuffle(arr)
     assert se.chunked_fsum(arr) == math.fsum(arr.tolist())
 
 
