@@ -41,6 +41,10 @@ IDENTITY_NAMES = ("denominators", "form-s1", "integral-id", "lemma33", "lemma34"
                   "poisson-series", "reflection", "series-007", "shift", "telescope",
                   "thm12", "thm13", "thm15", "zagier-sum")
 
+# largest `converge --m-list` entry: a forced M-term sum holds two K x M
+# float tables (K <= 29 orders), and one entry at the cap peaks near 82 MB
+CONVERGE_MAX_TERMS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -342,6 +346,8 @@ def cmd_converge(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not all(tok.strip().isdigit() and int(tok) > 0 for tok in tokens):
         raise ValueError(f"bad --m-list {args.m_list!r}: need comma-separated positive integers")
     m_list = [int(tok) for tok in tokens]
+    if max(m_list) > CONVERGE_MAX_TERMS:
+        raise ValueError(f"--m-list entry {max(m_list)} exceeds the cap of {CONVERGE_MAX_TERMS} terms")
     rows = _converge_rows(args.series, args.n, args.x, m_list)
     _emit_rows(rows, ["m_terms", "partial_value", "partial_error",
                       "accelerated_value", "accelerated_error", "exact"],
@@ -399,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series parameter n (order 2n or 2n+1)")
     p_conv.add_argument("--x", default=None)
     p_conv.add_argument("--m-list", default="10,25,50,100,250,500",
-                        help="comma-separated explicit-term budgets")
+                        help="comma-separated explicit-term budgets, each at most "
+                             f"{CONVERGE_MAX_TERMS}")
     _add_common(p_conv)
     p_conv.set_defaults(func=cmd_converge)
     return parser

@@ -13,10 +13,13 @@ expansion).  The explicit range therefore sits at the crossover
 orders are closed.  The reported bound is the first dropped order plus
 the rounding of every piece, and a tolerance below it raises.
 
-Every reduction over m is one correctly rounded math.fsum, fed its terms a
-fixed-size chunk at a time so that only one chunk is held as Python floats;
-a correctly rounded sum depends on neither the order nor the chunking, so
-results are reproducible bit for bit.
+Every reduction over m is correctly rounded: it returns exactly what
+math.fsum returns for the same terms, so results are reproducible bit for
+bit and depend on no order.  Up to 1,024 terms that is math.fsum itself;
+longer sums split the terms exactly into a few parts that whole-array
+sums add without error (error-free extraction, Rump, Ogita and Oishi,
+SIAM J. Sci. Comput. 31, 2008) and round those parts with math.fsum
+(:func:`chunked_fsum`).
 
 In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
 is built once and cached, and every cached array is the one a call would
@@ -38,7 +41,6 @@ otherwise build, so no value changes:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -73,7 +75,10 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_TERMS = 20000
 DEFAULT_X_WINDOW = (0.01, 0.99)
 
-_CHUNK = 4096
+_FSUM_CUTOFF = 1024  # sums up to this length go to math.fsum of a list, which is faster there
+_BLOCK = 1 << 15     # floats per block of the extraction passes
+_LEVELS = 2          # extraction levels per block and pass
+_MAX_PASSES = 4      # passes before a sum falls back to math.fsum
 _ORDERS = HANKEL_ORDERS  # orders k of the bracket expansion sum_k b_k m^{-(k+1/2)}
 _WOOD_TERMS = 64    # terms of Wood's expansion; 2^{-64} is far below rounding
 _EPS = 2.2e-16      # two units of double rounding
@@ -114,20 +119,86 @@ class TrigPowerSums:
 
 
 def chunked_fsum(values: np.ndarray) -> float:
-    """The correctly rounded sum of values: one math.fsum over the chunks of
-    _CHUNK values, each converted to Python floats only when the sum reaches it."""
-    flat = np.ascontiguousarray(values, dtype=float)
-    if flat.size <= _CHUNK:
-        return math.fsum(flat.tolist())
-    chunks = (flat[i : i + _CHUNK].tolist() for i in range(0, flat.size, _CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
+    """The correctly rounded sum of values, bit for bit ``math.fsum(values.tolist())``.
+
+    Past _FSUM_CUTOFF values the sum comes from :func:`_extracted_sum`;
+    where that declines, and for short arrays, math.fsum forms it, so its
+    exceptions and signs of zero are kept."""
+    return _fsum(np.ascontiguousarray(values, dtype=float))
+
+
+def _fsum(flat: np.ndarray) -> float:
+    if flat.size > _FSUM_CUTOFF and (total := _extracted_sum(flat)) is not None:
+        return total
+    return math.fsum(flat.tolist())
+
+
+def _extract(src: np.ndarray, sigma: float, q: np.ndarray, rem: np.ndarray) -> None:
+    """q = (sigma + src) - sigma and rem = src - q, both without rounding
+    when sigma is a power of two at least (size + 2) max|src|."""
+    np.add(src, sigma, out=q)
+    np.subtract(q, sigma, out=q)
+    np.subtract(src, q, out=rem)
+
+
+def _extracted_sum(p: np.ndarray) -> float | None:
+    """math.fsum of a 1-D float array by error-free extraction, or None.
+
+    The array is read in blocks of _BLOCK floats.  A level takes sigma, the
+    power of two at least (size + 2) max|r| for the block's remainder r;
+    then q = (sigma + r) - sigma is a multiple of 2^-53 sigma with
+    |q| <= sigma/(size + 2), so the whole-block sum of q is exact, and r - q
+    is the next remainder, at most 2^-53 sigma (Rump, Ogita and Oishi,
+    Accurate floating-point summation, SIAM J. Sci. Comput. 31, 2008).
+    A pass adds _LEVELS levels to every block, recomputing its remainder
+    from the block's kept sigmas.  What is left sums to at most
+    bound = sum over blocks of size max|r|, and rounding is monotone, so once
+    fsum(parts - bound) and fsum(parts + bound) agree with fsum(parts),
+    that is fsum of the whole array, half-ulp ties included.  Returns None
+    for a non-finite value, a sigma near overflow or with 2^-53 sigma
+    subnormal, a sum still undecided after _MAX_PASSES passes, and an exact
+    zero, whose sign is math.fsum's to choose.
+    """
+    blocks = [p[i : i + _BLOCK] for i in range(0, p.size, _BLOCK)]
+    q, rem = np.empty(blocks[0].size), np.empty(blocks[0].size)
+    kept: list[list[float]] = [[] for _ in blocks]
+    parts: list[float] = []
+    for _ in range(_MAX_PASSES):
+        bounds = []
+        for blk, sigmas in zip(blocks, kept):
+            t, r = q[: blk.size], rem[: blk.size]
+            src = blk
+            for sigma in sigmas:
+                _extract(src, sigma, t, r)
+                src = r
+            grow = (blk.size + 1).bit_length()  # 2^grow >= size + 2
+            top = max(float(src.max()), -float(src.min()))  # inf or nan if the block holds one
+            if not math.isfinite(top):
+                return None
+            for _ in range(_LEVELS):
+                if not top:
+                    break
+                exp = math.frexp(top)[1] + grow
+                if exp > 1020 or exp < -969:
+                    return None
+                sigmas.append(2.0**exp)
+                _extract(src, sigmas[-1], t, r)
+                src = r
+                parts.append(float(t.sum()))
+                top = max(float(r.max()), -float(r.min()))
+            bounds.append(top * 2.0**grow)
+        total = math.fsum(parts)
+        bound = math.nextafter(math.fsum(bounds), math.inf)
+        if math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound]):
+            return total or None
+    return None
 
 
 def _row_fsums(rows: np.ndarray) -> np.ndarray:
     """:func:`chunked_fsum` of each row of a 2-D array."""
-    if rows.shape[1] <= _CHUNK:
+    if rows.shape[1] <= _FSUM_CUTOFF:  # one tolist for all rows
         return np.array([math.fsum(row) for row in rows.tolist()])
-    return np.array([chunked_fsum(row) for row in rows])
+    return np.array([_fsum(row) for row in rows])
 
 
 @functools.cache

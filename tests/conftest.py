@@ -276,9 +276,10 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     bracket values, tail envelopes and powers (lattice m)^{-s} formed inside
     the call instead of taken from the library's caches, so a cache that
     hands out a wrong or stale slice shows as a difference in the last bit.
-    Returns (value, tail_bound, terms_used, raised).
+    Every sum is math.fsum of a list, not the engine's `chunked_fsum`, so a
+    fault in that sum shows too.  Returns (value, tail_bound, terms_used, raised).
     """
-    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS, chunked_fsum
+    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS
     from zagier_kit.specfun import (ASYM_Z_MIN, _hankel_sum, _orders_sum, asymptotic_crossover,
                                     bessel_Y01, bessel_Y_upward, hankel_lattice)
 
@@ -327,7 +328,7 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     far_q = lattice * np.arange(near + 1, M + 1, dtype=float)
     brackets = np.concatenate([near_values[:M], _hankel_sum(b, 1, far_q)])
     trig = trig_at(ms)
-    explicit = chunked_fsum(brackets * trig)
+    explicit = math.fsum((brackets * trig).tolist())
     phase = _EPS * (1.0 + 2.0 * pi * x * ms)
     s = np.arange(1, K + 1) + 0.5
     b_abs = np.abs(b[1 : K + 1])
@@ -351,9 +352,9 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     tail = 0.0
     if split:
         closed = uncached_periodic_zeta(x, split)[0 if even_nu else 1][1:] * lam**-s[:split]
-        partial = np.array([chunked_fsum(trig * row) for row in powers[:split]])
+        partial = np.array([math.fsum((trig * row).tolist()) for row in powers[:split]])
         tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
     if split < K:
         mw = np.arange(M + 1, W + 1, dtype=float)
-        tail += chunked_fsum(trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw))
+        tail += math.fsum((trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw)).tolist())
     return explicit + tail, bound, W, m_terms is None and bound > tol

@@ -377,6 +377,8 @@ def test_run_config_validation():
      "n must be nonnegative"),
     *[(("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", m), None,
        "bad --m-list") for m in ("10,,20", "10,0")],
+    (("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", "10,100001"),
+     None, "--m-list entry 100001 exceeds the cap of 100000 terms"),
     (("converge", "--series", "bessel-sin", "--n", "130", "--x", "1/3"), None,
      "Y_261(4 pi) exceeds the double range"),
     (("converge", "--series", "bessel-cos", "--n", "131", "--x", "1/3"), None,
@@ -395,6 +397,7 @@ def test_run_config_validation():
         "n-max-poisson-series", "n-max-series-007", "n-max-telescope",
         "table-end-before-start", "table-step-negative", "table-step-0", "converge-number-n-0",
         "converge-cos-n-0", "converge-sin-n-negative", "m-list-empty-token", "m-list-zero",
+        "m-list-past-cap",
         "converge-sin-overflow", "converge-cos-overflow", "converge-number-overflow",
         "odd-asymptotic-at-half"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")

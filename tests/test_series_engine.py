@@ -8,11 +8,14 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from math import pi, sqrt
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp_special
 
 from zagier_kit import series_engine as se
@@ -379,6 +382,127 @@ def test_chunked_fsum_matches_fsum_with_cancellation_across_chunks(size):
     arr = np.concatenate([arr, -arr[rng.permutation(size)[: size // 2]]])
     rng.shuffle(arr)
     assert se.chunked_fsum(arr) == math.fsum(arr.tolist())
+
+
+_B = se._BLOCK
+_FSUM_LENGTHS = (1, 2, 600, se._FSUM_CUTOFF, se._FSUM_CUTOFF + 1, 4097, _B - 1, _B, _B + 1,
+                 3 * _B + 5)
+
+
+def _fsum_or_error(fn, values):
+    """fn(values) as ("value", repr) -- repr keeps the sign of zero and NaN --
+    or ("raised", exception type, message)."""
+    try:
+        return "value", repr(fn(values))
+    except (OverflowError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _plain_fsum(values):
+    return math.fsum(np.asarray(values, dtype=float).tolist())
+
+
+@st.composite
+def _fsum_arrays(draw):
+    """Arrays of every shape the exact sum must round like math.fsum."""
+    n = draw(st.sampled_from(_FSUM_LENGTHS))
+    kind = draw(st.sampled_from(("wide", "cancel", "bracket", "tie", "subnormal", "zero",
+                                 "scatter")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide":  # magnitudes 1e-300 .. 1e300
+        arr = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, size=n)
+    elif kind == "cancel":  # most terms cancel exactly, a far remainder decides
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.integers(-16, 17, size=n // 2)
+        arr = np.concatenate([half, -half, rng.standard_normal(n % 2) * 1e-30])
+        rng.shuffle(arr)
+    elif kind == "bracket":  # a 1e101 first term, then m^-1.5 decay near the zeros of cos
+        m = np.arange(1.0, n + 1.0)
+        x = draw(st.sampled_from((0.25, 0.75, 0.5))) + draw(st.floats(-1e-9, 1e-9))
+        arr = m**-1.5 * np.cos(2.0 * pi * x * m)
+        arr[0] = draw(st.sampled_from((1e101, -1e101, 1.0)))
+    elif kind == "tie":  # 1 + 2^-53 is a half-ulp tie, broken by a far 2^-300 term or not
+        arr = np.zeros(n)
+        arr[rng.integers(n)] = draw(st.sampled_from((1.0, -1.0, 3.0, 2.0**60)))
+        arr[rng.integers(n)] += draw(st.sampled_from((2.0**-53, -(2.0**-54), 2.0**7)))
+        arr[rng.integers(n)] += draw(st.sampled_from((0.0, 2.0**-300, -(2.0**-300))))
+    elif kind == "subnormal":
+        arr = rng.integers(-(2**40), 2**40, size=n) * 5e-324
+    elif kind == "zero":  # exact cancellation to zero, negative zeros included
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.integers(-100, 101, size=n // 2)
+        arr = np.concatenate([half, -half, np.full(n % 2, -0.0)])
+        rng.shuffle(arr)
+        if draw(st.booleans()):
+            arr[:] = -0.0
+    else:  # any finite floats hypothesis picks, over a background of zeros or noise
+        picks = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                              max_size=8))
+        arr = np.zeros(n) if draw(st.booleans()) else rng.standard_normal(n)
+        arr[rng.integers(n, size=len(picks))] = picks
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fsum_arrays())
+def test_chunked_fsum_is_bit_for_bit_math_fsum(arr):
+    assert _fsum_or_error(se.chunked_fsum, arr) == _fsum_or_error(_plain_fsum, arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_fsum_arrays(), min_size=1, max_size=3), st.sampled_from(_FSUM_LENGTHS))
+def test_row_fsums_are_math_fsum_of_each_row(arrays, width):
+    rows = np.stack([np.resize(arr, width) for arr in arrays])
+    want = [repr(math.fsum(row)) for row in rows.tolist()]
+    assert [repr(v) for v in se._row_fsums(rows).tolist()] == want
+
+
+_TIES = [(1.0, 2.0**-53), (1.0, -(2.0**-54)), (3.0, 2.0**-52), (-1.0, -(2.0**-53)),
+         (2.0**60, -(2.0**6))]
+
+
+@pytest.mark.parametrize("far", (0.0, 2.0**-300, -(2.0**-300)))
+@pytest.mark.parametrize("tie", _TIES)
+@pytest.mark.parametrize("size", (3, 2000, _B + 1))
+def test_chunked_fsum_rounds_half_ulp_ties_like_math_fsum(tie, far, size):
+    # a tie (the gap below a power of two is half the gap above it) goes to
+    # even unless a far term breaks it
+    arr = np.zeros(size)
+    arr[[0, size // 2, size - 1]] = (*tie, far)
+    assert repr(se.chunked_fsum(arr)) == repr(_plain_fsum(arr))
+
+
+@pytest.mark.parametrize("head, outcome", [
+    ([1e308, 1e308, -1e308], ("raised", OverflowError)),
+    ([1.7976931348623157e308, 1e292], ("raised", OverflowError)),
+    ([np.inf, -np.inf], ("raised", ValueError)),
+    ([np.nan, np.inf, -np.inf], ("raised", ValueError)),
+    ([1.0, np.nan], ("value", "nan")),
+    ([np.inf, 1.0], ("value", "inf")),
+    ([-np.inf], ("value", "-inf")),
+])
+@pytest.mark.parametrize("size", (3, 5000))
+def test_chunked_fsum_raises_and_propagates_like_math_fsum(head, outcome, size):
+    arr = np.concatenate([head, np.ones(size - len(head))])
+    want = _fsum_or_error(_plain_fsum, arr)
+    assert want[:2] == outcome
+    assert _fsum_or_error(se.chunked_fsum, arr) == want
+
+
+def test_chunked_fsum_holds_no_full_size_temporary():
+    # blocks of _BLOCK floats: the peak stays far below one 8 MB copy of the input
+    m = np.arange(1.0, 1e6 + 1.0)
+    bracket = m**-1.5 * np.cos(2.0 * pi * m / 3.0)
+    bracket[0] = 1e101
+    for arr in (bracket, np.random.default_rng(5).standard_normal(m.size)):
+        se.chunked_fsum(arr[:5000])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            total = se.chunked_fsum(arr)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert total == math.fsum(arr.tolist())
 
 
 # ---------------------------------------------------------------------------
