@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -30,8 +29,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_NO_CONVERGENCE = 3
-
-ENV_CACHE = "ZAGIER_CACHE"
 
 EVAL_METHODS = ("exact", "even-formula", "odd-formula", "zagier-number",
                 "zagier-type", "asymptotic")
@@ -51,7 +48,6 @@ class RunConfig:
     tol: float = 1e-9
     max_terms: int = 20000
     output_format: str = "text"  # text | json | csv
-    cache_path: str | None = None
 
     def validate(self) -> None:
         if not 0.0 < self.tol < 1.0:
@@ -63,7 +59,7 @@ class RunConfig:
 
 
 # config-file key -> parser of its value; every other key is an error
-CONFIG_KEYS = {"tol": float, "max_terms": int, "output_format": str, "cache_path": str}
+CONFIG_KEYS = {"tol": float, "max_terms": int, "output_format": str}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -93,10 +89,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
         cfg = replace(cfg, **{key: CONFIG_KEYS[key](value) for key, value in raw.items()})
-    if os.environ.get(ENV_CACHE):
-        cfg = replace(cfg, cache_path=os.environ[ENV_CACHE])
-    if getattr(args, "cache_path", None):
-        cfg = replace(cfg, cache_path=args.cache_path)
     if getattr(args, "tol", None) is not None:
         cfg = replace(cfg, tol=args.tol)
     if getattr(args, "max_terms", None) is not None:
@@ -355,13 +347,15 @@ def cmd_converge(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_series_budget(p: argparse.ArgumentParser) -> None:
+    # only eval and table evaluate a formula to a tolerance; verify and
+    # converge fix their own, so they reject these flags
     p.add_argument("--tol", type=float, default=None, help="series tolerance (default 1e-9)")
     p.add_argument("--max-terms", type=int, default=None, dest="max_terms")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    p.add_argument("--cache-path", dest="cache_path", default=None,
-                   help="Bernoulli cache file to read, as written by BernoulliCache.save "
-                        "(env ZAGIER_CACHE also honored)")
     p.add_argument("--config", default=None, help="config file with key = value lines")
 
 
@@ -377,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int, required=True, help="index n of B_n^*(x)")
     p_eval.add_argument("--x", default=None, help="evaluation point, p/q or decimal")
     p_eval.add_argument("--method", choices=EVAL_METHODS, default="exact")
+    _add_series_budget(p_eval)
     _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -388,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--x", default=None, help="comma-separated grid of points")
     p_table.add_argument("--compare", action="store_true",
                          help="include exact values and errors")
+    _add_series_budget(p_table)
     _add_common(p_table)
     p_table.set_defaults(func=cmd_table)
 
@@ -420,8 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = build_config(args)
-        if cfg.cache_path:
-            exact_core.attach_disk_cache(cfg.cache_path)
         return args.func(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

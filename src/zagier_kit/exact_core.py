@@ -15,21 +15,18 @@ silently breaks every modified-Bernoulli identity in this package; do not
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "RationalPolynomial",
     "BernoulliCache",
     "default_cache",
-    "attach_disk_cache",
     "bernoulli_number",
     "bernoulli_polynomial",
     "modified_bernoulli",
@@ -43,8 +40,6 @@ __all__ = [
     "two_adic_valuation",
     "two_adic_valuation_prediction",
 ]
-
-CACHE_HEADER = "zagier-kit bernoulli-cache v1"
 
 RationalLike = Fraction | int
 
@@ -84,62 +79,25 @@ class RationalPolynomial:
             acc = acc * xf + c
         return acc
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(tuple(out))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, factor: RationalLike) -> "RationalPolynomial":
-        f = Fraction(factor)
-        return RationalPolynomial(tuple(c * f for c in self.coefficients))
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RationalPolynomial(tuple(out))
-
-    def compose_linear(self, shift: RationalLike, slope: RationalLike) -> "RationalPolynomial":
-        """Return p(shift + slope*x), exactly."""
-        s, m = Fraction(shift), Fraction(slope)
-        lin = RationalPolynomial((s, m))
-        acc = RationalPolynomial.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * lin + RationalPolynomial((c,))
-        return acc
-
 
 class BernoulliCache:
-    """Append-only cache of Bernoulli numbers, optionally disk backed.
+    """Append-only in-memory table of the Bernoulli numbers B_0..B_m.
 
-    The on-disk format is line oriented: a header line followed by one
-    record per line, "n<TAB>numerator/denominator".  Reads are lock-free;
-    writes hold a lock so concurrent callers cannot corrupt the table.
-    Beside the table it keeps the tangent-number column that extends it
-    and the B_2s/(4s)! table of `modified_bernoulli`; neither is saved.
+    The table is always computed, never read from outside: an extension
+    runs the tangent-number recurrence (`_next_column`) from the column
+    kept beside the table, so extending costs only the new entries.
+    Reads are lock-free; writes hold a lock so concurrent callers cannot
+    corrupt the table.  It also keeps the B_2s/(4s)! table of
+    `modified_bernoulli`.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         # the tangent-number column of B_0..B_2K (see `_next_column`); only
         # touched under the lock
         self._column: list[int] = []
         self._gamma: tuple[list[int], list[tuple[int, list[int]]]] = ([1], [(1, [0])])
         self._lock = threading.Lock()
-        self.path = path
-        if path and os.path.exists(path):
-            self.load(path)
 
     def get(self, n: int) -> Fraction:
         return self.prefix(n)[n]
@@ -164,11 +122,6 @@ class BernoulliCache:
         if n < len(values):
             return
         column = self._column
-        if len(column) != (len(values) - 1) // 2:
-            # a table loaded from disk carries no column: rebuild it once
-            column = []
-            for _ in range((len(values) - 1) // 2):
-                column = _next_column(column)
         fresh = []
         for i in range(len(values), n + 1):
             if i % 2:
@@ -235,44 +188,6 @@ class BernoulliCache:
     def known(self) -> int:
         return len(self._values) - 1
 
-    def save(self, path: str | None = None) -> None:
-        path = path or self.path
-        if path is None:
-            raise ValueError("no cache path configured")
-        with self._lock:
-            lines = [CACHE_HEADER]
-            for n, v in enumerate(self._values):
-                # Decimal writes and reads integers past str()'s 4,300-digit limit
-                lines.append(f"{n}\t{Decimal(v.numerator)}/{Decimal(v.denominator)}")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-
-    def load(self, path: str) -> None:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != CACHE_HEADER:
-                raise ValueError(f"unrecognized cache header: {header!r}")
-            loaded: dict[int, Fraction] = {}
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                idx_s, frac_s = line.split("\t")
-                num_s, den_s = frac_s.split("/")
-                if not (num_s.lstrip("-") + den_s).isdigit():
-                    raise ValueError(f"bad cache record: {line[:40]!r}")
-                loaded[int(idx_s)] = Fraction(int(Decimal(num_s)), int(Decimal(den_s)))
-        with self._lock:
-            n = 0
-            values = [Fraction(1)]
-            while n + 1 in loaded:
-                n += 1
-                values.append(loaded[n])
-            if len(values) > len(self._values):
-                self._values = values
-
 
 def _next_column(column: list[int]) -> list[int]:
     """The tangent-number recurrence of Brent & Harvey, one column at a time.
@@ -303,17 +218,9 @@ def default_cache() -> BernoulliCache:
     return _DEFAULT_CACHE
 
 
-def attach_disk_cache(path: str) -> BernoulliCache:
-    """Point the process-wide Bernoulli cache at a disk file (loaded if present)."""
-    if os.path.exists(path):
-        _DEFAULT_CACHE.load(path)
-    _DEFAULT_CACHE.path = path
-    return _DEFAULT_CACHE
-
-
-def bernoulli_number(n: int, cache: BernoulliCache | None = None) -> Fraction:
+def bernoulli_number(n: int) -> Fraction:
     """Exact B_n with B_1 = -1/2; odd n > 1 give 0."""
-    return (cache or _DEFAULT_CACHE).get(n)
+    return _DEFAULT_CACHE.get(n)
 
 
 @lru_cache(maxsize=None)

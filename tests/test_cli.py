@@ -297,16 +297,31 @@ def test_config_file(tmp_path):
     assert json.loads(out)[0]["n"] == 2
 
 
-def test_env_cache(tmp_path, monkeypatch):
+def test_env_cache(tmp_path):
+    # the exact core computes its own Bernoulli numbers: a table file that
+    # sets B_2 = 1/5, named by ZAGIER_CACHE in a fresh process, changes no value
     path = tmp_path / "bern-cache.tsv"
-    ec.default_cache().get(16)
-    ec.default_cache().save(str(path))
-    monkeypatch.setenv(cli.ENV_CACHE, str(path))
-    code, out = run_cli("eval", "--n", "4", "--method", "exact")
-    assert code == 0
-    assert out.strip() == str(ec.modified_bernoulli(4))
-    with open(path) as fh:
-        assert fh.readline().startswith("zagier-kit bernoulli-cache v1")
+    path.write_text("zagier-kit bernoulli-cache v1\n0\t1/1\n1\t-1/2\n2\t1/5\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "zagier_kit.cli", "eval", "--n", "4",
+                           "--method", "exact"], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src, "ZAGIER_CACHE": str(path)})
+    assert done.stdout.strip() == "-27/80"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "thm12", "--n-max", "3", "--tol", "1e-2"),
+    ("verify", "--identity", "thm12", "--n-max", "3", "--max-terms", "1"),
+    ("converge", "--series", "bessel-cos", "--n", "2", "--x", "1/3", "--tol", "0.5"),
+    ("converge", "--series", "bessel-cos", "--n", "2", "--x", "1/3", "--max-terms", "1"),
+    ("eval", "--n", "4", "--method", "exact", "--cache-path", "bern-cache.tsv"),
+], ids=["verify-tol", "verify-max-terms", "converge-tol", "converge-max-terms",
+        "eval-cache-path"])
+def test_unread_flags_are_rejected(capsys, argv):
+    # verify and converge set their own tolerances, and no command reads a cache file
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_parse_x():
@@ -332,6 +347,8 @@ def test_run_config_validation():
     (("eval", "--n", "2", "--method", "exact"), "threads = 2\n", "unknown config key 'threads'"),
     (("eval", "--n", "2", "--method", "exact"), "x_min = 0.1\n", "unknown config key 'x_min'"),
     (("eval", "--n", "2", "--method", "exact"), "x_max = 0.9\n", "unknown config key 'x_max'"),
+    (("eval", "--n", "2", "--method", "exact"), "cache_path = /nonexistent/x\n",
+     "unknown config key 'cache_path'"),
     (("eval", "--n", "2", "--method", "exact"), "output_format = xml\n", "output_format must be"),
     (("table", "--method", "exact", "--n-start", "300", "--n-end", "300", "--x", "1/3"), None,
      "table cell n=300, x=1/3"),
@@ -387,7 +404,8 @@ def test_run_config_validation():
      "Y_262(4 pi) exceeds the double range"),
     (("eval", "--n", "201", "--x", "1/2", "--method", "asymptotic"), None,
      "does not exist at x = 1/2"),
-], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key", "bad-format",
+], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key",
+        "cache_path-key", "bad-format",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
         "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
         "eval-number-x", "eval-type-x", "table-number-x", "table-type-x",
