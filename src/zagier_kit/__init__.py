@@ -81,31 +81,7 @@ __all__ = [
     "zagier_eval",
     "zagier_polynomial",
     "zagier_shift",
-    "EvalReport",
-    "even_asymptotic",
-    "odd_asymptotic",
-    "zagier_even_formula",
-    "zagier_number_formula",
-    "zagier_odd_formula",
-    "zagier_type_sum",
-    "SeriesConvergenceError",
-    "SeriesResult",
-    "TrigPowerSums",
-    "bessel_cos_series",
-    "bessel_sin_series",
-    "g_tail_sum",
-    "g_term",
-    "trig_power_sums",
-    "EvalResult",
-    "bessel_J",
-    "bessel_J_int_batch",
-    "bessel_Y_int",
-    "coates_integral",
-    "coates_series",
-    "dJ_dnu_at_int",
-    "digamma_int",
-    "hurwitz_zeta_half",
-    "schlafli_S",
+    *_HOME,  # the numeric names, in the order of _NUMERIC
     "__version__",
 ]
 

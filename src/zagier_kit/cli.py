@@ -19,7 +19,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,65 +37,24 @@ IDENTITY_NAMES = ("denominators", "form-s1", "integral-id", "lemma33", "lemma34"
                   "poisson-series", "reflection", "series-007", "shift", "telescope",
                   "thm12", "thm13", "thm15", "zagier-sum")
 
-# largest `converge --m-list` entry: a forced M-term sum holds two K x M
-# float tables (K <= 29 orders), and one entry at the cap peaks near 82 MB
+# largest `converge --m-list` entry: a forced M-term sum holds a K x M float
+# table of powers (K <= 29 orders), and one entry at the cap peaks near 59 MB
 CONVERGE_MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tol: float = 1e-9
-    max_terms: int = 20000
-    output_format: str = "text"  # text | json | csv
-
-    def validate(self) -> None:
-        if not 0.0 < self.tol < 1.0:
+def _series_budget(args: argparse.Namespace) -> dict:
+    """The --tol and --max-terms that were given, checked, as keyword
+    arguments of a series formula: the engine holds the defaults."""
+    budget = {}
+    if args.tol is not None:
+        if not 0.0 < args.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_terms < 1:
+        budget["tol"] = args.tol
+    if args.max_terms is not None:
+        if args.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError("output_format must be text, json or csv")
-
-
-# config-file key -> parser of its value; every other key is an error
-CONFIG_KEYS = {"tol": float, "max_terms": int, "output_format": str}
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw.rstrip()}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r} in {path}; "
-                             f"known keys: {', '.join(CONFIG_KEYS)}")
-        out[key] = value.strip()
-    return out
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        cfg = replace(cfg, **{key: CONFIG_KEYS[key](value) for key, value in raw.items()})
-    if getattr(args, "tol", None) is not None:
-        cfg = replace(cfg, tol=args.tol)
-    if getattr(args, "max_terms", None) is not None:
-        cfg = replace(cfg, max_terms=args.max_terms)
-    if getattr(args, "format", None):
-        cfg = replace(cfg, output_format=args.format)
-    cfg.validate()
-    return cfg
+        budget["max_terms"] = args.max_terms
+    return budget
 
 
 def fmt(v) -> str:
@@ -129,13 +87,12 @@ def parse_x(text: str) -> tuple[float, Fraction | None]:
     return value, None
 
 
-def _emit_rows(rows: list[dict], columns: list[str], cfg: RunConfig,
-               stream) -> None:
-    if cfg.output_format == "json":
+def _emit_rows(rows: list[dict], columns: list[str], output_format: str, stream) -> None:
+    if output_format == "json":
         payload = [{c: row.get(c) for c in columns} for row in rows]
         json.dump(payload, stream, indent=2, default=fmt)
         stream.write("\n")
-    elif cfg.output_format == "csv":
+    elif output_format == "csv":
         stream.write(",".join(columns) + "\n")
         for row in rows:
             stream.write(",".join(fmt(row.get(c)) for c in columns) + "\n")
@@ -156,7 +113,7 @@ FORMULAS = {
 }
 
 
-def _evaluate(method: str, n: int, x_text: str | None, cfg: RunConfig) -> dict:
+def _evaluate(method: str, n: int, x_text: str | None, budget: dict) -> dict:
     """B_n^*(x) by one method, the one path behind eval and table.
 
     Returns n, the x label (None when no --x is given or taken), the value
@@ -175,7 +132,7 @@ def _evaluate(method: str, n: int, x_text: str | None, cfg: RunConfig) -> dict:
         from . import formulas
 
         point = (xq if xq is not None else xf,) if takes_x else ()
-        rep = getattr(formulas, formula)(n // 2, *point, tol=cfg.tol, max_terms=cfg.max_terms)
+        rep = getattr(formulas, formula)(n // 2, *point, **budget)
         if rep.series_meta[0].outside_window:
             print(f"warning: x={x_text} lies outside the supported window; accuracy near "
                   f"the endpoints degrades like x^(-1/2)", file=sys.stderr)
@@ -202,25 +159,26 @@ def _evaluate(method: str, n: int, x_text: str | None, cfg: RunConfig) -> dict:
     raise ValueError(f"unknown method {method}")
 
 
-def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    res = _evaluate(args.method, args.n, args.x, cfg)
+def cmd_eval(args: argparse.Namespace) -> int:
+    res = _evaluate(args.method, args.n, args.x, _series_budget(args))
     rep = res["report"]
     if rep is None:
         sys.stdout.write(fmt(res["formula"]) + "\n")
         return EXIT_OK
     row = {**res, "abs_err": rep.abs_error, "tail_bound": rep.tail_bound}
     _emit_rows([row], ["n", "x", "formula", "exact", "abs_err", "terms_used", "tail_bound"],
-               cfg, sys.stdout)
+               args.format, sys.stdout)
     return EXIT_OK
 
 
-def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
+    budget = _series_budget(args)
     if args.n_step < 1 or args.n_end < args.n_start:
         raise ValueError("empty index range: need --n-start <= --n-end and --n-step >= 1")
     rows = []
     for n in range(args.n_start, args.n_end + 1, args.n_step):
         for x_text in args.x.split(",") if args.x else [None]:
-            res = _evaluate(args.method, n, x_text, cfg)
+            res = _evaluate(args.method, n, x_text, budget)
             x_label = res["x"] or "0"
             try:
                 exact = float(res["exact"]) if res["exact"] is not None else None
@@ -235,11 +193,11 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
                 row["rel_err"] = row["abs_err"] / abs(exact) if res["exact"] != 0 else None
             rows.append(row)
     _emit_rows(rows, ["n", "x", "exact", "formula", "abs_err", "rel_err", "terms_used"],
-               cfg, sys.stdout)
+               args.format, sys.stdout)
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
     names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
@@ -261,10 +219,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         "failed": n_failed,
         "passed": n_failed == 0,
     }
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         cols = ["identity", "case", "value", "expected", "abs_error", "tolerance", "passed"]
-        _emit_rows([c.to_dict() for c in all_checks], cols, cfg, sys.stdout)
-    elif cfg.output_format == "json":
+        _emit_rows([c.to_dict() for c in all_checks], cols, "csv", sys.stdout)
+    elif args.format == "json":
         payload = {"summary": summary, "checks": [c.to_dict() for c in all_checks]}
         json.dump(payload, sys.stdout, indent=2, default=fmt)
         sys.stdout.write("\n")
@@ -333,7 +291,7 @@ def _converge_rows(series: str, n: int, x_text: str | None,
     return rows
 
 
-def cmd_converge(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_converge(args: argparse.Namespace) -> int:
     tokens = args.m_list.split(",")
     if not all(tok.strip().isdigit() and int(tok) > 0 for tok in tokens):
         raise ValueError(f"bad --m-list {args.m_list!r}: need comma-separated positive integers")
@@ -343,7 +301,7 @@ def cmd_converge(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows = _converge_rows(args.series, args.n, args.x, m_list)
     _emit_rows(rows, ["m_terms", "partial_value", "partial_error",
                       "accelerated_value", "accelerated_error", "exact"],
-               cfg, sys.stdout)
+               args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -355,8 +313,7 @@ def _add_series_budget(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    p.add_argument("--config", default=None, help="config file with key = value lines")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,8 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = build_config(args)
-        return args.func(args, cfg)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS

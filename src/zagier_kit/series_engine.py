@@ -31,9 +31,8 @@ otherwise build, so no value changes:
   * the powers (lattice m)^{-(k+1/2)}, one table per lattice whatever nu
     (:class:`_PowerTable`, 8 lattices), grown to the most orders and the
     largest base range asked (at most 29 x 10,760 floats, 2.5 MB, at
-    nu = 260 on lattice 1); a call that sums
-    past its own base range (a forced m_terms, a doubled M) builds what the
-    table lacks for itself and keeps nothing;
+    nu = 260 on lattice 1); a forced m_terms past its own base range builds
+    what the table lacks for itself and keeps nothing;
   * the periodic zeta values at every order, per x (64 entries), so a
     bracket sum and its regularizer share one evaluation.
 """
@@ -194,11 +193,14 @@ def _extracted_sum(p: np.ndarray) -> float | None:
     return None
 
 
-def _row_fsums(rows: np.ndarray) -> np.ndarray:
-    """:func:`chunked_fsum` of each row of a 2-D array."""
+def _row_fsums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`chunked_fsum` of each row of weights * rows, a 2-D array.
+
+    Past _FSUM_CUTOFF columns each row is multiplied on its own, so no
+    second array of the size of rows is formed."""
     if rows.shape[1] <= _FSUM_CUTOFF:  # one tolist for all rows
-        return np.array([math.fsum(row) for row in rows.tolist()])
-    return np.array([_fsum(row) for row in rows])
+        return np.array([math.fsum(row) for row in (weights * rows).tolist()])
+    return np.array([_fsum(weights * row) for row in rows])
 
 
 @functools.cache
@@ -428,7 +430,7 @@ def _plan(nu: int, lattice: int) -> _Plan:
     (-1)^{floor(nu/2)} d^Y of :func:`specfun.hankel_lattice` with b_0 = 0:
     the regularizer cancels the order-0 term -1/(2 sqrt(q)).  M0 =
     max(ceil(crossover/(4 pi lattice)) + 1, 8) is the explicit range of every
-    call that neither forces m_terms nor has to double it.  Up to the
+    call that forces no m_terms, unless max_terms ends it sooner.  Up to the
     crossover Y_0, Y_1 (:func:`_lattice_y01`) are carried up to Y_nu; past
     it the bracket is its power series in 1/q, no trig of large arguments.
     ValueError when the first, largest bracket exceeds the double range.
@@ -562,8 +564,8 @@ def regularized_bracket_sum(
     Beyond M the orders k = 1..K of bracket(q) ~ sum_k b_k q^{-(k+1/2)}
     are summed in closed form, b_k (lattice^{-s} T_s(x) - P_s(M)) with
     s = k + 1/2, T_s the periodic zeta value and P_s its partial sum over
-    m <= M.  K is the first order whose dropped successor is below tol; M
-    doubles, up to max_terms, only while no order gets there.
+    m <= M.  K is the first order whose dropped successor is below tol, or
+    the smallest dropped order when none is.
 
     A closed difference cancels O(1) values down to its tail, so it carries
     an absolute rounding error of a few units times |b_k|, and |b_k|
@@ -596,22 +598,10 @@ def regularized_bracket_sum(
     b, base = plan.b, plan.brackets.size
     lam = float(lattice)
 
-    def envelopes_at(m: int) -> np.ndarray:
-        return plan.envelopes if m == base else _envelopes(b, lattice, m)
-
-    if m_terms is not None:
-        M = max(int(m_terms), 1)
-        envelopes = envelopes_at(M)
-        K = int(np.argmin(envelopes)) + 1
-    else:
-        M = min(base, max_terms)
-        while True:
-            envelopes = envelopes_at(M)
-            below = np.flatnonzero(envelopes <= tol)
-            if below.size or M >= max_terms:
-                break
-            M = min(2 * M, max_terms)
-        K = int(below[0]) + 1 if below.size else int(np.argmin(envelopes)) + 1
+    M = min(base, max_terms) if m_terms is None else max(int(m_terms), 1)
+    envelopes = plan.envelopes if M == base else _envelopes(b, lattice, M)
+    below = np.flatnonzero(envelopes <= tol)
+    K = int(below[0]) + 1 if m_terms is None and below.size else int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)
     brackets = _bracket_values(nu, lattice, M)
@@ -641,7 +631,7 @@ def regularized_bracket_sum(
     tail = 0.0
     if split:
         closed = periodic_zeta(x, split)[0 if even_nu else 1][1:] * lam**-s[:split]
-        partial = _row_fsums(trig * powers[:split])
+        partial = _row_fsums(trig, powers[:split])
         tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
     if split < K:
         mw = np.arange(M + 1, W + 1, dtype=float)
@@ -655,7 +645,8 @@ def regularized_bracket_sum(
         )
     if m_terms is None and not bound <= tol:
         cause = (f"truncation term {truncation:.2e} at the {max_terms}-term budget"
-                 if truncation > tol else f"rounding bound {bound - truncation:.2e}")
+                 if truncation > tol and M == max_terms
+                 else f"rounding bound {bound - truncation:.2e}")
         raise SeriesConvergenceError(
             f"regularized_bracket_sum: {cause} exceeds tol {tol:.2e} (nu={nu}, M={M})",
             result,

@@ -290,27 +290,18 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     b[0] = 0.0
     lam = float(lattice)
 
-    def envelopes_at(m):
-        ks = np.arange(1, _ORDERS, dtype=float)
-        return np.abs(b[2:]) * (lam * m) ** -(ks + 1.5) * m / (ks + 0.5)
-
     def trig_at(ms):
         return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
 
     if m_terms is not None:
         M = max(int(m_terms), 1)
-        envelopes = envelopes_at(M)
-        K = int(np.argmin(envelopes)) + 1
     else:
         cross = asymptotic_crossover(nu)
         M = min(max(int(math.ceil(cross / (4.0 * pi * lam))) + 1, 8), max_terms)
-        while True:
-            envelopes = envelopes_at(M)
-            below = np.flatnonzero(envelopes <= tol)
-            if below.size or M >= max_terms:
-                break
-            M = min(2 * M, max_terms)
-        K = int(below[0]) + 1 if below.size else int(np.argmin(envelopes)) + 1
+    ks = np.arange(1, _ORDERS, dtype=float)
+    envelopes = np.abs(b[2:]) * (lam * M) ** -(ks + 1.5) * M / (ks + 0.5)
+    below = np.flatnonzero(envelopes <= tol)
+    K = int(below[0]) + 1 if m_terms is None and below.size else int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)
     q = lam * ms

@@ -1,4 +1,5 @@
-"""Command-line contract: exit codes, output formats, determinism, config."""
+"""Command-line contract: exit codes, output formats, determinism, and the
+flags each command accepts."""
 
 from __future__ import annotations
 
@@ -288,15 +289,6 @@ def test_converge_requires_rational_x():
 # config / cache plumbing
 # ---------------------------------------------------------------------------
 
-def test_config_file(tmp_path):
-    cfg = tmp_path / "zk.conf"
-    cfg.write_text("tol = 1e-8\nmax_terms = 9999\noutput_format = json\n")
-    code, out = run_cli("eval", "--n", "2", "--x", "1/2", "--method",
-                        "even-formula", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)[0]["n"] == 2
-
-
 def test_env_cache(tmp_path):
     # the exact core computes its own Bernoulli numbers: a table file that
     # sets B_2 = 1/5, named by ZAGIER_CACHE in a fresh process, changes no value
@@ -315,10 +307,12 @@ def test_env_cache(tmp_path):
     ("converge", "--series", "bessel-cos", "--n", "2", "--x", "1/3", "--tol", "0.5"),
     ("converge", "--series", "bessel-cos", "--n", "2", "--x", "1/3", "--max-terms", "1"),
     ("eval", "--n", "4", "--method", "exact", "--cache-path", "bern-cache.tsv"),
+    ("eval", "--n", "4", "--method", "exact", "--config", "zk.conf"),
 ], ids=["verify-tol", "verify-max-terms", "converge-tol", "converge-max-terms",
-        "eval-cache-path"])
+        "eval-cache-path", "eval-config"])
 def test_unread_flags_are_rejected(capsys, argv):
-    # verify and converge set their own tolerances, and no command reads a cache file
+    # verify and converge set their own tolerances, no command reads a cache
+    # file, and flags are the only settings
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
@@ -333,79 +327,65 @@ def test_parse_x():
     assert xq is None and abs(xf - 0.1234567891) < 1e-15
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(tol=2.0).validate()
-    with pytest.raises(ValueError):
-        cli.RunConfig(max_terms=0).validate()
-
-
-@pytest.mark.parametrize("argv, config, needle", [
-    (("eval", "--n", "2", "--method", "exact", "--config", "{missing}"), None,
-     "cannot read config file"),
-    (("eval", "--n", "2", "--method", "exact"), "threds = 4\n", "unknown config key 'threds'"),
-    (("eval", "--n", "2", "--method", "exact"), "threads = 2\n", "unknown config key 'threads'"),
-    (("eval", "--n", "2", "--method", "exact"), "x_min = 0.1\n", "unknown config key 'x_min'"),
-    (("eval", "--n", "2", "--method", "exact"), "x_max = 0.9\n", "unknown config key 'x_max'"),
-    (("eval", "--n", "2", "--method", "exact"), "cache_path = /nonexistent/x\n",
-     "unknown config key 'cache_path'"),
-    (("eval", "--n", "2", "--method", "exact"), "output_format = xml\n", "output_format must be"),
-    (("table", "--method", "exact", "--n-start", "300", "--n-end", "300", "--x", "1/3"), None,
+@pytest.mark.parametrize("argv, needle", [
+    *[(("eval", "--n", "2", "--method", "exact", "--tol", tol), "tol must lie in (0, 1)")
+      for tol in ("2", "0", "nan")],
+    (("eval", "--n", "2", "--method", "exact", "--max-terms", "0"), "max_terms must be >= 1"),
+    (("table", "--method", "exact", "--n-start", "300", "--n-end", "300", "--x", "1/3"),
      "table cell n=300, x=1/3"),
-    (("eval", "--n", "400", "--x", "0.3", "--method", "asymptotic"), None,
+    (("eval", "--n", "400", "--x", "0.3", "--method", "asymptotic"),
      "B_400^*(x) exceeds the double range"),
-    (("eval", "--n", "401", "--x", "0.3", "--method", "asymptotic"), None,
+    (("eval", "--n", "401", "--x", "0.3", "--method", "asymptotic"),
      "B_401^*(x) exceeds the double range"),
-    (("converge", "--series", "bessel-cos", "--n", "1", "--x", "0"), None, "x must lie in"),
-    (("converge", "--series", "bessel-sin", "--n", "1", "--x", "1"), None, "x must lie in"),
+    (("converge", "--series", "bessel-cos", "--n", "1", "--x", "0"), "x must lie in"),
+    (("converge", "--series", "bessel-sin", "--n", "1", "--x", "1"), "x must lie in"),
     (("table", "--method", "exact", "--n-start", "1", "--n-end", "2", "--x", "0.123456789"),
-     None, "exact evaluation needs a rational x"),
-    (("table", "--method", "exact", "--n-start", "0", "--n-end", "2"), None,
+     "exact evaluation needs a rational x"),
+    (("table", "--method", "exact", "--n-start", "0", "--n-end", "2"),
      "n must be positive"),
-    (("eval", "--method", "zagier-number", "--n", "8", "--x", "1/3"), None,
+    (("eval", "--method", "zagier-number", "--n", "8", "--x", "1/3"),
      "zagier-number takes no --x"),
-    (("eval", "--method", "zagier-type", "--n", "8", "--x", "1/3"), None,
+    (("eval", "--method", "zagier-type", "--n", "8", "--x", "1/3"),
      "zagier-type takes no --x"),
     (("table", "--method", "zagier-number", "--n-start", "2", "--n-end", "4", "--n-step", "2",
-      "--x", "1/3", "--compare"), None, "zagier-number takes no --x"),
+      "--x", "1/3", "--compare"), "zagier-number takes no --x"),
     (("table", "--method", "zagier-type", "--n-start", "2", "--n-end", "4", "--n-step", "2",
-      "--x", "1/3", "--compare"), None, "zagier-type takes no --x"),
-    (("eval", "--method", "even-formula", "--n", "400", "--x", "1/3"), None,
+      "--x", "1/3", "--compare"), "zagier-type takes no --x"),
+    (("eval", "--method", "even-formula", "--n", "400", "--x", "1/3"),
      "Y_400(4 pi) exceeds the double range"),
-    (("eval", "--method", "odd-formula", "--n", "261", "--x", "1/3"), None,
+    (("eval", "--method", "odd-formula", "--n", "261", "--x", "1/3"),
      "Y_261(4 pi) exceeds the double range"),
-    (("eval", "--method", "zagier-number", "--n", "600"), None,
+    (("eval", "--method", "zagier-number", "--n", "600"),
      "Y_600(4 pi) exceeds the double range"),
-    *[(("eval", "--n", "2", "--method", "exact", "--x", x), None, "bad evaluation point")
+    *[(("eval", "--n", "2", "--method", "exact", "--x", x), "bad evaluation point")
       for x in ("1/0", "inf", "1e400", "nan")],
-    *[(("verify", "--identity", "thm12", "--n-max", n), None, "--n-max must be >= 1")
+    *[(("verify", "--identity", "thm12", "--n-max", n), "--n-max must be >= 1")
       for n in ("0", "-1")],
-    *[(("verify", "--identity", name, "--n-max", "3"), None, f"{name} has no index range")
+    *[(("verify", "--identity", name, "--n-max", "3"), f"{name} has no index range")
       for name in ("lemma33", "lemma34", "integral-id", "form-s1", "poisson-series",
                    "series-007", "telescope")],
-    (("table", "--method", "exact", "--n-start", "5", "--n-end", "2"), None,
+    (("table", "--method", "exact", "--n-start", "5", "--n-end", "2"),
      "empty index range"),
-    *[(("table", "--method", "exact", "--n-start", "2", "--n-end", "5", "--n-step", step), None,
+    *[(("table", "--method", "exact", "--n-start", "2", "--n-end", "5", "--n-step", step),
        "empty index range") for step in ("-1", "0")],
-    (("converge", "--series", "zagier-number", "--n", "0"), None, "n must be positive"),
-    (("converge", "--series", "bessel-cos", "--n", "0", "--x", "1/3"), None,
+    (("converge", "--series", "zagier-number", "--n", "0"), "n must be positive"),
+    (("converge", "--series", "bessel-cos", "--n", "0", "--x", "1/3"),
      "n must be positive"),
-    (("converge", "--series", "bessel-sin", "--n", "-1", "--x", "1/3"), None,
+    (("converge", "--series", "bessel-sin", "--n", "-1", "--x", "1/3"),
      "n must be nonnegative"),
-    *[(("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", m), None,
+    *[(("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", m),
        "bad --m-list") for m in ("10,,20", "10,0")],
     (("converge", "--series", "bessel-cos", "--n", "1", "--x", "1/3", "--m-list", "10,100001"),
-     None, "--m-list entry 100001 exceeds the cap of 100000 terms"),
-    (("converge", "--series", "bessel-sin", "--n", "130", "--x", "1/3"), None,
+     "--m-list entry 100001 exceeds the cap of 100000 terms"),
+    (("converge", "--series", "bessel-sin", "--n", "130", "--x", "1/3"),
      "Y_261(4 pi) exceeds the double range"),
-    (("converge", "--series", "bessel-cos", "--n", "131", "--x", "1/3"), None,
+    (("converge", "--series", "bessel-cos", "--n", "131", "--x", "1/3"),
      "Y_262(4 pi) exceeds the double range"),
-    (("converge", "--series", "zagier-number", "--n", "131"), None,
+    (("converge", "--series", "zagier-number", "--n", "131"),
      "Y_262(4 pi) exceeds the double range"),
-    (("eval", "--n", "201", "--x", "1/2", "--method", "asymptotic"), None,
+    (("eval", "--n", "201", "--x", "1/2", "--method", "asymptotic"),
      "does not exist at x = 1/2"),
-], ids=["missing-config", "typo-key", "threads-key", "x_min-key", "x_max-key",
-        "cache_path-key", "bad-format",
+], ids=["tol-2", "tol-0", "tol-nan", "max-terms-0",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
         "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
         "eval-number-x", "eval-type-x", "table-number-x", "table-type-x",
@@ -419,12 +399,7 @@ def test_run_config_validation():
         "converge-sin-overflow", "converge-cos-overflow", "converge-number-overflow",
         "odd-asymptotic-at-half"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_clean_failures_exit_2(tmp_path, capsys, argv, config, needle):
-    argv = [a.replace("{missing}", str(tmp_path / "missing.conf")) for a in argv]
-    if config is not None:
-        path = tmp_path / "zk.conf"
-        path.write_text(config)
-        argv += ["--config", str(path)]
+def test_clean_failures_exit_2(capsys, argv, needle):
     code, out = run_cli(*argv)
     err = capsys.readouterr().err
     assert code == 2

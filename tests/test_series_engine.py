@@ -14,7 +14,7 @@ from math import pi, sqrt
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
@@ -316,10 +316,13 @@ def test_closed_tails_keep_the_explicit_range_at_the_crossover():
 
 
 def test_series_convergence_error():
-    with pytest.raises(se.SeriesConvergenceError) as err:
-        se.regularized_bracket_sum(4, 0.3, tol=1e-30, max_terms=50)
-    assert err.value.best is not None
-    assert err.value.best.terms_used <= 50
+    # a tol below the rounding floor raises at the base range and names the
+    # rounding: a longer explicit range only adds rounding
+    base = se._plan(4, 1).brackets.size
+    for tol in (1e-30, 1e-60):
+        with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
+            se.regularized_bracket_sum(4, 0.3, tol=tol, max_terms=50)
+        assert err.value.best.terms_used == base
 
 
 def test_budget_below_the_crossover_raises():
@@ -448,11 +451,18 @@ def test_chunked_fsum_is_bit_for_bit_math_fsum(arr):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_fsum_arrays(), min_size=1, max_size=3), st.sampled_from(_FSUM_LENGTHS))
-def test_row_fsums_are_math_fsum_of_each_row(arrays, width):
+@given(st.lists(_fsum_arrays(), min_size=1, max_size=3), st.sampled_from(_FSUM_LENGTHS),
+       st.sampled_from((0.0, 1.0 / 3.0)))
+@example(arrays=[np.array([2.0**1023])], width=2, x=0.0)  # the repeated row overflows
+def test_row_fsums_are_math_fsum_of_each_row(arrays, width, x):
     rows = np.stack([np.resize(arr, width) for arr in arrays])
-    want = [repr(math.fsum(row)) for row in rows.tolist()]
-    assert [repr(v) for v in se._row_fsums(rows).tolist()] == want
+    weights = np.cos(2.0 * pi * x * np.arange(1.0, width + 1.0))
+    want = [_fsum_or_error(math.fsum, row) for row in (weights * rows).tolist()]
+    raised = [w for w in want if w[0] == "raised"]
+    if raised:  # the first row math.fsum cannot sum raises its error
+        assert _fsum_or_error(lambda r: se._row_fsums(weights, r), rows) == raised[0]
+    else:
+        assert [("value", repr(v)) for v in se._row_fsums(weights, rows).tolist()] == want
 
 
 _TIES = [(1.0, 2.0**-53), (1.0, -(2.0**-54)), (3.0, 2.0**-52), (-1.0, -(2.0**-53)),
