@@ -9,6 +9,7 @@ errors; float points without a rational tag only report the formula value
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -164,6 +165,23 @@ def zagier_odd_formula(
                    [bessel, *g_meta], bessel.tail_bound + g_bound)
 
 
+_ZERO, _MINUS_THREE_HALVES = Fraction(0), Fraction(-3, 2)
+
+
+# The exact references of the number and type formulas depend on n alone,
+# so they are kept per n, as the series plans are per (nu, lattice).
+@functools.lru_cache(maxsize=256)
+def _number_exact(n: int) -> Fraction:
+    """B_{2n}^*, the exact value of :func:`zagier_number_formula`."""
+    return exact_core.modified_bernoulli(2 * n)
+
+
+@functools.lru_cache(maxsize=256)
+def _type_exact(n: int) -> Fraction:
+    """B_{2n}^*(-3/2) + B_{2n}^*, the exact value of :func:`zagier_type_sum`."""
+    return exact_core.zagier_eval(2 * n, _MINUS_THREE_HALVES) + _number_exact(n)
+
+
 def zagier_number_formula(
     n: int,
     tol: float = series_engine.DEFAULT_TOL,
@@ -179,8 +197,7 @@ def zagier_number_formula(
         raise ValueError("n must be positive")
     bessel = series_engine.lattice_bessel_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
     value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, bessel.value, tol * 1e-3, max_terms)
-    exact = exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(0), exact, value, [bessel, *alg_meta],
+    return _report(2 * n, _ZERO, _number_exact(n), value, [bessel, *alg_meta],
                    bessel.tail_bound + alg_bound)
 
 
@@ -209,8 +226,7 @@ def zagier_type_sum(
     rounding = (0.5 * (_cheb_rounding(k, 0.25) + _cheb_rounding(k, 0.75))
                 + 2.0 * _EPS * (2.0 * abs(bessel.value) + n + 0.5 * (abs(u1) + abs(u3))
                                 + 2.0 ** (1 - 4 * n) * alg.value))
-    exact = exact_core.zagier_eval(2 * n, Fraction(-3, 2)) + exact_core.modified_bernoulli(2 * n)
-    return _report(2 * n, Fraction(-3, 2), exact, value, [bessel, alg],
+    return _report(2 * n, _MINUS_THREE_HALVES, _type_exact(n), value, [bessel, alg],
                    2.0 * bessel.tail_bound + 2.0 ** (1 - 4 * n) * alg.tail_bound + rounding)
 
 

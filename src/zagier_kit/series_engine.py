@@ -25,16 +25,18 @@ In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
 is built once and cached, and every cached array is the one a call would
 otherwise build, so no value changes:
   * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
-    coefficients b_k, the bracket values through the base explicit range M0
-    (at most 10,760 floats) and the tail envelopes at M0 (29 floats);
+    coefficients b_k and |b_k|, the bracket values through the base
+    explicit range M0 (at most 10,760 floats), the tail envelopes at M0 and
+    lattice^{-s} with its rounding _ZETA_EPS lattice^{-s} (29 floats each);
     envelopes at any other M are formed by the call that needs them;
   * the powers (lattice m)^{-(k+1/2)}, one table per lattice whatever nu
     (:class:`_PowerTable`, 8 lattices), grown to the most orders and the
     largest base range asked (at most 29 x 10,760 floats, 2.5 MB, at
     nu = 260 on lattice 1); a forced m_terms past its own base range builds
     what the table lacks for itself and keeps nothing;
-  * the periodic zeta values at every order, per x (64 entries), so a
-    bracket sum and its regularizer share one evaluation.
+  * the periodic zeta values at every order, per (x, parity) (128
+    entries): a sum over cos phases forms only C_s(x), one over sin phases
+    only S_s(x), and a bracket sum and its regularizer share that row.
 """
 
 from __future__ import annotations
@@ -257,36 +259,38 @@ def periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x must lie in [0, 1)")
     if not 0 <= k_max <= _ORDERS:
         raise ValueError(f"k_max must lie in [0, {_ORDERS}]")
-    c, s = _periodic_zeta_rows(x)
-    return c[: k_max + 1].copy(), s[: k_max + 1].copy()
+    return tuple(_periodic_zeta_rows(x, odd)[: k_max + 1].copy() for odd in (False, True))
 
 
-@functools.lru_cache(maxsize=64)  # a bracket sum and its regularizer ask at the same x
-def _periodic_zeta_rows(x: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`periodic_zeta` at every order 0.._ORDERS; each entry is the same
-    whatever the number of orders formed beside it."""
+_J = np.arange(_WOOD_TERMS, dtype=float)  # powers j of Wood's expansion
+_SINGULAR = np.arange(_ORDERS + 1) - 0.5   # exponents s - 1 of its singular term
+
+
+@functools.lru_cache(maxsize=128)  # a bracket sum and its regularizer ask at the same (x, parity)
+def _periodic_zeta_rows(x: float, odd: bool) -> np.ndarray:
+    """C_s(x), or S_s(x) when odd, of :func:`periodic_zeta` at every order
+    0.._ORDERS; each entry is the same whatever the number of orders or
+    the parity formed beside it, since the sum over j runs row by row."""
+    if not 0.0 <= x < 1.0:  # the lattice sums reach here without periodic_zeta's checks
+        raise ValueError("x must lie in [0, 1)")
     zeta, eta, gamma_c, gamma_s, re, im = _wood_tables()
     if x == 0.0:
-        c, s = zeta[:, 0].copy(), np.zeros(_ORDERS + 1)
+        row = np.zeros(_ORDERS + 1) if odd else zeta[:, 0].copy()
     else:
         t = 1.0 - x if x > 0.5 else x
         if t <= 0.25:
             a = 2.0 * pi * t
             rows = zeta
-            singular = a ** (np.arange(_ORDERS + 1) - 0.5)
-            c = gamma_c * singular
-            s = gamma_s * singular
+            head = (gamma_s if odd else gamma_c) * a**_SINGULAR
         else:
             a = pi * (2.0 * t - 1.0)
             rows = -eta
-            c = s = 0.0
-        powers = a ** np.arange(_WOOD_TERMS, dtype=float)
-        c = c + (rows * (powers * re)).sum(axis=1)
-        s = s + (rows * (powers * im)).sum(axis=1)
-        if x > 0.5:
-            s = -s
-    c.flags.writeable = s.flags.writeable = False
-    return c, s
+            head = 0.0
+        row = head + (rows * (a**_J * (im if odd else re))).sum(axis=1)
+        if odd and x > 0.5:
+            row = -row
+    row.flags.writeable = False
+    return row
 
 
 def trig_power_sums(x: float) -> TrigPowerSums:
@@ -420,6 +424,9 @@ class _Plan:
     near: int              # the last m with 4 pi lattice m at or below the crossover
     brackets: np.ndarray   # bracket(lattice m) for m = 1..M0, the base explicit range
     envelopes: np.ndarray  # :func:`_envelopes` at M0
+    b_abs: np.ndarray      # |b_1..b_ORDERS|
+    lam_s: np.ndarray      # lattice^{-s}, s = k + 1/2 for k = 1..ORDERS
+    zeta_err: np.ndarray   # _ZETA_EPS lattice^{-s}, the rounding of the periodic zeta values
 
 
 @functools.lru_cache(maxsize=512)  # at most 10,760 brackets each (nu = 260, lattice 1)
@@ -448,8 +455,10 @@ def _plan(nu: int, lattice: int) -> _Plan:
     y_nu = bessel_Y_upward(nu, 4.0 * pi * q, *_lattice_y01(q))
     brackets = np.concatenate([(-1.0) ** (nu // 2) * pi * y_nu + 0.5 / np.sqrt(q),
                                _far_brackets(b, near, lattice, base)])
-    plan = _Plan(b, near, brackets, _envelopes(b, lattice, base))
-    for array in (plan.b, plan.brackets, plan.envelopes):
+    lam_s = float(lattice) ** -_S
+    plan = _Plan(b, near, brackets, _envelopes(b, lattice, base), np.abs(b[1:]), lam_s,
+                 _ZETA_EPS * lam_s)
+    for array in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.zeta_err):
         array.flags.writeable = False
     return plan
 
@@ -600,24 +609,23 @@ def regularized_bracket_sum(
 
     M = min(base, max_terms) if m_terms is None else max(int(m_terms), 1)
     envelopes = plan.envelopes if M == base else _envelopes(b, lattice, M)
-    below = np.flatnonzero(envelopes <= tol)
-    K = int(below[0]) + 1 if m_terms is None and below.size else int(np.argmin(envelopes)) + 1
+    scan = enumerate(envelopes.tolist(), 1) if m_terms is None else ()
+    K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)
     brackets = _bracket_values(nu, lattice, M)
     trig = _trig(even_nu, x, ms)
     explicit = chunked_fsum(brackets * trig)
     phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)
-    s = _S[:K]
-    b_abs = np.abs(b[1 : K + 1])
+    s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]
     powers = _power_table(lattice).powers(K, M, keep=M <= base)  # row k-1: (lattice m)^{-s}
-    closed_err = b_abs * (_ZETA_EPS * lam**-s + powers @ phase)
+    closed_err = b_abs * (plan.zeta_err[:K] + powers @ phase)
     fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
     W, split, bound = M, K, fixed + float(closed_err.sum())
 
     def windowed(w: int) -> tuple[int, float]:
         # orders split+1..K over (M, w], each with its remainder past w
-        err = (b_abs * lam**-s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
+        err = (b_abs * lam_s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
                / (s - 1.0))
         better = err < closed_err
         k = 0 if better.all() else K - int(np.argmin(better[::-1]))
@@ -630,7 +638,7 @@ def regularized_bracket_sum(
         split, bound = found
     tail = 0.0
     if split:
-        closed = periodic_zeta(x, split)[0 if even_nu else 1][1:] * lam**-s[:split]
+        closed = _periodic_zeta_rows(x, not even_nu)[1 : split + 1] * lam_s[:split]
         partial = _row_fsums(trig, powers[:split])
         tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
     if split < K:
@@ -644,8 +652,9 @@ def regularized_bracket_sum(
             result,
         )
     if m_terms is None and not bound <= tol:
+        # a rounding above tol is named first: no larger budget lowers it
         cause = (f"truncation term {truncation:.2e} at the {max_terms}-term budget"
-                 if truncation > tol and M == max_terms
+                 if truncation > tol and M == max_terms and not bound - truncation > tol
                  else f"rounding bound {bound - truncation:.2e}")
         raise SeriesConvergenceError(
             f"regularized_bracket_sum: {cause} exceeds tol {tol:.2e} (nu={nu}, M={M})",
@@ -657,7 +666,7 @@ def regularized_bracket_sum(
 def _regularizer_sum(nu: int, x: float, lattice: int) -> float:
     """sum_m trig(2 pi m x)/(2 sqrt(lattice m)): (1/2) lattice^{-1/2} times C_{1/2}(x)
     for even nu, S_{1/2}(x) for odd nu."""
-    return 0.5 * lattice**-0.5 * float(periodic_zeta(x, 0)[nu % 2][0])
+    return 0.5 * lattice**-0.5 * float(_periodic_zeta_rows(x, bool(nu % 2))[0])
 
 
 def lattice_bessel_sum(

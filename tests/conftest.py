@@ -6,12 +6,15 @@ Akiyama-Tanigawa triangle, modified Bernoulli numbers and Zagier
 polynomials are assembled term by term in `Fraction`s, trigonometric power
 sums are checked against the polylogarithm, and the algebraic g-series is
 summed term by term.  The regularized bracket sum is rebuilt from scratch
-on every call, without the library's caches.
+on every call, without the library's caches, and `empty_caches` swaps
+those caches for empty ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import functools
+import importlib
 import math
 from math import comb, factorial, fsum, pi, sin, sqrt
 
@@ -349,3 +352,19 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
         mw = np.arange(M + 1, W + 1, dtype=float)
         tail += math.fsum((trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw)).tolist())
     return explicit + tail, bound, W, m_terms is None and bound > tol
+
+
+# every lru_cache of the numeric side, as (module, function) in zagier_kit
+CACHES = (("series_engine", "_plan"), ("series_engine", "_power_table"),
+          ("series_engine", "_periodic_zeta_rows"), ("formulas", "_number_exact"),
+          ("formulas", "_type_exact"))
+
+
+def empty_caches(monkeypatch) -> None:
+    """Swap each cache of CACHES for an empty one of the same size; the
+    monkeypatch brings the module's own back afterwards."""
+    for module_name, name in CACHES:
+        module = importlib.import_module(f"zagier_kit.{module_name}")
+        cached = getattr(module, name)
+        fresh = functools.lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+        monkeypatch.setattr(module, name, fresh)

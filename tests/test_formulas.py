@@ -12,7 +12,7 @@ from zagier_kit import exact_core as ec
 from zagier_kit import formulas as fm
 from zagier_kit import series_engine as se
 
-from conftest import A_function_two_ways, bernoulli_fourier_eval
+from conftest import A_function_two_ways, bernoulli_fourier_eval, empty_caches
 
 
 def test_even_formula_headline_values():
@@ -112,6 +112,43 @@ def test_zagier_type_sum():
         expected = ec.zagier_eval(2 * n, Fraction(-3, 2)) + ec.modified_bernoulli(2 * n)
         assert rep.exact == expected
         assert rep.abs_error < 1e-8
+
+
+# formula, its point arguments and a fresh exact value by n
+_CACHED_FORMULAS = {
+    "even": (fm.zagier_even_formula, (Fraction(1, 3),), lambda n: ec.zagier_eval(2 * n, Fraction(1, 3))),
+    "odd": (fm.zagier_odd_formula, (Fraction(2, 7),), lambda n: ec.zagier_eval(2 * n + 1, Fraction(2, 7))),
+    "number": (fm.zagier_number_formula, (), lambda n: ec.modified_bernoulli(2 * n)),
+    "type": (fm.zagier_type_sum, (),
+             lambda n: ec.zagier_eval(2 * n, Fraction(-3, 2)) + ec.modified_bernoulli(2 * n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CACHED_FORMULAS))
+def test_formula_caches_are_bit_identical_to_empty_caches(name, monkeypatch):
+    # every EvalReport field, or the raise message and best result, is the
+    # same with each cache emptied before the call and with warm caches in
+    # ascending then descending n; .exact is the exact core's fresh value
+    fn, args, fresh_exact = _CACHED_FORMULAS[name]
+
+    def outcome(n):
+        exact = fresh_exact(n)
+        try:
+            rep = fn(n, *args, tol=1e-9 * max(1.0, abs(float(exact))))
+        except se.SeriesConvergenceError as err:
+            return "raised", str(err), repr(err.best)
+        assert rep.exact == exact, (name, n)
+        return repr(rep)
+
+    ns = range(1, 61)
+    cold = {}
+    for n in ns:
+        empty_caches(monkeypatch)
+        cold[n] = outcome(n)
+    assert sum(result[0] != "raised" for result in cold.values()) >= 30, name
+    empty_caches(monkeypatch)
+    for n in [*ns, *reversed(ns)]:
+        assert outcome(n) == cold[n], (name, n)
 
 
 def test_zagier_type_u_term():

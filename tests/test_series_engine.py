@@ -3,7 +3,7 @@ against extended precision, bracket decay, and the acceleration contracts."""
 
 from __future__ import annotations
 
-import functools
+import importlib
 import math
 import random
 import sys
@@ -21,7 +21,7 @@ from scipy import special as sp_special
 from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
-from conftest import (g_sum_nsum_oracle, g_sum_plain_oracle, polylog_trig_oracle, uncached_bracket_sum,
+from conftest import (CACHES, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle, polylog_trig_oracle, uncached_bracket_sum,
                       uncached_periodic_zeta)
 
 
@@ -317,12 +317,16 @@ def test_closed_tails_keep_the_explicit_range_at_the_crossover():
 
 def test_series_convergence_error():
     # a tol below the rounding floor raises at the base range and names the
-    # rounding: a longer explicit range only adds rounding
+    # rounding: a longer explicit range only adds rounding.  A budget of
+    # exactly the base range names it too, though the truncation term
+    # (1.8e-40 at nu = 4) breaks tol 1e-60 as well
     base = se._plan(4, 1).brackets.size
-    for tol in (1e-30, 1e-60):
-        with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
-            se.regularized_bracket_sum(4, 0.3, tol=tol, max_terms=50)
-        assert err.value.best.terms_used == base
+    assert base == 8
+    for max_terms in (50, base):
+        for tol in (1e-30, 1e-60):
+            with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
+                se.regularized_bracket_sum(4, 0.3, tol=tol, max_terms=max_terms)
+            assert err.value.best.terms_used == base
 
 
 def test_budget_below_the_crossover_raises():
@@ -555,20 +559,10 @@ def uncached_grid():
             for case in _grid_cases(_GRID_NUS)}
 
 
-_CACHES = ("_plan", "_power_table", "_periodic_zeta_rows")
-
-
-def _empty_caches(monkeypatch):
-    for name in _CACHES:
-        cached = getattr(se, name)
-        fresh = functools.lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
-        monkeypatch.setattr(se, name, fresh)
-
-
 @pytest.fixture
 def fresh_caches(monkeypatch):
     """Empty caches for one test; the module's own come back afterwards."""
-    _empty_caches(monkeypatch)
+    empty_caches(monkeypatch)
 
 
 @pytest.mark.parametrize("order", ("ascending", "descending", "scrambled"))
@@ -626,7 +620,7 @@ def test_cached_bracket_sum_under_threads(uncached_grid, monkeypatch):
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
-    _empty_caches(monkeypatch)
+    empty_caches(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -657,8 +651,9 @@ def test_kept_tables_stay_small(fresh_caches):
     for nu, lattice in ((4, 1), (4, 2), (121, 1), (121, 2)):
         base = max(math.ceil(sf.asymptotic_crossover(nu) / (4 * pi * lattice)) + 1, 8)
         assert se._plan(nu, lattice).brackets.size == base, (nu, lattice)
-    for name in _CACHES:
-        assert getattr(se, name).cache_info().maxsize is not None, name
+    for module, name in CACHES:
+        assert getattr(importlib.import_module(f"zagier_kit.{module}"), name).cache_info().maxsize \
+            is not None, name
 
 
 @pytest.mark.parametrize("fn", (se.regularized_bracket_sum, se.lattice_bessel_sum))
@@ -693,7 +688,7 @@ def test_nan_bound_raises(monkeypatch):
     with pytest.raises(se.SeriesConvergenceError):
         se.regularized_bracket_sum(4, 0.3, tol=float("nan"), max_terms=64)
     # fresh caches, so the plan is rebuilt with the NaN envelopes
-    _empty_caches(monkeypatch)
+    empty_caches(monkeypatch)
     monkeypatch.setattr(se, "_envelopes", lambda b, lattice, m: np.full(se._ORDERS - 1, np.nan))
     with pytest.raises(se.SeriesConvergenceError) as err:
         se.regularized_bracket_sum(4, 0.3)
