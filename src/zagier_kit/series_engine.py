@@ -8,10 +8,12 @@ C_{1/2}(x), S_{1/2}(x).  Past the Hankel crossover the bracket on the 4 pi m
 lattice is a pure power series in 1/m, sum_k b_k m^{-(k+1/2)}, so every
 order of the tail beyond the explicit range is summed in closed form, again
 through periodic zeta values at s = k + 1/2 (Wood's polylogarithm
-expansion).  The explicit range therefore sits at the crossover
-2 nu^2/(4 pi) whatever the tolerance; the tolerance only picks how many
-orders are closed.  The reported bound is the first dropped order plus
-the rounding of every piece, and a tolerance below it raises.
+expansion).  At x = 0 each closed order is a Hurwitz zeta value
+zeta(k + 1/2, M + 1), a sum of positive terms.  The explicit range
+therefore sits at the crossover 2 nu^2/(4 pi) whatever the tolerance; the
+tolerance only picks how many orders are closed.  The reported bound is
+the first dropped order plus the rounding of every piece, and a tolerance
+below it raises.
 
 Every reduction over m is correctly rounded: it returns exactly what
 math.fsum returns for the same terms, so results are reproducible bit for
@@ -33,7 +35,10 @@ otherwise build, so no value changes:
     (:class:`_PowerTable`, 8 lattices), grown to the most orders and the
     largest base range asked (at most 29 x 10,760 floats, 2.5 MB, at
     nu = 260 on lattice 1); a forced m_terms past its own base range builds
-    what the table lacks for itself and keeps nothing;
+    what the table lacks for itself and keeps nothing.  Only sums at
+    x != 0 read it;
+  * the tails zeta(k + 1/2, M + 1) of the orders at x = 0, per M whatever
+    nu and lattice (:func:`_zeta_tails`, 512 entries of 29 floats);
   * the periodic zeta values at every order, per (x, parity) (128
     entries): a sum over cos phases forms only C_s(x), one over sin phases
     only S_s(x), and a bracket sum and its regularizer share that row.
@@ -502,6 +507,52 @@ def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
 
 _S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
 
+# B_2, B_4, ..., B_20: the Euler-Maclaurin corrections of :func:`_zeta_tails`
+_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+                 (-3617, 510), (43867, 798), (-174611, 330))
+_EM_START = 48.0  # Euler-Maclaurin starts at max(m + 1, _EM_START)
+_EM_POWERS = np.arange(1.0, 2 * len(_EM_BERNOULLI), 2)  # a^{-(2j-1)}, j = 1..10
+
+
+@functools.cache
+def _euler_maclaurin_table() -> np.ndarray:
+    """Row k-1, column j-1: B_2j/(2j)! s (s+1)...(s+2j-2) at s = k + 1/2 for the
+    orders k = 1.._ORDERS-1 a call can close, one correctly rounded quotient
+    of exact integers.  Built on first use."""
+    rows = []
+    for k in range(1, _ORDERS):
+        row, rising = [], 2 * k + 1  # 2^{2j-1} s (s+1)...(s+2j-2), a product of odd integers
+        for j, (num, den) in enumerate(_EM_BERNOULLI, 1):
+            row.append(num * rising / (den * math.factorial(2 * j) << (2 * j - 1)))
+            rising *= (2 * k + 4 * j - 1) * (2 * k + 4 * j + 1)
+        rows.append(row)
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=512)  # 29 floats each; one m per (nu, lattice) at the default budget
+def _zeta_tails(m: int) -> np.ndarray:
+    """zeta(s, m + 1) = sum_{j > m} j^{-s} for s = k + 1/2, k = 1.._ORDERS-1.
+
+    At x = 0 these close every order past m, and as sums of positive terms
+    they cancel nothing.  The terms below a = max(m + 1, 48) are summed
+    directly and the rest by Euler-Maclaurin at a through B_20, whose first
+    dropped correction is below 1e-19 of the value; each order's parts are
+    summed by math.fsum.  Python's power forms every part that carries the
+    value (numpy's can round an ulp further off), so each entry lies within
+    2 ulp of the true value.
+    """
+    x = m + 1.0
+    a = max(x, _EM_START)
+    corrections = (_euler_maclaurin_table() @ a ** -_EM_POWERS).tolist()
+    tails = np.array([
+        math.fsum([(x + j) ** -s for j in range(int(a - x))]
+                  + [a ** (1.0 - s) / (s - 1.0), 0.5 * a ** -s, c * a ** -s])
+        for s, c in zip(_S[: _ORDERS - 1].tolist(), corrections)])
+    tails.flags.writeable = False
+    return tails
+
 
 class _PowerTable:
     """(lattice m)^{-s}, row k-1 for s = k + 1/2 and column m-1, for one lattice.
@@ -539,7 +590,7 @@ class _PowerTable:
         return np.ascontiguousarray(table[:orders, :m_terms])
 
 
-@functools.lru_cache(maxsize=8)  # the formulas use lattices 1 and 2
+@functools.lru_cache(maxsize=8)  # the formulas read lattice 1; lattice 2 only at x = 0
 def _power_table(lattice: int) -> _PowerTable:
     return _PowerTable(lattice)
 
@@ -567,14 +618,13 @@ def regularized_bracket_sum(
 ) -> SeriesResult:
     """sum_{m>=1} bracket(lattice*m) * trig(2 pi m x), 0 <= x < 1.
 
-    trig is cos for even nu, sin for odd nu; x = 0 is allowed (the closed
-    sums degenerate to Riemann zeta values).  The explicit range [1, M]
-    uses true bracket values and ends just past the Hankel crossover.
-    Beyond M the orders k = 1..K of bracket(q) ~ sum_k b_k q^{-(k+1/2)}
-    are summed in closed form, b_k (lattice^{-s} T_s(x) - P_s(M)) with
-    s = k + 1/2, T_s the periodic zeta value and P_s its partial sum over
-    m <= M.  K is the first order whose dropped successor is below tol, or
-    the smallest dropped order when none is.
+    trig is cos for even nu, sin for odd nu; x = 0 is allowed.  The
+    explicit range [1, M] uses true bracket values and ends just past the
+    Hankel crossover.  Beyond M the orders k = 1..K of bracket(q) ~
+    sum_k b_k q^{-(k+1/2)} are summed in closed form, b_k (lattice^{-s}
+    T_s(x) - P_s(M)) with s = k + 1/2, T_s the periodic zeta value and P_s
+    its partial sum over m <= M.  K is the first order whose dropped
+    successor is below tol, or the smallest dropped order when none is.
 
     A closed difference cancels O(1) values down to its tail, so it carries
     an absolute rounding error of a few units times |b_k|, and |b_k|
@@ -582,8 +632,13 @@ def regularized_bracket_sum(
     tails beyond a window m <= W are negligible, are summed term by term
     over (M, W] instead, W doubling from 2M up to max_terms.
 
+    At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
+    whole from :func:`_zeta_tails`: it cancels nothing and carries a few
+    units of its own size.  Every order is closed up to the smallest
+    dropped one, whatever tol, and no window opens.
+
     The reported bound is the dropped order plus the rounding of the
-    explicit terms, of the closed differences and of the window (with its
+    explicit terms, of the closed tails and of the window (with its
     remainder); SeriesConvergenceError is raised unless it is at most tol.
     It is raised as well when max_terms ends the explicit range at or below
     the Hankel crossover, where the power series of the tail is only
@@ -596,8 +651,8 @@ def regularized_bracket_sum(
 
     Only the phases depend on x: the bracket values and the tail envelopes
     come from the :func:`_plan` of (nu, lattice), the powers (lattice m)^{-s}
-    from one table per lattice, and both are the same arrays a call without
-    them would build.
+    from one table per lattice, the tails at x = 0 from one cache per M,
+    and each is the same array a call without them would build.
     """
     _check_lattice_args(nu, lattice, max_terms)
     even_nu = nu % 2 == 0
@@ -609,42 +664,51 @@ def regularized_bracket_sum(
 
     M = min(base, max_terms) if m_terms is None else max(int(m_terms), 1)
     envelopes = plan.envelopes if M == base else _envelopes(b, lattice, M)
-    scan = enumerate(envelopes.tolist(), 1) if m_terms is None else ()
+    scan = enumerate(envelopes.tolist(), 1) if m_terms is None and x != 0.0 else ()
     K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
-    ms = np.arange(1, M + 1, dtype=float)
     brackets = _bracket_values(nu, lattice, M)
-    trig = _trig(even_nu, x, ms)
-    explicit = chunked_fsum(brackets * trig)
-    phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)
-    s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]
-    powers = _power_table(lattice).powers(K, M, keep=M <= base)  # row k-1: (lattice m)^{-s}
-    closed_err = b_abs * (plan.zeta_err[:K] + powers @ phase)
-    fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
-    W, split, bound = M, K, fixed + float(closed_err.sum())
+    if x == 0.0:
+        # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1),
+        # a sum of positive terms: nothing cancels, so no window is needed
+        closed = b[1 : K + 1] * plan.lam_s[:K] * _zeta_tails(M)[:K]
+        W, value = M, chunked_fsum(brackets) + math.fsum(closed.tolist())
+        bound = (truncation + (2e-15 + _EPS) * float(np.abs(brackets).sum())
+                 + _ZETA_EPS * float(np.abs(closed).sum()))
+    else:
+        ms = np.arange(1, M + 1, dtype=float)
+        trig = _trig(even_nu, x, ms)
+        explicit = chunked_fsum(brackets * trig)
+        phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)
+        s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]
+        powers = _power_table(lattice).powers(K, M, keep=M <= base)  # row k-1: (lattice m)^{-s}
+        closed_err = b_abs * (plan.zeta_err[:K] + powers @ phase)
+        fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
+        W, split, bound = M, K, fixed + float(closed_err.sum())
 
-    def windowed(w: int) -> tuple[int, float]:
-        # orders split+1..K over (M, w], each with its remainder past w
-        err = (b_abs * lam_s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
-               / (s - 1.0))
-        better = err < closed_err
-        k = 0 if better.all() else K - int(np.argmin(better[::-1]))
-        return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
+        def windowed(w: int) -> tuple[int, float]:
+            # orders split+1..K over (M, w], each with its remainder past w
+            err = (b_abs * lam_s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
+                   / (s - 1.0))
+            better = err < closed_err
+            k = 0 if better.all() else K - int(np.argmin(better[::-1]))
+            return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
 
-    if m_terms is None and bound > tol and M < max_terms and windowed(max_terms)[1] <= tol:
-        W = min(2 * M, max_terms)
-        while (found := windowed(W))[1] > tol:
-            W = min(2 * W, max_terms)
-        split, bound = found
-    tail = 0.0
-    if split:
-        closed = _periodic_zeta_rows(x, not even_nu)[1 : split + 1] * lam_s[:split]
-        partial = _row_fsums(trig, powers[:split])
-        tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
-    if split < K:
-        mw = np.arange(M + 1, W + 1, dtype=float)
-        tail += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lam * mw))
-    result = SeriesResult(explicit + tail, W, bound)
+        if m_terms is None and bound > tol and M < max_terms and windowed(max_terms)[1] <= tol:
+            W = min(2 * M, max_terms)
+            while (found := windowed(W))[1] > tol:
+                W = min(2 * W, max_terms)
+            split, bound = found
+        tail = 0.0
+        if split:
+            closed = _periodic_zeta_rows(x, not even_nu)[1 : split + 1] * lam_s[:split]
+            partial = _row_fsums(trig, powers[:split])
+            tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
+        if split < K:
+            mw = np.arange(M + 1, W + 1, dtype=float)
+            tail += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lam * mw))
+        value = explicit + tail
+    result = SeriesResult(value, W, bound)
     if m_terms is None and M <= plan.near:
         raise SeriesConvergenceError(
             f"regularized_bracket_sum: the {max_terms}-term budget ends the explicit range "

@@ -62,6 +62,39 @@ def polylog_trig_oracle(s: float, x: float) -> tuple[float, float]:
         return float(mp.re(li)), float(mp.im(li))
 
 
+def hurwitz_zeta_oracle(k_max: int, a: int, dps: int = 40) -> list:
+    """zeta(k + 1/2, a) for k = 1..k_max (k_max <= 29) and an integer a >= 1,
+    as mpfs: the terms below A = max(a, 64) summed directly, the rest by
+    Euler-Maclaurin at A until a correction falls below 1e-30 of the sum
+    (each shrinks the last by about ((s + 2j)/(2 pi A))^2).
+    All but the tiny corrections are positive, so nothing cancels, whereas
+    mpmath.zeta at an integer a subtracts from zeta(s) and needs about
+    (s - 1) log10(a) more digits.  Each order comes from the last by one
+    division per power."""
+    with mp.workdps(dps):
+        big = max(a, 64)
+        bases = [mp.mpf(q) for q in range(a, big)]
+        direct = [1 / (q * mp.sqrt(q)) for q in bases]  # q^{-3/2}
+        top = mp.mpf(big)
+        power = 1 / (top * mp.sqrt(top))
+        out = []
+        for k in range(1, k_max + 1):
+            s = k + mp.mpf(1) / 2
+            total = mp.fsum(direct) + power * top / (s - 1) + power / 2
+            step, j = power * s / top, 1  # s (s+1) ... (s+2j-2) top^{1-s-2j}
+            while True:
+                term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * step
+                total += term
+                if abs(term) < 1e-30 * total:
+                    break
+                step *= (s + 2 * j - 1) * (s + 2 * j) / (top * top)
+                j += 1
+            out.append(total)
+            direct = [d / q for d, q in zip(direct, bases)]
+            power /= top
+        return out
+
+
 def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:
     """B_0..B_n by the Akiyama-Tanigawa triangle, adjusted to B_1 = -1/2."""
     row = [Fraction(0)] * (n + 1)
@@ -280,9 +313,12 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     the call instead of taken from the library's caches, so a cache that
     hands out a wrong or stale slice shows as a difference in the last bit.
     Every sum is math.fsum of a list, not the engine's `chunked_fsum`, so a
-    fault in that sum shows too.  Returns (value, tail_bound, terms_used, raised).
+    fault in that sum shows too.  At x = 0 the closed tails zeta(s, M + 1)
+    are summed afresh on every call, with the library's constant
+    Euler-Maclaurin table.  Returns (value, tail_bound, terms_used, raised).
     """
-    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS
+    from zagier_kit.series_engine import (_EM_POWERS, _EM_START, _EPS, _ORDERS, _ZETA_EPS,
+                                          _euler_maclaurin_table)
     from zagier_kit.specfun import (ASYM_Z_MIN, _hankel_sum, _orders_sum, asymptotic_crossover,
                                     bessel_Y01, bessel_Y_upward, hankel_lattice)
 
@@ -304,7 +340,10 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     ks = np.arange(1, _ORDERS, dtype=float)
     envelopes = np.abs(b[2:]) * (lam * M) ** -(ks + 1.5) * M / (ks + 0.5)
     below = np.flatnonzero(envelopes <= tol)
-    K = int(below[0]) + 1 if m_terms is None and below.size else int(np.argmin(envelopes)) + 1
+    if m_terms is None and below.size and x != 0.0:
+        K = int(below[0]) + 1
+    else:  # a forced m_terms, and x = 0, close every order to the smallest envelope
+        K = int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)
     q = lam * ms
@@ -323,6 +362,19 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     brackets = np.concatenate([near_values[:M], _hankel_sum(b, 1, far_q)])
     trig = trig_at(ms)
     explicit = math.fsum((brackets * trig).tolist())
+    if x == 0.0:
+        # zeta(s, M + 1): terms below a = max(M + 1, 48), Euler-Maclaurin at a
+        a = max(M + 1.0, _EM_START)
+        corrections = (_euler_maclaurin_table() @ a ** -_EM_POWERS).tolist()
+        zeta_tails = np.array([
+            math.fsum([(M + 1.0 + j) ** -s for j in range(int(a - M - 1.0))]
+                      + [a ** (1.0 - s) / (s - 1.0), 0.5 * a ** -s, c * a ** -s])
+            for s, c in zip((np.arange(1, _ORDERS) + 0.5).tolist(), corrections)])
+        s = np.arange(1, _ORDERS + 1) + 0.5  # every order, as the plan forms lattice^{-s}
+        closed = b[1 : K + 1] * (lam**-s)[:K] * zeta_tails[:K]
+        bound = (truncation + (2e-15 + _EPS) * float(np.abs(brackets).sum())
+                 + _ZETA_EPS * float(np.abs(closed).sum()))
+        return explicit + math.fsum(closed.tolist()), bound, M, m_terms is None and bound > tol
     phase = _EPS * (1.0 + 2.0 * pi * x * ms)
     s = np.arange(1, K + 1) + 0.5
     b_abs = np.abs(b[1 : K + 1])
@@ -356,8 +408,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
 
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_power_table"),
-          ("series_engine", "_periodic_zeta_rows"), ("formulas", "_number_exact"),
-          ("formulas", "_type_exact"))
+          ("series_engine", "_periodic_zeta_rows"), ("series_engine", "_zeta_tails"),
+          ("formulas", "_number_exact"), ("formulas", "_type_exact"))
 
 
 def empty_caches(monkeypatch) -> None:

@@ -295,6 +295,46 @@ def test_tail_bound_covers_abs_error(n):
         assert rep.abs_error <= rep.tail_bound, (rep.n, rep.x, rep.abs_error, rep.tail_bound)
 
 
+# the formulas whose lattice sums sit at x = 0, their lattice and exact value
+_AT_ZERO = {
+    "number": (fm.zagier_number_formula, 1, lambda n: ec.modified_bernoulli(2 * n)),
+    "type": (fm.zagier_type_sum, 2,
+             lambda n: ec.zagier_eval(2 * n, Fraction(-3, 2)) + ec.modified_bernoulli(2 * n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AT_ZERO))
+def test_loose_tolerances_keep_honest_bounds_at_x_zero(name):
+    # at x = 0 every order past M0 is closed up to the smallest envelope,
+    # whatever tol: a loose tol no longer drops orders whose sum exceeds the
+    # first dropped one (index 16 at tol 1e-2 erred by 3.00e-3 against 2.98e-3)
+    fn = _AT_ZERO[name][0]
+    passing = 0
+    for n in range(1, 31):
+        for tol in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4):
+            try:
+                rep = fn(n, tol=tol)
+            except se.SeriesConvergenceError:
+                continue
+            passing += 1
+            assert rep.abs_error <= rep.tail_bound, (n, tol, rep.abs_error, rep.tail_bound)
+    assert passing >= 100
+
+
+@pytest.mark.parametrize("name", sorted(_AT_ZERO))
+def test_x_zero_sums_stop_at_the_base_range(name):
+    # the closed tails at x = 0 cancel nothing, so even tol 1e-12 relative
+    # sums the M0 brackets of the plan and no term past them
+    fn, lattice, exact_at = _AT_ZERO[name]
+    for n in range(1, 61):
+        exact = exact_at(n)
+        for rel in (1e-9, 1e-12):
+            tol = rel * max(1.0, abs(float(exact)))
+            rep = fn(n, tol=tol)
+            assert rep.series_meta[0].terms_used == se._plan(2 * n, lattice).brackets.size, (n, rel)
+            assert rep.abs_error <= tol, (n, rel)
+
+
 @pytest.mark.parametrize("max_terms", (1, 8, 64, 512, 4096))
 def test_no_component_runs_past_max_terms(max_terms):
     # the budget reaches the Bessel sum and the algebraic sums alike

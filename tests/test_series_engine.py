@@ -21,8 +21,8 @@ from scipy import special as sp_special
 from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
-from conftest import (CACHES, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle, polylog_trig_oracle, uncached_bracket_sum,
-                      uncached_periodic_zeta)
+from conftest import (CACHES, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle, hurwitz_zeta_oracle,
+                      polylog_trig_oracle, uncached_bracket_sum, uncached_periodic_zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +587,29 @@ def test_lattice_sum_is_bit_identical_to_the_uncached_sums(uncached_grid):
         got = se.lattice_bessel_sum(nu, x, tol=tol, lattice=lattice, m_terms=m_terms)
         assert got.value == value - 0.5 * lattice**-0.5 * float(half), (nu, x, tol, lattice, m_terms)
         assert got.terms_used == terms
+
+
+def test_zeta_tails_within_two_ulp(fresh_caches):
+    # the closed tails zeta(s, M + 1), s = 3/2..59/2, at the base range M0 of
+    # every even-nu plan (nu <= 260, lattices 1 and 2), at both sides of the
+    # Euler-Maclaurin start 48 and at the cap of a forced m_terms
+    bases = {max(math.ceil(sf.asymptotic_crossover(nu) / (4 * pi * lattice)) + 1, 8)
+             for nu in range(2, 261, 2) for lattice in (1, 2)}
+    ms = sorted(bases | {1, 46, 47, 48, 100_000})
+    for m in ms:
+        tails = se._zeta_tails(m)
+        assert tails.size == se._ORDERS - 1
+        for k, (got, ref) in enumerate(zip(tails.tolist(), hurwitz_zeta_oracle(29, m + 1)), 1):
+            assert abs(mp.mpf(got) - ref) <= 2 * math.ulp(float(ref)), (m, k)
+    # a spread of them against mpmath.zeta itself, which at an integer m + 1
+    # subtracts from zeta(s) and loses about (s - 1) log10(m + 1) digits: at 40
+    # digits it reports false 1e-10 errors from m = 100 on
+    for m in (min(bases), 47, 48, sorted(bases)[len(bases) // 2], max(bases)):
+        tails = se._zeta_tails(m)
+        with mp.workdps(150):
+            for k in (1, 8, 15, 22, 29):
+                ref = mp.zeta(k + mp.mpf(1) / 2, m + 1)
+                assert abs(mp.mpf(tails[k - 1]) - ref) <= 2 * math.ulp(float(ref)), (m, k)
 
 
 @pytest.mark.parametrize("k_max", (0, 1, 5, 29, 30))
