@@ -49,15 +49,12 @@ _NUMERIC = {
         "trig_power_sums",
     ),
     "specfun": (
-        "EvalResult",
         "bessel_J",
         "bessel_J_int_batch",
         "bessel_Y_int",
         "coates_integral",
         "coates_series",
         "dJ_dnu_at_int",
-        "digamma_int",
-        "hurwitz_zeta_half",
         "schlafli_S",
     ),
 }

@@ -263,13 +263,13 @@ def _one_term(nu: int, x: float) -> float:
     """
     sign = (-1.0) ** (nu // 2)
     if nu % 2 == 0 and (abs(x - 0.25) < 1e-12 or abs(x - 0.75) < 1e-12):
-        value = -sign * pi * specfun.bessel_Y_int(nu, 8.0 * pi).value
+        value = -sign * pi * specfun.bessel_Y_int(nu, 8.0 * pi)
     elif nu % 2 and abs(x - 0.5) < 1e-12:
         raise ValueError(f"the one-term asymptotic of B_{nu}^*(x) does not exist at x = 1/2, "
                          f"where every sine term vanishes")
     else:
         trig = cos if nu % 2 == 0 else sin
-        value = sign * pi * specfun.bessel_Y_int(nu, 4.0 * pi).value * trig(2.0 * pi * x)
+        value = sign * pi * specfun.bessel_Y_int(nu, 4.0 * pi) * trig(2.0 * pi * x)
     if not math.isfinite(value):
         raise ValueError(f"the one-term asymptotic of B_{nu}^*(x) exceeds the double range")
     return value
@@ -322,7 +322,7 @@ def _fourier_check(profile, reference, constant: str, n: int, m: int) -> EvalRep
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     c0, cm = _fourier_pair(profile, n, m)
-    ref = reference(2 * n, 4.0 * pi * m).value
+    ref = reference(2 * n, 4.0 * pi * m)
     return _report(n, float(m), None, cm, [], reference=ref, extras={constant: c0})
 
 
@@ -353,7 +353,7 @@ def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
     near = min(int(specfun.asymptotic_crossover(nu) / (4.0 * pi)), n_terms)
     far = specfun._hankel_sum(specfun.hankel_lattice(nu)[0], 0,
                               np.arange(near + 1, n_terms + 1, dtype=float)) / pi
-    return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m).value for m in range(1, near + 1)],
+    return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m) for m in range(1, near + 1)],
                            far])
 
 
@@ -368,6 +368,7 @@ def poisson_J_series_check(
     The left side is summed directly with Cesaro averaging (slow oracle by
     design); the right side is four arcsin kernels minus two sin(nu pi/2)
     weighted algebraic tails, which vanish identically at even integer nu.
+    The near terms take nu integer or half-integer (:func:`specfun.bessel_J`).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")

@@ -1,32 +1,27 @@
 """Floating-point special functions backing the Bessel-series identities.
 
-Double precision throughout.  Each evaluator returns an :class:`EvalResult`
-carrying a heuristic absolute-error estimate and the method that produced
-the value.  Integer J comes from Miller's recurrence, integer Y from the
-upward recurrence over Y_0, Y_1, and non-integer J from mpmath (imported
-on first use).  Past the crossover every J and Y comes from one Hankel
-series (DLMF 10.17).  On the lattice z = 4*pi*q its phase is a constant,
-so pi C_nu(4 pi q) is a power series in 1/q: the series engine sums its
-tails in closed form, and off the lattice the same series is turned by
-libm's exactly reduced cos z and sin z.  That exact phase is why the
-package keeps its own expansion.
+Double precision throughout, numpy only; each evaluator returns a float.
+Below the asymptotic crossover integer J comes from Miller's recurrence,
+half-integer J from the closed J_{-1/2}, J_{1/2} by the upward recurrence,
+and integer Y from the upward recurrence over Y_0, Y_1.  Past the
+crossover every J and Y comes from one Hankel series (DLMF 10.17).  On the
+lattice z = 4*pi*q its phase is a constant, so pi C_nu(4 pi q) is a power
+series in 1/q: the series engine sums its tails in closed form, and off
+the lattice the same series is turned by libm's exactly reduced cos z and
+sin z.  That exact phase is why the package keeps its own expansion.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from math import cos, log, pi, sin, sqrt
-from typing import Literal
 
 import numpy as np
 
 __all__ = [
-    "EvalResult",
     "QuadratureError",
     "EULER_GAMMA",
-    "digamma_int",
     "asymptotic_crossover",
     "bessel_J",
     "bessel_J_int_batch",
@@ -36,7 +31,6 @@ __all__ = [
     "P_func",
     "Q_func",
     "hurwitz_zeta",
-    "hurwitz_zeta_half",
     "zeta_half",
     "coates_integral",
     "coates_series",
@@ -44,8 +38,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286
-
-Method = Literal["series", "recurrence", "asymptotic", "quadrature"]
 
 # large-argument branch activates for z > max(ASYM_Z_MIN, ASYM_NU_FACTOR * nu^2);
 # past it the Hankel series falls below 1e-17 of its first order within
@@ -56,21 +48,11 @@ HANKEL_ORDERS = 30
 
 DEFAULT_PANEL_LIMIT = 500_000
 
-_B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
+_B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)  # B_2, B_4, B_6
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature exceeded its panel budget."""
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    abs_err_estimate: float
-    method: Method
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def digamma_int(n: int) -> float:
@@ -126,14 +108,14 @@ def _hankel_sum(d: np.ndarray, lo: int, q: np.ndarray) -> np.ndarray:
     return _orders_sum(d, lo, top, q)
 
 
-def _asymptotic_JY(nu: float, z: float) -> tuple[float, float, float]:
-    """(J_nu(z), Y_nu(z), err) past the crossover: the lattice series S_J, S_Y at
+def _asymptotic_JY(nu: float, z: float) -> tuple[float, float]:
+    """(J_nu(z), Y_nu(z)) past the crossover: the lattice series S_J, S_Y at
     q = z/(4 pi) turned by the phase z, pi J = cos z S_J - sin z S_Y and
     pi Y = cos z S_Y + sin z S_J, with libm's exactly reduced cos z and sin z."""
     q = np.array([z / (4.0 * pi)])
     s_j, s_y = (float(_hankel_sum(d, 0, q)[0]) for d in hankel_lattice(nu))
     cz, sz = cos(z), sin(z)
-    return (cz * s_j - sz * s_y) / pi, (cz * s_y + sz * s_j) / pi, 1e-15 * sqrt(2.0 / (pi * z))
+    return (cz * s_j - sz * s_y) / pi, (cz * s_y + sz * s_j) / pi
 
 
 def bessel_J_int_batch(n_max: int, z: float) -> np.ndarray:
@@ -172,28 +154,33 @@ def bessel_J_int_batch(n_max: int, z: float) -> np.ndarray:
     return out
 
 
-def bessel_J(nu: float, z: float) -> EvalResult:
+def bessel_J(nu: float, z: float) -> float:
     """J_nu(z) for nu >= 0, z >= 0.
 
-    Integer orders ride the Miller batch below the asymptotic crossover;
-    non-integer orders come from mpmath there.  Above the crossover both
-    use the Hankel expansion.
+    Past the asymptotic crossover every order uses the Hankel expansion.
+    Below it integer orders ride the Miller batch, and half-integer orders
+    nu <= z climb from J_{-1/2}, J_{1/2} = sqrt(2/(pi z)) (cos z, sin z)
+    (DLMF 10.16.1) by the upward recurrence, stable while the order stays
+    below z; any other order there raises ValueError.
     """
     if nu < 0 or z < 0:
         raise ValueError("bessel_J requires nu >= 0 and z >= 0")
     if z == 0.0:
-        return EvalResult(1.0 if nu == 0 else 0.0, 0.0, "series")
+        return 1.0 if nu == 0 else 0.0
     if z > asymptotic_crossover(nu):
-        j_val, _, err = _asymptotic_JY(nu, z)
-        return EvalResult(j_val, err, "asymptotic")
+        return _asymptotic_JY(nu, z)[0]
     n = round(nu)
     if abs(nu - n) < 1e-12:
-        val = float(bessel_J_int_batch(int(n), z)[int(n)])
-        return EvalResult(val, 1e-13 * max(abs(val), 1e-30) + 1e-16, "recurrence")
-    import mpmath  # only non-integer orders below the crossover need it
-
-    val = float(mpmath.besselj(nu, z))
-    return EvalResult(val, 4e-15 * max(abs(val), 1e-30) + 1e-16, "series")
+        return float(bessel_J_int_batch(int(n), z)[int(n)])
+    steps = round(nu - 0.5)
+    if abs(nu - 0.5 - steps) >= 1e-12 or nu > z:
+        raise ValueError(f"bessel_J below the crossover {asymptotic_crossover(nu):g} takes integer "
+                         f"orders or half-integer orders nu <= z, not nu = {nu:g} at z = {z:g}")
+    r = sqrt(2.0 / (pi * z))
+    prev, cur = r * cos(z), r * sin(z)
+    for k in range(steps):  # J_{k+3/2} = ((2k+1)/z) J_{k+1/2} - J_{k-1/2}
+        prev, cur = cur, (2 * k + 1) / z * cur - prev
+    return cur
 
 
 def bessel_Y_upward(n: int, z, y0, y1):
@@ -210,11 +197,11 @@ def bessel_Y_upward(n: int, z, y0, y1):
 def bessel_Y01(z: float) -> tuple[float, float]:
     """(Y_0(z), Y_1(z)) for 0 < z <= ASYM_Z_MIN from the order derivative of J:
     (pi/2) Y_0 = dJ/dnu at 0, (pi/2) Y_1 = dJ/dnu at 1 - J_0/z (DLMF 10.15.4)."""
-    dj0, dj1 = dJ_dnu_at_int(0, z).value, dJ_dnu_at_int(1, z).value
-    return 2.0 / pi * dj0, 2.0 / pi * (dj1 - bessel_J(0.0, z).value / z)
+    dj0, dj1 = dJ_dnu_at_int(0, z), dJ_dnu_at_int(1, z)
+    return 2.0 / pi * dj0, 2.0 / pi * (dj1 - bessel_J(0.0, z) / z)
 
 
-def bessel_Y_int(n: int, z: float) -> EvalResult:
+def bessel_Y_int(n: int, z: float) -> float:
     """Y_n(z) for integer n >= 0, z > 0: Y_0, Y_1 (:func:`bessel_Y01` up to
     z = 40, the Hankel series beyond), then the upward recurrence."""
     if z <= 0:
@@ -222,11 +209,10 @@ def bessel_Y_int(n: int, z: float) -> EvalResult:
     if n < 0:
         raise ValueError("order must be nonnegative")
     y01 = bessel_Y01(z) if z <= ASYM_Z_MIN else [_asymptotic_JY(k, z)[1] for k in (0, 1)]
-    val = float(bessel_Y_upward(n, z, *y01))
-    return EvalResult(val, 2e-14 * max(abs(val), 1e-30) + 1e-16, "recurrence")
+    return float(bessel_Y_upward(n, z, *y01))
 
 
-def dJ_dnu_at_int(n: int, z: float) -> EvalResult:
+def dJ_dnu_at_int(n: int, z: float) -> float:
     """d/dnu J_nu(z) at integer order n.
 
     (log(z/2) - psi(n+1)) J_n(z) - sum_{k>=1} (-1)^k (2k+n)/(k(k+n)) J_{2k+n}(z),
@@ -246,7 +232,7 @@ def dJ_dnu_at_int(n: int, z: float) -> EvalResult:
         if abs(jvals[2 * k + n]) < 1e-18 * max(abs(total), 1e-30) and k > 4:
             break
         sign = -sign
-    return EvalResult(total, 1e-13 * max(abs(total), 1e-16) + 1e-16, "series")
+    return total
 
 
 def schlafli_S(n: int, z: float) -> float:
@@ -270,7 +256,7 @@ def _pq_batch(n: int, z: float) -> tuple[np.ndarray, int]:
     return bessel_J_int_batch(n + 2 * kmax, z), kmax
 
 
-def P_func(n: int, z: float) -> EvalResult:
+def P_func(n: int, z: float) -> float:
     """P_n(z) = sum_k (J_{n+2k}(z) - J_{n-2k}(z))/k for even n >= 2."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
@@ -281,11 +267,10 @@ def P_func(n: int, z: float) -> EvalResult:
         idx = n - 2 * k
         jm = jvals[idx] if idx >= 0 else jvals[-idx]  # J_{-2m} = J_{2m}
         parts.append((jp - jm) / k)
-    val = math.fsum(parts)
-    return EvalResult(val, 1e-13 * max(abs(val), 1e-16) + 1e-16, "series")
+    return math.fsum(parts)
 
 
-def Q_func(n: int, z: float) -> EvalResult:
+def Q_func(n: int, z: float) -> float:
     """Q_n(z) = J_n(z) H_n + sum_k (-1)^k (n+2k)/(k(n+k)) J_{n+2k}(z), even n >= 2."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
@@ -293,8 +278,7 @@ def Q_func(n: int, z: float) -> EvalResult:
     parts = [jvals[n] * math.fsum(1.0 / j for j in range(1, n + 1))]
     for k in range(1, kmax + 1):
         parts.append((-1) ** k * (n + 2 * k) / (k * (n + k)) * jvals[n + 2 * k])
-    val = math.fsum(parts)
-    return EvalResult(val, 1e-13 * max(abs(val), 1e-16) + 1e-16, "series")
+    return math.fsum(parts)
 
 
 def hurwitz_zeta(s: float, x: float) -> float:
@@ -320,24 +304,10 @@ def hurwitz_zeta(s: float, x: float) -> float:
     return math.fsum(parts)
 
 
-def hurwitz_zeta_half(x: float) -> EvalResult:
-    """zeta(1/2, x) on 0 < x <= 2 (Euler-Maclaurin, M = 50, through B_6)."""
-    if not 0.0 < x <= 2.0:
-        raise ValueError("x must lie in (0, 2]")
-    val = hurwitz_zeta(0.5, x)
-    # first omitted correction (B_8 term) plus summation slop
-    a = 50.0 + x
-    poch = 0.5
-    for i in range(1, 7):
-        poch *= 0.5 + i
-    omitted = abs(_B2J[3]) / math.factorial(8) * poch * a ** (-7.5)
-    return EvalResult(val, omitted + 60 * 2.3e-16, "series")
-
-
 @functools.cache
 def zeta_half() -> float:
     """zeta(1/2) = zeta(1/2, 1), computed once."""
-    return hurwitz_zeta_half(1.0).value
+    return hurwitz_zeta(0.5, 1.0)
 
 
 def coates_integral(
@@ -345,7 +315,7 @@ def coates_integral(
     u: float,
     tol: float = 1e-9,
     panel_limit: int = DEFAULT_PANEL_LIMIT,
-) -> EvalResult:
+) -> float:
     """(-1)^{n+1} * integral_0^inf e^{-2 n phi} cos(u cosh phi) dphi.
 
     Panels are sized to a quarter of the local oscillation period
@@ -378,14 +348,10 @@ def coates_integral(
     rad = 0.5 * (e[1:] - e[:-1])
     phi = mid[:, None] + rad[:, None] * nodes[None, :]
     vals = np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))
-    total = float(np.dot(rad, vals @ weights))
-    tail = math.exp(-2 * n * phi_max) / (u * math.sinh(phi_max))
-    abs_mass = float(np.dot(rad, np.abs(vals) @ np.abs(weights)))
-    err = tail + 5e-15 * abs_mass + 1e-16
-    return EvalResult((-1) ** (n + 1) * total, err, "quadrature")
+    return (-1) ** (n + 1) * float(np.dot(rad, vals @ weights))
 
 
-def coates_series(n: int, u: float) -> EvalResult:
+def coates_series(n: int, u: float) -> float:
     """Bessel-series form of the oscillatory integral above.
 
     (log(u/2) - psi(2n+1)) J_{2n}(u)
@@ -406,8 +372,7 @@ def coates_series(n: int, u: float) -> EvalResult:
         jm = jvals[idx] if idx >= 0 else jvals[-idx]
         parts.append(-0.5 * sgn * (jp + jm) / k)
         parts.append(-sgn * jp / (k + 2 * n))
-    val = math.fsum(parts)
-    return EvalResult(val, 1e-13 * max(abs(val), 1e-16) + 1e-15, "series")
+    return math.fsum(parts)
 
 
 def chebyshev_U_value(n: int, t: float) -> float:

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from math import pi, sin, sqrt
 
+import numpy as np
 import pytest
 
 from zagier_kit import exact_core as ec
@@ -174,7 +175,7 @@ def test_asymptotic_quarter_branch():
     from zagier_kit.specfun import bessel_Y_int
 
     got = fm.even_asymptotic(2, 0.25)
-    assert got == (-1.0) ** 3 * pi * bessel_Y_int(4, 8 * pi).value
+    assert got == (-1.0) ** 3 * pi * bessel_Y_int(4, 8 * pi)
     assert fm.even_asymptotic(2, 0.75) == got
     rels = []
     for n in (8, 12, 15):
@@ -273,16 +274,22 @@ def test_formula_domain_errors():
 
 @pytest.mark.parametrize("nu", (0.5, 2, 2.5, 7.3))
 def test_lattice_j_vs_oracle(nu):
-    # past the crossover J_nu(4 pi m) comes from the lattice Hankel series d^J
+    # past the crossover J_nu(4 pi m) comes from the lattice Hankel series d^J at any
+    # order; below it bessel_J, and so _lattice_J, takes integer and half-integer orders
     import mpmath as mp
     from zagier_kit import specfun as sf
 
     near = int(sf.asymptotic_crossover(nu) / (4 * pi))
-    values = fm._lattice_J(nu, 3000)
+    far = sf._hankel_sum(sf.hankel_lattice(nu)[0], 0, np.arange(near + 1, 3001.0)) / pi
+    if 2 * nu == round(2 * nu):
+        assert np.array_equal(fm._lattice_J(nu, 3000)[near:], far)
+    else:
+        with pytest.raises(ValueError, match="half-integer orders"):
+            fm._lattice_J(nu, 3000)
     for m in (near + 1, near + 2, near + 7, 100, 3000):
         with mp.workdps(40):
             ref = float(mp.besselj(nu, 4 * mp.pi * m))
-        assert abs(values[m - 1] - ref) < 2e-15 * max(abs(ref), 1 / (pi * sqrt(2 * m))), m
+        assert abs(far[m - near - 1] - ref) < 2e-15 * max(abs(ref), 1 / (pi * sqrt(2 * m))), m
 
 
 @pytest.mark.parametrize("n", range(1, 13))

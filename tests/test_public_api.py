@@ -1,6 +1,7 @@
 """Public surface: every exported name resolves, and the package exports a
 pinned list, so a deletion cannot silently drop a public name.  The exact
-side imports and runs without the numeric stack."""
+side imports and runs without the numeric stack, and the numeric side
+without mpmath."""
 
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ PACKAGE_ALL = [
     "zagier_number_formula", "zagier_odd_formula", "zagier_type_sum",
     "SeriesConvergenceError", "SeriesResult", "TrigPowerSums", "bessel_cos_series",
     "bessel_sin_series", "g_tail_sum", "g_term", "trig_power_sums",
-    "EvalResult", "bessel_J", "bessel_J_int_batch", "bessel_Y_int", "coates_integral",
-    "coates_series", "dJ_dnu_at_int", "digamma_int", "hurwitz_zeta_half", "schlafli_S",
+    "bessel_J", "bessel_J_int_batch", "bessel_Y_int", "coates_integral",
+    "coates_series", "dJ_dnu_at_int", "schlafli_S",
     "__version__",
 ]
 
@@ -92,3 +93,20 @@ def test_exact_side_runs_with_numpy_blocked():
     """)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == str(zagier_kit.modified_bernoulli(12))
+
+
+def test_verify_runs_with_mpmath_blocked():
+    # mpmath is a test extra: the half-integer Poisson check needs no import of it
+    done = _python("""
+        import io, sys
+        from contextlib import redirect_stdout
+        sys.modules["mpmath"] = None
+        import zagier_kit.cli
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = zagier_kit.cli.main(["verify", "--identity", "poisson-series"])
+        assert code == 0 and "nu=2.5" in buf.getvalue(), (code, buf.getvalue())
+        print(sys.modules["mpmath"])
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "None"

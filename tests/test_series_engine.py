@@ -33,7 +33,7 @@ def test_half_power_split_sums_to_hurwitz():
     for x in (0.1, 0.3, 0.5, 0.77):
         tps = se.trig_power_sums(x)
         assert abs(tps.cos_sum_half + tps.sin_sum_half
-                   - sf.hurwitz_zeta_half(x).value) < 1e-10
+                   - sf.hurwitz_zeta(0.5, x)) < 1e-10
 
 
 def test_trig_sums_symmetry():
@@ -67,8 +67,8 @@ def test_ladder_consistency():
     # rebuild C(x) from the shifted Hurwitz value zeta(1/2,x) = zeta(1/2,x+1) + x^{-1/2}
     for x in (0.2, 0.7):
         tps = se.trig_power_sums(x)
-        zx = sf.hurwitz_zeta_half(x + 1.0).value + x ** -0.5
-        z1x = sf.hurwitz_zeta_half(1.0 - x).value
+        zx = sf.hurwitz_zeta(0.5, x + 1.0) + x ** -0.5
+        z1x = sf.hurwitz_zeta(0.5, 1.0 - x)
         assert abs(tps.cos_sum_half - 0.5 * (zx + z1x)) < 1e-10
 
 
