@@ -342,19 +342,17 @@ def fourier_coeff_dJ_check(n: int, m: int) -> EvalReport:
 # the Poisson-summation check
 # ---------------------------------------------------------------------------
 
-def _cesaro_mean(terms: np.ndarray, window: int) -> float:
-    partial = np.cumsum(terms)
-    return float(np.mean(partial[-window:]))
-
-
-def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
-    """J_nu(4 pi m), m = 1..n_terms; past the crossover from the lattice Hankel
-    series pi J_nu(4 pi m) = sum_k d^J_k m^{-(k+1/2)} (:func:`specfun.hankel_lattice`)."""
-    near = min(int(specfun.asymptotic_crossover(nu) / (4.0 * pi)), n_terms)
-    far = specfun._hankel_sum(specfun.hankel_lattice(nu)[0], 0,
-                              np.arange(near + 1, n_terms + 1, dtype=float)) / pi
-    return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m) for m in range(1, near + 1)],
-                           far])
+def _lattice_J(nu: float, n_terms: int, start: int = 1) -> np.ndarray:
+    """J_nu(4 pi m), m = start..n_terms; past the crossover from the lattice Hankel
+    series pi J_nu(4 pi m) = sum_k d^J_k m^{-(k+1/2)} (:func:`specfun.hankel_lattice`),
+    through the orders that the first far m of 1..n_terms needs, whatever start."""
+    near = int(specfun.asymptotic_crossover(nu) / (4.0 * pi))
+    d = specfun.hankel_lattice(nu)[0]
+    far = np.arange(max(start, near + 1), n_terms + 1, dtype=float)
+    if far.size:
+        far = specfun._orders_sum(d, 0, specfun._hankel_top(d, 0, near + 1.0), far) / pi
+    return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m)
+                            for m in range(start, min(near, n_terms) + 1)], far])
 
 
 def poisson_J_series_check(
@@ -366,16 +364,33 @@ def poisson_J_series_check(
     """Poisson-summation identity for sum_m J_nu(4 pi m) cos(2 pi m x).
 
     The left side is summed directly with Cesaro averaging (slow oracle by
-    design); the right side is four arcsin kernels minus two sin(nu pi/2)
-    weighted algebraic tails, which vanish identically at even integer nu.
-    The near terms take nu integer or half-integer (:func:`specfun.bessel_J`).
+    design): the mean of the last `window` of the n_terms partial sums.
+    The terms are formed and summed in blocks of series_engine._BLOCK, the
+    running sum carried from block to block, so memory is O(block + window)
+    whatever n_terms.  The right side is four arcsin kernels minus two
+    sin(nu pi/2) weighted algebraic tails, which vanish identically at even
+    integer nu.  The near terms take nu integer or half-integer
+    (:func:`specfun.bessel_J`).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    ms = np.arange(1, n_terms + 1, dtype=float)
-    lhs = _cesaro_mean(_lattice_J(nu, n_terms) * np.cos(2.0 * pi * ms * x), window)
+    if n_terms < 1 or not 1 <= window <= n_terms:
+        raise ValueError("need n_terms >= 1 and 1 <= window <= n_terms")
+    first = n_terms - window  # index of the first averaged partial sum
+    last = np.empty(window)
+    carry = np.empty(0)
+    for lo in range(1, n_terms + 1, series_engine._BLOCK):
+        hi = min(lo + series_engine._BLOCK - 1, n_terms)
+        ms = np.arange(lo, hi + 1, dtype=float)
+        terms = _lattice_J(nu, hi, lo) * np.cos(2.0 * pi * ms * x)
+        partial = np.cumsum(np.concatenate([carry, terms]))[carry.size:]
+        carry = partial[-1:]
+        if hi > first:
+            a = max(lo - 1, first)
+            last[a - first : hi - first] = partial[a - lo + 1 :]
+    lhs = float(np.mean(last))
 
     def kernel(t: float) -> float:
         return cos(nu * math.asin(t / 2.0)) / sqrt((4.0 * pi) ** 2 - (2.0 * pi * t) ** 2)

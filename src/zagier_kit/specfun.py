@@ -47,6 +47,9 @@ ASYM_NU_FACTOR = 2.0
 HANKEL_ORDERS = 30
 
 DEFAULT_PANEL_LIMIT = 500_000
+# coates_integral panels evaluated at a time; a power of two, so the BLAS
+# matrix-vector kernel sums each panel as it does in one whole array
+_PANEL_BLOCK = 2048
 
 _B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)  # B_2, B_4, B_6
 
@@ -98,14 +101,18 @@ def _orders_sum(d: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
     return total * q ** -(lo + 0.5)
 
 
+def _hankel_top(d: np.ndarray, lo: int, q0: float) -> int:
+    """The last order k >= lo whose d_k q0^{-(k+1/2)} reaches 1e-17 of the largest."""
+    sizes = np.abs(d[lo:]) * q0 ** -np.arange(lo, d.size, dtype=float)
+    return lo + int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1])
+
+
 def _hankel_sum(d: np.ndarray, lo: int, q: np.ndarray) -> np.ndarray:
     """sum_{k >= lo} d_k q^{-(k+1/2)} past the crossover, for an ascending array q,
     through the last order that reaches 1e-17 of the largest at min(q)."""
     if not q.size:
         return q
-    sizes = np.abs(d[lo:]) * float(q[0]) ** -np.arange(lo, d.size, dtype=float)
-    top = lo + int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1])
-    return _orders_sum(d, lo, top, q)
+    return _orders_sum(d, lo, _hankel_top(d, lo, float(q[0])), q)
 
 
 def _asymptotic_JY(nu: float, z: float) -> tuple[float, float]:
@@ -319,9 +326,9 @@ def coates_integral(
     """(-1)^{n+1} * integral_0^inf e^{-2 n phi} cos(u cosh phi) dphi.
 
     Panels are sized to a quarter of the local oscillation period
-    (frequency u*sinh(phi)), 12-point Gauss-Legendre on each.  The range is
-    cut once the integrated tail bound e^{-2 n phi}/(u sinh phi) drops
-    below tol * 1e-3.
+    (frequency u*sinh(phi)), 12-point Gauss-Legendre on each, evaluated
+    _PANEL_BLOCK panels at a time.  The range is cut once the integrated
+    tail bound e^{-2 n phi}/(u sinh phi) drops below tol * 1e-3.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -346,9 +353,12 @@ def coates_integral(
     e = np.asarray(edges)
     mid = 0.5 * (e[1:] + e[:-1])
     rad = 0.5 * (e[1:] - e[:-1])
-    phi = mid[:, None] + rad[:, None] * nodes[None, :]
-    vals = np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))
-    return (-1) ** (n + 1) * float(np.dot(rad, vals @ weights))
+    panels = np.empty(rad.size)  # the 12-node sum on each panel
+    for i in range(0, rad.size, _PANEL_BLOCK):
+        b = slice(i, i + _PANEL_BLOCK)
+        phi = mid[b, None] + rad[b, None] * nodes[None, :]
+        panels[b] = (np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))) @ weights
+    return (-1) ** (n + 1) * float(np.dot(rad, panels))
 
 
 def coates_series(n: int, u: float) -> float:

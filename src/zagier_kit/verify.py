@@ -121,10 +121,13 @@ def _suite_poisson(tol: float = 1e-4, **_) -> list[CheckResult]:
 
 def _series_007_rhs(x: float, m_terms: int = 10**6) -> float:
     """1/(2 sqrt x) - (x/sqrt 2) sum_m [m + sqrt(m^2-x^2)]^{-1/2} (m^2-x^2)^{-1/2},
-    direct prefix plus a two-order asymptotic integral tail."""
-    ms = np.arange(1, m_terms + 1, dtype=float)
-    root = np.sqrt(ms * ms - x * x)
-    terms = 1.0 / (np.sqrt(ms + root) * root)
+    direct prefix plus a two-order asymptotic integral tail.  The terms are
+    formed series_engine._BLOCK at a time into one array."""
+    terms = np.empty(m_terms)
+    for lo in range(0, m_terms, series_engine._BLOCK):
+        ms = np.arange(lo + 1, min(lo + series_engine._BLOCK, m_terms) + 1, dtype=float)
+        root = np.sqrt(ms * ms - x * x)
+        terms[lo : lo + ms.size] = 1.0 / (np.sqrt(ms + root) * root)
     total = series_engine.chunked_fsum(terms)
     a = m_terms + 0.5
     # term(m) ~ 2^{-1/2} m^{-3/2} (1 + 5x^2/(8m^2) + ...)

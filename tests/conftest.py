@@ -16,6 +16,7 @@ from fractions import Fraction
 import functools
 import importlib
 import math
+import tracemalloc
 from math import comb, factorial, fsum, pi, sin, sqrt
 
 import mpmath as mp
@@ -420,3 +421,15 @@ def empty_caches(monkeypatch) -> None:
         cached = getattr(module, name)
         fresh = functools.lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
         monkeypatch.setattr(module, name, fresh)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes allocated above the start while it ran), under
+    tracemalloc; call fn once before, so caches it fills are not counted."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

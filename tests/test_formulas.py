@@ -13,7 +13,7 @@ from zagier_kit import exact_core as ec
 from zagier_kit import formulas as fm
 from zagier_kit import series_engine as se
 
-from conftest import A_function_two_ways, bernoulli_fourier_eval, empty_caches
+from conftest import A_function_two_ways, bernoulli_fourier_eval, empty_caches, traced_peak
 
 
 def test_even_formula_headline_values():
@@ -249,6 +249,45 @@ def test_poisson_half_order_reduction():
     # the sine power-sum evaluation, so the two engine routes must agree
     rep = fm.poisson_J_series_check(0.5, 0.3, n_terms=2 * 10**5, window=5000)
     assert abs(rep.formula_value - rep.reference) < 1e-4
+
+
+def _poisson_grid():
+    # N: one term, the near terms alone (3 for these orders), either side of a
+    # block edge, and several blocks; W: one partial sum, 5,000 and all of them
+    for nu in (0.5, 2.0, 2.5, 4.0):
+        for n_terms in (1, 3, se._BLOCK - 1, se._BLOCK, se._BLOCK + 1, 2 * 10**5):
+            for window in sorted({1, 5000, n_terms} & set(range(1, n_terms + 1))):
+                yield nu, n_terms, window
+
+
+@pytest.mark.parametrize("nu,n_terms,window", _poisson_grid())
+def test_poisson_check_streams_the_whole_array_cesaro_mean(nu, n_terms, window):
+    # the blocks see every term, every running sum and the averaged window in
+    # the order of one whole-array cumsum, so the mean is the same float
+    ms = np.arange(1, n_terms + 1, dtype=float)
+    partial = np.cumsum(fm._lattice_J(nu, n_terms) * np.cos(2.0 * pi * ms * 0.3))
+    want = float(np.mean(partial[-window:]))
+    rep = fm.poisson_J_series_check(nu, 0.3, n_terms=n_terms, window=window)
+    assert repr(rep.reference) == repr(want)
+
+
+@pytest.mark.parametrize("n_terms,window", [(0, 1), (-5, 1), (10, 0), (10, -1), (10, 11)])
+def test_poisson_check_rejects_bad_budgets(n_terms, window):
+    with pytest.raises(ValueError, match="n_terms >= 1 and 1 <= window <= n_terms"):
+        fm.poisson_J_series_check(2.0, 0.3, n_terms=n_terms, window=window)
+
+
+def test_poisson_check_memory_is_one_block_and_the_window():
+    # the default million terms once held ~30 MB of whole-array temporaries
+    fm.poisson_J_series_check(2.0, 0.3)
+    _, peak = traced_peak(fm.poisson_J_series_check, 2.0, 0.3)
+    assert peak <= 4_000_000
+
+
+def test_lattice_j_from_a_start_is_the_tail_of_the_whole_range():
+    whole = fm._lattice_J(2.5, 5000)
+    for start in (1, 2, 4, 5, 1000, 5000):
+        assert np.array_equal(fm._lattice_J(2.5, 5000, start), whole[start - 1 :])
 
 
 def test_bernoulli_fourier():

@@ -20,6 +20,7 @@ from conftest import (
     dj_dnu_fd_oracle,
     p_func_reference,
     q_func_reference,
+    traced_peak,
     zeta_even,
 )
 
@@ -352,6 +353,25 @@ def test_coates_small_u_limit():
         assert abs(val - (-1.0) ** (n + 1) / (2.0 * n)) < 1e-3
         sval = sf.coates_series(n, 1e-4)
         assert abs(sval - (-1.0) ** (n + 1) / (2.0 * n)) < 1e-3
+
+
+@pytest.mark.parametrize("n,u", [(1, 4 * pi), (2, 8 * pi), (3, 1.0)])
+def test_coates_panel_blocks_match_one_whole_array(n, u, monkeypatch):
+    # one block holding every panel is the whole-array quadrature; blocks of a
+    # power of two rows give each panel's 12-node sum, and so the integral, bit
+    # for bit (the BLAS matrix-vector kernel sums leftover rows of a block of 2,
+    # 3 or 7 in another order)
+    want = sf.coates_integral(n, u)
+    for block in (10**9, 64):
+        monkeypatch.setattr(sf, "_PANEL_BLOCK", block)
+        assert repr(sf.coates_integral(n, u)) == repr(want), block
+
+
+def test_coates_integral_memory_is_one_panel_block():
+    # ~24,000 panels at u = 4 pi once held ~11 MB of whole-array temporaries
+    sf.coates_integral(1, 4 * pi)
+    _, peak = traced_peak(sf.coates_integral, 1, 4 * pi)
+    assert peak <= 4_000_000
 
 
 def test_coates_panel_limit():
