@@ -41,8 +41,11 @@ class CheckResult:
 
 def _check(identity: str, case: str, value: float, expected: float,
            tolerance: float) -> CheckResult:
+    """One check, stored as Python floats and a Python bool whatever numpy type
+    the evaluator returned, so JSON prints `true`, not the string "True"."""
+    value, expected = float(value), float(expected)
     err = abs(value - expected)
-    return CheckResult(identity, case, value, expected, err, tolerance, err < tolerance)
+    return CheckResult(identity, case, value, expected, err, tolerance, bool(err < tolerance))
 
 
 def _formula_suite(identity: str, formula: str, first: int, points: tuple,

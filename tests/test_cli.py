@@ -221,6 +221,12 @@ def test_verify_telescope_pass():
     assert payload["summary"]["failed"] == 0
 
 
+def test_verify_json_prints_every_passed_as_a_boolean():
+    code, out = run_cli("verify", "--identity", "lemma34", "--format", "json")
+    assert code == 0
+    assert [c["passed"] for c in json.loads(out)["checks"]] == [True] * 6
+
+
 def test_verify_denominators():
     code, out = run_cli("verify", "--identity", "denominators", "--n-max", "60",
                         "--format", "json")

@@ -34,3 +34,12 @@ def test_series_007_memory_is_the_terms_and_one_block():
     verify._series_007_rhs(0.3)
     _, peak = traced_peak(verify._series_007_rhs, 0.3)
     assert peak <= 10_000_000
+
+
+def test_checks_store_python_floats_and_bools():
+    # lemma34's dJ/dnu is a numpy float64; its check still stores a bool, which
+    # JSON prints as true, not as the string "True"
+    for name in ("lemma34", "telescope"):
+        for c in verify.run_identity(name):
+            assert type(c.passed) is bool, c
+            assert {type(c.value), type(c.expected), type(c.abs_error)} == {float}, c
