@@ -380,6 +380,8 @@ def poisson_J_series_check(
         raise ValueError("need n_terms >= 1 and 1 <= window <= n_terms")
     first = n_terms - window  # index of the first averaged partial sum
     last = np.empty(window)
+    # each block's cumsum starts from the running sum carried in, so it adds
+    # in the order of one whole-array cumsum
     carry = np.empty(0)
     for lo in range(1, n_terms + 1, series_engine._BLOCK):
         hi = min(lo + series_engine._BLOCK - 1, n_terms)

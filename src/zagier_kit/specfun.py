@@ -48,7 +48,8 @@ HANKEL_ORDERS = 30
 
 DEFAULT_PANEL_LIMIT = 500_000
 # coates_integral panels evaluated at a time; a power of two, so the BLAS
-# matrix-vector kernel sums each panel as it does in one whole array
+# matrix-vector kernel groups the rows as in one whole array and sums each
+# panel in the same order (blocks of 2, 3 or 7 panels move some last bits)
 _PANEL_BLOCK = 2048
 
 _B2J = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)  # B_2, B_4, B_6
