@@ -37,9 +37,9 @@ IDENTITY_NAMES = ("denominators", "form-s1", "integral-id", "lemma33", "lemma34"
                   "poisson-series", "reflection", "series-007", "shift", "telescope",
                   "thm12", "thm13", "thm15", "zagier-sum")
 
-# largest `converge --m-list` entry: a forced M-term sum at x != 0 holds a
-# K x M float table of powers (K <= 29 orders), and one entry at the cap peaks
-# near 60 MB; at x = 0 (zagier-number) 29 zeta(s, M + 1) close the tail instead
+# largest `converge --m-list` entry: a forced M-term sum at x != 0 holds a few
+# M-float rows, and one entry at the cap peaks near 37 MB; at x = 0
+# (zagier-number) 29 zeta(s, M + 1) close the tail instead
 CONVERGE_MAX_TERMS = 100_000
 
 

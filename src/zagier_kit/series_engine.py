@@ -24,31 +24,30 @@ SIAM J. Sci. Comput. 31, 2008) and round those parts with math.fsum
 (:func:`chunked_fsum`).
 
 In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
-is built once and cached, and every cached array is the one a call would
-otherwise build, so no value changes:
+is built once and cached, and every cached value is the one a call would
+otherwise build, so no value depends on what was cached before:
   * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
     coefficients b_k and |b_k|, the bracket values through the base
     explicit range M0 (at most 10,760 floats), the tail envelopes at M0 and
     lattice^{-s} with its rounding _ZETA_EPS lattice^{-s} (29 floats each);
     envelopes at any other M are formed by the call that needs them;
-  * the powers (lattice m)^{-(k+1/2)}, one table per lattice whatever nu
-    (:class:`_PowerTable`, 8 lattices), grown to the most orders and the
-    largest base range asked (at most 29 x 10,760 floats, 2.5 MB, at
-    nu = 260 on lattice 1); a forced m_terms past its own base range builds
-    what the table lacks for itself and keeps nothing.  Only sums at
-    x != 0 read it;
+  * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
+    512 entries of at most 10,760 + 58 floats): bracket(q) minus its first
+    K orders, and the m-sums the rounding bound reads;
+  * at x = 0, where K and the sum depend on neither x nor tol, the value
+    and rounding per (nu, lattice) (:func:`_zero_sum`, 512 entries);
   * the tails zeta(k + 1/2, M + 1) of the orders at x = 0, per M whatever
     nu and lattice (:func:`_zeta_tails`, 512 entries of 29 floats);
   * the periodic zeta values at every order, per (x, parity) (128
     entries): a sum over cos phases forms only C_s(x), one over sin phases
     only S_s(x), and a bracket sum and its regularizer share that row.
+Rows and sums at x = 0 are kept at M0 only: other M keep nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from math import pi, sqrt
 
@@ -200,16 +199,6 @@ def _extracted_sum(p: np.ndarray) -> float | None:
     return None
 
 
-def _row_fsums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """:func:`chunked_fsum` of each row of weights * rows, a 2-D array.
-
-    Past _FSUM_CUTOFF columns each row is multiplied on its own, so no
-    second array of the size of rows is formed."""
-    if rows.shape[1] <= _FSUM_CUTOFF:  # one tolist for all rows
-        return np.array([math.fsum(row) for row in (weights * rows).tolist()])
-    return np.array([_fsum(weights * row) for row in rows])
-
-
 @functools.cache
 def _wood_tables() -> tuple[np.ndarray, ...]:
     """Coefficients of the expansions in :func:`periodic_zeta`, s = k + 1/2.
@@ -268,6 +257,7 @@ def periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _J = np.arange(_WOOD_TERMS, dtype=float)  # powers j of Wood's expansion
+_ALTERNATE = (-1.0) ** _J                 # (-1)^j
 _SINGULAR = np.arange(_ORDERS + 1) - 0.5   # exponents s - 1 of its singular term
 
 
@@ -287,11 +277,13 @@ def _periodic_zeta_rows(x: float, odd: bool) -> np.ndarray:
             a = 2.0 * pi * t
             rows = zeta
             head = (gamma_s if odd else gamma_c) * a**_SINGULAR
+            powers = a**_J
         else:
-            a = pi * (2.0 * t - 1.0)
+            a = pi * (1.0 - 2.0 * t)  # v = -i a; numpy's power is ~8x slower for a negative base
             rows = -eta
             head = 0.0
-        row = head + (rows * (a**_J * (im if odd else re))).sum(axis=1)
+            powers = _ALTERNATE * a**_J
+        row = head + (rows * (powers * (im if odd else re))).sum(axis=1)
         if odd and x > 0.5:
             row = -row
     row.flags.writeable = False
@@ -554,45 +546,56 @@ def _zeta_tails(m: int) -> np.ndarray:
     return tails
 
 
-class _PowerTable:
-    """(lattice m)^{-s}, row k-1 for s = k + 1/2 and column m-1, for one lattice.
+@dataclass(frozen=True)
+class _Residual:
+    """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M."""
 
-    The table only grows, to the most orders and the largest base range
-    asked, so it holds at most 29 x 10,760 floats (2.5 MB, nu = 260 on
-    lattice 1).  Growth runs under a lock; readers slice whatever table is
-    current, and every table holds the same values where they overlap.
+    row: np.ndarray            # bracket(q) - c(q), c(q) = sum_{k<=K} b_k q^{-(k+1/2)}
+    abs_sum: float             # sum_m |bracket(q)| over m = 1..M
+    abs_moment: float          # sum_m m |bracket(q)|
+    power_sums: np.ndarray     # sum_m q^{-s}, s = k + 1/2 for k = 1..K
+    power_moments: np.ndarray  # sum_m m q^{-s}
+
+
+@functools.lru_cache(maxsize=512)  # at most 10,760 + 58 floats each (nu = 260, lattice 1)
+def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
+    """The :class:`_Residual` of (nu, lattice) over m <= m_terms, `orders` orders closed.
+
+    The closed orders subtract sum_k b_k P_s(M) = sum_m trig(2 pi m x) c(q), so
+    a call sums row * trig once, not one partial sum P_s per order.  c comes
+    by Horner's rule in 1/q, never as an orders x M array.  The bound's
+    m-sums only scale a rounding allowance: numpy's pairwise sum forms them.
+    Only M0 is kept; a call at any other M builds its own through __wrapped__.
     """
-
-    def __init__(self, lattice: int):
-        self.lattice = float(lattice)
-        self.table = np.empty((0, 0))
-        self._lock = threading.Lock()
-
-    def _build(self, orders: int, m_terms: int) -> np.ndarray:
-        return (self.lattice * np.arange(1, m_terms + 1, dtype=float)) ** -_S[:orders, None]
-
-    def powers(self, orders: int, m_terms: int, keep: bool) -> np.ndarray:
-        """Rows s = 3/2..orders + 1/2 and columns m = 1..m_terms.  A table too
-        small grows first when keep is set; otherwise the call builds its own."""
-        table = self.table
-        if table.shape[0] < orders or table.shape[1] < m_terms:
-            if not keep:
-                return self._build(orders, m_terms)
-            with self._lock:
-                table = self.table
-                shape = (max(orders, table.shape[0]), max(m_terms, table.shape[1]))
-                if shape != table.shape:
-                    table = self._build(*shape)
-                    table.flags.writeable = False
-                    self.table = table
-        # a C-ordered copy, laid out as a freshly built array: the matrix-vector
-        # product then sees the same operand as without the table
-        return np.ascontiguousarray(table[:orders, :m_terms])
+    brackets = _bracket_values(nu, lattice, m_terms)
+    ms = np.arange(1.0, m_terms + 1.0)
+    q = lattice * ms
+    size = np.abs(brackets)
+    abs_sum = float(size.sum())
+    abs_moment = float(np.multiply(ms, size, out=size).sum())
+    row = brackets - _orders_sum(_plan(nu, lattice).b, 1, orders, q) if orders else brackets
+    power, sums, moments = q**-1.5, [], []
+    for _ in range(orders):
+        sums.append(float(power.sum()))
+        moments.append(float(np.multiply(ms, power, out=size).sum()))
+        np.divide(power, q, out=power)
+    residual = _Residual(row, abs_sum, abs_moment, np.array(sums), np.array(moments))
+    for array in (residual.row, residual.power_sums, residual.power_moments):
+        array.flags.writeable = False
+    return residual
 
 
-@functools.lru_cache(maxsize=8)  # the formulas read lattice 1; lattice 2 only at x = 0
-def _power_table(lattice: int) -> _PowerTable:
-    return _PowerTable(lattice)
+@functools.lru_cache(maxsize=512)  # two floats each
+def _zero_sum(nu: int, lattice: int, orders: int, m_terms: int) -> tuple[float, float]:
+    """(value, rounding) at x = 0 over m <= m_terms, orders 1..orders closed as
+    b_k lattice^{-s} zeta(s, M + 1).  Neither depends on tol; only M0 is kept."""
+    plan = _plan(nu, lattice)
+    brackets = _bracket_values(nu, lattice, m_terms)
+    closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * _zeta_tails(m_terms)[:orders]
+    value = chunked_fsum(brackets) + math.fsum(closed.tolist())
+    rounding = ((2e-15 + _EPS) * float(np.abs(brackets).sum())
+                + _ZETA_EPS * float(np.abs(closed).sum()))
+    return value, rounding
 
 
 def _trig(even_nu: bool, x: float, ms: np.ndarray) -> np.ndarray:
@@ -625,12 +628,14 @@ def regularized_bracket_sum(
     T_s(x) - P_s(M)) with s = k + 1/2, T_s the periodic zeta value and P_s
     its partial sum over m <= M.  K is the first order whose dropped
     successor is below tol, or the smallest dropped order when none is.
+    The P_s are never formed: the explicit terms and sum_k b_k P_s(M) are
+    one sum of trig times the residual row of :func:`_residual`.
 
     A closed difference cancels O(1) values down to its tail, so it carries
-    an absolute rounding error of a few units times |b_k|, and |b_k|
-    reaches 6e4 at nu = 20.  When that alone breaks tol, the high orders, whose
-    tails beyond a window m <= W are negligible, are summed term by term
-    over (M, W] instead, W doubling from 2M up to max_terms.
+    an absolute rounding error of a few units times |b_k|, and |b_k| reaches
+    6e4 at nu = 20.  When that alone breaks tol, the high orders, whose tails
+    beyond a window m <= W are negligible, are summed term by term over
+    (M, W] instead, W doubling from 2M up to max_terms; the row keeps the rest.
 
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`_zeta_tails`: it cancels nothing and carries a few
@@ -644,15 +649,11 @@ def regularized_bracket_sum(
     the Hankel crossover, where the power series of the tail is only
     asymptotic and the bound does not hold.  A forced m_terms truncates at
     the smallest dropped order instead, closes every order and never raises
-    that.  ValueError is raised for nu or
-    lattice not a positive integer, max_terms < 1, and when a bracket
-    exceeds the double range (from nu = 261 on the 4 pi m lattice).
-    terms_used counts the m summed term by term, max(M, W).
-
-    Only the phases depend on x: the bracket values and the tail envelopes
-    come from the :func:`_plan` of (nu, lattice), the powers (lattice m)^{-s}
-    from one table per lattice, the tails at x = 0 from one cache per M,
-    and each is the same array a call without them would build.
+    that.  ValueError is raised for nu or lattice not a positive integer,
+    max_terms < 1, and when a bracket exceeds the double range (from
+    nu = 261 on the 4 pi m lattice).  terms_used counts the m summed term
+    by term, max(M, W).  Only the phases depend on x; the rest comes from
+    the caches the module docstring lists.
     """
     _check_lattice_args(nu, lattice, max_terms)
     even_nu = nu % 2 == 0
@@ -660,35 +661,31 @@ def regularized_bracket_sum(
         return SeriesResult(0.0, 0, 0.0)
     plan = _plan(nu, lattice)
     b, base = plan.b, plan.brackets.size
-    lam = float(lattice)
 
     M = min(base, max_terms) if m_terms is None else max(int(m_terms), 1)
     envelopes = plan.envelopes if M == base else _envelopes(b, lattice, M)
     scan = enumerate(envelopes.tolist(), 1) if m_terms is None and x != 0.0 else ()
     K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
-    brackets = _bracket_values(nu, lattice, M)
+    kept = M == base  # the x-free parts at any other M are built for this call alone
     if x == 0.0:
         # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1),
         # a sum of positive terms: nothing cancels, so no window is needed
-        closed = b[1 : K + 1] * plan.lam_s[:K] * _zeta_tails(M)[:K]
-        W, value = M, chunked_fsum(brackets) + math.fsum(closed.tolist())
-        bound = (truncation + (2e-15 + _EPS) * float(np.abs(brackets).sum())
-                 + _ZETA_EPS * float(np.abs(closed).sum()))
+        value, rounding = (_zero_sum if kept else _zero_sum.__wrapped__)(nu, lattice, K, M)
+        W, bound = M, truncation + rounding
     else:
-        ms = np.arange(1, M + 1, dtype=float)
-        trig = _trig(even_nu, x, ms)
-        explicit = chunked_fsum(brackets * trig)
-        phase = _EPS * (1.0 + 2.0 * pi * x * ms)  # rounding of trig(2 pi m x)
+        residual = _residual if kept else _residual.__wrapped__
+        res = residual(nu, lattice, K, M)
         s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]
-        powers = _power_table(lattice).powers(K, M, keep=M <= base)  # row k-1: (lattice m)^{-s}
-        closed_err = b_abs * (plan.zeta_err[:K] + powers @ phase)
-        fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
+        xi = 2.0 * pi * x
+        # trig(2 pi m x) is rounded by _EPS (1 + 2 pi x m), so its m-sums are x-free
+        closed_err = b_abs * (plan.zeta_err[:K] + _EPS * (res.power_sums + xi * res.power_moments))
+        fixed = truncation + (2e-15 + _EPS) * res.abs_sum + xi * _EPS * res.abs_moment
         W, split, bound = M, K, fixed + float(closed_err.sum())
 
         def windowed(w: int) -> tuple[int, float]:
             # orders split+1..K over (M, w], each with its remainder past w
-            err = (b_abs * lam_s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
+            err = (b_abs * lam_s * (w ** (1.0 - s) + _EPS * (1.0 + xi * w) * M ** (1.0 - s))
                    / (s - 1.0))
             better = err < closed_err
             k = 0 if better.all() else K - int(np.argmin(better[::-1]))
@@ -699,15 +696,15 @@ def regularized_bracket_sum(
             while (found := windowed(W))[1] > tol:
                 W = min(2 * W, max_terms)
             split, bound = found
-        tail = 0.0
-        if split:
-            closed = _periodic_zeta_rows(x, not even_nu)[1 : split + 1] * lam_s[:split]
-            partial = _row_fsums(trig, powers[:split])
-            tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
+            res = residual(nu, lattice, split, M)
+        # orders 1..split: sum_m trig (bracket - c) plus b_k lattice^{-s} T_s(x)
+        trig = _trig(even_nu, x, np.arange(1.0, M + 1.0))
+        zeta_row = _periodic_zeta_rows(x, not even_nu)
+        closed = b[1 : split + 1] * lam_s[:split] * zeta_row[1 : split + 1]
+        value = chunked_fsum(res.row * trig) + math.fsum(closed.tolist())
         if split < K:
             mw = np.arange(M + 1, W + 1, dtype=float)
-            tail += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lam * mw))
-        value = explicit + tail
+            value += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lattice * mw))
     result = SeriesResult(value, W, bound)
     if m_terms is None and M <= plan.near:
         raise SeriesConvergenceError(

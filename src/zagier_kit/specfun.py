@@ -328,8 +328,9 @@ def coates_integral(
 
     Panels are sized to a quarter of the local oscillation period
     (frequency u*sinh(phi)), 12-point Gauss-Legendre on each, evaluated
-    _PANEL_BLOCK panels at a time.  The range is cut once the integrated
-    tail bound e^{-2 n phi}/(u sinh phi) drops below tol * 1e-3.
+    _PANEL_BLOCK panels at a time and summed correctly rounded, whatever the
+    BLAS threads.  The range is cut once the integrated tail bound
+    e^{-2 n phi}/(u sinh phi) drops below tol * 1e-3.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -354,12 +355,14 @@ def coates_integral(
     e = np.asarray(edges)
     mid = 0.5 * (e[1:] + e[:-1])
     rad = 0.5 * (e[1:] - e[:-1])
-    panels = np.empty(rad.size)  # the 12-node sum on each panel
+    panels = np.empty(rad.size)  # the 12-node sum on each panel, times its half-width
     for i in range(0, rad.size, _PANEL_BLOCK):
         b = slice(i, i + _PANEL_BLOCK)
         phi = mid[b, None] + rad[b, None] * nodes[None, :]
-        panels[b] = (np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))) @ weights
-    return (-1) ** (n + 1) * float(np.dot(rad, panels))
+        panels[b] = rad[b] * ((np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))) @ weights)
+    from .series_engine import chunked_fsum  # here: series_engine imports this module
+
+    return (-1) ** (n + 1) * chunked_fsum(panels)
 
 
 def coates_series(n: int, u: float) -> float:

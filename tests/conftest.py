@@ -295,11 +295,12 @@ def uncached_periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray
         singular = a ** (np.arange(k_max + 1) - 0.5)
         c = gamma_c[: k_max + 1] * singular
         s = gamma_s[: k_max + 1] * singular
-    else:
-        a = pi * (2.0 * t - 1.0)
+        powers = a ** np.arange(_WOOD_TERMS, dtype=float)
+    else:  # (2t - 1)^j as (-1)^j (1 - 2t)^j, a positive base
+        a = pi * (1.0 - 2.0 * t)
         rows = -eta[: k_max + 1]
         c = s = 0.0
-    powers = a ** np.arange(_WOOD_TERMS, dtype=float)
+        powers = (-1.0) ** np.arange(_WOOD_TERMS, dtype=float) * a ** np.arange(_WOOD_TERMS, dtype=float)
     c = c + (rows * (powers * re)).sum(axis=1)
     s = s + (rows * (powers * im)).sum(axis=1)
     return c, -s if x > 0.5 else s
@@ -310,13 +311,15 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     """The regularized bracket sum rebuilt from scratch on every call.
 
     The same arithmetic as `series_engine.regularized_bracket_sum`, with the
-    bracket values, tail envelopes and powers (lattice m)^{-s} formed inside
-    the call instead of taken from the library's caches, so a cache that
-    hands out a wrong or stale slice shows as a difference in the last bit.
-    Every sum is math.fsum of a list, not the engine's `chunked_fsum`, so a
-    fault in that sum shows too.  At x = 0 the closed tails zeta(s, M + 1)
-    are summed afresh on every call, with the library's constant
-    Euler-Maclaurin table.  Returns (value, tail_bound, terms_used, raised).
+    bracket values, tail envelopes, residual row bracket - sum_k b_k q^{-s}
+    and the bound's m-sums formed inside the call instead of taken from the
+    library's caches, so a cache that hands out a wrong or stale entry shows
+    as a difference in the last bit.  Every sum over m of the value is
+    math.fsum of a list, not the engine's `chunked_fsum`, so a fault in that
+    sum shows too.
+    At x = 0 the closed tails zeta(s, M + 1) are summed afresh on every
+    call, with the library's constant Euler-Maclaurin table.  Returns
+    (value, tail_bound, terms_used, raised).
     """
     from zagier_kit.series_engine import (_EM_POWERS, _EM_START, _EPS, _ORDERS, _ZETA_EPS,
                                           _euler_maclaurin_table)
@@ -361,8 +364,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     near_values = (-1.0) ** (nu // 2) * pi * bessel_Y_upward(nu, z, *y01) + 0.5 / root
     far_q = lattice * np.arange(near + 1, M + 1, dtype=float)
     brackets = np.concatenate([near_values[:M], _hankel_sum(b, 1, far_q)])
-    trig = trig_at(ms)
-    explicit = math.fsum((brackets * trig).tolist())
+    # the bound's m-sums are numpy's pairwise sums, as in the engine
+    abs_sum = float(np.abs(brackets).sum())
     if x == 0.0:
         # zeta(s, M + 1): terms below a = max(M + 1, 48), Euler-Maclaurin at a
         a = max(M + 1.0, _EM_START)
@@ -373,19 +376,27 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
             for s, c in zip((np.arange(1, _ORDERS) + 0.5).tolist(), corrections)])
         s = np.arange(1, _ORDERS + 1) + 0.5  # every order, as the plan forms lattice^{-s}
         closed = b[1 : K + 1] * (lam**-s)[:K] * zeta_tails[:K]
-        bound = (truncation + (2e-15 + _EPS) * float(np.abs(brackets).sum())
-                 + _ZETA_EPS * float(np.abs(closed).sum()))
-        return explicit + math.fsum(closed.tolist()), bound, M, m_terms is None and bound > tol
-    phase = _EPS * (1.0 + 2.0 * pi * x * ms)
+        value = math.fsum(brackets.tolist()) + math.fsum(closed.tolist())
+        bound = truncation + ((2e-15 + _EPS) * abs_sum + _ZETA_EPS * float(np.abs(closed).sum()))
+        return value, bound, M, m_terms is None and bound > tol
+    # the bound's m-sums: of |bracket| and of q^{-s}, plain and weighted by m
+    abs_moment = float((ms * np.abs(brackets)).sum())
+    power_sums, power_moments = [], []
+    power = q**-1.5
+    for k in range(K):
+        if k:
+            power = power / q
+        power_sums.append(float(power.sum()))
+        power_moments.append(float((ms * power).sum()))
+    xi = 2.0 * pi * x
     s = np.arange(1, K + 1) + 0.5
     b_abs = np.abs(b[1 : K + 1])
-    powers = q ** -s[:, None]
-    closed_err = b_abs * (_ZETA_EPS * lam**-s + powers @ phase)
-    fixed = truncation + float(np.dot(np.abs(brackets), 2e-15 + phase))
+    closed_err = b_abs * (_ZETA_EPS * lam**-s + _EPS * (np.array(power_sums) + xi * np.array(power_moments)))
+    fixed = truncation + (2e-15 + _EPS) * abs_sum + xi * _EPS * abs_moment
     W, split, bound = M, K, fixed + float(closed_err.sum())
 
     def windowed(w):
-        err = (b_abs * lam**-s * (w ** (1.0 - s) + _EPS * (1.0 + 2.0 * pi * x * w) * M ** (1.0 - s))
+        err = (b_abs * lam**-s * (w ** (1.0 - s) + _EPS * (1.0 + xi * w) * M ** (1.0 - s))
                / (s - 1.0))
         better = err < closed_err
         k = 0 if better.all() else K - int(np.argmin(better[::-1]))
@@ -396,20 +407,21 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
         while (found := windowed(W))[1] > tol:
             W = min(2 * W, max_terms)
         split, bound = found
-    tail = 0.0
-    if split:
-        closed = uncached_periodic_zeta(x, split)[0 if even_nu else 1][1:] * lam**-s[:split]
-        partial = np.array([math.fsum((trig * row).tolist()) for row in powers[:split]])
-        tail = math.fsum((b[1 : split + 1] * (closed - partial)).tolist())
+    # orders 1..split close as b_k (lattice^{-s} T_s(x) - sum_{m <= M} trig q^{-s}),
+    # which is sum_m trig (bracket - c) plus the closed values
+    row = brackets - _orders_sum(b, 1, split, q) if split else brackets
+    closed = b[1 : split + 1] * lam**-s[:split] * uncached_periodic_zeta(x, split)[0 if even_nu else 1][1:]
+    value = math.fsum((row * trig_at(ms)).tolist()) + math.fsum(closed.tolist())
     if split < K:
         mw = np.arange(M + 1, W + 1, dtype=float)
-        tail += math.fsum((trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw)).tolist())
-    return explicit + tail, bound, W, m_terms is None and bound > tol
+        value += math.fsum((trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw)).tolist())
+    return value, bound, W, m_terms is None and bound > tol
 
 
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
-CACHES = (("series_engine", "_plan"), ("series_engine", "_power_table"),
-          ("series_engine", "_periodic_zeta_rows"), ("series_engine", "_zeta_tails"),
+CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
+          ("series_engine", "_zero_sum"), ("series_engine", "_periodic_zeta_rows"),
+          ("series_engine", "_zeta_tails"),
           ("formulas", "_number_exact"), ("formulas", "_type_exact"))
 
 

@@ -227,6 +227,20 @@ def test_verify_json_prints_every_passed_as_a_boolean():
     assert [c["passed"] for c in json.loads(out)["checks"]] == [True] * 6
 
 
+def test_verify_json_is_the_same_bytes_at_one_and_two_blas_threads():
+    # no reduction of the verify suites may be split across BLAS threads
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zagier_kit.cli", "verify", "--identity", "all", "--format", "json"],
+            env=env, capture_output=True, timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["summary"]["passed"] is True
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_denominators():
     code, out = run_cli("verify", "--identity", "denominators", "--n-max", "60",
                         "--format", "json")

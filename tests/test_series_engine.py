@@ -14,7 +14,7 @@ from math import pi, sqrt
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
@@ -22,7 +22,7 @@ from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
 from conftest import (CACHES, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle, hurwitz_zeta_oracle,
-                      polylog_trig_oracle, uncached_bracket_sum, uncached_periodic_zeta)
+                      polylog_trig_oracle, traced_peak, uncached_bracket_sum, uncached_periodic_zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,18 @@ def test_periodic_zeta_vs_polylog(k):
         got_c, got_s = se.periodic_zeta(x, k)
         assert abs(got_c[k] - c) < 1e-14, (k, x)
         assert abs(got_s[k] - sn) < 1e-14, (k, x)
+
+
+def test_periodic_zeta_past_a_quarter_vs_polylog():
+    # for 1/4 < t <= 1/2 the powers (2t - 1)^j are formed as (-1)^j (1 - 2t)^j
+    rng = random.Random(26)
+    xs = [0.25 + 1e-9, 0.3, 0.5 - 1e-9, 0.5, 0.75 - 1e-9] + [rng.uniform(0.25, 0.75) for _ in range(6)]
+    for x in xs:
+        got_c, got_s = se.periodic_zeta(x, 29)
+        for k in (0, 1, 2, 7, 15, 29):
+            c, sn = polylog_trig_oracle(k + 0.5, x)
+            assert abs(got_c[k] - c) < 1e-14, (k, x)
+            assert abs(got_s[k] - sn) < 1e-14, (k, x)
 
 
 def test_periodic_zeta_at_zero_is_riemann_zeta():
@@ -454,21 +466,6 @@ def test_chunked_fsum_is_bit_for_bit_math_fsum(arr):
     assert _fsum_or_error(se.chunked_fsum, arr) == _fsum_or_error(_plain_fsum, arr)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_fsum_arrays(), min_size=1, max_size=3), st.sampled_from(_FSUM_LENGTHS),
-       st.sampled_from((0.0, 1.0 / 3.0)))
-@example(arrays=[np.array([2.0**1023])], width=2, x=0.0)  # the repeated row overflows
-def test_row_fsums_are_math_fsum_of_each_row(arrays, width, x):
-    rows = np.stack([np.resize(arr, width) for arr in arrays])
-    weights = np.cos(2.0 * pi * x * np.arange(1.0, width + 1.0))
-    want = [_fsum_or_error(math.fsum, row) for row in (weights * rows).tolist()]
-    raised = [w for w in want if w[0] == "raised"]
-    if raised:  # the first row math.fsum cannot sum raises its error
-        assert _fsum_or_error(lambda r: se._row_fsums(weights, r), rows) == raised[0]
-    else:
-        assert [("value", repr(v)) for v in se._row_fsums(weights, rows).tolist()] == want
-
-
 _TIES = [(1.0, 2.0**-53), (1.0, -(2.0**-54)), (3.0, 2.0**-52), (-1.0, -(2.0**-53)),
          (2.0**60, -(2.0**6))]
 
@@ -622,24 +619,19 @@ def test_periodic_zeta_entries_do_not_depend_on_k_max(k_max):
 
 
 def test_cached_bracket_sum_under_threads(uncached_grid, monkeypatch):
-    # ten threads grow and slice the same tables at a tiny switch interval;
-    # every value stays exact and no table loses rows or columns
+    # ten threads fill and read the same caches at a tiny switch interval;
+    # every value stays exact
     cases = [case for case in uncached_grid if case[0] <= 24 or case[0] == 120]
-    # each thread climbs in nu, so the tables grow while the others read them
+    # each thread climbs in nu, so the caches fill while the others read them
     samples = [sorted(random.Random(seed).sample(cases, 200), key=lambda case: case[0])
                for seed in range(10)]
-    mismatches, errors, shrunk = [], [], []
+    mismatches, errors = [], []
 
     def worker(sample):
-        seen = {1: (0, 0), 2: (0, 0)}
         try:
             for case in sample:
                 if _library_sum(*case) != uncached_grid[case]:
                     mismatches.append(case)
-                for lattice, before in seen.items():
-                    now = seen[lattice] = se._power_table(lattice).table.shape
-                    if now[0] < before[0] or now[1] < before[1]:
-                        shrunk.append((lattice, before, now))
         except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
@@ -655,21 +647,40 @@ def test_cached_bracket_sum_under_threads(uncached_grid, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert not errors and not mismatches and not shrunk, (errors, mismatches[:5], shrunk[:5])
+    assert not errors and not mismatches, (errors, mismatches[:5])
 
 
 def test_kept_tables_stay_small(fresh_caches):
-    for nu in range(1, 122):
-        for lattice in (1, 2):
-            try:
-                se.lattice_bessel_sum(nu, 1.0 / 3.0, tol=1e-12, lattice=lattice)
-            except se.SeriesConvergenceError:
-                pass
-    tables = [se._power_table(lattice).table for lattice in (1, 2)]
-    kept = sum(table.nbytes for table in tables)
-    assert 0 < kept < 1 << 20
+    # the residual rows are kept at the base range M0 only, one per (nu,
+    # lattice, K), each as long as the plan's brackets and with no copy of
+    # the lattice points; a sum at x = 0 keeps two floats
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for nu in range(1, 122):
+            for lattice in (1, 2):
+                for x in (0.0, 1.0 / 3.0):
+                    try:
+                        se.lattice_bessel_sum(nu, x, tol=1e-12, lattice=lattice)
+                    except se.SeriesConvergenceError:
+                        pass
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    brackets = sum(se._plan(nu, lattice).brackets.nbytes for nu in range(1, 122) for lattice in (1, 2))
+    kept = se._residual.cache_info().currsize
+    assert 2 * 121 <= kept <= 3 * 121
+    assert se._zero_sum.cache_info().currsize == 60 * 2
+    # the plans' brackets, a row per kept residual, and the constants
+    assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
+    # a forced m_terms and a budget below the base range keep nothing
     se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=100_000)
-    assert se._power_table(1).table is tables[0]
+    se.lattice_bessel_sum(4, 0.0, m_terms=100_000)
+    assert se._plan(8, 1).near == 10 and se._plan(8, 1).brackets.size == 12
+    se.regularized_bracket_sum(8, 1.0 / 3.0, tol=1e-6, max_terms=11)
+    se.regularized_bracket_sum(8, 0.0, tol=1e-6, max_terms=11)
+    assert se._residual.cache_info().currsize == kept
+    assert se._zero_sum.cache_info().currsize == 60 * 2
     # the plan holds the base range M0 only, and every cache is bounded
     for nu, lattice in ((4, 1), (4, 2), (121, 1), (121, 2)):
         base = max(math.ceil(sf.asymptotic_crossover(nu) / (4 * pi * lattice)) + 1, 8)
@@ -677,6 +688,31 @@ def test_kept_tables_stay_small(fresh_caches):
     for module, name in CACHES:
         assert getattr(importlib.import_module(f"zagier_kit.{module}"), name).cache_info().maxsize \
             is not None, name
+
+
+def test_forced_sum_holds_a_few_rows(fresh_caches):
+    # a forced 100,000-term sum at x != 0 builds its row and m-sums for itself:
+    # its peak stays at a few 100,000-float arrays (29 of them held all the
+    # powers (m)^{-s} at once before)
+    m_terms, row_bytes = 100_000, 8 * 100_000
+    se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=m_terms)
+    for x in (1.0 / 3.0, 0.0):
+        value, peak = traced_peak(se.lattice_bessel_sum, 4, x, 1e-9, 20000, 1, m_terms)
+        assert peak < 8 * row_bytes, (x, peak)
+        fresh = uncached_bracket_sum(4, x, m_terms=m_terms)
+        assert value.value - fresh[0] == -0.5 * float(uncached_periodic_zeta(x, 0)[0][0])
+
+
+def test_cached_sum_at_zero_is_the_same_for_any_tol(monkeypatch):
+    # at x = 0 every order is closed to the smallest envelope whatever tol,
+    # so the cached (value, bound) is shared by every tol and is what a
+    # fresh cache gives
+    for nu, lattice in ((4, 1), (16, 2), (40, 1), (120, 1)):
+        seen = {_library_sum(nu, 0.0, tol, lattice, None)[:3] for tol in (1e-3, 1e-9, 1e-14, 1e-30)}
+        assert len(seen) == 1, (nu, lattice, seen)
+        empty_caches(monkeypatch)
+        assert _library_sum(nu, 0.0, 1e-9, lattice, None)[:3] in seen
+        assert se._zero_sum.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("fn", (se.regularized_bracket_sum, se.lattice_bessel_sum))
