@@ -691,16 +691,15 @@ def test_kept_tables_stay_small(fresh_caches):
 
 
 def test_forced_sum_holds_a_few_rows(fresh_caches):
-    # a forced 100,000-term sum at x != 0 builds its row and m-sums for itself:
-    # its peak stays at a few 100,000-float arrays (29 of them held all the
-    # powers (m)^{-s} at once before)
+    # a forced 100,000-term sum builds its row and m-sums for itself, one order
+    # at a time: its peak stays at a few 100,000-float arrays, never one per order
     m_terms, row_bytes = 100_000, 8 * 100_000
     se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=m_terms)
     for x in (1.0 / 3.0, 0.0):
         value, peak = traced_peak(se.lattice_bessel_sum, 4, x, 1e-9, 20000, 1, m_terms)
         assert peak < 8 * row_bytes, (x, peak)
-        fresh = uncached_bracket_sum(4, x, m_terms=m_terms)
-        assert value.value - fresh[0] == -0.5 * float(uncached_periodic_zeta(x, 0)[0][0])
+        half = float(uncached_periodic_zeta(x, 0)[0][0])
+        assert value.value == uncached_bracket_sum(4, x, m_terms=m_terms)[0] - 0.5 * half
 
 
 def test_cached_sum_at_zero_is_the_same_for_any_tol(monkeypatch):
