@@ -129,10 +129,7 @@ def chunked_fsum(values: np.ndarray) -> float:
     Past _FSUM_CUTOFF values the sum comes from :func:`_extracted_sum`;
     where that declines, and for short arrays, math.fsum forms it, so its
     exceptions and signs of zero are kept."""
-    return _fsum(np.ascontiguousarray(values, dtype=float))
-
-
-def _fsum(flat: np.ndarray) -> float:
+    flat = np.ascontiguousarray(values, dtype=float)
     if flat.size > _FSUM_CUTOFF and (total := _extracted_sum(flat)) is not None:
         return total
     return math.fsum(flat.tolist())
