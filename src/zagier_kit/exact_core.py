@@ -3,9 +3,10 @@
 Every result is a `fractions.Fraction` (or a polynomial of them), so results
 are bit-exact and safe to use as ground truth against the floating-point
 formula evaluators.  The inner loops run in integers: Bernoulli numbers come
-from the integer tangent-number recurrence, and modified Bernoulli numbers,
-Zagier polynomials and their values are summed as integer numerators over
-one common denominator, reduced once at the end.
+from the integer tangent-number recurrence, and even modified Bernoulli
+numbers, Zagier polynomials, their values and their shifts are summed as
+integer numerators over one common denominator, reduced once at the end; odd
+modified Bernoulli numbers come from Zagier's 6-periodic closed form.
 
 Convention: Bernoulli numbers come from the generating function
 z*e^{xz}/(e^z - 1), so B_1 = -1/2.  The other sign convention (B_1 = +1/2)
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
 from typing import Iterable
 
 __all__ = [
@@ -88,7 +89,7 @@ class BernoulliCache:
     kept beside the table, so extending costs only the new entries.
     Reads are lock-free; writes hold a lock so concurrent callers cannot
     corrupt the table.  It also keeps the B_2s/(4s)! table of
-    `modified_bernoulli`.
+    `modified_bernoulli`, which only even indices read.
     """
 
     def __init__(self) -> None:
@@ -96,7 +97,8 @@ class BernoulliCache:
         # the tangent-number column of B_0..B_2K (see `_next_column`); only
         # touched under the lock
         self._column: list[int] = []
-        self._gamma: tuple[list[int], list[tuple[int, list[int]]]] = ([1], [(1, [0])])
+        self._gamma: tuple[list[int], list[int], list[tuple[int, list[int]]]] = (
+            [1], [1], [(1, [0])])
         self._lock = threading.Lock()
 
     def get(self, n: int) -> Fraction:
@@ -143,47 +145,45 @@ class BernoulliCache:
         of about G_S bits.  S is the smallest of the kept scales 0, 1, 3, 7,
         ..., 2^j - 1 and the top one that reaches half: that size depends on
         half alone, within a factor of about 2, and not on the largest index
-        asked so far.  Read only.
+        asked so far.  The state (rho, lcms, tables) also keeps
+        lcms[t] = lcm(den B_2, ..., den B_2t), so growth never divides a
+        G_t by (4t)!.  Read only.
         """
-        rho, tables = self._gamma
+        rho, _, tables = self._gamma
         if half >= len(rho):
             with self._lock:
                 if half >= len(self._gamma[0]):
                     self._grow_gamma_locked(half)
-                rho, tables = self._gamma
+                rho, _, tables = self._gamma
         return rho, tables[min(half.bit_length(), len(tables) - 1)]
 
     def _grow_gamma_locked(self, half: int) -> None:
         # each scale comes from the one below: its entries times the integer
         # G_stop/G_top, then the new ones from the top down as
-        # g_s = num_s (lcm/den_s) (4 stop)!/(4s)!; the new state is swapped
-        # in whole, so a lock-free reader sees a consistent (rho, tables) pair
+        # g_s = num_s (lcms[stop]/den_s) (4 stop)!/(4s)!; the new state is
+        # swapped in whole, so a lock-free reader sees a consistent one
         self._extend_locked(2 * half)
         bern = self._values
-        rho, tables = self._gamma
-        rho, tables = list(rho), list(tables)
+        rho, lcms, tables = (list(part) for part in self._gamma)
         big, g = tables[-1]
-        lcm_den = big // factorial(4 * len(g) - 4)
         for t in range(len(rho), half + 1):
-            grown = lcm(lcm_den, bern[2 * t].denominator)
-            rho.append((4 * t) * (4 * t - 1) * (4 * t - 2) * (4 * t - 3) * (grown // lcm_den))
-            lcm_den = grown
+            lcms.append(lcm(lcms[-1], bern[2 * t].denominator))
+            rho.append((4 * t) * (4 * t - 1) * (4 * t - 2) * (4 * t - 3) * (lcms[t] // lcms[t - 1]))
         while len(g) <= half:
             top = len(g) - 1
             stop = min(half, (1 << (top + 1).bit_length()) - 1)
             ratio = prod(rho[top + 1: stop + 1])
             big *= ratio
-            lcm_stop = big // factorial(4 * stop)
             fresh, rising = [], 1
             for s in range(stop, top, -1):
                 b = bern[2 * s]
-                fresh.append(b.numerator * (lcm_stop // b.denominator) * rising)
+                fresh.append(b.numerator * (lcms[stop] // b.denominator) * rising)
                 rising *= (4 * s) * (4 * s - 1) * (4 * s - 2) * (4 * s - 3)
             if top & (top + 1):
                 tables.pop()  # a top scale that is not 2^j - 1 is not kept
             g = [c * ratio for c in g] + fresh[::-1]
             tables.append((big, g))
-        self._gamma = (rho, tables)
+        self._gamma = (rho, lcms, tables)
 
     def known(self) -> int:
         return len(self._values) - 1
@@ -247,10 +247,13 @@ def modified_bernoulli(n: int) -> Fraction:
     summed to s = n//2 by Horner over the integers g_s = gamma_s G of
     `BernoulliCache._gamma_table`: one multiply by a small integer and one
     add per step.  The common factor G/G_{n//2} is divided out before the
-    one reduction.
+    one reduction.  Odd n take Zagier's 6-periodic closed form
+    `odd_modified_closed_form` and touch no table.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n % 2:
+        return odd_modified_closed_form(n // 2)
     half = n // 2
     rho, (big, g) = _DEFAULT_CACHE._gamma_table(half)
     y = n * n
@@ -346,17 +349,14 @@ def chebyshev_U(n: int) -> RationalPolynomial:
     return RationalPolynomial.from_coeffs(_chebyshev_coeffs(n, [0, 2]))
 
 
-def _chebyshev_u_at(n: int, x: Fraction) -> Fraction:
-    """U_n(a/b) by the three-term recurrence on V_m = b^m U_m(a/b), in integers:
+def _chebyshev_u_at(n: int, a: int, b: int) -> int:
+    """b^n U_n(a/b) by the three-term recurrence on V_m = b^m U_m(a/b), in integers:
     V_{-1} = 0, V_0 = 1, V_{m+1} = 2a V_m - b^2 V_{m-1}."""
-    if n < 0:
-        return Fraction(0)  # U_{-1} = 0, consistent with the recurrence
-    a2, b = 2 * x.numerator, x.denominator
-    b2 = b * b
+    a2, b2 = 2 * a, b * b
     prev, cur = 0, 1
     for _ in range(n):
         prev, cur = cur, a2 * cur - b2 * prev
-    return Fraction(cur, b ** n)
+    return cur
 
 
 def zagier_shift(n: int, x: RationalLike, k: int) -> Fraction:
@@ -366,19 +366,16 @@ def zagier_shift(n: int, x: RationalLike, k: int) -> Fraction:
         B_n^*(x+k) = B_n^*(x) + (1/2) sum_{j=1}^{k} U_{n-1}((x+j-1)/2 + 1).
     For k < 0 the telescoped sum is inverted:
         B_n^*(x+k) = B_n^*(x) - (1/2) sum_{j=1}^{-k} U_{n-1}((x+k+j-1)/2 + 1).
+    With x = p/q every argument is (p + (i+1)q)/(2q), i = j or k+j, so
+    the U_{n-1} are summed as integers over (2q)^(n-1), reduced once.
     """
     if n < 1:
         raise ValueError("n must be positive")
     xf = Fraction(x)
-    base = zagier_eval(n, xf)
-    half = Fraction(1, 2)
-    if k >= 0:
-        corr = sum((_chebyshev_u_at(n - 1, (xf + j - 1) / 2 + 1) for j in range(1, k + 1)),
-                   Fraction(0))
-        return base + half * corr
-    corr = sum((_chebyshev_u_at(n - 1, (xf + k + j - 1) / 2 + 1) for j in range(1, -k + 1)),
-               Fraction(0))
-    return base - half * corr
+    p, q = xf.numerator, xf.denominator
+    lo = 1 if k >= 0 else k + 1
+    corr = sum(_chebyshev_u_at(n - 1, p + (i + 1) * q, 2 * q) for i in range(lo, lo + abs(k)))
+    return zagier_eval(n, xf) + Fraction(corr if k >= 0 else -corr, 2 * (2 * q) ** (n - 1))
 
 
 def jacobi_symbol(a: int, n: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import sys
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +135,24 @@ def test_modified_bernoulli_call_orders(order, modified_reference, fresh_default
     # Horner table for n//2 = h stops at some S with h <= S < 2h
     for half in range(1, 301):
         assert half <= len(cache._gamma_table(half)[1][1]) - 1 < 2 * half, half
+    # every kept scale S holds G_S = (4S)! lcm(den B_2..B_2S) and
+    # g[s] = G_S B_2s/(4s)!, whichever order grew it
+    for big, g in cache._gamma[2]:
+        top = len(g) - 1
+        assert big == factorial(4 * top) * lcm(*(ec.bernoulli_number(2 * s).denominator
+                                                 for s in range(1, top + 1))), top
+        assert g[0] == 0
+        for s in range(1, top + 1):
+            assert g[s] * factorial(4 * s) == ec.bernoulli_number(2 * s) * big, (top, s)
+
+
+def test_odd_modified_bernoulli_touches_no_table(fresh_default_cache):
+    cache = ec.default_cache()
+    ec.modified_bernoulli(8)
+    known, gamma = cache.known(), cache._gamma
+    assert ec.modified_bernoulli(2001) == Fraction(1, 4)
+    assert cache.known() == known
+    assert cache._gamma is gamma
 
 
 def test_modified_bernoulli_concurrent_growth_stress(modified_reference, fresh_default_cache):
@@ -343,8 +361,10 @@ def test_jacobi_symbol():
 def test_odd_closed_form():
     assert ec.odd_modified_closed_form(0) == Fraction(3, 4)
     assert ec.odd_modified_closed_form(5) == Fraction(-3, 4)
+    # against the constant term of the Zagier polynomial, not `modified_bernoulli`,
+    # which returns this closed form at odd indices
     for n in range(0, 31):
-        assert ec.odd_modified_closed_form(n) == ec.modified_bernoulli(2 * n + 1)
+        assert ec.odd_modified_closed_form(n) == ec.zagier_eval(2 * n + 1, 0)
 
 
 # ---------------------------------------------------------------------------
