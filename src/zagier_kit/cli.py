@@ -16,6 +16,7 @@ them.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -317,6 +318,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
+@functools.cache  # built once per process: parsing keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zagier-kit",

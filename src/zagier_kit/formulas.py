@@ -304,15 +304,23 @@ def _lemma_dJ_profile(x: float, n: int) -> float:
     return h1 + h2
 
 
+@functools.lru_cache(maxsize=64)  # the m-th coefficients of one n share it
+def _weighted_profile(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes t of :func:`_fourier_pair` and profile(t, n) times their weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.125 * pi * (nodes + 1.0)
+    t = np.sin(theta) ** 2
+    vals = 0.25 * pi * weights * np.sin(2.0 * theta) * np.array([profile(ti, n) for ti in t])
+    t.flags.writeable = vals.flags.writeable = False
+    return t, vals
+
+
 def _fourier_pair(profile, n: int, m: int) -> tuple[float, float]:
     """integral_0^1 profile(t, n) times 1 and 2 cos(2 pi m t), as twice the integral
     over [0, 1/2] (both are symmetric about 1/2, so 1 - t never nears 0), by
     64-node Gauss-Legendre in theta, t = sin^2 theta: dt = sin(2 theta) dtheta
     cancels the t^{-1/2} endpoint singularity."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    theta = 0.125 * pi * (nodes + 1.0)
-    t = np.sin(theta) ** 2
-    vals = 0.25 * pi * weights * np.sin(2.0 * theta) * np.array([profile(ti, n) for ti in t])
+    t, vals = _weighted_profile(profile, n)
     return math.fsum(vals.tolist()), 2.0 * math.fsum((vals * np.cos(2.0 * pi * m * t)).tolist())
 
 

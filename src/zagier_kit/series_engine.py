@@ -36,8 +36,6 @@ otherwise build, so no value depends on what was cached before:
     K orders, and the m-sums the rounding bound reads;
   * at x = 0, where K and the sum depend on neither x nor tol, the value
     and rounding per (nu, lattice) (:func:`_zero_sum`, 512 entries);
-  * the tails zeta(k + 1/2, M + 1) of the orders at x = 0, per M whatever
-    nu and lattice (:func:`_zeta_tails`, 512 entries of 29 floats);
   * the periodic zeta values at every order, per (x, parity) (128
     entries): a sum over cos phases forms only C_s(x), one over sin phases
     only S_s(x), and a bracket sum and its regularizer share that row.
@@ -204,7 +202,7 @@ def _wood_tables() -> tuple[np.ndarray, ...]:
     zeta(s - j) and eta[k, j] = (1 - 2^{1-s+j}) zeta(s - j) for j <
     _WOOD_TERMS, gamma_c[k] + i gamma_s[k] = Gamma(1-s) e^{-i pi (s-1)/2}
     and re[j] + i im[j] = i^j / j!.  Zeta at positive half-integers comes
-    from the Euler-Maclaurin Hurwitz values, at negative ones from the
+    from :func:`specfun.hurwitz_zeta` at 1, at negative ones from the
     reflection zeta(h) = 2^h pi^{h-1} sin(pi h/2) Gamma(1-h) zeta(1-h).
     Built on first use, so importing the package costs nothing.
     """
@@ -496,53 +494,6 @@ def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
 
 _S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
 
-# B_2, B_4, ..., B_20: the Euler-Maclaurin corrections of :func:`_zeta_tails`
-_EM_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-                 (-3617, 510), (43867, 798), (-174611, 330))
-_EM_START = 48.0  # Euler-Maclaurin starts at max(m + 1, _EM_START)
-_EM_POWERS = np.arange(1.0, 2 * len(_EM_BERNOULLI), 2)  # a^{-(2j-1)}, j = 1..10
-
-
-@functools.cache
-def _euler_maclaurin_table() -> np.ndarray:
-    """Row k-1, column j-1: B_2j/(2j)! s (s+1)...(s+2j-2) at s = k + 1/2 for the
-    orders k = 1.._ORDERS-1 a call can close, one correctly rounded quotient
-    of exact integers.  Built on first use."""
-    rows = []
-    for k in range(1, _ORDERS):
-        row, rising = [], 2 * k + 1  # 2^{2j-1} s (s+1)...(s+2j-2), a product of odd integers
-        for j, (num, den) in enumerate(_EM_BERNOULLI, 1):
-            row.append(num * rising / (den * math.factorial(2 * j) << (2 * j - 1)))
-            rising *= (2 * k + 4 * j - 1) * (2 * k + 4 * j + 1)
-        rows.append(row)
-    table = np.array(rows)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=512)  # 29 floats each; one m per (nu, lattice) at the default budget
-def _zeta_tails(m: int) -> np.ndarray:
-    """zeta(s, m + 1) = sum_{j > m} j^{-s} for s = k + 1/2, k = 1.._ORDERS-1.
-
-    At x = 0 these close every order past m, and as sums of positive terms
-    they cancel nothing.  The terms below a = max(m + 1, 48) are summed
-    directly and the rest by Euler-Maclaurin at a through B_20, whose first
-    dropped correction is below 1e-19 of the value; each order's parts are
-    summed by math.fsum.  Python's power forms every part that carries the
-    value (numpy's can round an ulp further off), so each entry lies within
-    2 ulp of the true value.
-    """
-    x = m + 1.0
-    a = max(x, _EM_START)
-    corrections = (_euler_maclaurin_table() @ a ** -_EM_POWERS).tolist()
-    tails = np.array([
-        math.fsum([(x + j) ** -s for j in range(int(a - x))]
-                  + [a ** (1.0 - s) / (s - 1.0), 0.5 * a ** -s, c * a ** -s])
-        for s, c in zip(_S[: _ORDERS - 1].tolist(), corrections)])
-    tails.flags.writeable = False
-    return tails
-
-
 @dataclass(frozen=True)
 class _Residual:
     """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M."""
@@ -588,7 +539,8 @@ def _zero_sum(nu: int, lattice: int, orders: int, m_terms: int) -> tuple[float, 
     b_k lattice^{-s} zeta(s, M + 1).  Neither depends on tol; only M0 is kept."""
     plan = _plan(nu, lattice)
     brackets = _bracket_values(nu, lattice, m_terms)
-    closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * _zeta_tails(m_terms)[:orders]
+    tails = [hurwitz_zeta(s, m_terms + 1.0) for s in _S[:orders].tolist()]
+    closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
     rounding = ((2e-15 + _EPS) * float(np.abs(brackets).sum())
                 + _ZETA_EPS * float(np.abs(closed).sum()))
@@ -635,8 +587,8 @@ def regularized_bracket_sum(
     (M, W] instead, W doubling from 2M up to max_terms; the row keeps the rest.
 
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
-    whole from :func:`_zeta_tails`: it cancels nothing and carries a few
-    units of its own size.  Every order is closed up to the smallest
+    whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
+    a few units of its own size.  Every order is closed up to the smallest
     dropped one, whatever tol, and no window opens.
 
     The reported bound is the dropped order plus the rounding of the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import pi, sqrt
@@ -36,7 +36,7 @@ class CheckResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _check(identity: str, case: str, value: float, expected: float,

@@ -317,14 +317,13 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     as a difference in the last bit.  Every sum over m of the value is
     math.fsum of a list, not the engine's `chunked_fsum`, so a fault in that
     sum shows too.
-    At x = 0 the closed tails zeta(s, M + 1) are summed afresh on every
-    call, with the library's constant Euler-Maclaurin table.  Returns
+    At x = 0 the closed tails zeta(s, M + 1) come afresh on every call from
+    the library's one Hurwitz kernel, `specfun.hurwitz_zeta`.  Returns
     (value, tail_bound, terms_used, raised).
     """
-    from zagier_kit.series_engine import (_EM_POWERS, _EM_START, _EPS, _ORDERS, _ZETA_EPS,
-                                          _euler_maclaurin_table)
+    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS
     from zagier_kit.specfun import (ASYM_Z_MIN, _hankel_sum, _orders_sum, asymptotic_crossover,
-                                    bessel_Y01, bessel_Y_upward, hankel_lattice)
+                                    bessel_Y01, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
 
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
@@ -367,15 +366,9 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     # the bound's m-sums are numpy's pairwise sums, as in the engine
     abs_sum = float(np.abs(brackets).sum())
     if x == 0.0:
-        # zeta(s, M + 1): terms below a = max(M + 1, 48), Euler-Maclaurin at a
-        a = max(M + 1.0, _EM_START)
-        corrections = (_euler_maclaurin_table() @ a ** -_EM_POWERS).tolist()
-        zeta_tails = np.array([
-            math.fsum([(M + 1.0 + j) ** -s for j in range(int(a - M - 1.0))]
-                      + [a ** (1.0 - s) / (s - 1.0), 0.5 * a ** -s, c * a ** -s])
-            for s, c in zip((np.arange(1, _ORDERS) + 0.5).tolist(), corrections)])
+        zeta_tails = np.array([hurwitz_zeta(k + 0.5, M + 1.0) for k in range(1, K + 1)])
         s = np.arange(1, _ORDERS + 1) + 0.5  # every order, as the plan forms lattice^{-s}
-        closed = b[1 : K + 1] * (lam**-s)[:K] * zeta_tails[:K]
+        closed = b[1 : K + 1] * (lam**-s)[:K] * zeta_tails
         value = math.fsum(brackets.tolist()) + math.fsum(closed.tolist())
         bound = truncation + ((2e-15 + _EPS) * abs_sum + _ZETA_EPS * float(np.abs(closed).sum()))
         return value, bound, M, m_terms is None and bound > tol
@@ -421,8 +414,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_zero_sum"), ("series_engine", "_periodic_zeta_rows"),
-          ("series_engine", "_zeta_tails"),
-          ("formulas", "_number_exact"), ("formulas", "_type_exact"))
+          ("formulas", "_number_exact"), ("formulas", "_type_exact"),
+          ("formulas", "_weighted_profile"))
 
 
 def empty_caches(monkeypatch) -> None:

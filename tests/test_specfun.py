@@ -295,6 +295,24 @@ def test_hurwitz_half_at_half():
     assert abs(val - slow) < 1e-9
 
 
+def test_hurwitz_zeta_at_one_within_an_ulp():
+    # zeta(k + 1/2), the values the periodic zeta table is built from
+    with mp.workdps(40):
+        for k in range(1, 65):
+            ref = mp.zeta(k + mp.mpf(1) / 2)
+            got = sf.hurwitz_zeta(k + 0.5, 1.0)
+            assert abs(mp.mpf(got) - ref) <= math.ulp(float(ref)), k
+
+
+def test_hurwitz_zeta_half_on_a_grid():
+    # s = 1/2 for a in (0, 2]; near the zero of zeta(1/2, a) at a ~ 0.30 the
+    # direct terms cancel against a^{1/2}/(s - 1), so the gate is absolute
+    with mp.workdps(40):
+        for i in range(1, 129):
+            ref = mp.zeta(mp.mpf(1) / 2, mp.mpf(i) / 64)
+            assert abs(mp.mpf(sf.hurwitz_zeta(0.5, i / 64)) - ref) < 2e-15, i
+
+
 def test_hurwitz_domain():
     with pytest.raises(ValueError):
         sf.hurwitz_zeta(0.5, 0.0)
