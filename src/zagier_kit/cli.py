@@ -44,19 +44,14 @@ IDENTITY_NAMES = ("denominators", "form-s1", "integral-id", "lemma33", "lemma34"
 CONVERGE_MAX_TERMS = 100_000
 
 
-def _series_budget(args: argparse.Namespace) -> dict:
-    """The --tol and --max-terms that were given, checked, as keyword
-    arguments of a series formula: the engine holds the defaults."""
-    budget = {}
-    if args.tol is not None:
-        if not 0.0 < args.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
-        budget["tol"] = args.tol
-    if args.max_terms is not None:
-        if args.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        budget["max_terms"] = args.max_terms
-    return budget
+def _series_tol(args: argparse.Namespace) -> dict:
+    """The --tol that was given, checked, as a keyword argument of a series
+    formula: the engine holds the default."""
+    if args.tol is None:
+        return {}
+    if not 0.0 < args.tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    return {"tol": args.tol}
 
 
 def fmt(v) -> str:
@@ -115,7 +110,7 @@ FORMULAS = {
 }
 
 
-def _evaluate(method: str, n: int, x_text: str | None, budget: dict) -> dict:
+def _evaluate(method: str, n: int, x_text: str | None, options: dict) -> dict:
     """B_n^*(x) by one method, the one path behind eval and table.
 
     Returns n, the x label (None when no --x is given or taken), the value
@@ -134,7 +129,7 @@ def _evaluate(method: str, n: int, x_text: str | None, budget: dict) -> dict:
         from . import formulas
 
         point = (xq if xq is not None else xf,) if takes_x else ()
-        rep = getattr(formulas, formula)(n // 2, *point, **budget)
+        rep = getattr(formulas, formula)(n // 2, *point, **options)
         if rep.series_meta[0].outside_window:
             print(f"warning: x={x_text} lies outside the supported window; accuracy near "
                   f"the endpoints degrades like x^(-1/2)", file=sys.stderr)
@@ -162,7 +157,7 @@ def _evaluate(method: str, n: int, x_text: str | None, budget: dict) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    res = _evaluate(args.method, args.n, args.x, _series_budget(args))
+    res = _evaluate(args.method, args.n, args.x, _series_tol(args))
     rep = res["report"]
     if rep is None:
         sys.stdout.write(fmt(res["formula"]) + "\n")
@@ -174,13 +169,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    budget = _series_budget(args)
+    options = _series_tol(args)
     if args.n_step < 1 or args.n_end < args.n_start:
         raise ValueError("empty index range: need --n-start <= --n-end and --n-step >= 1")
     rows = []
     for n in range(args.n_start, args.n_end + 1, args.n_step):
         for x_text in args.x.split(",") if args.x else [None]:
-            res = _evaluate(args.method, n, x_text, budget)
+            res = _evaluate(args.method, n, x_text, options)
             x_label = res["x"] or "0"
             try:
                 exact = float(res["exact"]) if res["exact"] is not None else None
@@ -307,11 +302,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_series_budget(p: argparse.ArgumentParser) -> None:
+def _add_series_tol(p: argparse.ArgumentParser) -> None:
     # only eval and table evaluate a formula to a tolerance; verify and
-    # converge fix their own, so they reject these flags
+    # converge fix their own, so they reject the flag
     p.add_argument("--tol", type=float, default=None, help="series tolerance (default 1e-9)")
-    p.add_argument("--max-terms", type=int, default=None, dest="max_terms")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -331,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--n", type=int, required=True, help="index n of B_n^*(x)")
     p_eval.add_argument("--x", default=None, help="evaluation point, p/q or decimal")
     p_eval.add_argument("--method", choices=EVAL_METHODS, default="exact")
-    _add_series_budget(p_eval)
+    _add_series_tol(p_eval)
     _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -343,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--x", default=None, help="comma-separated grid of points")
     p_table.add_argument("--compare", action="store_true",
                          help="include exact values and errors")
-    _add_series_budget(p_table)
+    _add_series_tol(p_table)
     _add_common(p_table)
     p_table.set_defaults(func=cmd_table)
 

@@ -85,8 +85,7 @@ def _cheb_rounding(k: int, t: float) -> float:
     return 10.0 * (k + 1) * _EPS / (1.0 - t * t)
 
 
-def _formula_rest(nu: int, x: float, head: float, g_tol: float,
-                  max_terms: int = series_engine.DEFAULT_MAX_TERMS,
+def _formula_rest(nu: int, x: float, head: float, g_tol: float
                   ) -> tuple[float, list[SeriesResult], float]:
     """head plus the non-Bessel part of the series formula for B_nu^*(x).
 
@@ -96,17 +95,17 @@ def _formula_rest(nu: int, x: float, head: float, g_tol: float,
     number) it is -n + sum_m ((sqrt(m+4)-sqrt(m))/2)^{4n} / sqrt(m(m+4)).
     The formulas pass their Bessel sum as head, the convergence study passes
     0.0, so both add the terms in the same order.  The sums get the
-    caller's g_tol and max_terms.  Also returns the sums'
-    bounds weighted by their coefficients plus the rounding of the Chebyshev
-    values and of the assembly, to which the caller adds the bound of head.
+    caller's g_tol.  Also returns the sums' bounds weighted by their
+    coefficients plus the rounding of the Chebyshev values and of the
+    assembly, to which the caller adds the bound of head.
     """
     if x == 0.0:
-        alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol, max_terms=max_terms)
+        alg = series_engine.conjugate_power_sum(3.0, nu / 2, 4.0, tol=g_tol)
         value = head - nu // 2 + 2.0 ** -nu * alg.value
         return value, [alg], (2.0 ** -nu * alg.tail_bound
                               + 2.0 * _EPS * (abs(head) + nu // 2 + 2.0 ** -nu * alg.value))
-    gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol, max_terms=max_terms)
-    g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol, max_terms=max_terms)
+    gx = series_engine.g_tail_sum(nu / 2, x, tol=g_tol)
+    g1x = series_engine.g_tail_sum(nu / 2, 1.0 - x, tol=g_tol)
     g = gx.value + g1x.value if nu % 2 == 0 else gx.value - g1x.value
     k, points = nu - 1, ((x + 1.0) / 2, x / 2, (x - 1.0) / 2, (x - 2.0) / 2)
     us = [specfun.chebyshev_U_value(k, t) for t in points]
@@ -118,12 +117,8 @@ def _formula_rest(nu: int, x: float, head: float, g_tol: float,
             2.0 ** -(nu + 1) * (gx.tail_bound + g1x.tail_bound) + rounding)
 
 
-def zagier_even_formula(
-    n: int,
-    x: float | Fraction | str,
-    tol: float = series_engine.DEFAULT_TOL,
-    max_terms: int = series_engine.DEFAULT_MAX_TERMS,
-) -> EvalReport:
+def zagier_even_formula(n: int, x: float | Fraction | str,
+                        tol: float = series_engine.DEFAULT_TOL) -> EvalReport:
     """Bessel-series formula for B_{2n}^*(x) on 0 < x < 1.
 
     RHS = sum_m (-1)^n pi Y_{2n}(4 pi m) cos(2 pi m x)
@@ -135,19 +130,15 @@ def zagier_even_formula(
     xf, xq = _as_point(x)
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    bessel = series_engine.bessel_cos_series(n, xf, tol=tol, max_terms=max_terms)
-    value, g_meta, g_bound = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3, max_terms)
+    bessel = series_engine.bessel_cos_series(n, xf, tol=tol)
+    value, g_meta, g_bound = _formula_rest(2 * n, xf, bessel.value, tol * 1e-3)
     exact = exact_core.zagier_eval(2 * n, xq) if xq is not None else None
     return _report(2 * n, xq if xq is not None else xf, exact, value,
                    [bessel, *g_meta], bessel.tail_bound + g_bound)
 
 
-def zagier_odd_formula(
-    n: int,
-    x: float | Fraction | str,
-    tol: float = series_engine.DEFAULT_TOL,
-    max_terms: int = series_engine.DEFAULT_MAX_TERMS,
-) -> EvalReport:
+def zagier_odd_formula(n: int, x: float | Fraction | str,
+                       tol: float = series_engine.DEFAULT_TOL) -> EvalReport:
     """Bessel-series formula for B_{2n+1}^*(x) on 0 < x < 1.
 
     Same shape as the even case with sine weights, U_{2n}, half-integer
@@ -158,8 +149,8 @@ def zagier_odd_formula(
     xf, xq = _as_point(x)
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    bessel = series_engine.bessel_sin_series(n, xf, tol=tol, max_terms=max_terms)
-    value, g_meta, g_bound = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3, max_terms)
+    bessel = series_engine.bessel_sin_series(n, xf, tol=tol)
+    value, g_meta, g_bound = _formula_rest(2 * n + 1, xf, bessel.value, tol * 1e-3)
     exact = exact_core.zagier_eval(2 * n + 1, xq) if xq is not None else None
     return _report(2 * n + 1, xq if xq is not None else xf, exact, value,
                    [bessel, *g_meta], bessel.tail_bound + g_bound)
@@ -182,11 +173,7 @@ def _type_exact(n: int) -> Fraction:
     return exact_core.zagier_eval(2 * n, _MINUS_THREE_HALVES) + _number_exact(n)
 
 
-def zagier_number_formula(
-    n: int,
-    tol: float = series_engine.DEFAULT_TOL,
-    max_terms: int = series_engine.DEFAULT_MAX_TERMS,
-) -> EvalReport:
+def zagier_number_formula(n: int, tol: float = series_engine.DEFAULT_TOL) -> EvalReport:
     """Exact series formula for the modified Bernoulli number B_{2n}^*.
 
     B_{2n}^* = -n + sum_m (-1)^n pi Y_{2n}(4 pi m)
@@ -195,17 +182,13 @@ def zagier_number_formula(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    bessel = series_engine.lattice_bessel_sum(2 * n, 0.0, tol=tol, max_terms=max_terms)
-    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, bessel.value, tol * 1e-3, max_terms)
+    bessel = series_engine.lattice_bessel_sum(2 * n, 0.0, tol=tol)
+    value, alg_meta, alg_bound = _formula_rest(2 * n, 0.0, bessel.value, tol * 1e-3)
     return _report(2 * n, _ZERO, _number_exact(n), value, [bessel, *alg_meta],
                    bessel.tail_bound + alg_bound)
 
 
-def zagier_type_sum(
-    n: int,
-    tol: float = series_engine.DEFAULT_TOL,
-    max_terms: int = series_engine.DEFAULT_MAX_TERMS,
-) -> EvalReport:
+def zagier_type_sum(n: int, tol: float = series_engine.DEFAULT_TOL) -> EvalReport:
     """Series formula for B_{2n}^*(-3/2) + B_{2n}^* over the 8 pi m lattice.
 
     RHS = 2 sum_m (-1)^n pi Y_{2n}(8 pi m) - n
@@ -215,11 +198,8 @@ def zagier_type_sum(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    bessel = series_engine.lattice_bessel_sum(
-        2 * n, 0.0, tol=tol * 0.5, max_terms=max_terms, lattice=2
-    )
-    alg = series_engine.conjugate_power_sum(5.0, float(n), 16.0, tol=tol * 1e-3,
-                                            max_terms=max_terms)
+    bessel = series_engine.lattice_bessel_sum(2 * n, 0.0, tol=tol * 0.5, lattice=2)
+    alg = series_engine.conjugate_power_sum(5.0, float(n), 16.0, tol=tol * 1e-3)
     k = 2 * n - 1
     u1, u3 = specfun.chebyshev_U_value(k, 0.25), specfun.chebyshev_U_value(k, 0.75)
     value = 2.0 * bessel.value - float(n) - 0.5 * (u1 + u3) + 2.0 ** (1 - 4 * n) * alg.value

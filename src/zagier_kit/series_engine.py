@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_TERMS = 20000
+DEFAULT_MAX_TERMS = 20000  # the cap on a window and on a g-sum prefix
 DEFAULT_X_WINDOW = (0.01, 0.99)
 
 _FSUM_CUTOFF = 1024  # sums up to this length go to math.fsum of a list, which is faster there
@@ -89,7 +89,7 @@ _ZETA_EPS = 2.5e-15  # periodic_zeta (<= 1.8e-15 against mpmath) and the subtrac
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Requested tolerance unreachable within the term budget."""
+    """Requested tolerance unreachable; `best` holds the result that missed it."""
 
     def __init__(self, message: str, best: "SeriesResult | None" = None):
         super().__init__(message)
@@ -327,30 +327,24 @@ def _conj_f(a: float, r: float, csq: float) -> tuple[float, float, float]:
     return f, fprime, integral
 
 
-def conjugate_power_sum(
-    a0: float,
-    r: float,
-    csq: float,
-    tol: float = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> SeriesResult:
     """sum_{j>=0} f(a0 + j) with f(A) = (A - sqrt(A^2-csq))^{2r}/sqrt(A^2-csq).
 
     Terms fall off like (c/2A)^{2r}/A.  A direct prefix is closed with the
     Euler-Maclaurin tail; the integral term has the closed form
     (A - sqrt(A^2-csq))^{2r}/(2r).  The prefix is the smallest power of two
     >= 8 whose next Euler-Maclaurin correction is <= tol, at most
-    max_terms; SeriesConvergenceError is raised if that correction still
-    exceeds tol there.  The reported bound adds the rounding of the terms,
+    DEFAULT_MAX_TERMS; SeriesConvergenceError is raised if that correction
+    still exceeds tol there.  The reported bound adds the rounding of the terms,
     at least 1e-16, to that correction; the rounding drives neither the
     prefix nor the raise.
     """
     if r < 0.5:
         raise ValueError("exponent r must be >= 1/2 for a usable tail bound")
-    return _conjugate_sum(a0 - sqrt(csq), r, sqrt(csq), tol, max_terms)
+    return _conjugate_sum(a0 - sqrt(csq), r, sqrt(csq), tol)
 
 
-def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS):
+def _conjugate_sum(gap, r, c, tol=1e-12):
     """:func:`conjugate_power_sum` at a0 = c + gap, any r > 0: each A^2 - c^2 is
     formed as (A - c)(A + c) from the gap, so a small gap keeps its digits."""
     if gap <= 0.0:
@@ -365,9 +359,9 @@ def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS):
     # start from where the large-A form f ~ (csq/2A)^{2r}/A puts the
     # correction at tol; f lies above that form, so only doubling remains
     a_tol = ((csq / 2.0) ** (2.0 * r) * (2.0 * r + 3.0) ** 3 / (720.0 * tol)) ** (1.0 / (2.0 * r + 3.0))
-    n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), max_terms)
-    while correction(n_direct) > tol and n_direct < max_terms:
-        n_direct = min(2 * n_direct, max_terms)
+    n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), DEFAULT_MAX_TERMS)
+    while correction(n_direct) > tol and n_direct < DEFAULT_MAX_TERMS:
+        n_direct = min(2 * n_direct, DEFAULT_MAX_TERMS)
     gaps = gap + np.arange(n_direct, dtype=float)
     roots = np.sqrt(gaps * (gaps + 2.0 * c))
     w = csq / (c + gaps + roots)  # A - sqrt(A^2 - csq)
@@ -382,18 +376,13 @@ def _conjugate_sum(gap, r, c, tol=1e-12, max_terms=DEFAULT_MAX_TERMS):
     if truncation > tol:
         raise SeriesConvergenceError(
             f"conjugate_power_sum: Euler-Maclaurin correction {truncation:.2e} exceeds "
-            f"tol {tol:.2e} at the {max_terms}-term budget",
+            f"tol {tol:.2e} at the {DEFAULT_MAX_TERMS}-term cap",
             result,
         )
     return result
 
 
-def g_tail_sum(
-    r: float,
-    x: float,
-    tol: float = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def g_tail_sum(r: float, x: float, tol: float = 1e-12) -> SeriesResult:
     """sum_{m >= 1} g(m, r, x); the sum from m = k is g_tail_sum(r, x + k - 1).
 
     A short prefix is closed by the Euler-Maclaurin tail, which is what
@@ -401,7 +390,7 @@ def g_tail_sum(
     """
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
-    return _conjugate_sum(x, r, 2.0, tol, max_terms)
+    return _conjugate_sum(x, r, 2.0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +418,9 @@ def _plan(nu: int, lattice: int) -> _Plan:
     (-1)^{floor(nu/2)} d^Y of :func:`specfun.hankel_lattice` with b_0 = 0:
     the regularizer cancels the order-0 term -1/(2 sqrt(q)).  M0 =
     max(ceil(crossover/(4 pi lattice)) + 1, 8) is the explicit range of every
-    call that forces no m_terms, unless max_terms ends it sooner.  Up to the
-    crossover Y_0, Y_1 (:func:`_lattice_y01`) are carried up to Y_nu; past
-    it the bracket is its power series in 1/q, no trig of large arguments.
+    call that forces no m_terms.  Up to the crossover Y_0, Y_1
+    (:func:`_lattice_y01`) are carried up to Y_nu; past it the bracket is its
+    power series in 1/q, no trig of large arguments.
     ValueError when the first, largest bracket exceeds the double range.
     """
     cross = asymptotic_crossover(nu) / (4.0 * pi * lattice)
@@ -551,20 +540,23 @@ def _trig(even_nu: bool, x: float, ms: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
 
 
-def _check_lattice_args(nu, lattice, max_terms) -> None:
-    if not isinstance(nu, (int, np.integer)) or nu < 1:
-        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
-    if not isinstance(lattice, (int, np.integer)) or lattice < 1:
-        raise ValueError(f"lattice must be a positive integer, got {lattice!r}")
-    if not max_terms >= 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms!r}")
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_lattice_args(nu, lattice, m_terms) -> None:
+    _check_count("nu", nu)
+    _check_count("lattice", lattice)
+    if m_terms is not None:
+        _check_count("m_terms", m_terms)
 
 
 def regularized_bracket_sum(
     nu: int,
     x: float,
     tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    *,
     lattice: int = 1,
     m_terms: int | None = None,
 ) -> SeriesResult:
@@ -584,7 +576,8 @@ def regularized_bracket_sum(
     an absolute rounding error of a few units times |b_k|, and |b_k| reaches
     6e4 at nu = 20.  When that alone breaks tol, the high orders, whose tails
     beyond a window m <= W are negligible, are summed term by term over
-    (M, W] instead, W doubling from 2M up to max_terms; the row keeps the rest.
+    (M, W] instead, W doubling from 2M up to DEFAULT_MAX_TERMS; the row keeps
+    the rest.
 
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
@@ -594,24 +587,21 @@ def regularized_bracket_sum(
     The reported bound is the dropped order plus the rounding of the
     explicit terms, of the closed tails and of the window (with its
     remainder); SeriesConvergenceError is raised unless it is at most tol.
-    It is raised as well when max_terms ends the explicit range at or below
-    the Hankel crossover, where the power series of the tail is only
-    asymptotic and the bound does not hold.  A forced m_terms truncates at
-    the smallest dropped order instead, closes every order and never raises
-    that.  ValueError is raised for nu or lattice not a positive integer,
-    max_terms < 1, and when a bracket exceeds the double range (from
-    nu = 261 on the 4 pi m lattice).  terms_used counts the m summed term
-    by term, max(M, W).  Only the phases depend on x; the rest comes from
+    A forced m_terms truncates at the smallest dropped order instead, closes
+    every order and never raises.  ValueError is raised for nu, lattice or
+    m_terms not a positive integer, and when a bracket exceeds the double
+    range (from nu = 261 on the 4 pi m lattice).  terms_used counts the m
+    summed term by term, max(M, W).  Only the phases depend on x; the rest comes from
     the caches the module docstring lists.
     """
-    _check_lattice_args(nu, lattice, max_terms)
+    _check_lattice_args(nu, lattice, m_terms)
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
         return SeriesResult(0.0, 0, 0.0)
     plan = _plan(nu, lattice)
     b, base = plan.b, plan.brackets.size
 
-    M = min(base, max_terms) if m_terms is None else max(int(m_terms), 1)
+    M = base if m_terms is None else int(m_terms)
     envelopes = plan.envelopes if M == base else _envelopes(b, lattice, M)
     scan = enumerate(envelopes.tolist(), 1) if m_terms is None and x != 0.0 else ()
     K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
@@ -640,10 +630,10 @@ def regularized_bracket_sum(
             k = 0 if better.all() else K - int(np.argmin(better[::-1]))
             return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
 
-        if m_terms is None and bound > tol and M < max_terms and windowed(max_terms)[1] <= tol:
-            W = min(2 * M, max_terms)
+        if m_terms is None and bound > tol and windowed(DEFAULT_MAX_TERMS)[1] <= tol:
+            W = min(2 * M, DEFAULT_MAX_TERMS)
             while (found := windowed(W))[1] > tol:
-                W = min(2 * W, max_terms)
+                W = min(2 * W, DEFAULT_MAX_TERMS)
             split, bound = found
             res = residual(nu, lattice, split, M)
         # orders 1..split: sum_m trig (bracket - c) plus b_k lattice^{-s} T_s(x)
@@ -655,17 +645,10 @@ def regularized_bracket_sum(
             mw = np.arange(M + 1, W + 1, dtype=float)
             value += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lattice * mw))
     result = SeriesResult(value, W, bound)
-    if m_terms is None and M <= plan.near:
-        raise SeriesConvergenceError(
-            f"regularized_bracket_sum: the {max_terms}-term budget ends the explicit range "
-            f"at or below the Hankel crossover (nu={nu}, M={M}, crossover past m={plan.near})",
-            result,
-        )
     if m_terms is None and not bound <= tol:
-        # a rounding above tol is named first: no larger budget lowers it
-        cause = (f"truncation term {truncation:.2e} at the {max_terms}-term budget"
-                 if truncation > tol and M == max_terms and not bound - truncation > tol
-                 else f"rounding bound {bound - truncation:.2e}")
+        rounding = bound - truncation
+        cause = (f"rounding bound {rounding:.2e}" if rounding > tol
+                 else f"bound {bound:.2e} (truncation term {truncation:.2e})")
         raise SeriesConvergenceError(
             f"regularized_bracket_sum: {cause} exceeds tol {tol:.2e} (nu={nu}, M={M})",
             result,
@@ -683,7 +666,7 @@ def lattice_bessel_sum(
     nu: int,
     x: float,
     tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    *,
     lattice: int = 1,
     m_terms: int | None = None,
 ) -> SeriesResult:
@@ -693,44 +676,34 @@ def lattice_bessel_sum(
     zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that value's
     _ZETA_EPS.  For odd nu at x = 0 and 1/2 the sum is exactly 0.  Points
     0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
-    ValueError for nu, lattice or max_terms out of their domains, as in
+    ValueError for nu, lattice or m_terms out of their domains, as in
     :func:`regularized_bracket_sum`.
     """
-    _check_lattice_args(nu, lattice, max_terms)
+    _check_lattice_args(nu, lattice, m_terms)
     outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
     if nu % 2 and x in (0.0, 0.5):
         return SeriesResult(0.0, 0, 0.0, outside_window=outside)
-    reg = regularized_bracket_sum(nu, x, tol, max_terms, lattice, m_terms)
+    reg = regularized_bracket_sum(nu, x, tol, lattice=lattice, m_terms=m_terms)
     return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
                         reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, outside_window=outside)
 
 
-def bessel_cos_series(
-    n: int,
-    x: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def bessel_cos_series(n: int, x: float, tol: float = DEFAULT_TOL) -> SeriesResult:
     """sum_m (-1)^n pi Y_{2n}(4 pi m) cos(2 pi m x), 0 < x < 1 (:func:`lattice_bessel_sum`)."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    return lattice_bessel_sum(2 * n, x, tol, max_terms)
+    return lattice_bessel_sum(2 * n, x, tol)
 
 
-def bessel_sin_series(
-    n: int,
-    x: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def bessel_sin_series(n: int, x: float, tol: float = DEFAULT_TOL) -> SeriesResult:
     """sum_m (-1)^n pi Y_{2n+1}(4 pi m) sin(2 pi m x), 0 < x < 1 (:func:`lattice_bessel_sum`)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    return lattice_bessel_sum(2 * n + 1, x, tol, max_terms)
+    return lattice_bessel_sum(2 * n + 1, x, tol)
 
 
 def bessel_series_partial(nu: int, x: float, m_terms: int) -> float:
@@ -738,8 +711,8 @@ def bessel_series_partial(nu: int, x: float, m_terms: int) -> float:
 
     Diagnostic only (convergence studies); the error decays like M^{-1/2}.
     """
-    if nu < 1 or m_terms < 1:
-        raise ValueError("nu and m_terms must be positive")
+    _check_count("nu", nu)
+    _check_count("m_terms", m_terms)
     ms = np.arange(1, m_terms + 1, dtype=float)
     terms = _bracket_values(nu, 1, m_terms) - 0.5 / np.sqrt(ms)
     return chunked_fsum(terms * _trig(nu % 2 == 0, x, ms))

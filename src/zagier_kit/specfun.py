@@ -49,10 +49,7 @@ ASYM_NU_FACTOR = 2.0
 HANKEL_ORDERS = 30
 
 DEFAULT_PANEL_LIMIT = 500_000
-# coates_integral panels evaluated at a time; a power of two, so the BLAS
-# matrix-vector kernel groups the rows as in one whole array and sums each
-# panel in the same order (blocks of 2, 3 or 7 panels move some last bits)
-_PANEL_BLOCK = 2048
+_PANEL_BLOCK = 2048  # coates_integral panels evaluated at a time
 
 
 class QuadratureError(RuntimeError):
@@ -340,9 +337,10 @@ def coates_integral(
 
     Panels are sized to a quarter of the local oscillation period
     (frequency u*sinh(phi)), 12-point Gauss-Legendre on each, evaluated
-    _PANEL_BLOCK panels at a time and summed correctly rounded, whatever the
-    BLAS threads.  The range is cut once the integrated tail bound
-    e^{-2 n phi}/(u sinh phi) drops below tol * 1e-3.
+    _PANEL_BLOCK panels at a time.  einsum, not BLAS, forms each panel's
+    12-node sum, so it is the same whatever the block and the BLAS threads;
+    the panels are summed correctly rounded.  The range is cut once the
+    integrated tail bound e^{-2 n phi}/(u sinh phi) drops below tol * 1e-3.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -371,7 +369,8 @@ def coates_integral(
     for i in range(0, rad.size, _PANEL_BLOCK):
         b = slice(i, i + _PANEL_BLOCK)
         phi = mid[b, None] + rad[b, None] * nodes[None, :]
-        panels[b] = rad[b] * ((np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))) @ weights)
+        f = np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))
+        panels[b] = rad[b] * np.einsum("ij,j->i", f, weights)
     from .series_engine import chunked_fsum  # here: series_engine imports this module
 
     return (-1) ** (n + 1) * chunked_fsum(panels)

@@ -306,8 +306,8 @@ def uncached_periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray
     return c, -s if x > 0.5 else s
 
 
-def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 20000,
-                         lattice: int = 1, m_terms: int | None = None):
+def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
+                         m_terms: int | None = None):
     """The regularized bracket sum rebuilt from scratch on every call.
 
     The same arithmetic as `series_engine.regularized_bracket_sum`, with the
@@ -321,7 +321,7 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
     the library's one Hurwitz kernel, `specfun.hurwitz_zeta`.  Returns
     (value, tail_bound, terms_used, raised).
     """
-    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS
+    from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS, DEFAULT_MAX_TERMS as cap
     from zagier_kit.specfun import (ASYM_Z_MIN, _hankel_sum, _orders_sum, asymptotic_crossover,
                                     bessel_Y01, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
 
@@ -336,10 +336,9 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
         return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
 
     if m_terms is not None:
-        M = max(int(m_terms), 1)
+        M = m_terms
     else:
-        cross = asymptotic_crossover(nu)
-        M = min(max(int(math.ceil(cross / (4.0 * pi * lam))) + 1, 8), max_terms)
+        M = max(int(math.ceil(asymptotic_crossover(nu) / (4.0 * pi * lam))) + 1, 8)
     ks = np.arange(1, _ORDERS, dtype=float)
     envelopes = np.abs(b[2:]) * (lam * M) ** -(ks + 1.5) * M / (ks + 0.5)
     below = np.flatnonzero(envelopes <= tol)
@@ -395,10 +394,10 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, max_terms: int = 
         k = 0 if better.all() else K - int(np.argmin(better[::-1]))
         return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
 
-    if m_terms is None and bound > tol and M < max_terms and windowed(max_terms)[1] <= tol:
-        W = min(2 * M, max_terms)
+    if m_terms is None and bound > tol and windowed(cap)[1] <= tol:
+        W = min(2 * M, cap)
         while (found := windowed(W))[1] > tol:
-            W = min(2 * W, max_terms)
+            W = min(2 * W, cap)
         split, bound = found
     # orders 1..split close as b_k (lattice^{-s} T_s(x) - sum_{m <= M} trig q^{-s}),
     # which is sum_m trig (bracket - c) plus the closed values

@@ -69,7 +69,7 @@ def test_eval_bad_args_exit_2():
 
 def test_eval_nonconvergence_exit_3():
     code, _ = run_cli("eval", "--n", "4", "--x", "1/3", "--method", "even-formula",
-                      "--tol", "1e-30", "--max-terms", "50")
+                      "--tol", "1e-30")
     assert code == 3
     # Y_260(4 pi) is still finite, so the tolerance is what fails there
     code, _ = run_cli("eval", "--n", "260", "--method", "zagier-number")
@@ -328,11 +328,14 @@ def test_env_cache(tmp_path):
     ("converge", "--series", "bessel-cos", "--n", "2", "--x", "1/3", "--max-terms", "1"),
     ("eval", "--n", "4", "--method", "exact", "--cache-path", "bern-cache.tsv"),
     ("eval", "--n", "4", "--method", "exact", "--config", "zk.conf"),
+    ("eval", "--n", "4", "--x", "1/3", "--method", "even-formula", "--max-terms", "50"),
+    ("table", "--method", "zagier-number", "--n-start", "2", "--n-end", "4", "--max-terms", "50"),
 ], ids=["verify-tol", "verify-max-terms", "converge-tol", "converge-max-terms",
-        "eval-cache-path", "eval-config"])
+        "eval-cache-path", "eval-config", "eval-max-terms", "table-max-terms"])
 def test_unread_flags_are_rejected(capsys, argv):
-    # verify and converge set their own tolerances, no command reads a cache
-    # file, and flags are the only settings
+    # verify and converge set their own tolerances, the engine caps every
+    # series at its own term count, no command reads a cache file, and flags
+    # are the only settings
     code, out = run_cli(*argv)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
@@ -350,7 +353,6 @@ def test_parse_x():
 @pytest.mark.parametrize("argv, needle", [
     *[(("eval", "--n", "2", "--method", "exact", "--tol", tol), "tol must lie in (0, 1)")
       for tol in ("2", "0", "nan")],
-    (("eval", "--n", "2", "--method", "exact", "--max-terms", "0"), "max_terms must be >= 1"),
     (("table", "--method", "exact", "--n-start", "300", "--n-end", "300", "--x", "1/3"),
      "table cell n=300, x=1/3"),
     (("eval", "--n", "400", "--x", "0.3", "--method", "asymptotic"),
@@ -405,7 +407,7 @@ def test_parse_x():
      "Y_262(4 pi) exceeds the double range"),
     (("eval", "--n", "201", "--x", "1/2", "--method", "asymptotic"),
      "does not exist at x = 1/2"),
-], ids=["tol-2", "tol-0", "tol-nan", "max-terms-0",
+], ids=["tol-2", "tol-0", "tol-nan",
         "exact-table-overflow", "even-asymptotic-overflow", "odd-asymptotic-overflow",
         "converge-x-0", "converge-x-1", "exact-table-irrational-x", "exact-table-n-0",
         "eval-number-x", "eval-type-x", "table-number-x", "table-type-x",

@@ -191,8 +191,8 @@ def test_g_tail_sum_honours_tol():
         assert abs(res.value - ref) <= min(res.tail_bound, tol + 1e-15), tol
     assert used == sorted(used) and used[0] < 400 < used[-1]
     with pytest.raises(se.SeriesConvergenceError) as err:
-        se.g_tail_sum(0.5, 0.3, tol=1e-30, max_terms=64)
-    assert err.value.best.terms_used == 64
+        se.g_tail_sum(0.5, 0.3, tol=1e-30)
+    assert err.value.best.terms_used == se.DEFAULT_MAX_TERMS
 
 
 def test_g_tail_sum_rejects_small_exponent():
@@ -329,38 +329,17 @@ def test_closed_tails_keep_the_explicit_range_at_the_crossover():
 
 def test_series_convergence_error():
     # a tol below the rounding floor raises at the base range and names the
-    # rounding: a longer explicit range only adds rounding.  A budget of
-    # exactly the base range names it too, though the truncation term
-    # (1.8e-40 at nu = 4) breaks tol 1e-60 as well
+    # rounding, though the truncation term (1.8e-40 at nu = 4) breaks tol
+    # 1e-60 as well: a longer explicit range only adds rounding
     base = se._plan(4, 1).brackets.size
     assert base == 8
-    for max_terms in (50, base):
-        for tol in (1e-30, 1e-60):
-            with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
-                se.regularized_bracket_sum(4, 0.3, tol=tol, max_terms=max_terms)
-            assert err.value.best.terms_used == base
-
-
-def test_budget_below_the_crossover_raises():
-    # at nu = 16 the crossover lies past m = 40; a 32-term budget would close
-    # the tail with its power series below it, off by 5.94e-3 against a
-    # reported bound of 5.88e-3
-    assert se._plan(16, 1).near >= 32
-    with pytest.raises(se.SeriesConvergenceError, match="crossover") as err:
-        se.regularized_bracket_sum(16, 0.0, 1e-2, 32)
-    assert err.value.best.terms_used <= 32
-
-
-@pytest.mark.parametrize("nu", (4, 16, 37, 60))
-def test_every_budget_at_or_below_the_crossover_raises(nu):
-    near = se._plan(nu, 1).near
-    for max_terms in sorted({1, near // 2, near} - {0}):
-        for x in (0.0, 0.3, 0.8):
-            if nu % 2 and x == 0.0:
-                continue  # exactly 0, no sum
-            with pytest.raises(se.SeriesConvergenceError, match="crossover") as err:
-                se.regularized_bracket_sum(nu, x, 1e-2, max_terms)
-            assert err.value.best.terms_used <= max_terms
+    for tol in (1e-30, 1e-60):
+        with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
+            se.regularized_bracket_sum(4, 0.3, tol=tol)
+        assert err.value.best.terms_used == base
+    # a bound that breaks tol with a rounding below it names the truncation term
+    with pytest.raises(se.SeriesConvergenceError, match=r"bound \S+ \(truncation term \S+\) exceeds"):
+        se.regularized_bracket_sum(28, 0.3, tol=1e-8)
 
 
 def test_outside_window_flag():
@@ -675,12 +654,12 @@ def test_kept_tables_stay_small(fresh_caches):
     assert se._zero_sum.cache_info().currsize == 60 * 2
     # the plans' brackets, a row per kept residual, and the constants
     assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
-    # a forced m_terms and a budget below the base range keep nothing
+    # a forced m_terms, past the base range or below it, keeps nothing
     se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=100_000)
     se.lattice_bessel_sum(4, 0.0, m_terms=100_000)
     assert se._plan(8, 1).near == 10 and se._plan(8, 1).brackets.size == 12
-    se.regularized_bracket_sum(8, 1.0 / 3.0, tol=1e-6, max_terms=11)
-    se.regularized_bracket_sum(8, 0.0, tol=1e-6, max_terms=11)
+    se.regularized_bracket_sum(8, 1.0 / 3.0, m_terms=11)
+    se.regularized_bracket_sum(8, 0.0, m_terms=11)
     assert se._residual.cache_info().currsize == kept
     assert se._zero_sum.cache_info().currsize == 60 * 2
     # the plan holds the base range M0 only, and every cache is bounded
@@ -698,7 +677,7 @@ def test_forced_sum_holds_a_few_rows(fresh_caches):
     m_terms, row_bytes = 100_000, 8 * 100_000
     se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=m_terms)
     for x in (1.0 / 3.0, 0.0):
-        value, peak = traced_peak(se.lattice_bessel_sum, 4, x, 1e-9, 20000, 1, m_terms)
+        value, peak = traced_peak(lambda: se.lattice_bessel_sum(4, x, m_terms=m_terms))
         assert peak < 8 * row_bytes, (x, peak)
         half = float(uncached_periodic_zeta(x, 0)[0][0])
         assert value.value == uncached_bracket_sum(4, x, m_terms=m_terms)[0] - 0.5 * half
@@ -719,18 +698,25 @@ def test_cached_sum_at_zero_is_the_same_for_any_tol(monkeypatch):
 @pytest.mark.parametrize("fn", (se.regularized_bracket_sum, se.lattice_bessel_sum))
 @pytest.mark.parametrize("kwargs", (
     {"lattice": 0}, {"lattice": -1}, {"lattice": 1.25}, {"lattice": 2.0},
-    {"nu": 0}, {"nu": -2}, {"nu": 4.0}, {"max_terms": 0}, {"max_terms": -5},
+    {"nu": 0}, {"nu": -2}, {"nu": 4.0}, {"m_terms": 0}, {"m_terms": -5}, {"m_terms": 2.5},
+    {"m_terms": True},
 ))
 def test_lattice_sums_reject_bad_arguments(fn, kwargs):
     args = {"nu": 4, "x": 0.3, **kwargs}
-    with pytest.raises(ValueError, match="nu|lattice|max_terms"):
+    with pytest.raises(ValueError, match="nu|lattice|m_terms"):
         fn(**args)
+
+
+@pytest.mark.parametrize("m_terms", (0, -5, 2.5, 3.0, True))
+def test_partial_sum_rejects_bad_m_terms(m_terms):
+    with pytest.raises(ValueError, match="m_terms must be an integer >= 1"):
+        se.bessel_series_partial(4, 0.3, m_terms)
 
 
 def test_lattice_bessel_sum_checks_arguments_before_exact_zeros():
     # odd nu at x = 0 and 1/2 returns 0 without summing; the arguments are checked first
     assert se.lattice_bessel_sum(3, 0.5).value == 0.0
-    for kwargs in ({"lattice": 0}, {"max_terms": 0}):
+    for kwargs in ({"lattice": 0}, {"m_terms": 0}):
         with pytest.raises(ValueError):
             se.lattice_bessel_sum(3, 0.5, **kwargs)
 
@@ -746,7 +732,7 @@ def test_brackets_past_the_double_range_raise_at_once():
 def test_nan_bound_raises(monkeypatch):
     # a NaN tolerance or a NaN bound cannot meet the tolerance
     with pytest.raises(se.SeriesConvergenceError):
-        se.regularized_bracket_sum(4, 0.3, tol=float("nan"), max_terms=64)
+        se.regularized_bracket_sum(4, 0.3, tol=float("nan"))
     # fresh caches, so the plan is rebuilt with the NaN envelopes
     empty_caches(monkeypatch)
     monkeypatch.setattr(se, "_envelopes", lambda b, lattice, m: np.full(se._ORDERS - 1, np.nan))

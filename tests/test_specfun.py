@@ -375,12 +375,10 @@ def test_coates_small_u_limit():
 
 @pytest.mark.parametrize("n,u", [(1, 4 * pi), (2, 8 * pi), (3, 1.0)])
 def test_coates_panel_blocks_match_one_whole_array(n, u, monkeypatch):
-    # one block holding every panel is the whole-array quadrature; blocks of a
-    # power of two rows give each panel's 12-node sum, and so the integral, bit
-    # for bit (the BLAS matrix-vector kernel sums leftover rows of a block of 2,
-    # 3 or 7 in another order)
+    # one block holding every panel is the whole-array quadrature; a block of
+    # any size gives each panel's 12-node sum, and so the integral, bit for bit
     want = sf.coates_integral(n, u)
-    for block in (10**9, 64):
+    for block in (10**9, 64, 7, 3, 2):
         monkeypatch.setattr(sf, "_PANEL_BLOCK", block)
         assert repr(sf.coates_integral(n, u)) == repr(want), block
 
