@@ -381,17 +381,31 @@ def test_x_zero_sums_stop_at_the_base_range(name):
             assert rep.abs_error <= tol, (n, rel)
 
 
-def test_no_component_runs_past_max_terms():
-    # a tolerance no sum meets: every component stops at the engine's cap
+def _terms_used(call) -> list[int]:
+    """Terms each component of call() summed; the best partial sum's count on a raise."""
+    try:
+        rep = call()
+    except se.SeriesConvergenceError as err:
+        return [err.best.terms_used]
+    return [meta.terms_used for meta in rep.series_meta]
+
+
+@pytest.mark.parametrize("q", (1, 8, 64, 512, 4096))
+def test_no_component_runs_past_max_terms(q):
+    # x = 1/(q+1) and q/(q+1) walk to both ends of (0, 1); at tol 1e-12 the
+    # even Bessel window runs into the cap, and tol 1e-30 no sum meets
     cap = se.DEFAULT_MAX_TERMS
-    calls = [lambda: fm.zagier_even_formula(8, "1/3", tol=1e-30),
-             lambda: fm.zagier_odd_formula(7, "2/7", tol=1e-30),
-             lambda: fm.zagier_number_formula(8, tol=1e-30),
-             lambda: fm.zagier_type_sum(8, tol=1e-30)]
-    for call in calls:
-        try:
-            rep = call()
-        except se.SeriesConvergenceError as err:
-            assert err.best.terms_used <= cap
-            continue
-        assert all(meta.terms_used <= cap for meta in rep.series_meta), rep.series_meta
+    used = []
+    for x in (Fraction(1, q + 1), Fraction(q, q + 1)):
+        for tol in (1e-12, 1e-30):
+            used += _terms_used(lambda: fm.zagier_even_formula(8, x, tol=tol))
+            used += _terms_used(lambda: fm.zagier_odd_formula(7, x, tol=tol))
+    assert max(used) == cap, used
+
+
+def test_the_x_free_sums_stop_at_the_cap():
+    # a tolerance no sum meets: the number formula and the type sum stop by the cap
+    cap = se.DEFAULT_MAX_TERMS
+    for call in (lambda: fm.zagier_number_formula(8, tol=1e-30),
+                 lambda: fm.zagier_type_sum(8, tol=1e-30)):
+        assert max(_terms_used(call)) <= cap
