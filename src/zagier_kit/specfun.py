@@ -22,7 +22,6 @@ import numpy as np
 from .exact_core import bernoulli_number
 
 __all__ = [
-    "QuadratureError",
     "EULER_GAMMA",
     "asymptotic_crossover",
     "bessel_J",
@@ -47,14 +46,6 @@ EULER_GAMMA = 0.57721566490153286
 ASYM_Z_MIN = 40.0
 ASYM_NU_FACTOR = 2.0
 HANKEL_ORDERS = 30
-
-DEFAULT_PANEL_LIMIT = 500_000
-_PANEL_BLOCK = 2048  # coates_integral panels evaluated at a time
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature exceeded its panel budget."""
-
 
 def digamma_int(n: int) -> float:
     """psi(n) = -gamma + H_{n-1} for positive integer n."""
@@ -327,53 +318,46 @@ def zeta_half() -> float:
     return hurwitz_zeta(0.5, 1.0)
 
 
-def coates_integral(
-    n: int,
-    u: float,
-    tol: float = 1e-9,
-    panel_limit: int = DEFAULT_PANEL_LIMIT,
-) -> float:
-    """(-1)^{n+1} * integral_0^inf e^{-2 n phi} cos(u cosh phi) dphi.
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights 2/((1 - x^2) P'(x)^2) of the order-point Gauss-Legendre
+    rule on [-1, 1], by Newton's method on P_order from cos(pi (k + 3/4)/(order +
+    1/2)).  Elementwise numpy, no LAPACK, so the bits do not depend on BLAS threads."""
+    x = np.cos(pi * (np.arange(order) + 0.75) / (order + 0.5))
+    for _ in range(5):  # quadratic: the fourth step already reaches rounding at order 1000
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, order + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = order * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-    Panels are sized to a quarter of the local oscillation period
-    (frequency u*sinh(phi)), 12-point Gauss-Legendre on each, evaluated
-    _PANEL_BLOCK panels at a time.  einsum, not BLAS, forms each panel's
-    12-node sum, so it is the same whatever the block and the BLAS threads;
-    the panels are summed correctly rounded.  The range is cut once the
-    integrated tail bound e^{-2 n phi}/(u sinh phi) drops below tol * 1e-3.
+
+def coates_integral(n: int, u: float) -> float:
+    """(-1)^{n+1} * integral_0^inf e^{-2 n phi} cos(u cosh phi) dphi, by contour rotation.
+
+    For n >= 1 the integrand's analytic form e^{-2 n phi + i u cosh phi} vanishes
+    far out in 0 <= Im phi <= pi/2, so the path moves to 0 -> i pi/2 -> i pi/2 + inf
+    and the value is (-1)^n A - R, with the arc A = int_0^{pi/2} sin(u cos theta
+    - 2 n theta) dtheta and the ray R = int_0^inf e^{-2 n t - u sinh t} dt, which
+    does not oscillate.  R is cut at T = min(45/(2n), asinh(45/u)), where
+    2 n T + u sinh T >= 45, so its dropped tail is below e^{-45}/2.  One
+    Gauss-Legendre rule of order 32 + ceil(w/2 + 3 w^{1/3}) serves both legs:
+    w = (u + 2 n) pi/4 bounds the arc's phase rate in the rule's variable, and
+    the arc's Legendre coefficients fall off past degree ~w; 32 nodes carry R
+    at any (n, u).  math.fsum forms each leg's weighted sum.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if u <= 0:
         raise ValueError("u must be positive")
-    tail_tol = tol * 1e-3
-    phi_max = 1.0
-    while math.exp(-2 * n * phi_max) / (u * math.sinh(phi_max)) > tail_tol:
-        phi_max += 0.25
-    edges = [0.0]
-    a = 0.0
-    while a < phi_max:
-        freq = u * (math.sinh(a) + 0.5)
-        width = min(0.5 * pi / freq, 0.25, phi_max - a)
-        a += width
-        edges.append(a)
-        if len(edges) > panel_limit:
-            raise QuadratureError(
-                f"coates_integral: panel budget {panel_limit} exhausted at phi={a:.3f}"
-            )
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    e = np.asarray(edges)
-    mid = 0.5 * (e[1:] + e[:-1])
-    rad = 0.5 * (e[1:] - e[:-1])
-    panels = np.empty(rad.size)  # the 12-node sum on each panel, times its half-width
-    for i in range(0, rad.size, _PANEL_BLOCK):
-        b = slice(i, i + _PANEL_BLOCK)
-        phi = mid[b, None] + rad[b, None] * nodes[None, :]
-        f = np.exp(-2.0 * n * phi) * np.cos(u * np.cosh(phi))
-        panels[b] = rad[b] * np.einsum("ij,j->i", f, weights)
-    from .series_engine import chunked_fsum  # here: series_engine imports this module
-
-    return (-1) ** (n + 1) * chunked_fsum(panels)
+    w = (u + 2 * n) * pi / 4
+    x, weights = _gauss_legendre(32 + math.ceil(w / 2 + 3 * w ** (1 / 3)))
+    theta = pi / 4 * (x + 1.0)
+    arc = pi / 4 * math.fsum(weights * np.sin(u * np.cos(theta) - 2 * n * theta))
+    cut = min(45.0 / (2 * n), math.asinh(45.0 / u))
+    t = cut / 2 * (x + 1.0)
+    return (-1) ** n * arc - cut / 2 * math.fsum(weights * np.exp(-2 * n * t - u * np.sinh(t)))
 
 
 def coates_series(n: int, u: float) -> float:

@@ -133,7 +133,7 @@ def test_criterion_09_oscillatory_integral_identity():
         for n, u in ((1, 4 * pi), (2, 8 * pi)):
             quad = sf.coates_integral(n, u)
             series = sf.coates_series(n, u)
-            assert abs(quad - series) < 1e-7, (n, u)
+            assert abs(quad - series) < 1e-13, (n, u)
         residual = next(c for c in verify.run_identity("integral-id")
                         if c.case.startswith("ode"))
         assert residual.abs_error < 1e-5

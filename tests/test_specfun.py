@@ -4,6 +4,7 @@ crossover continuity)."""
 
 from __future__ import annotations
 
+import inspect
 import math
 from math import pi, sqrt
 
@@ -20,7 +21,6 @@ from conftest import (
     dj_dnu_fd_oracle,
     p_func_reference,
     q_func_reference,
-    traced_peak,
     zeta_even,
 )
 
@@ -362,7 +362,7 @@ def test_schlafli_bessel_assembly():
 
 @pytest.mark.parametrize("n,u", [(1, 4 * pi), (2, 8 * pi)])
 def test_coates_mutual_oracle(n, u):
-    assert abs(sf.coates_series(n, u) - sf.coates_integral(n, u)) < 1e-7
+    assert abs(sf.coates_series(n, u) - sf.coates_integral(n, u)) < 1e-13
 
 
 def test_coates_small_u_limit():
@@ -373,26 +373,29 @@ def test_coates_small_u_limit():
         assert abs(sval - (-1.0) ** (n + 1) / (2.0 * n)) < 1e-3
 
 
-@pytest.mark.parametrize("n,u", [(1, 4 * pi), (2, 8 * pi), (3, 1.0)])
-def test_coates_panel_blocks_match_one_whole_array(n, u, monkeypatch):
-    # one block holding every panel is the whole-array quadrature; a block of
-    # any size gives each panel's 12-node sum, and so the integral, bit for bit
-    want = sf.coates_integral(n, u)
-    for block in (10**9, 64, 7, 3, 2):
-        monkeypatch.setattr(sf, "_PANEL_BLOCK", block)
-        assert repr(sf.coates_integral(n, u)) == repr(want), block
+def test_coates_integral_vs_series():
+    # u = 64 pi is where a fixed 96-node rule on the arc misses by 8e-11: the
+    # node count has to grow with u
+    for n in (1, 2, 4, 8):
+        for u in (1e-4, 1.0, 4 * pi, 8 * pi, 16 * pi, 64 * pi):
+            assert abs(sf.coates_integral(n, u) - sf.coates_series(n, u)) <= 1e-13, (n, u)
 
 
-def test_coates_integral_memory_is_one_panel_block():
-    # ~24,000 panels at u = 4 pi once held ~11 MB of whole-array temporaries
-    sf.coates_integral(1, 4 * pi)
-    _, peak = traced_peak(sf.coates_integral, 1, 4 * pi)
-    assert peak <= 4_000_000
+def test_coates_integral_takes_only_n_and_u():
+    # the node count and the ray's cut follow from (n, u); there is no knob
+    assert list(inspect.signature(sf.coates_integral).parameters) == ["n", "u"]
+    for name in ("QuadratureError", "DEFAULT_PANEL_LIMIT", "_PANEL_BLOCK"):
+        assert not hasattr(sf, name)
 
 
-def test_coates_panel_limit():
-    with pytest.raises(sf.QuadratureError):
-        sf.coates_integral(1, 16 * pi, panel_limit=50)
+@pytest.mark.parametrize("order", (1, 2, 7, 32, 33, 200))
+def test_gauss_legendre_rule(order):
+    # exact for x^k, k <= 2 order - 1, and the nodes agree with numpy's
+    x, w = sf._gauss_legendre(order)
+    for k in range(2 * order):
+        assert abs(math.fsum(w * x**k) - (1 + (-1) ** k) / (k + 1)) < 1e-14, k
+    ref_x, _ = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(np.sort(x) - ref_x)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

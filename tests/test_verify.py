@@ -1,39 +1,39 @@
-"""The identity suites' own oracles against their whole-array forms."""
+"""The identity suites' own oracles against independent references."""
 
 from __future__ import annotations
 
 from math import sqrt
 
-import numpy as np
+import mpmath as mp
 import pytest
 
-from zagier_kit import series_engine as se
 from zagier_kit import verify
 
-from conftest import traced_peak
+from conftest import polylog_trig_oracle
 
 
-def _series_007_whole_array(x: float, m_terms: int) -> float:
-    ms = np.arange(1, m_terms + 1, dtype=float)
-    root = np.sqrt(ms * ms - x * x)
-    total = se.chunked_fsum(1.0 / (np.sqrt(ms + root) * root))
-    a = m_terms + 0.5
-    tail = sqrt(2.0) / sqrt(a) + (5.0 * x * x / 8.0) * (2.0 / 3.0) / (sqrt(2.0) * a**1.5)
-    return 0.5 / sqrt(x) - (x / sqrt(2.0)) * (total + tail)
+@pytest.mark.parametrize("x", (0.1, 0.3, 0.62, 0.9))
+def test_series_007_rhs_vs_polylog(x):
+    # S_{1/2}(x) = Im Li_{1/2}(e^{2 pi i x}); the closed tail leaves only rounding
+    assert abs(verify._series_007_rhs(x) - polylog_trig_oracle(0.5, x)[1]) <= 1e-14
 
 
-@pytest.mark.parametrize("x", (0.3, 0.62))
-@pytest.mark.parametrize("m_terms", (1, se._BLOCK - 1, se._BLOCK, se._BLOCK + 1, 10**6))
-def test_series_007_blocks_match_one_whole_array(x, m_terms):
-    got = verify._series_007_rhs(x, m_terms)
-    assert repr(got) == repr(_series_007_whole_array(x, m_terms))
+@pytest.mark.parametrize("x", (0.1, 0.3, 0.62, 0.9))
+def test_series_007_remainder_bound(x, monkeypatch):
+    # the docstring's Euler-Maclaurin remainder bound |f^(5)(N)|/15120 is below
+    # 1e-15 at N = 1000 and holds at N = 20, where the f''' term is ~1e-8
+    def f(m):
+        r = mp.sqrt(m * m - x * x)
+        return (m + r) ** mp.mpf(-0.5) / r
 
+    def bound(n):
+        with mp.workdps(30):
+            return float(abs(mp.diff(f, mp.mpf(n), 5)) / 15120)
 
-def test_series_007_memory_is_the_terms_and_one_block():
-    # the million terms (8 MB) stay; the whole-array temporaries beside them go
-    verify._series_007_rhs(0.3)
-    _, peak = traced_peak(verify._series_007_rhs, 0.3)
-    assert peak <= 10_000_000
+    assert verify.SERIES_007_TERMS == 1000 and bound(1000) < 1e-15
+    monkeypatch.setattr(verify, "SERIES_007_TERMS", 20)
+    err = abs(verify._series_007_rhs(x) - polylog_trig_oracle(0.5, x)[1])
+    assert 1e-13 < bound(20) and err <= x / sqrt(2) * bound(20) + 1e-15
 
 
 def test_checks_store_python_floats_and_bools():
