@@ -373,6 +373,31 @@ def test_coates_small_u_limit():
         assert abs(sval - (-1.0) ** (n + 1) / (2.0 * n)) < 1e-3
 
 
+def _rotated_coates_panels(n: int, u: float, panels: int, order: int = 64) -> float:
+    # coates_integral's arc and ray, each cut into equal panels of a fixed rule and
+    # summed as one whole array; the ray ends where 2 n t + u sinh t >= 60
+    x, w = sf._gauss_legendre(order)
+
+    def leg(f, a, b):
+        edges = np.linspace(a, b, panels + 1)
+        terms = [(hi - lo) / 2 * w * f((hi - lo) / 2 * (x + 1.0) + lo)
+                 for lo, hi in zip(edges[:-1], edges[1:])]
+        return math.fsum(np.concatenate(terms).tolist())
+
+    arc = leg(lambda th: np.sin(u * np.cos(th) - 2 * n * th), 0.0, pi / 2)
+    cut = min(60.0 / (2 * n), math.asinh(60.0 / u))
+    return (-1) ** n * arc - leg(lambda t: np.exp(-2 * n * t - u * np.sinh(t)), 0.0, cut)
+
+
+@pytest.mark.parametrize("n,u", [(1, 4 * pi), (2, 8 * pi), (3, 1.0)])
+def test_coates_panel_blocks_match_one_whole_array(n, u):
+    # the one rule whose order and cut follow from (n, u) matches 1 to 7 panels
+    # of 64 nodes on each leg, with a later cut, to rounding
+    want = sf.coates_integral(n, u)
+    for panels in (1, 2, 3, 7):
+        assert abs(_rotated_coates_panels(n, u, panels) - want) <= 2e-15, panels
+
+
 def test_coates_integral_vs_series():
     # u = 64 pi is where a fixed 96-node rule on the arc misses by 8e-11: the
     # node count has to grow with u
