@@ -18,7 +18,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from . import exact_core, series_engine, specfun
-from .series_engine import _EPS, SeriesResult
+from .series_engine import _EPS, _ZETA_EPS, SeriesResult
 
 __all__ = [
     "EvalReport",
@@ -287,7 +287,7 @@ def _lemma_dJ_profile(x: float, n: int) -> float:
 @functools.lru_cache(maxsize=64)  # the m-th coefficients of one n share it
 def _weighted_profile(profile, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes t of :func:`_fourier_pair` and profile(t, n) times their weights."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = specfun._gauss_legendre(64)
     theta = 0.125 * pi * (nodes + 1.0)
     t = np.sin(theta) ** 2
     vals = 0.25 * pi * weights * np.sin(2.0 * theta) * np.array([profile(ti, n) for ti in t])
@@ -330,57 +330,55 @@ def fourier_coeff_dJ_check(n: int, m: int) -> EvalReport:
 # the Poisson-summation check
 # ---------------------------------------------------------------------------
 
-def _lattice_J(nu: float, n_terms: int, start: int = 1) -> np.ndarray:
-    """J_nu(4 pi m), m = start..n_terms; past the crossover from the lattice Hankel
-    series pi J_nu(4 pi m) = sum_k d^J_k m^{-(k+1/2)} (:func:`specfun.hankel_lattice`),
-    through the orders that the first far m of 1..n_terms needs, whatever start."""
+def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
+    """J_nu(4 pi m), m = 1..n_terms; past the crossover from the lattice Hankel series
+    pi J_nu(4 pi m) = sum_k d^J_k m^{-(k+1/2)} (:func:`specfun.hankel_lattice`),
+    through the orders that the first far m needs."""
     near = int(specfun.asymptotic_crossover(nu) / (4.0 * pi))
-    d = specfun.hankel_lattice(nu)[0]
-    far = np.arange(max(start, near + 1), n_terms + 1, dtype=float)
-    if far.size:
-        far = specfun._orders_sum(d, 0, specfun._hankel_top(d, 0, near + 1.0), far) / pi
+    far = specfun._hankel_sum(specfun.hankel_lattice(nu)[0], 0,
+                              np.arange(near + 1, n_terms + 1, dtype=float)) / pi
     return np.concatenate([[specfun.bessel_J(nu, 4.0 * pi * m)
-                            for m in range(start, min(near, n_terms) + 1)], far])
+                            for m in range(1, min(near, n_terms) + 1)], far])
 
 
-def poisson_J_series_check(
-    nu: float,
-    x: float,
-    n_terms: int = 10**6,
-    window: int = 10**4,
-) -> EvalReport:
-    """Poisson-summation identity for sum_m J_nu(4 pi m) cos(2 pi m x).
+def poisson_J_series_check(nu: float, x: float) -> EvalReport:
+    """Poisson-summation identity for sum_m J_nu(4 pi m) cos(2 pi m x), 0 < nu <= 29.5.
 
-    The left side is summed directly with Cesaro averaging (slow oracle by
-    design): the mean of the last `window` of the n_terms partial sums.
-    The terms are formed and summed in blocks of series_engine._BLOCK, the
-    running sum carried from block to block, so memory is O(block + window)
-    whatever n_terms.  The right side is four arcsin kernels minus two
-    sin(nu pi/2) weighted algebraic tails, which vanish identically at even
-    integer nu.  The near terms take nu integer or half-integer
-    (:func:`specfun.bessel_J`).
+    The left side (the Cesaro sum) is closed.  Past the explicit range m <= M
+    of :func:`_lattice_J`, pi J_nu(4 pi m) is the lattice Hankel series
+    sum_k d_k m^{-(k+1/2)}; with H(m) its orders k <= K over pi,
+        LHS = sum_{m <= M} (J_nu(4 pi m) - H(m)) cos(2 pi m x) + sum_{k <= K} d_k C_{k+1/2}(x)/pi,
+    C_s from :func:`series_engine.periodic_zeta`, all parts in one math.fsum.
+    K is the last order reaching 1e-17 of the largest at m = M + 1, and at
+    least nu - 3/2.  At half-integer nu the series ends at order nu - 1/2, so
+    the form is exact (at nu = 5/2 it is one C_{3/2} term).  Otherwise the
+    even and the odd orders past nu - 1/2 each leave a remainder no larger
+    than their first term (DLMF 10.17(iii), real nu), so over m > M the
+    dropped orders add at most
+        (|d_{K+1}| zeta(K + 3/2, M + 1) + |d_{K+2}| zeta(K + 5/2, M + 1))/pi,
+    which d_{K+2} <= d_30 limits to nu <= 29.5.  extras["lhs_bound"] adds the
+    rounding: _ZETA_EPS per C_s and K + 2 units of every part (the near J
+    carry a few units of Miller's normalization to 1).  The near terms take
+    nu integer or half-integer (:func:`specfun.bessel_J`).
+
+    The right side is four arcsin kernels minus two sin(nu pi/2) weighted
+    algebraic tails, which vanish identically at even integer nu.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu <= specfun.HANKEL_ORDERS - 0.5:
+        raise ValueError(f"nu must lie in (0, {specfun.HANKEL_ORDERS - 0.5}]")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    if n_terms < 1 or not 1 <= window <= n_terms:
-        raise ValueError("need n_terms >= 1 and 1 <= window <= n_terms")
-    first = n_terms - window  # index of the first averaged partial sum
-    last = np.empty(window)
-    # each block's cumsum starts from the running sum carried in, so it adds
-    # in the order of one whole-array cumsum
-    carry = np.empty(0)
-    for lo in range(1, n_terms + 1, series_engine._BLOCK):
-        hi = min(lo + series_engine._BLOCK - 1, n_terms)
-        ms = np.arange(lo, hi + 1, dtype=float)
-        terms = _lattice_J(nu, hi, lo) * np.cos(2.0 * pi * ms * x)
-        partial = np.cumsum(np.concatenate([carry, terms]))[carry.size:]
-        carry = partial[-1:]
-        if hi > first:
-            a = max(lo - 1, first)
-            last[a - first : hi - first] = partial[a - lo + 1 :]
-    lhs = float(np.mean(last))
+    near = int(specfun.asymptotic_crossover(nu) / (4.0 * pi))
+    d = specfun.hankel_lattice(nu)[0]
+    k = max(specfun._hankel_top(d, 0, near + 1.0), math.ceil(nu - 1.5))
+    ms = np.arange(1.0, near + 1)
+    h = specfun._orders_sum(d, 0, k, ms) / pi
+    explicit = (_lattice_J(nu, near) - h) * np.cos(2.0 * pi * ms * x)
+    closed = d[: k + 1] * series_engine.periodic_zeta(x, k)[0] / pi
+    lhs = math.fsum(explicit.tolist() + closed.tolist())
+    dropped = sum(abs(d[k + i]) * specfun.hurwitz_zeta(k + i + 0.5, near + 1.0) for i in (1, 2))
+    rounding = (_ZETA_EPS * np.abs(d[: k + 1]).sum() / pi
+                + (k + 2) * _EPS * (near + np.abs(h).sum() + np.abs(closed).sum()))
 
     def kernel(t: float) -> float:
         return cos(nu * math.asin(t / 2.0)) / sqrt((4.0 * pi) ** 2 - (2.0 * pi * t) ** 2)
@@ -391,4 +389,5 @@ def poisson_J_series_check(
     # g-sums at exponent nu/2 on the gaps x and 1 - x
     g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0).value for gap in (x, 1.0 - x))
     rhs -= snu / (2.0 * pi * 2.0**nu) * g
-    return _report(0, x, None, rhs, [], reference=lhs)
+    return _report(0, x, None, rhs, [], reference=lhs,
+                   extras={"lhs_bound": float(dropped / pi + rounding)})

@@ -110,15 +110,14 @@ def _suite_form_s1(tol: float = 1e-9, **_) -> list[CheckResult]:
     return out
 
 
-def _suite_poisson(tol: float = 1e-4, **_) -> list[CheckResult]:
+def _suite_poisson(tol: float = 1e-13, **_) -> list[CheckResult]:
     out = []
-    rep = formulas.poisson_J_series_check(2.5, 0.3)
-    out.append(_check("poisson-series", "nu=2.5 x=0.3", rep.formula_value,
-                      rep.reference, tol))
-    # even integer order: the algebraic tails vanish, kernels alone must match
-    rep_even = formulas.poisson_J_series_check(2.0, 0.3)
-    out.append(_check("poisson-series", "nu=2 x=0.3 (tails vanish)",
-                      rep_even.formula_value, rep_even.reference, 1e-6))
+    for nu, x in ((2.5, 0.3), (2.0, 0.3), (4.0, 0.62), (0.5, 0.1)):
+        rep = formulas.poisson_J_series_check(nu, x)
+        # even integer order: the algebraic tails vanish, kernels alone must match
+        note = " (tails vanish)" if nu % 2 == 0 else ""
+        out.append(_check("poisson-series", f"nu={nu:g} x={x}{note}", rep.formula_value,
+                          rep.reference, tol))
     return out
 
 

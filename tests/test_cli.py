@@ -186,7 +186,7 @@ def test_runs_without_scipy():
     runs = json.loads(done.stdout)
     assert [code for _, code, _ in runs] == [0] * 7
     summary = json.loads(runs[0][2])["summary"]
-    assert summary["passed"] is True and summary["checks"] == 351
+    assert summary["passed"] is True and summary["checks"] == 353
     assert all(out.strip() for _, _, out in runs)
 
 

@@ -237,57 +237,110 @@ def test_A_function_reconstructs_zagier():
 
 
 def test_poisson_check_fast_variants():
-    # smaller Cesaro budget, loosened tolerance: keeps the unit test quick
-    rep = fm.poisson_J_series_check(2.5, 0.3, n_terms=2 * 10**5, window=5000)
-    assert abs(rep.formula_value - rep.reference) < 1e-3
-    rep_even = fm.poisson_J_series_check(4.0, 0.3, n_terms=2 * 10**5, window=5000)
-    assert abs(rep_even.formula_value - rep_even.reference) < 1e-5
+    # the closed left side is the only variant, and it matches the right side to 1e-13
+    for nu, x in ((2.5, 0.3), (4.0, 0.3), (1.0, 0.9), (8.0, 0.62)):
+        rep = fm.poisson_J_series_check(nu, x)
+        assert abs(rep.formula_value - rep.reference) < 1e-13, (nu, x)
 
 
 def test_poisson_half_order_reduction():
-    # nu = 1/2 collapses J to sqrt(2/(pi z)) sin z; the identity then encodes
-    # the sine power-sum evaluation, so the two engine routes must agree
-    rep = fm.poisson_J_series_check(0.5, 0.3, n_terms=2 * 10**5, window=5000)
-    assert abs(rep.formula_value - rep.reference) < 1e-4
+    # nu = 1/2 collapses J to sqrt(2/(pi z)) sin z, which vanishes on z = 4 pi m;
+    # the sine power-sum route of the right side must vanish with it
+    for x in POISSON_X:
+        rep = fm.poisson_J_series_check(0.5, x)
+        assert abs(rep.reference) <= 1e-15, x
+        assert abs(rep.formula_value - rep.reference) <= 1e-15, x
+
+
+POISSON_X = (0.1, 0.3, 0.62, 0.9)
+
+
+@pytest.mark.parametrize("x", POISSON_X)
+def test_poisson_lhs_at_five_halves_vs_polylog(x):
+    # J_{5/2}(z) = -3 sqrt(2/(pi z))/z on z = 4 pi m, so the left side is
+    # -3 sqrt(2/pi) (4 pi)^{-3/2} Re Li_{3/2}(e^{2 pi i x}), one C_{3/2} term
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ref = float(-3 * mp.sqrt(2 / mp.pi) * (4 * mp.pi) ** mp.mpf(-1.5)
+                    * mp.re(mp.polylog(1.5, mp.exp(2j * mp.pi * x))))
+    rep = fm.poisson_J_series_check(2.5, x)
+    assert abs(rep.reference - ref) <= min(1e-15, rep.extras["lhs_bound"])
+
+
+@pytest.mark.parametrize("nu", (2.0, 4.0))
+def test_poisson_lhs_vs_cesaro_mean_of_scipy_terms(nu):
+    # the former oracle: the mean of the last 10^4 of 10^6 partial sums of
+    # scipy's J_nu(4 pi m) cos(2 pi m x); at these x it read 9.9e-12 and 1.6e-11
+    # off the closed left side (1.7e-10 at x = 0.1 and 0.9, where the window's
+    # bias is larger), hence 3e-11
+    from scipy.special import jv
+
+    ms = np.arange(1, 10**6 + 1, dtype=float)
+    terms = jv(nu, 4.0 * pi * ms)
+    for x in (0.3, 0.62):
+        mean = float(np.cumsum(terms * np.cos(2.0 * pi * ms * x))[-10**4:].mean())
+        assert abs(mean - fm.poisson_J_series_check(nu, x).reference) < 3e-11, x
+
+
+def test_poisson_lhs_bound_leaves_room_below_the_suite_tolerance():
+    # the reported bound of the left side (dropped orders and rounding) at the
+    # poisson-series cases and the test grid stays below verify's 1e-13
+    for nu in (0.5, 1.0, 2.0, 2.5, 4.0):
+        for x in POISSON_X:
+            bound = fm.poisson_J_series_check(nu, x).extras["lhs_bound"]
+            assert 0.0 < bound < 1e-13, (nu, x)
 
 
 def _poisson_grid():
-    # N: one term, the near terms alone (3 for these orders), either side of a
-    # block edge, and several blocks; W: one partial sum, 5,000 and all of them
+    # N: one term, the near terms alone (3 for these orders), either side of
+    # 2^15, and 2 * 10^5; W: one partial sum, 5,000 and all of them
     for nu in (0.5, 2.0, 2.5, 4.0):
-        for n_terms in (1, 3, se._BLOCK - 1, se._BLOCK, se._BLOCK + 1, 2 * 10**5):
+        for n_terms in (1, 3, 2**15 - 1, 2**15, 2**15 + 1, 2 * 10**5):
             for window in sorted({1, 5000, n_terms} & set(range(1, n_terms + 1))):
                 yield nu, n_terms, window
 
 
 @pytest.mark.parametrize("nu,n_terms,window", _poisson_grid())
 def test_poisson_check_streams_the_whole_array_cesaro_mean(nu, n_terms, window):
-    # the blocks see every term, every running sum and the averaged window in
-    # the order of one whole-array cumsum, so the mean is the same float
-    ms = np.arange(1, n_terms + 1, dtype=float)
-    partial = np.cumsum(fm._lattice_J(nu, n_terms) * np.cos(2.0 * pi * ms * 0.3))
-    want = float(np.mean(partial[-window:]))
-    rep = fm.poisson_J_series_check(nu, 0.3, n_terms=n_terms, window=window)
-    assert repr(rep.reference) == repr(want)
+    # the mean of the last `window` of the first n_terms partial sums S_n of the
+    # whole array J_nu(4 pi m) cos(2 pi m x) lies within the tail bound of the
+    # closed left side: by summation by parts |LHS - S_n| <= V_n/sin(pi x), V_n
+    # the variation of a_m = J_nu(4 pi m) over m > n, closed by |a_L| past the
+    # array's end L, where a_m falls monotonically to 0
+    x, size = 0.3, 2 * 10**5 + 2
+    a = fm._lattice_J(nu, size)
+    assert nu == 0.5 or np.all(np.diff(np.abs(a[-100:])) < 0)
+    rev = np.cumsum(np.abs(np.diff(a))[::-1])[::-1]  # rev[n] = sum_{m > n} |a_m - a_{m+1}|
+    first = n_terms - window + 1
+    bound = (rev[first : n_terms + 1].mean() + abs(a[-1])) / sin(pi * x)
+    terms = a[:n_terms] * np.cos(2.0 * pi * np.arange(1, n_terms + 1) * x)
+    partial = np.cumsum(terms)
+    rounding = 2 * n_terms * se._EPS * float(np.abs(terms).sum())
+    rep = fm.poisson_J_series_check(nu, x)
+    err = abs(float(partial[-window:].mean()) - rep.reference)
+    assert err <= bound + rounding + rep.extras["lhs_bound"]
 
 
 @pytest.mark.parametrize("n_terms,window", [(0, 1), (-5, 1), (10, 0), (10, -1), (10, 11)])
 def test_poisson_check_rejects_bad_budgets(n_terms, window):
-    with pytest.raises(ValueError, match="n_terms >= 1 and 1 <= window <= n_terms"):
+    # the left side is closed, so the check takes no term budget or window at all
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
         fm.poisson_J_series_check(2.0, 0.3, n_terms=n_terms, window=window)
 
 
-def test_poisson_check_memory_is_one_block_and_the_window():
-    # the default million terms once held ~30 MB of whole-array temporaries
+@pytest.mark.parametrize("nu,x", [(0.0, 0.3), (-1.0, 0.3), (29.6, 0.3), (2.0, 0.0), (2.0, 1.0)])
+def test_poisson_check_domain(nu, x):
+    # d_{K+2} must lie in the Hankel table, which holds orders through 30
+    with pytest.raises(ValueError, match="must lie in"):
+        fm.poisson_J_series_check(nu, x)
+
+
+def test_poisson_check_memory_is_the_near_terms():
+    # the closed left side holds a few near terms and at most 29 orders
     fm.poisson_J_series_check(2.0, 0.3)
     _, peak = traced_peak(fm.poisson_J_series_check, 2.0, 0.3)
-    assert peak <= 4_000_000
-
-
-def test_lattice_j_from_a_start_is_the_tail_of_the_whole_range():
-    whole = fm._lattice_J(2.5, 5000)
-    for start in (1, 2, 4, 5, 1000, 5000):
-        assert np.array_equal(fm._lattice_J(2.5, 5000, start), whole[start - 1 :])
+    assert peak <= 64_000
 
 
 def test_bernoulli_fourier():
