@@ -236,6 +236,9 @@ def test_A_function_reconstructs_zagier():
     assert abs(rebuilt - float(ec.zagier_eval(2 * n, xq))) < 1e-6
 
 
+POISSON_X = (0.1, 0.3, 0.62, 0.9)
+
+
 def test_poisson_check_fast_variants():
     # the closed left side is the only variant, and it matches the right side to 1e-13
     for nu, x in ((2.5, 0.3), (4.0, 0.3), (1.0, 0.9), (8.0, 0.62)):
@@ -250,9 +253,6 @@ def test_poisson_half_order_reduction():
         rep = fm.poisson_J_series_check(0.5, x)
         assert abs(rep.reference) <= 1e-15, x
         assert abs(rep.formula_value - rep.reference) <= 1e-15, x
-
-
-POISSON_X = (0.1, 0.3, 0.62, 0.9)
 
 
 @pytest.mark.parametrize("x", POISSON_X)
