@@ -10,10 +10,13 @@ order of the tail beyond the explicit range is summed in closed form, again
 through periodic zeta values at s = k + 1/2 (Wood's polylogarithm
 expansion).  At x = 0 each closed order is a Hurwitz zeta value
 zeta(k + 1/2, M + 1), a sum of positive terms.  The explicit range
-therefore sits at the crossover 2 nu^2/(4 pi) whatever the tolerance; the
-tolerance only picks how many orders are closed.  The reported bound is
-the first dropped order plus the rounding of every piece, and a tolerance
-below it raises.
+therefore sits at the crossover 2 nu^2/(4 pi), and the tolerance picks how
+many orders are closed.  At x != 0 a loose tolerance also cuts the top of
+that range: Y_nu(4 pi m) falls like m^{-nu}, so at large nu under a
+relative tolerance one or two terms remain.  The reported bound is the
+first dropped order plus the rounding of every piece, plus what the cut
+dropped, and a tolerance below it raises.  An algebraic g-sum whose first
+term fits the tolerance sums no term at all.
 
 Every reduction over m is correctly rounded: it returns exactly what
 math.fsum returns for the same terms, so results are reproducible bit for
@@ -32,8 +35,9 @@ otherwise build, so no value depends on what was cached before:
     lattice^{-s} with its rounding _ZETA_EPS lattice^{-s} (29 floats each);
     envelopes at any other M are formed by the call that needs them;
   * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
-    512 entries of at most 10,760 + 58 floats): bracket(q) minus its first
-    K orders, and the m-sums the rounding bound reads;
+    512 entries of at most 10,760 + 72 floats): bracket(q) minus its first
+    K orders, the m-sums the rounding bound reads and the stairs of the top
+    cut;
   * at x = 0, where K and the sum depend on neither x nor tol, the value
     and rounding per (nu, lattice) (:func:`_zero_sum`, 512 entries);
   * the periodic zeta values at every order, per (x, parity) (128
@@ -337,7 +341,9 @@ def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> 
     DEFAULT_MAX_TERMS; SeriesConvergenceError is raised if that correction
     still exceeds tol there.  The reported bound adds the rounding of the terms,
     at least 1e-16, to that correction; the rounding drives neither the
-    prefix nor the raise.
+    prefix nor the raise.  When half the first term and its rounding fit
+    tol, no term is summed: the value is the integral plus half the first
+    term and terms_used = 0 (:func:`_conjugate_sum`).
     """
     if r < 0.5:
         raise ValueError("exponent r must be >= 1/2 for a usable tail bound")
@@ -346,10 +352,27 @@ def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> 
 
 def _conjugate_sum(gap, r, c, tol=1e-12):
     """:func:`conjugate_power_sum` at a0 = c + gap, any r > 0: each A^2 - c^2 is
-    formed as (A - c)(A + c) from the gap, so a small gap keeps its digits."""
+    formed as (A - c)(A + c) from the gap, so a small gap keeps its digits.
+
+    f is positive and decreasing, so the sum lies in [I, I + f(a0)] with
+    I = integral_{a0}^inf f = w(a0)^{2r}/(2r), w(A) = A - sqrt(A^2 - csq).
+    When half of f(a0), with the rounding, fits tol, the prefix is empty:
+    the value is I + f(a0)/2, the bound f(a0)/2 plus the rounding of w(a0)
+    raised to 2r, and terms_used = 0.
+    """
     if gap <= 0.0:
         raise ValueError("series start must satisfy a0 > sqrt(csq)")
     csq, a0 = c * c, c + gap
+    root = sqrt(gap * (gap + 2.0 * c))
+    try:
+        wp = (csq / (a0 + root)) ** (2.0 * r)
+    except OverflowError:  # w(a0) > 1 and a huge r: the prefix path below gives inf
+        wp = math.inf
+    half, integral = 0.5 * wp / root, wp / (2.0 * r)
+    # w(a0) carries at most 4.5 units of 2^-53, so w^{2r} 9 r + 1 and I + f/2 a few more
+    bound = half + _EPS * (5.0 * r + 3.0) * (integral + 2.0 * half)
+    if bound <= tol:
+        return SeriesResult(integral + half, 0, bound)
 
     def correction(n: int) -> float:
         # next Euler-Maclaurin correction (B_4 f''' / 4!) as the honest remainder scale
@@ -387,6 +410,8 @@ def g_tail_sum(r: float, x: float, tol: float = 1e-12) -> SeriesResult:
 
     A short prefix is closed by the Euler-Maclaurin tail, which is what
     makes the r = 1/2 exponent affordable.  It runs on the gap A - 2 = m - 1 + x.
+    When half the first term fits tol the prefix is empty and terms_used = 0
+    (:func:`_conjugate_sum`).
     """
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
@@ -492,9 +517,10 @@ class _Residual:
     abs_moment: float          # sum_m m |bracket(q)|
     power_sums: np.ndarray     # sum_m q^{-s}, s = k + 1/2 for k = 1..K
     power_moments: np.ndarray  # sum_m m q^{-s}
+    stairs: tuple[float, ...]  # sum_{m>j} |row_m| at j = 1, 2, 4, ... < M0, rounded up; M0 only
 
 
-@functools.lru_cache(maxsize=512)  # at most 10,760 + 58 floats each (nu = 260, lattice 1)
+@functools.lru_cache(maxsize=512)  # at most 10,760 + 72 floats each (nu = 260, lattice 1)
 def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
     """The :class:`_Residual` of (nu, lattice) over m <= m_terms, `orders` orders closed.
 
@@ -502,21 +528,29 @@ def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
     a call sums row * trig once, not one partial sum P_s per order.  c comes
     by Horner's rule in 1/q, never as an orders x M array.  The bound's
     m-sums only scale a rounding allowance: numpy's pairwise sum forms them.
-    Only M0 is kept; a call at any other M builds its own through __wrapped__.
+    Only M0 is kept; a call at any other M builds its own through __wrapped__,
+    without the stairs of the top cut.  A stair sums at most M0 terms, each
+    of which passes at most M0 additions, and the value's products row * trig
+    round once more: the factor 1 + M0 _EPS covers both.
     """
+    plan = _plan(nu, lattice)
     brackets = _bracket_values(nu, lattice, m_terms)
     ms = np.arange(1.0, m_terms + 1.0)
     q = lattice * ms
     size = np.abs(brackets)
     abs_sum = float(size.sum())
     abs_moment = float(np.multiply(ms, size, out=size).sum())
-    row = brackets - _orders_sum(_plan(nu, lattice).b, 1, orders, q) if orders else brackets
+    row = brackets - _orders_sum(plan.b, 1, orders, q) if orders else brackets
     power, sums, moments = q**-1.5, [], []
     for _ in range(orders):
         sums.append(float(power.sum()))
         moments.append(float(np.multiply(ms, power, out=size).sum()))
         np.divide(power, q, out=power)
-    residual = _Residual(row, abs_sum, abs_moment, np.array(sums), np.array(moments))
+    stairs = ()
+    if m_terms == plan.brackets.size:
+        steps = np.add.reduceat(np.abs(row, out=size), 1 << np.arange((m_terms - 1).bit_length()))
+        stairs = tuple((np.cumsum(steps[::-1])[::-1] * (1.0 + m_terms * _EPS)).tolist())
+    residual = _Residual(row, abs_sum, abs_moment, np.array(sums), np.array(moments), stairs)
     for array in (residual.row, residual.power_sums, residual.power_moments):
         array.flags.writeable = False
     return residual
@@ -590,9 +624,18 @@ def regularized_bracket_sum(
     A forced m_terms truncates at the smallest dropped order instead, closes
     every order and never raises.  ValueError is raised for nu, lattice or
     m_terms not a positive integer, and when a bracket exceeds the double
-    range (from nu = 261 on the 4 pi m lattice).  terms_used counts the m
-    summed term by term, max(M, W).  Only the phases depend on x; the rest comes from
-    the caches the module docstring lists.
+    range (from nu = 261 on the 4 pi m lattice).
+
+    At x != 0, with no window, no forced m_terms and that bound within tol,
+    the top of the explicit range is cut: the residual row falls like
+    m^{-nu}, so the smallest j = 1, 2, 4, ... < M whose x-free suffix
+    sum_{m>j} |row_m| (the stairs of :func:`_residual`) fits both 1e-4 tol
+    and tol minus the bound ends the sum at j, and that suffix joins the
+    bound.  Under a relative tol at large nu a few terms remain: the formula
+    becomes its own asymptotic expansion with a bound.  terms_used counts the
+    m summed term by term: j after a cut, W with a window, M otherwise.
+    Only the phases depend on x; the rest comes from the caches the module
+    docstring lists.
     """
     _check_lattice_args(nu, lattice, m_terms)
     even_nu = nu % 2 == 0
@@ -636,11 +679,18 @@ def regularized_bracket_sum(
                 W = min(2 * W, DEFAULT_MAX_TERMS)
             split, bound = found
             res = residual(nu, lattice, split, M)
+        elif m_terms is None and res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
+            # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the slack
+            # (the stairs fall, so the last one decides whether any fits)
+            i = next(i for i, stair in enumerate(res.stairs)
+                     if stair <= 1e-4 * tol and bound + stair <= tol)
+            W, bound = 1 << i, bound + res.stairs[i]
         # orders 1..split: sum_m trig (bracket - c) plus b_k lattice^{-s} T_s(x)
-        trig = _trig(even_nu, x, np.arange(1.0, M + 1.0))
+        top = min(W, M)
+        trig = _trig(even_nu, x, np.arange(1.0, top + 1.0))
         zeta_row = _periodic_zeta_rows(x, not even_nu)
         closed = b[1 : split + 1] * lam_s[:split] * zeta_row[1 : split + 1]
-        value = chunked_fsum(res.row * trig) + math.fsum(closed.tolist())
+        value = chunked_fsum(res.row[:top] * trig) + math.fsum(closed.tolist())
         if split < K:
             mw = np.arange(M + 1, W + 1, dtype=float)
             value += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lattice * mw))
@@ -677,13 +727,14 @@ def lattice_bessel_sum(
     _ZETA_EPS.  For odd nu at x = 0 and 1/2 the sum is exactly 0.  Points
     0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
     ValueError for nu, lattice or m_terms out of their domains, as in
-    :func:`regularized_bracket_sum`.
+    :func:`regularized_bracket_sum`; each call checks them once, here before
+    an exact zero and in the bracket sum otherwise.
     """
-    _check_lattice_args(nu, lattice, m_terms)
-    outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
-    if nu % 2 and x in (0.0, 0.5):
-        return SeriesResult(0.0, 0, 0.0, outside_window=outside)
+    if x in (0.0, 0.5) and isinstance(nu, (int, np.integer)) and nu % 2:
+        _check_lattice_args(nu, lattice, m_terms)
+        return SeriesResult(0.0, 0, 0.0)
     reg = regularized_bracket_sum(nu, x, tol, lattice=lattice, m_terms=m_terms)
+    outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
     return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
                         reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, outside_window=outside)
 

@@ -307,7 +307,7 @@ def uncached_periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray
 
 
 def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
-                         m_terms: int | None = None):
+                         m_terms: int | None = None, top_cut: bool = True):
     """The regularized bracket sum rebuilt from scratch on every call.
 
     The same arithmetic as `series_engine.regularized_bracket_sum`, with the
@@ -318,7 +318,9 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     math.fsum of a list, not the engine's `chunked_fsum`, so a fault in that
     sum shows too.
     At x = 0 the closed tails zeta(s, M + 1) come afresh on every call from
-    the library's one Hurwitz kernel, `specfun.hurwitz_zeta`.  Returns
+    the library's one Hurwitz kernel, `specfun.hurwitz_zeta`.  The top cut
+    forms its stairs sum_{m>j} |row_m|, j = 1, 2, 4, ... < M, afresh; with
+    top_cut=False the sum keeps the whole base range.  Returns
     (value, tail_bound, terms_used, raised).
     """
     from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS, DEFAULT_MAX_TERMS as cap
@@ -402,8 +404,17 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     # orders 1..split close as b_k (lattice^{-s} T_s(x) - sum_{m <= M} trig q^{-s}),
     # which is sum_m trig (bracket - c) plus the closed values
     row = brackets - _orders_sum(b, 1, split, q) if split else brackets
+    top = M
+    if top_cut and m_terms is None and W == M and bound <= tol:
+        # suffix sums of |row| past j = 2^i, rounded up by 1 + M _EPS
+        starts = 2 ** np.arange((M - 1).bit_length())
+        stairs = np.cumsum(np.add.reduceat(np.abs(row), starts)[::-1])[::-1] * (1.0 + M * _EPS)
+        fits = [i for i, stair in enumerate(stairs.tolist()) if stair <= 1e-4 * tol and bound + stair <= tol]
+        if fits:
+            top = W = int(starts[fits[0]])
+            bound += float(stairs[fits[0]])
     closed = b[1 : split + 1] * lam**-s[:split] * uncached_periodic_zeta(x, split)[0 if even_nu else 1][1:]
-    value = math.fsum((row * trig_at(ms)).tolist()) + math.fsum(closed.tolist())
+    value = math.fsum((row[:top] * trig_at(ms[:top])).tolist()) + math.fsum(closed.tolist())
     if split < K:
         mw = np.arange(M + 1, W + 1, dtype=float)
         value += math.fsum((trig_at(mw) * _orders_sum(b, split + 1, K, lam * mw)).tolist())

@@ -195,6 +195,25 @@ def test_g_tail_sum_honours_tol():
     assert err.value.best.terms_used == se.DEFAULT_MAX_TERMS
 
 
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.5, 130.0), gap=st.floats(1e-12, 2.0), c=st.sampled_from((2.0, 4.0)))
+def test_conjugate_sum_lies_between_the_integral_and_one_term_more(r, gap, c):
+    # f is positive and decreasing, so sum_{j>=0} f(a0 + j) lies in [I, I + f(a0)],
+    # I = w(a0)^{2r}/(2r), both formed here from the gap at 40 digits
+    with mp.workdps(40):
+        rr, gg, cc = mp.mpf(r), mp.mpf(gap), mp.mpf(c)
+        root = mp.sqrt(gg * (gg + 2 * cc))
+        wp = (cc * cc / (cc + gg + root)) ** (2 * rr)
+        first, integral = float(wp / root), float(wp / (2 * rr))
+    summed = se._conjugate_sum(gap, r, c, tol=1e-6 * first)
+    assert summed.terms_used > 0
+    assert integral <= summed.value <= integral + first
+    # once half the first term fits tol the prefix is empty, within its bound of the sum
+    skipped = se._conjugate_sum(gap, r, c, tol=first)
+    assert skipped.terms_used == 0
+    assert abs(skipped.value - summed.value) <= skipped.tail_bound + summed.tail_bound
+
+
 def test_g_tail_sum_rejects_small_exponent():
     with pytest.raises(ValueError):
         se.g_tail_sum(0.25, 0.5)
@@ -323,8 +342,24 @@ def test_closed_tails_keep_the_explicit_range_at_the_crossover():
     res = se.regularized_bracket_sum(4, 1.0 / 3.0, tol=1e-12)
     assert res.terms_used <= 64
     assert res.tail_bound <= 1e-12
-    for tol in (1e-6, 1e-9, 1e-12):
-        assert se.regularized_bracket_sum(40, 0.3, tol=tol * 1e15).terms_used == 256
+    # a loose one may cut the top of the base range M0: terms_used <= M0, and
+    # it is M0 unless the |row| sum past some j = 2^i fits the cut's budget,
+    # min(tol - bound, 1e-4 tol), when it is the smallest such j
+    plan, used = se._plan(40, 1), []
+    base = plan.brackets.size
+    assert base == 256
+    for tol in (1e-6 * 1e15, 1e-9 * 1e15, 1e-12 * 1e15):
+        res = se.regularized_bracket_sum(40, 0.3, tol=tol)
+        full_value, full_bound, full_terms, _ = uncached_bracket_sum(40, 0.3, tol=tol, top_cut=False)
+        assert full_terms == base and full_bound <= tol
+        orders = next(k for k, envelope in enumerate(plan.envelopes.tolist(), 1) if envelope <= tol)
+        stairs = se._residual(40, 1, orders, base).stairs
+        fits = [i for i, stair in enumerate(stairs) if stair <= 1e-4 * tol and full_bound + stair <= tol]
+        assert res.terms_used == (1 << fits[0] if fits else base) <= base
+        assert res.tail_bound <= tol
+        assert abs(res.value - full_value) <= res.tail_bound - full_bound + 2 * math.ulp(full_value)
+        used.append(res.terms_used)
+    assert used == [1, 2, base]
 
 
 def test_series_convergence_error():
@@ -502,19 +537,27 @@ def test_chunked_fsum_holds_no_full_size_temporary():
 
 _GRID_NUS = tuple(range(1, 61)) + (120, 260)
 _GRID_TOLS = (1e-6, 1e-9, 1e-12, 1e-14)
+_CUT_NUS = (40, 60, 120, 260)
+
+
+def _relative_tol(nu, lattice):
+    """1e-12 of the first term's size, |pi Y_nu(4 pi lattice)|: where the top cut engages."""
+    return 1e-12 * abs(pi * sf.bessel_Y_int(nu, 4.0 * pi * lattice))
 
 
 def _grid_cases(nus):
     """(nu, x, tol, lattice, m_terms) over the pinned grid, nu in the given order.
 
     Forced m_terms ignore tol; 3000 terms, the slow forced case, takes one
-    point per (nu, lattice)."""
+    point per (nu, lattice).  At nu in _CUT_NUS a relative tol joins the grid,
+    so sums trimmed by the top cut are pinned too."""
     rng = random.Random(20260418)
     xs = (0.0, 0.25, 0.5, 1.0 / 3.0, rng.random(), rng.random())
     for nu in nus:
         for lattice in (1, 2):
+            tols = _GRID_TOLS + ((_relative_tol(nu, lattice),) if nu in _CUT_NUS else ())
             for x in xs:
-                for tol in _GRID_TOLS:
+                for tol in tols:
                     yield nu, x, tol, lattice, None
                 yield nu, x, 1e-9, lattice, 50
             yield nu, xs[3], 1e-9, lattice, 3000
@@ -552,6 +595,29 @@ def test_cached_bracket_sum_is_bit_identical_to_the_uncached_sum(order, uncached
         random.Random(7).shuffle(nus)
     for case in _grid_cases(nus):
         assert _library_sum(*case) == uncached_grid[case], case
+
+
+def test_grid_pins_trimmed_sums(uncached_grid):
+    # the relative tols reach the top cut on both lattices
+    trimmed = {(nu, lattice) for (nu, x, tol, lattice, m_terms), (_, _, terms, raised)
+               in uncached_grid.items()
+               if m_terms is None and not raised and terms < se._plan(nu, lattice).brackets.size}
+    assert {(nu, lattice) for nu in (60, 120, 260) for lattice in (1, 2)} <= trimmed
+
+
+@pytest.mark.parametrize("lattice", (1, 2))
+@pytest.mark.parametrize("nu", _CUT_NUS)
+def test_trimmed_sum_lies_within_its_added_bound_of_the_base_range_sum(nu, lattice):
+    # the dropped terms m > j are at most the stair the bound adds; each of the
+    # two correctly rounded sums rounds once more
+    tol = _relative_tol(nu, lattice)
+    for x in (0.1, 0.25, 1.0 / 3.0, 0.5, 0.62, 0.9):
+        got = se.regularized_bracket_sum(nu, x, tol=tol, lattice=lattice)
+        full, full_bound, full_terms, _ = uncached_bracket_sum(nu, x, tol=tol, lattice=lattice,
+                                                               top_cut=False)
+        assert got.terms_used <= full_terms == se._plan(nu, lattice).brackets.size
+        assert full_bound <= got.tail_bound <= tol, x
+        assert abs(got.value - full) <= got.tail_bound - full_bound + 2 * math.ulp(full), x
 
 
 def test_lattice_sum_is_bit_identical_to_the_uncached_sums(uncached_grid):
