@@ -374,26 +374,24 @@ def _conjugate_sum(gap, r, c, tol=1e-12):
     if bound <= tol:
         return SeriesResult(integral + half, 0, bound)
 
-    def correction(n: int) -> float:
-        # next Euler-Maclaurin correction (B_4 f''' / 4!) as the honest remainder scale
-        a_end = a0 + n
-        return _conj_f(a_end, r, csq)[0] * (2.0 * r + 3.0) ** 3 / (720.0 * a_end * a_end)
-
     # start from where the large-A form f ~ (csq/2A)^{2r}/A puts the
     # correction at tol; f lies above that form, so only doubling remains
     a_tol = ((csq / 2.0) ** (2.0 * r) * (2.0 * r + 3.0) ** 3 / (720.0 * tol)) ** (1.0 / (2.0 * r + 3.0))
     n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), DEFAULT_MAX_TERMS)
-    while correction(n_direct) > tol and n_direct < DEFAULT_MAX_TERMS:
+    while True:
+        a_end = a0 + n_direct
+        f_end, fp_end, integral = _conj_f(a_end, r, csq)
+        # next Euler-Maclaurin correction (B_4 f''' / 4!) as the honest remainder scale
+        truncation = f_end * (2.0 * r + 3.0) ** 3 / (720.0 * a_end * a_end)
+        if not truncation > tol or n_direct >= DEFAULT_MAX_TERMS:
+            break
         n_direct = min(2 * n_direct, DEFAULT_MAX_TERMS)
     gaps = gap + np.arange(n_direct, dtype=float)
     roots = np.sqrt(gaps * (gaps + 2.0 * c))
     w = csq / (c + gaps + roots)  # A - sqrt(A^2 - csq)
     terms = w ** (2.0 * r) / roots
     head = chunked_fsum(terms)
-    a_end = a0 + n_direct
-    f_end, fp_end, integral = _conj_f(a_end, r, csq)
     value = head + integral + 0.5 * f_end - fp_end / 12.0
-    truncation = correction(n_direct)
     rounding = 1e-16 + _EPS * (2.0 * r + 1.0) * head  # ~2r+1 roundings per term
     result = SeriesResult(value, n_direct, truncation + rounding)
     if truncation > tol:
