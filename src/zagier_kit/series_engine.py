@@ -626,10 +626,10 @@ def regularized_bracket_sum(
 
     At x != 0, with no window, no forced m_terms and that bound within tol,
     the top of the explicit range is cut: the residual row falls like
-    m^{-nu}, so the smallest j = 1, 2, 4, ... < M whose x-free suffix
-    sum_{m>j} |row_m| (the stairs of :func:`_residual`) fits both 1e-4 tol
-    and tol minus the bound ends the sum at j, and that suffix joins the
-    bound.  Under a relative tol at large nu a few terms remain: the formula
+    m^{-nu} up to 4 pi m ~ nu, so the smallest j = 1, 2, 4, ... < M whose
+    x-free suffix sum_{m>j} |row_m| (the stairs of :func:`_residual`) fits
+    both 1e-4 tol and tol minus the bound ends the sum at j, and that
+    suffix joins the bound.  Under a relative tol at large nu a few terms remain: the formula
     becomes its own asymptotic expansion with a bound.  terms_used counts the
     m summed term by term: j after a cut, W with a window, M otherwise.
     Only the phases depend on x; the rest comes from the caches the module
