@@ -277,9 +277,10 @@ def _lemma_P_profile(x: float, n: int) -> float:
 
 def _lemma_dJ_profile(x: float, n: int) -> float:
     h1 = (-1.0) ** n / (4.0 * pi) * _arc_cheb_sum(x, n, math.asin)
+    # the g-sums to 1e-17, far below the 1e-9 at which the suite holds b0
     h2 = (-1.0) ** (n + 1) / 4.0 ** (n + 1) * (
-        series_engine.g_tail_sum(n, x).value
-        + series_engine.g_tail_sum(n, 1.0 - x).value
+        series_engine.g_tail_sum(n, x, tol=1e-17).value
+        + series_engine.g_tail_sum(n, 1.0 - x, tol=1e-17).value
     )
     return h1 + h2
 
@@ -386,8 +387,9 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
     rhs = kernel(x) + kernel(x + 1.0) + kernel(1.0 - x) + kernel(2.0 - x)
     snu = 0.0 if abs(nu - round(nu)) < 1e-12 and round(nu) % 2 == 0 else sin(nu * pi / 2.0)
     # the tails over 2 pi (m + x), m >= 2, and 2 pi (m - x), m >= 3, are the
-    # g-sums at exponent nu/2 on the gaps x and 1 - x
-    g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0).value for gap in (x, 1.0 - x))
+    # g-sums at exponent nu/2 on the gaps x and 1 - x, to 1e-17: the sides
+    # are compared down to 1e-15
+    g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0, 1e-17).value for gap in (x, 1.0 - x))
     rhs -= snu / (2.0 * pi * 2.0**nu) * g
     return _report(0, x, None, rhs, [], reference=lhs,
                    extras={"lhs_bound": float(dropped / pi + rounding)})

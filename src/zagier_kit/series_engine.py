@@ -16,7 +16,9 @@ that range: Y_nu(4 pi m) falls like m^{-nu}, so at large nu under a
 relative tolerance one or two terms remain.  The reported bound is the
 first dropped order plus the rounding of every piece, plus what the cut
 dropped, and a tolerance below it raises.  An algebraic g-sum whose first
-term fits the tolerance sums no term at all.
+term fits the tolerance sums no term at all; any other closes a prefix of
+a few terms by Euler-Maclaurin through B_12 with exact derivatives, and
+since its terms are completely monotone, the B_14 term bounds what is left.
 
 Every reduction over m is correctly rounded: it returns exactly what
 math.fsum returns for the same terms, so results are reproducible bit for
@@ -38,8 +40,10 @@ otherwise build, so no value depends on what was cached before:
     512 entries of at most 10,760 + 72 floats): bracket(q) minus its first
     K orders, the m-sums the rounding bound reads and the stairs of the top
     cut;
-  * at x = 0, where K and the sum depend on neither x nor tol, the value
-    and rounding per (nu, lattice) (:func:`_zero_sum`, 512 entries);
+  * at x = 0, where K and the sum depend on neither x nor tol, the value,
+    truncation and bound per (nu, lattice) (:func:`_zero_sum`, 512 entries);
+  * the Euler-Maclaurin coefficients of the g-sums per exponent r
+    (:func:`_em_rows`, 512 entries of 56 floats);
   * the periodic zeta values at every order, per (x, parity) (128
     entries): a sum over cos phases forms only C_s(x), one over sin phases
     only S_s(x), and a bracket sum and its regularizer share that row.
@@ -55,8 +59,8 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .specfun import (ASYM_Z_MIN, HANKEL_ORDERS, _hankel_sum, _orders_sum, asymptotic_crossover,
-                      bessel_Y01, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
+from .specfun import (ASYM_Z_MIN, HANKEL_ORDERS, _bernoulli_ratios, _hankel_sum, _orders_sum,
+                      asymptotic_crossover, bessel_Y01, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
 
 __all__ = [
     "SeriesResult",
@@ -90,6 +94,8 @@ _ORDERS = HANKEL_ORDERS  # orders k of the bracket expansion sum_k b_k m^{-(k+1/
 _WOOD_TERMS = 64    # terms of Wood's expansion; 2^{-64} is far below rounding
 _EPS = 2.2e-16      # two units of double rounding
 _ZETA_EPS = 2.5e-15  # periodic_zeta (<= 1.8e-15 against mpmath) and the subtraction
+_EM_ORDERS = 6       # Euler-Maclaurin corrections B_2..B_12 that close a g-sum prefix
+_EM_START = 4        # the shortest g-sum prefix they close
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -320,30 +326,57 @@ def g_term(y: float, r: float, x: float) -> float:
     return (4.0 / (a + root)) ** (2.0 * r) / root
 
 
-def _conj_f(a: float, r: float, csq: float) -> tuple[float, float, float]:
-    """(f, f', closed tail integral) for f(A) = (A - sqrt(A^2-csq))^{2r}/sqrt(A^2-csq)."""
-    root = sqrt(a * a - csq)
-    w = csq / (a + root)  # A - sqrt(A^2 - csq)
-    wp = w ** (2.0 * r)
-    f = wp / root
-    fprime = -wp * (2.0 * r * root + a) / root**3
-    integral = wp / (2.0 * r)
-    return f, fprime, integral
+def _derivative_rows(r: float, k_max: int = 13) -> list[list[float]]:
+    """Coefficients c_0..c_k of Q_k, k = 0..k_max, with
+        f^(k)(A) = (-1)^k f(A) rho^{-k} Q_k(t),  Q_k(t) = sum_j c_j t^j,
+    for f(A) = w^{2r}/rho, rho = sqrt(A^2 - c^2), w = A - rho and t = w/(2 rho).
+
+    Q_0 = 1, and Q_{k+1} has c'_j = (2r + 1 + k + 2j) c_j + 2(k + j) c_{j-1},
+    so every coefficient is positive for r > -1/2 and nothing cancels,
+    neither here nor in Q_k(t) at t > 0.  With u = w/c and v = u^2, so that
+    1 - v = 2 u rho/c, this is f^(k) = (-1)^k f (2u/c)^k (1-v)^{-2k} P_k(v)
+    with P_k(v) = (1-v)^k Q_k(v/(1-v)): P_k in the basis v^j (1-v)^{k-j},
+    where its coefficients are the c_j.
+    """
+    rows, row = [[1.0]], [1.0]
+    for k in range(k_max):
+        row = [(2.0 * r + 1.0 + k + 2 * j) * (row[j] if j <= k else 0.0)
+               + 2.0 * (k + j) * (row[j - 1] if j else 0.0) for j in range(k + 2)]
+        rows.append(row)
+    return rows
+
+
+@functools.lru_cache(maxsize=512)  # 56 floats each
+def _em_rows(r: float) -> tuple[tuple[float, ...], ...]:
+    """B_2j/(2j)! times the coefficients of Q_{2j-1} (:func:`_derivative_rows`),
+    highest power first, for j = 1.._EM_ORDERS + 1: the Euler-Maclaurin
+    corrections through B_12 and the first dropped one, B_14 > 0."""
+    rows = _derivative_rows(r, 2 * _EM_ORDERS + 1)
+    return tuple(tuple(ratio * a for a in reversed(rows[2 * j - 1]))
+                 for j, ratio in enumerate(_bernoulli_ratios()[: _EM_ORDERS + 1], 1))
+
+
+def _horner(row: tuple[float, ...], t: float) -> float:
+    """The polynomial with coefficients row, highest power first, at t."""
+    total = 0.0
+    for a in row:
+        total = total * t + a
+    return total
 
 
 def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> SeriesResult:
     """sum_{j>=0} f(a0 + j) with f(A) = (A - sqrt(A^2-csq))^{2r}/sqrt(A^2-csq).
 
-    Terms fall off like (c/2A)^{2r}/A.  A direct prefix is closed with the
-    Euler-Maclaurin tail; the integral term has the closed form
-    (A - sqrt(A^2-csq))^{2r}/(2r).  The prefix is the smallest power of two
-    >= 8 whose next Euler-Maclaurin correction is <= tol, at most
-    DEFAULT_MAX_TERMS; SeriesConvergenceError is raised if that correction
-    still exceeds tol there.  The reported bound adds the rounding of the terms,
-    at least 1e-16, to that correction; the rounding drives neither the
-    prefix nor the raise.  When half the first term and its rounding fit
-    tol, no term is summed: the value is the integral plus half the first
-    term and terms_used = 0 (:func:`_conjugate_sum`).
+    Terms fall off like (c/2A)^{2r}/A.  A direct prefix is closed by
+    Euler-Maclaurin through B_12 with exact derivatives; the integral term
+    has the closed form (A - sqrt(A^2-csq))^{2r}/(2r).  The prefix is the
+    smallest power of two >= 4 whose first dropped (B_14) correction is
+    <= tol, at most DEFAULT_MAX_TERMS; SeriesConvergenceError is raised if
+    that correction still exceeds tol there.  The reported bound adds the
+    rounding of the terms, the integral and the corrections to it; the
+    rounding drives neither the prefix nor the raise.  When half the first
+    term and its rounding fit tol, no term is summed: the value is the
+    integral plus half the first term and terms_used = 0 (:func:`_conjugate_sum`).
     """
     if r < 0.5:
         raise ValueError("exponent r must be >= 1/2 for a usable tail bound")
@@ -359,40 +392,52 @@ def _conjugate_sum(gap, r, c, tol=1e-12):
     When half of f(a0), with the rounding, fits tol, the prefix is empty:
     the value is I + f(a0)/2, the bound f(a0)/2 plus the rounding of w(a0)
     raised to 2r, and terms_used = 0.
+
+    Otherwise the N prefix terms, I and f/2 at a0 + N and the corrections
+    B_2j/(2j)! f^(2j-1) through B_12 (:func:`_em_rows`) are one math.fsum.
+    f(A) = c^{2r} integral_0^inf e^{-As} I_{2r}(cs) ds (Gradshteyn-Ryzhik
+    6.611) is completely monotone, so the remainder lies between 0 and the
+    first dropped correction, the B_14 term, which is the truncation bound.
     """
     if gap <= 0.0:
         raise ValueError("series start must satisfy a0 > sqrt(csq)")
-    csq, a0 = c * c, c + gap
+    csq, a0, two_r = c * c, c + gap, 2.0 * r
     root = sqrt(gap * (gap + 2.0 * c))
-    try:
-        wp = (csq / (a0 + root)) ** (2.0 * r)
-    except OverflowError:  # w(a0) > 1 and a huge r: the prefix path below gives inf
-        wp = math.inf
-    half, integral = 0.5 * wp / root, wp / (2.0 * r)
+    wp = (csq / (a0 + root)) ** two_r  # OverflowError for w(a0) > 1 and a huge r
+    half, integral = 0.5 * wp / root, wp / two_r
     # w(a0) carries at most 4.5 units of 2^-53, so w^{2r} 9 r + 1 and I + f/2 a few more
     bound = half + _EPS * (5.0 * r + 3.0) * (integral + 2.0 * half)
     if bound <= tol:
         return SeriesResult(integral + half, 0, bound)
 
-    # start from where the large-A form f ~ (csq/2A)^{2r}/A puts the
-    # correction at tol; f lies above that form, so only doubling remains
-    a_tol = ((csq / 2.0) ** (2.0 * r) * (2.0 * r + 3.0) ** 3 / (720.0 * tol)) ** (1.0 / (2.0 * r + 3.0))
-    n_direct = min(1 << max(3, math.ceil(math.log2(max(a_tol - a0, 1.0)))), DEFAULT_MAX_TERMS)
+    rows = _em_rows(r)
+    n_direct = _EM_START
     while True:
-        a_end = a0 + n_direct
-        f_end, fp_end, integral = _conj_f(a_end, r, csq)
-        # next Euler-Maclaurin correction (B_4 f''' / 4!) as the honest remainder scale
-        truncation = f_end * (2.0 * r + 3.0) ** 3 / (720.0 * a_end * a_end)
+        end = gap + n_direct
+        rho = sqrt(end * (end + 2.0 * c))
+        w = csq / (c + end + rho)
+        wp, inv = w**two_r, 1.0 / rho
+        t = 0.5 * w * inv
+        truncation = wp * inv ** (2 * _EM_ORDERS + 2) * _horner(rows[-1], t)
         if not truncation > tol or n_direct >= DEFAULT_MAX_TERMS:
             break
         n_direct = min(2 * n_direct, DEFAULT_MAX_TERMS)
-    gaps = gap + np.arange(n_direct, dtype=float)
-    roots = np.sqrt(gaps * (gaps + 2.0 * c))
-    w = csq / (c + gaps + roots)  # A - sqrt(A^2 - csq)
-    terms = w ** (2.0 * r) / roots
-    head = chunked_fsum(terms)
-    value = head + integral + 0.5 * f_end - fp_end / 12.0
-    rounding = 1e-16 + _EPS * (2.0 * r + 1.0) * head  # ~2r+1 roundings per term
+    # B_2j/(2j)! f^(2j-1) is f rho^{1-2j} times row j at t, f = wp/rho
+    corrections, scale = [], wp * inv * inv
+    for row in rows[:-1]:
+        corrections.append(scale * _horner(row, t))
+        scale *= inv * inv
+    parts = corrections + [wp / two_r, 0.5 * wp * inv]
+    for j in range(n_direct):
+        g = gap + j
+        s = sqrt(g * (g + 2.0 * c))
+        parts.append((csq / (c + g + s)) ** two_r / s)
+    value = math.fsum(parts)
+    # a term, I and f/2 carry at most 11 r + 6 units of 2^-53 (w 4.5, its power
+    # 9 r + 1, rho and the division 3.5, the rounded A (2 r + 1)); a correction
+    # or the truncation up to 220 more (13 factors 1/rho, Q's 13 steps and t^13)
+    spread = sum(map(abs, corrections)) + truncation
+    rounding = _EPS * ((6.0 * r + 4.0) * (value + spread) + 120.0 * spread)
     result = SeriesResult(value, n_direct, truncation + rounding)
     if truncation > tol:
         raise SeriesConvergenceError(
@@ -406,10 +451,10 @@ def _conjugate_sum(gap, r, c, tol=1e-12):
 def g_tail_sum(r: float, x: float, tol: float = 1e-12) -> SeriesResult:
     """sum_{m >= 1} g(m, r, x); the sum from m = k is g_tail_sum(r, x + k - 1).
 
-    A short prefix is closed by the Euler-Maclaurin tail, which is what
-    makes the r = 1/2 exponent affordable.  It runs on the gap A - 2 = m - 1 + x.
-    When half the first term fits tol the prefix is empty and terms_used = 0
-    (:func:`_conjugate_sum`).
+    A prefix of 4, 8, 16, ... terms is closed by Euler-Maclaurin through
+    B_12, so even the slow r = 1/2 exponent sums 16 terms at tol 1e-17.
+    It runs on the gap A - 2 = m - 1 + x.  When half the first term fits
+    tol the prefix is empty and terms_used = 0 (:func:`_conjugate_sum`).
     """
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
@@ -554,18 +599,23 @@ def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
     return residual
 
 
-@functools.lru_cache(maxsize=512)  # two floats each
-def _zero_sum(nu: int, lattice: int, orders: int, m_terms: int) -> tuple[float, float]:
-    """(value, rounding) at x = 0 over m <= m_terms, orders 1..orders closed as
-    b_k lattice^{-s} zeta(s, M + 1).  Neither depends on tol; only M0 is kept."""
+@functools.lru_cache(maxsize=512)  # three floats each
+def _zero_sum(nu: int, lattice: int, m_terms: int) -> tuple[float, float, float]:
+    """(value, truncation, bound) at x = 0 over m <= m_terms: orders 1..K closed
+    as b_k lattice^{-s} zeta(s, M + 1), K the order of the smallest envelope,
+    and the bound that envelope plus the rounding.  None depends on tol;
+    only M0 is kept."""
     plan = _plan(nu, lattice)
+    envelopes = plan.envelopes if m_terms == plan.brackets.size else _envelopes(plan.b, lattice, m_terms)
+    orders = int(np.argmin(envelopes)) + 1
+    truncation = float(envelopes[orders - 1])
     brackets = _bracket_values(nu, lattice, m_terms)
     tails = [hurwitz_zeta(s, m_terms + 1.0) for s in _S[:orders].tolist()]
     closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
     rounding = ((2e-15 + _EPS) * float(np.abs(brackets).sum())
                 + _ZETA_EPS * float(np.abs(closed).sum()))
-    return value, rounding
+    return value, truncation, truncation + rounding
 
 
 def _trig(even_nu: bool, x: float, ms: np.ndarray) -> np.ndarray:
@@ -614,7 +664,8 @@ def regularized_bracket_sum(
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
     a few units of its own size.  Every order is closed up to the smallest
-    dropped one, whatever tol, and no window opens.
+    dropped one, whatever tol, and no window opens: the finished value and
+    bound are kept per (nu, lattice), and a call only compares the bound with tol.
 
     The reported bound is the dropped order plus the rounding of the
     explicit terms, of the closed tails and of the window (with its
@@ -643,17 +694,18 @@ def regularized_bracket_sum(
     b, base = plan.b, plan.brackets.size
 
     M = base if m_terms is None else int(m_terms)
-    envelopes = plan.envelopes if M == base else _envelopes(b, lattice, M)
-    scan = enumerate(envelopes.tolist(), 1) if m_terms is None and x != 0.0 else ()
-    K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
-    truncation = float(envelopes[K - 1])
     kept = M == base  # the x-free parts at any other M are built for this call alone
     if x == 0.0:
         # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1),
-        # a sum of positive terms: nothing cancels, so no window is needed
-        value, rounding = (_zero_sum if kept else _zero_sum.__wrapped__)(nu, lattice, K, M)
-        W, bound = M, truncation + rounding
+        # a sum of positive terms: nothing cancels, so no window is needed, and
+        # the finished value and bound depend on neither x nor tol
+        value, truncation, bound = (_zero_sum if kept else _zero_sum.__wrapped__)(nu, lattice, M)
+        W = M
     else:
+        envelopes = plan.envelopes if kept else _envelopes(b, lattice, M)
+        scan = enumerate(envelopes.tolist(), 1) if m_terms is None else ()
+        K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
+        truncation = float(envelopes[K - 1])
         residual = _residual if kept else _residual.__wrapped__
         res = residual(nu, lattice, K, M)
         s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]

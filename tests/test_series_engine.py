@@ -21,8 +21,9 @@ from scipy import special as sp_special
 from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
-from conftest import (CACHES, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle, hurwitz_zeta_oracle,
-                      polylog_trig_oracle, traced_peak, uncached_bracket_sum, uncached_periodic_zeta)
+from conftest import (CACHES, conjugate_sum_oracle, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle,
+                      hurwitz_zeta_oracle, polylog_trig_oracle, traced_peak, uncached_bracket_sum,
+                      uncached_periodic_zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +183,17 @@ def test_g_tail_sum_stability_under_prefix_doubling():
 
 
 def test_g_tail_sum_honours_tol():
-    # the prefix grows as tol shrinks, and the reported bound covers the error
+    # the prefix never shrinks as tol shrinks, the reported bound covers the
+    # error, and a tol that no prefix under the cap meets raises at the cap
     ref = g_sum_nsum_oracle(1.0, 0.3, dps=40)
     used = []
-    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15, 1e-30):
         res = se.g_tail_sum(1.0, 0.3, tol=tol)
         used.append(res.terms_used)
         assert abs(res.value - ref) <= min(res.tail_bound, tol + 1e-15), tol
-    assert used == sorted(used) and used[0] < 400 < used[-1]
+    assert used == sorted(used) and used[0] < used[-1] < se.DEFAULT_MAX_TERMS
     with pytest.raises(se.SeriesConvergenceError) as err:
-        se.g_tail_sum(0.5, 0.3, tol=1e-30)
+        se.g_tail_sum(0.5, 0.3, tol=1e-300)
     assert err.value.best.terms_used == se.DEFAULT_MAX_TERMS
 
 
@@ -212,6 +214,38 @@ def test_conjugate_sum_lies_between_the_integral_and_one_term_more(r, gap, c):
     skipped = se._conjugate_sum(gap, r, c, tol=first)
     assert skipped.terms_used == 0
     assert abs(skipped.value - summed.value) <= skipped.tail_bound + summed.tail_bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.floats(0.25, 130.0), gap=st.floats(1e-12, 2.0), c=st.sampled_from((2.0, 4.0)),
+       log_tol=st.floats(-15.0, -6.0))
+def test_conjugate_sum_lies_within_its_bound_of_the_extended_precision_sum(r, gap, c, log_tol):
+    # the B_14 term bounds what Euler-Maclaurin through B_12 leaves out, and the
+    # rounding term covers the terms, the integral and the corrections
+    res = se._conjugate_sum(gap, r, c, 10.0**log_tol)
+    ref = conjugate_sum_oracle(r, gap, c)
+    with mp.workdps(40):
+        assert abs(mp.mpf(res.value) - ref) <= res.tail_bound, (res, ref)
+
+
+@pytest.mark.parametrize("r, c, gap", ((0.25, 2.0, 1e-3), (0.5, 4.0, 0.5), (1.0, 2.0, 3.0),
+                                       (7.5, 4.0, 0.01), (40.0, 2.0, 20.0), (130.0, 4.0, 1.0)))
+def test_closed_form_derivatives_match_numerical_ones(r, c, gap):
+    # f^(k)(A) = (-1)^k f(A) rho^{-k} Q_k(w/(2 rho)) for k <= 13, against mpmath's
+    # numerical derivatives at 50 digits
+    rows = se._derivative_rows(r, 13)
+    with mp.workdps(50):
+        rr, cc, a = mp.mpf(r), mp.mpf(c), mp.mpf(c) + mp.mpf(gap)
+
+        def f(x):
+            root = mp.sqrt(x * x - cc * cc)
+            return (x - root) ** (2 * rr) / root
+
+        rho = mp.sqrt(mp.mpf(gap) * (mp.mpf(gap) + 2 * cc))
+        w, numerical = a - rho, mp.diffs(f, a, 13)
+        for k, (row, ref) in enumerate(zip(rows, numerical)):
+            closed = (-1) ** k * f(a) / rho**k * mp.fsum(cj * (w / (2 * rho)) ** j for j, cj in enumerate(row))
+            assert abs(closed - ref) <= 1e-13 * abs(ref), (k, closed, ref)
 
 
 def test_g_tail_sum_rejects_small_exponent():
