@@ -38,9 +38,8 @@ IDENTITY_NAMES = ("denominators", "form-s1", "integral-id", "lemma33", "lemma34"
                   "poisson-series", "reflection", "series-007", "shift", "telescope",
                   "thm12", "thm13", "thm15", "zagier-sum")
 
-# largest `converge --m-list` entry: a forced M-term sum at x != 0 holds a few
-# M-float rows, and one entry at the cap peaks near 37 MB; at x = 0
-# (zagier-number) 29 zeta(s, M + 1) close the tail instead
+# largest `converge --m-list` entry: it bounds the naive partial sums, each of
+# which forms its M bracket values, phases and terms as M-float arrays
 CONVERGE_MAX_TERMS = 100_000
 
 
@@ -236,11 +235,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _converge_rows(series: str, n: int, x_text: str | None,
                    m_list: list[int]) -> list[dict]:
-    """Plain partial and accelerated Bessel sums against the exact value.
+    """Plain partial sums, one per M, and the engine's own sum against the exact value.
 
     For bessel-cos/-sin the exact column is the exact B_nu^*(x) minus the
     non-Bessel part of its formula, so the errors are those of the Bessel sum
     alone; for zagier-number every column carries the whole formula for B_{2n}^*.
+    The accelerated columns are the engine's default sum at tol
+    1e-12 max(1, |exact|), the same on every row; when it raises, they carry
+    the result it gave up on, whose bound then exceeds that tol.
     """
     from . import formulas, series_engine
 
@@ -259,33 +261,31 @@ def _converge_rows(series: str, n: int, x_text: str | None,
         raise ValueError(f"unknown series {series}")
     if nu < 1:
         raise ValueError("n must be nonnegative" if nu % 2 else "n must be positive")
-    # the sums first: past the double range they raise the engine's ValueError
-    # before the exact value meets its float conversion
-    sums = [series_engine.lattice_bessel_sum(nu, xf, m_terms=m).value for m in m_list]
+    # the naive sums first: past the double range they raise the engine's
+    # ValueError before the exact value meets its float conversion
+    if series == "zagier-number":
+        # the explicit brackets and the closed regularizer, no tail correction
+        naive = [series_engine.chunked_fsum(series_engine._bracket_values(nu, 1, m)) for m in m_list]
+        regularizer = series_engine._regularizer_sum(nu, 0.0, 1)
+    else:
+        naive = [series_engine.bessel_series_partial(nu, xf, m) for m in m_list]
+        regularizer = 0.0
     rest = formulas._formula_rest(nu, xf, 0.0, 1e-14)[0]
     if series == "zagier-number":
         exact = float(exact_core.modified_bernoulli(nu))
     else:  # the columns carry the Bessel sum alone
         exact, rest = float(exact_core.zagier_eval(nu, xq)) - rest, 0.0
-    rows = []
-    for m, bessel in zip(m_list, sums):
-        accel = rest + bessel
-        if series == "zagier-number":
-            # naive column: the explicit brackets and the closed regularizer, no tail correction
-            brackets = series_engine._bracket_values(nu, 1, m)
-            partial = (rest + series_engine.chunked_fsum(brackets)
-                       - series_engine._regularizer_sum(nu, 0.0, 1))
-        else:
-            partial = series_engine.bessel_series_partial(nu, xf, m)
-        rows.append({
-            "m_terms": m,
-            "partial_value": partial,
-            "partial_error": abs(partial - exact),
-            "accelerated_value": accel,
-            "accelerated_error": abs(accel - exact),
-            "exact": exact,
-        })
-    return rows
+    try:
+        bessel = series_engine.lattice_bessel_sum(nu, xf, 1e-12 * max(1.0, abs(exact)))
+    except series_engine.SeriesConvergenceError as err:
+        bessel = err.best
+    accel = rest + bessel.value
+    engine = {"accelerated_value": accel, "accelerated_error": abs(accel - exact),
+              "accelerated_terms": bessel.terms_used, "accelerated_bound": bessel.tail_bound,
+              "exact": exact}
+    partials = [rest + plain - regularizer for plain in naive]
+    return [{"m_terms": m, "partial_value": p, "partial_error": abs(p - exact), **engine}
+            for m, p in zip(m_list, partials)]
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -296,8 +296,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if max(m_list) > CONVERGE_MAX_TERMS:
         raise ValueError(f"--m-list entry {max(m_list)} exceeds the cap of {CONVERGE_MAX_TERMS} terms")
     rows = _converge_rows(args.series, args.n, args.x, m_list)
-    _emit_rows(rows, ["m_terms", "partial_value", "partial_error",
-                      "accelerated_value", "accelerated_error", "exact"],
+    _emit_rows(rows, ["m_terms", "partial_value", "partial_error", "accelerated_value",
+                      "accelerated_error", "accelerated_terms", "accelerated_bound", "exact"],
                args.format, sys.stdout)
     return EXIT_OK
 

@@ -35,7 +35,6 @@ otherwise build, so no value depends on what was cached before:
     coefficients b_k and |b_k|, the bracket values through the base
     explicit range M0 (at most 10,760 floats), the tail envelopes at M0 and
     lattice^{-s} with its rounding _ZETA_EPS lattice^{-s} (29 floats each);
-    envelopes at any other M are formed by the call that needs them;
   * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
     512 entries of at most 10,760 + 72 floats): bracket(q) minus its first
     K orders, the m-sums the rounding bound reads and the stairs of the top
@@ -47,7 +46,6 @@ otherwise build, so no value depends on what was cached before:
   * the periodic zeta values at every order, per (x, parity) (128
     entries): a sum over cos phases forms only C_s(x), one over sin phases
     only S_s(x), and a bracket sum and its regularizer share that row.
-Rows and sums at x = 0 are kept at M0 only: other M keep nothing.
 """
 
 from __future__ import annotations
@@ -486,7 +484,7 @@ def _plan(nu: int, lattice: int) -> _Plan:
     (-1)^{floor(nu/2)} d^Y of :func:`specfun.hankel_lattice` with b_0 = 0:
     the regularizer cancels the order-0 term -1/(2 sqrt(q)).  M0 =
     max(ceil(crossover/(4 pi lattice)) + 1, 8) is the explicit range of every
-    call that forces no m_terms.  Up to the crossover Y_0, Y_1
+    lattice sum.  Up to the crossover Y_0, Y_1
     (:func:`_lattice_y01`) are carried up to Y_nu; past it the bracket is its
     power series in 1/q, no trig of large arguments.
     ValueError when the first, largest bracket exceeds the double range.
@@ -560,25 +558,24 @@ class _Residual:
     abs_moment: float          # sum_m m |bracket(q)|
     power_sums: np.ndarray     # sum_m q^{-s}, s = k + 1/2 for k = 1..K
     power_moments: np.ndarray  # sum_m m q^{-s}
-    stairs: tuple[float, ...]  # sum_{m>j} |row_m| at j = 1, 2, 4, ... < M0, rounded up; M0 only
+    stairs: tuple[float, ...]  # sum_{m>j} |row_m| at j = 1, 2, 4, ... < M0, rounded up
 
 
 @functools.lru_cache(maxsize=512)  # at most 10,760 + 72 floats each (nu = 260, lattice 1)
-def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
-    """The :class:`_Residual` of (nu, lattice) over m <= m_terms, `orders` orders closed.
+def _residual(nu: int, lattice: int, orders: int) -> _Residual:
+    """The :class:`_Residual` of (nu, lattice) over the base range M0, `orders` orders closed.
 
     The closed orders subtract sum_k b_k P_s(M) = sum_m trig(2 pi m x) c(q), so
     a call sums row * trig once, not one partial sum P_s per order.  c comes
     by Horner's rule in 1/q, never as an orders x M array.  The bound's
     m-sums only scale a rounding allowance: numpy's pairwise sum forms them.
-    Only M0 is kept; a call at any other M builds its own through __wrapped__,
-    without the stairs of the top cut.  A stair sums at most M0 terms, each
-    of which passes at most M0 additions, and the value's products row * trig
-    round once more: the factor 1 + M0 _EPS covers both.
+    A stair of the top cut sums at most M0 terms, each of which passes at
+    most M0 additions, and the value's products row * trig round once more:
+    the factor 1 + M0 _EPS covers both.
     """
     plan = _plan(nu, lattice)
-    brackets = _bracket_values(nu, lattice, m_terms)
-    ms = np.arange(1.0, m_terms + 1.0)
+    brackets, base = plan.brackets, plan.brackets.size
+    ms = np.arange(1.0, base + 1.0)
     q = lattice * ms
     size = np.abs(brackets)
     abs_sum = float(size.sum())
@@ -589,10 +586,8 @@ def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
         sums.append(float(power.sum()))
         moments.append(float(np.multiply(ms, power, out=size).sum()))
         np.divide(power, q, out=power)
-    stairs = ()
-    if m_terms == plan.brackets.size:
-        steps = np.add.reduceat(np.abs(row, out=size), 1 << np.arange((m_terms - 1).bit_length()))
-        stairs = tuple((np.cumsum(steps[::-1])[::-1] * (1.0 + m_terms * _EPS)).tolist())
+    steps = np.add.reduceat(np.abs(row, out=size), 1 << np.arange((base - 1).bit_length()))
+    stairs = tuple((np.cumsum(steps[::-1])[::-1] * (1.0 + base * _EPS)).tolist())
     residual = _Residual(row, abs_sum, abs_moment, np.array(sums), np.array(moments), stairs)
     for array in (residual.row, residual.power_sums, residual.power_moments):
         array.flags.writeable = False
@@ -600,17 +595,15 @@ def _residual(nu: int, lattice: int, orders: int, m_terms: int) -> _Residual:
 
 
 @functools.lru_cache(maxsize=512)  # three floats each
-def _zero_sum(nu: int, lattice: int, m_terms: int) -> tuple[float, float, float]:
-    """(value, truncation, bound) at x = 0 over m <= m_terms: orders 1..K closed
-    as b_k lattice^{-s} zeta(s, M + 1), K the order of the smallest envelope,
-    and the bound that envelope plus the rounding.  None depends on tol;
-    only M0 is kept."""
+def _zero_sum(nu: int, lattice: int) -> tuple[float, float, float]:
+    """(value, truncation, bound) at x = 0 over the base range M0: orders 1..K
+    closed as b_k lattice^{-s} zeta(s, M0 + 1), K the order of the smallest
+    envelope, and the bound that envelope plus the rounding.  None depends on tol."""
     plan = _plan(nu, lattice)
-    envelopes = plan.envelopes if m_terms == plan.brackets.size else _envelopes(plan.b, lattice, m_terms)
-    orders = int(np.argmin(envelopes)) + 1
-    truncation = float(envelopes[orders - 1])
-    brackets = _bracket_values(nu, lattice, m_terms)
-    tails = [hurwitz_zeta(s, m_terms + 1.0) for s in _S[:orders].tolist()]
+    brackets = plan.brackets
+    orders = int(np.argmin(plan.envelopes)) + 1
+    truncation = float(plan.envelopes[orders - 1])
+    tails = [hurwitz_zeta(s, brackets.size + 1.0) for s in _S[:orders].tolist()]
     closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
     rounding = ((2e-15 + _EPS) * float(np.abs(brackets).sum())
@@ -627,11 +620,9 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_lattice_args(nu, lattice, m_terms) -> None:
+def _check_lattice_args(nu, lattice) -> None:
     _check_count("nu", nu)
     _check_count("lattice", lattice)
-    if m_terms is not None:
-        _check_count("m_terms", m_terms)
 
 
 def regularized_bracket_sum(
@@ -640,19 +631,19 @@ def regularized_bracket_sum(
     tol: float = DEFAULT_TOL,
     *,
     lattice: int = 1,
-    m_terms: int | None = None,
 ) -> SeriesResult:
     """sum_{m>=1} bracket(lattice*m) * trig(2 pi m x), 0 <= x < 1.
 
     trig is cos for even nu, sin for odd nu; x = 0 is allowed.  The
     explicit range [1, M] uses true bracket values and ends just past the
-    Hankel crossover.  Beyond M the orders k = 1..K of bracket(q) ~
-    sum_k b_k q^{-(k+1/2)} are summed in closed form, b_k (lattice^{-s}
-    T_s(x) - P_s(M)) with s = k + 1/2, T_s the periodic zeta value and P_s
-    its partial sum over m <= M.  K is the first order whose dropped
-    successor is below tol, or the smallest dropped order when none is.
-    The P_s are never formed: the explicit terms and sum_k b_k P_s(M) are
-    one sum of trig times the residual row of :func:`_residual`.
+    Hankel crossover, at the plan's base range M0.  Beyond M the orders
+    k = 1..K of bracket(q) ~ sum_k b_k q^{-(k+1/2)} are summed in closed
+    form, b_k (lattice^{-s} T_s(x) - P_s(M)) with s = k + 1/2, T_s the
+    periodic zeta value and P_s its partial sum over m <= M.  K is the
+    first order whose dropped successor is below tol, or the smallest
+    dropped order when none is.  The P_s are never formed: the explicit
+    terms and sum_k b_k P_s(M) are one sum of trig times the residual row
+    of :func:`_residual`.
 
     A closed difference cancels O(1) values down to its tail, so it carries
     an absolute rounding error of a few units times |b_k|, and |b_k| reaches
@@ -670,12 +661,10 @@ def regularized_bracket_sum(
     The reported bound is the dropped order plus the rounding of the
     explicit terms, of the closed tails and of the window (with its
     remainder); SeriesConvergenceError is raised unless it is at most tol.
-    A forced m_terms truncates at the smallest dropped order instead, closes
-    every order and never raises.  ValueError is raised for nu, lattice or
-    m_terms not a positive integer, and when a bracket exceeds the double
-    range (from nu = 261 on the 4 pi m lattice).
+    ValueError is raised for nu or lattice not a positive integer, and when
+    a bracket exceeds the double range (from nu = 261 on the 4 pi m lattice).
 
-    At x != 0, with no window, no forced m_terms and that bound within tol,
+    At x != 0, with no window and that bound within tol,
     the top of the explicit range is cut: the residual row falls like
     m^{-nu} up to 4 pi m ~ nu, so the smallest j = 1, 2, 4, ... < M whose
     x-free suffix sum_{m>j} |row_m| (the stairs of :func:`_residual`) fits
@@ -686,28 +675,23 @@ def regularized_bracket_sum(
     Only the phases depend on x; the rest comes from the caches the module
     docstring lists.
     """
-    _check_lattice_args(nu, lattice, m_terms)
+    _check_lattice_args(nu, lattice)
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
         return SeriesResult(0.0, 0, 0.0)
     plan = _plan(nu, lattice)
-    b, base = plan.b, plan.brackets.size
-
-    M = base if m_terms is None else int(m_terms)
-    kept = M == base  # the x-free parts at any other M are built for this call alone
+    b, M, envelopes = plan.b, plan.brackets.size, plan.envelopes
     if x == 0.0:
         # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1),
         # a sum of positive terms: nothing cancels, so no window is needed, and
         # the finished value and bound depend on neither x nor tol
-        value, truncation, bound = (_zero_sum if kept else _zero_sum.__wrapped__)(nu, lattice, M)
+        value, truncation, bound = _zero_sum(nu, lattice)
         W = M
     else:
-        envelopes = plan.envelopes if kept else _envelopes(b, lattice, M)
-        scan = enumerate(envelopes.tolist(), 1) if m_terms is None else ()
-        K = next((k for k, envelope in scan if envelope <= tol), 0) or int(np.argmin(envelopes)) + 1
+        K = (next((k for k, envelope in enumerate(envelopes.tolist(), 1) if envelope <= tol), 0)
+             or int(np.argmin(envelopes)) + 1)
         truncation = float(envelopes[K - 1])
-        residual = _residual if kept else _residual.__wrapped__
-        res = residual(nu, lattice, K, M)
+        res = _residual(nu, lattice, K)
         s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]
         xi = 2.0 * pi * x
         # trig(2 pi m x) is rounded by _EPS (1 + 2 pi x m), so its m-sums are x-free
@@ -723,13 +707,13 @@ def regularized_bracket_sum(
             k = 0 if better.all() else K - int(np.argmin(better[::-1]))
             return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
 
-        if m_terms is None and bound > tol and windowed(DEFAULT_MAX_TERMS)[1] <= tol:
+        if bound > tol and windowed(DEFAULT_MAX_TERMS)[1] <= tol:
             W = min(2 * M, DEFAULT_MAX_TERMS)
             while (found := windowed(W))[1] > tol:
                 W = min(2 * W, DEFAULT_MAX_TERMS)
             split, bound = found
-            res = residual(nu, lattice, split, M)
-        elif m_terms is None and res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
+            res = _residual(nu, lattice, split)
+        elif res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
             # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the slack
             # (the stairs fall, so the last one decides whether any fits)
             i = next(i for i, stair in enumerate(res.stairs)
@@ -745,7 +729,7 @@ def regularized_bracket_sum(
             mw = np.arange(M + 1, W + 1, dtype=float)
             value += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lattice * mw))
     result = SeriesResult(value, W, bound)
-    if m_terms is None and not bound <= tol:
+    if not bound <= tol:
         rounding = bound - truncation
         cause = (f"rounding bound {rounding:.2e}" if rounding > tol
                  else f"bound {bound:.2e} (truncation term {truncation:.2e})")
@@ -768,7 +752,6 @@ def lattice_bessel_sum(
     tol: float = DEFAULT_TOL,
     *,
     lattice: int = 1,
-    m_terms: int | None = None,
 ) -> SeriesResult:
     """sum_m (-1)^{floor(nu/2)} pi Y_nu(4 pi lattice m) trig(2 pi m x), 0 <= x < 1.
 
@@ -776,17 +759,26 @@ def lattice_bessel_sum(
     zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that value's
     _ZETA_EPS.  For odd nu at x = 0 and 1/2 the sum is exactly 0.  Points
     0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
-    ValueError for nu, lattice or m_terms out of their domains, as in
+    ValueError for nu or lattice out of their domains, as in
     :func:`regularized_bracket_sum`; each call checks them once, here before
-    an exact zero and in the bracket sum otherwise.
+    an exact zero and in the bracket sum otherwise.  When the bracket sum
+    raises, SeriesConvergenceError carries its message and, as best, the
+    lattice sum formed from the bracket sum it gave up on.
     """
     if x in (0.0, 0.5) and isinstance(nu, (int, np.integer)) and nu % 2:
-        _check_lattice_args(nu, lattice, m_terms)
+        _check_lattice_args(nu, lattice)
         return SeriesResult(0.0, 0, 0.0)
-    reg = regularized_bracket_sum(nu, x, tol, lattice=lattice, m_terms=m_terms)
     outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
-    return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
-                        reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, outside_window=outside)
+
+    def unregularized(reg: SeriesResult) -> SeriesResult:
+        return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
+                            reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, outside_window=outside)
+
+    try:
+        reg = regularized_bracket_sum(nu, x, tol, lattice=lattice)
+    except SeriesConvergenceError as err:
+        raise SeriesConvergenceError(str(err), unregularized(err.best)) from err
+    return unregularized(reg)
 
 
 def bessel_cos_series(n: int, x: float, tol: float = DEFAULT_TOL) -> SeriesResult:

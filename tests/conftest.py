@@ -347,6 +347,12 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     forms its stairs sum_{m>j} |row_m|, j = 1, 2, 4, ... < M, afresh; with
     top_cut=False the sum keeps the whole base range.  Returns
     (value, tail_bound, terms_used, raised).
+
+    A given m_terms, a test reference the library no longer offers, sums
+    the explicit range [1, m_terms] and closes every order up to the
+    smallest dropped one, with no window, no top cut and no raise.  It must
+    be at least the base range M0, past the crossover, where the closed
+    tails' bound holds; a shorter one raises ValueError.
     """
     from zagier_kit.series_engine import _EPS, _ORDERS, _ZETA_EPS, DEFAULT_MAX_TERMS as cap
     from zagier_kit.specfun import (ASYM_Z_MIN, _hankel_sum, _orders_sum, asymptotic_crossover,
@@ -362,16 +368,17 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     def trig_at(ms):
         return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
 
+    M = base = max(int(math.ceil(asymptotic_crossover(nu) / (4.0 * pi * lam))) + 1, 8)
     if m_terms is not None:
+        if m_terms < base:
+            raise ValueError(f"m_terms {m_terms} lies below the base range {base}")
         M = m_terms
-    else:
-        M = max(int(math.ceil(asymptotic_crossover(nu) / (4.0 * pi * lam))) + 1, 8)
     ks = np.arange(1, _ORDERS, dtype=float)
     envelopes = np.abs(b[2:]) * (lam * M) ** -(ks + 1.5) * M / (ks + 0.5)
     below = np.flatnonzero(envelopes <= tol)
     if m_terms is None and below.size and x != 0.0:
         K = int(below[0]) + 1
-    else:  # a forced m_terms, and x = 0, close every order to the smallest envelope
+    else:  # a given m_terms, and x = 0, close every order to the smallest envelope
         K = int(np.argmin(envelopes)) + 1
     truncation = float(envelopes[K - 1])
     ms = np.arange(1, M + 1, dtype=float)

@@ -166,5 +166,8 @@ def test_criterion_11_acceleration_claim(capsys):
         assert float(by_m[100]["accelerated_error"]) < 1e-8
         assert float(by_m[500]["accelerated_error"]) < 1e-8
         assert float(by_m[500]["partial_error"]) > 1e-2
+        # the claim reads the engine's own term count
+        assert int(by_m[500]["accelerated_terms"]) <= 500
+        d["accel_terms"] = by_m[500]["accelerated_terms"]
         d["accel_err_at_100"] = f"{float(by_m[100]['accelerated_error']):.1e}"
         d["naive_err_at_500"] = f"{float(by_m[500]['partial_error']):.1e}"

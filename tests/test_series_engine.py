@@ -22,7 +22,7 @@ from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
 from conftest import (CACHES, conjugate_sum_oracle, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle,
-                      hurwitz_zeta_oracle, polylog_trig_oracle, traced_peak, uncached_bracket_sum,
+                      hurwitz_zeta_oracle, polylog_trig_oracle, uncached_bracket_sum,
                       uncached_periodic_zeta)
 
 
@@ -295,10 +295,11 @@ def test_bracket_decay_bound():
 
 
 def test_cos_series_doubling_stability():
+    # the default sum against the reference over twice the base range
     tol = 1e-9
     res = se.bessel_cos_series(2, 0.3, tol=tol)
-    forced = se.regularized_bracket_sum(4, 0.3, m_terms=2 * res.terms_used)
-    doubled = forced.value - 0.5 * se.periodic_zeta(0.3, 0)[0][0]
+    wide = uncached_bracket_sum(4, 0.3, m_terms=2 * se._plan(4, 1).brackets.size)[0]
+    doubled = wide - 0.5 * se.periodic_zeta(0.3, 0)[0][0]
     assert abs(res.value - doubled) < 2 * tol
 
 
@@ -340,16 +341,17 @@ def test_sin_series_vs_cesaro_oracle():
 
 
 def test_acceleration_consistency_across_budgets():
-    # default budget vs a 4x explicit budget: values overlap within the
-    # combined reported tail bounds (plus rounding slack)
+    # the default sum vs the reference over 4x the base range: values overlap
+    # within the combined reported tail bounds (plus rounding slack)
     rng = np.random.default_rng(20140401)
     for _ in range(20):
         n = int(rng.integers(1, 6))
         x = float(rng.uniform(0.05, 0.95))
         base = se.regularized_bracket_sum(2 * n, x, tol=1e-8)
-        wide = se.regularized_bracket_sum(2 * n, x, m_terms=4 * base.terms_used)
-        allowed = base.tail_bound + wide.tail_bound + 1e-12
-        assert abs(base.value - wide.value) <= allowed, (n, x)
+        wide, wide_bound, _, _ = uncached_bracket_sum(2 * n, x,
+                                                      m_terms=4 * se._plan(2 * n, 1).brackets.size)
+        allowed = base.tail_bound + wide_bound + 1e-12
+        assert abs(base.value - wide) <= allowed, (n, x)
 
 
 def _default_or_best(nu, x, lattice):
@@ -361,14 +363,14 @@ def _default_or_best(nu, x, lattice):
 
 @pytest.mark.parametrize("lattice", (1, 2))
 def test_bracket_sum_bounds_are_honest(lattice):
-    # the default evaluation (or the result it gave up on) and one over a
-    # 4x explicit range differ by no more than their two reported bounds
+    # the default evaluation (or the result it gave up on) and the reference
+    # over 4x the base range differ by no more than their two reported bounds
     for nu in range(1, 41):
+        wide_range = 4 * se._plan(nu, lattice).brackets.size
         for x in (0.0, 0.01, 1.0 / 3.0, 0.5, 0.99):
             base = _default_or_best(nu, x, lattice)
-            wide = se.regularized_bracket_sum(nu, x, lattice=lattice,
-                                              m_terms=4 * max(base.terms_used, 1))
-            assert abs(base.value - wide.value) <= base.tail_bound + wide.tail_bound, (nu, x)
+            wide, wide_bound, _, _ = uncached_bracket_sum(nu, x, lattice=lattice, m_terms=wide_range)
+            assert abs(base.value - wide) <= base.tail_bound + wide_bound, (nu, x)
 
 
 def test_closed_tails_keep_the_explicit_range_at_the_crossover():
@@ -387,7 +389,7 @@ def test_closed_tails_keep_the_explicit_range_at_the_crossover():
         full_value, full_bound, full_terms, _ = uncached_bracket_sum(40, 0.3, tol=tol, top_cut=False)
         assert full_terms == base and full_bound <= tol
         orders = next(k for k, envelope in enumerate(plan.envelopes.tolist(), 1) if envelope <= tol)
-        stairs = se._residual(40, 1, orders, base).stairs
+        stairs = se._residual(40, 1, orders).stairs
         fits = [i for i, stair in enumerate(stairs) if stair <= 1e-4 * tol and full_bound + stair <= tol]
         assert res.terms_used == (1 << fits[0] if fits else base) <= base
         assert res.tail_bound <= tol
@@ -409,6 +411,22 @@ def test_series_convergence_error():
     # a bound that breaks tol with a rounding below it names the truncation term
     with pytest.raises(se.SeriesConvergenceError, match=r"bound \S+ \(truncation term \S+\) exceeds"):
         se.regularized_bracket_sum(28, 0.3, tol=1e-8)
+
+
+def test_lattice_sum_raises_with_the_lattice_result():
+    # the bracket sum at nu = 18, x = 1/4 misses tol 1e-12; the error's best
+    # is the lattice sum it gave up on, the regularizer subtracted, not the
+    # bracket sum, which lies 0.21 away
+    loose = se.lattice_bessel_sum(18, 0.25, 1e-9)
+    with pytest.raises(se.SeriesConvergenceError, match=r"^regularized_bracket_sum: ") as err:
+        se.lattice_bessel_sum(18, 0.25, 1e-12)
+    best = err.value.best
+    assert best.tail_bound > 1e-12
+    assert abs(best.value - loose.value) <= best.tail_bound + loose.tail_bound
+    # the same through the public evaluator
+    with pytest.raises(se.SeriesConvergenceError) as err:
+        se.bessel_cos_series(9, 0.25, 1e-12)
+    assert err.value.best == best
 
 
 def test_outside_window_flag():
@@ -580,11 +598,10 @@ def _relative_tol(nu, lattice):
 
 
 def _grid_cases(nus):
-    """(nu, x, tol, lattice, m_terms) over the pinned grid, nu in the given order.
+    """(nu, x, tol, lattice) over the pinned grid, nu in the given order.
 
-    Forced m_terms ignore tol; 3000 terms, the slow forced case, takes one
-    point per (nu, lattice).  At nu in _CUT_NUS a relative tol joins the grid,
-    so sums trimmed by the top cut are pinned too."""
+    At nu in _CUT_NUS a relative tol joins the grid, so sums trimmed by the
+    top cut are pinned too."""
     rng = random.Random(20260418)
     xs = (0.0, 0.25, 0.5, 1.0 / 3.0, rng.random(), rng.random())
     for nu in nus:
@@ -592,14 +609,12 @@ def _grid_cases(nus):
             tols = _GRID_TOLS + ((_relative_tol(nu, lattice),) if nu in _CUT_NUS else ())
             for x in xs:
                 for tol in tols:
-                    yield nu, x, tol, lattice, None
-                yield nu, x, 1e-9, lattice, 50
-            yield nu, xs[3], 1e-9, lattice, 3000
+                    yield nu, x, tol, lattice
 
 
-def _library_sum(nu, x, tol, lattice, m_terms):
+def _library_sum(nu, x, tol, lattice):
     try:
-        res = se.regularized_bracket_sum(nu, x, tol=tol, lattice=lattice, m_terms=m_terms)
+        res = se.regularized_bracket_sum(nu, x, tol=tol, lattice=lattice)
         raised = False
     except se.SeriesConvergenceError as err:
         res, raised = err.best, True
@@ -608,7 +623,7 @@ def _library_sum(nu, x, tol, lattice, m_terms):
 
 @pytest.fixture(scope="module")
 def uncached_grid():
-    return {case: uncached_bracket_sum(*case[:2], tol=case[2], lattice=case[3], m_terms=case[4])
+    return {case: uncached_bracket_sum(*case[:2], tol=case[2], lattice=case[3])
             for case in _grid_cases(_GRID_NUS)}
 
 
@@ -633,9 +648,9 @@ def test_cached_bracket_sum_is_bit_identical_to_the_uncached_sum(order, uncached
 
 def test_grid_pins_trimmed_sums(uncached_grid):
     # the relative tols reach the top cut on both lattices
-    trimmed = {(nu, lattice) for (nu, x, tol, lattice, m_terms), (_, _, terms, raised)
+    trimmed = {(nu, lattice) for (nu, x, tol, lattice), (_, _, terms, raised)
                in uncached_grid.items()
-               if m_terms is None and not raised and terms < se._plan(nu, lattice).brackets.size}
+               if not raised and terms < se._plan(nu, lattice).brackets.size}
     assert {(nu, lattice) for nu in (60, 120, 260) for lattice in (1, 2)} <= trimmed
 
 
@@ -656,19 +671,19 @@ def test_trimmed_sum_lies_within_its_added_bound_of_the_base_range_sum(nu, latti
 
 def test_lattice_sum_is_bit_identical_to_the_uncached_sums(uncached_grid):
     # the regularizer's C_{1/2}, S_{1/2} come from the row the bracket sum formed
-    for (nu, x, tol, lattice, m_terms), (value, bound, terms, raised) in uncached_grid.items():
+    for (nu, x, tol, lattice), (value, bound, terms, raised) in uncached_grid.items():
         if raised or nu > 24 or (nu % 2 and x in (0.0, 0.5)):
             continue
         half = uncached_periodic_zeta(x, 0)[nu % 2][0]
-        got = se.lattice_bessel_sum(nu, x, tol=tol, lattice=lattice, m_terms=m_terms)
-        assert got.value == value - 0.5 * lattice**-0.5 * float(half), (nu, x, tol, lattice, m_terms)
+        got = se.lattice_bessel_sum(nu, x, tol=tol, lattice=lattice)
+        assert got.value == value - 0.5 * lattice**-0.5 * float(half), (nu, x, tol, lattice)
         assert got.terms_used == terms
 
 
 def test_zeta_tails_within_two_ulp(fresh_caches):
     # the closed tails zeta(s, M + 1), s = 3/2..59/2, at the base range M0 of
     # every even-nu plan (nu <= 260, lattices 1 and 2), at both sides of the
-    # Euler-Maclaurin start 48 and at the cap of a forced m_terms
+    # Euler-Maclaurin start 48 and at 100,000, far past every base range
     bases = {max(math.ceil(sf.asymptotic_crossover(nu) / (4 * pi * lattice)) + 1, 8)
              for nu in range(2, 261, 2) for lattice in (1, 2)}
     ms = sorted(bases | {1, 46, 47, 48, 100_000})
@@ -732,9 +747,9 @@ def test_cached_bracket_sum_under_threads(uncached_grid, monkeypatch):
 
 
 def test_kept_tables_stay_small(fresh_caches):
-    # the residual rows are kept at the base range M0 only, one per (nu,
-    # lattice, K), each as long as the plan's brackets and with no copy of
-    # the lattice points; a sum at x = 0 keeps two floats
+    # the residual rows span the base range M0, one per (nu, lattice, K),
+    # each as long as the plan's brackets and with no copy of the lattice
+    # points; a sum at x = 0 keeps three floats
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -754,14 +769,6 @@ def test_kept_tables_stay_small(fresh_caches):
     assert se._zero_sum.cache_info().currsize == 60 * 2
     # the plans' brackets, a row per kept residual, and the constants
     assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
-    # a forced m_terms, past the base range or below it, keeps nothing
-    se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=100_000)
-    se.lattice_bessel_sum(4, 0.0, m_terms=100_000)
-    assert se._plan(8, 1).near == 10 and se._plan(8, 1).brackets.size == 12
-    se.regularized_bracket_sum(8, 1.0 / 3.0, m_terms=11)
-    se.regularized_bracket_sum(8, 0.0, m_terms=11)
-    assert se._residual.cache_info().currsize == kept
-    assert se._zero_sum.cache_info().currsize == 60 * 2
     # the plan holds the base range M0 only, and every cache is bounded
     for nu, lattice in ((4, 1), (4, 2), (121, 1), (121, 2)):
         base = max(math.ceil(sf.asymptotic_crossover(nu) / (4 * pi * lattice)) + 1, 8)
@@ -771,39 +778,27 @@ def test_kept_tables_stay_small(fresh_caches):
             is not None, name
 
 
-def test_forced_sum_holds_a_few_rows(fresh_caches):
-    # a forced 100,000-term sum builds its row and m-sums for itself, one order
-    # at a time: its peak stays at a few 100,000-float arrays, never one per order
-    m_terms, row_bytes = 100_000, 8 * 100_000
-    se.lattice_bessel_sum(4, 1.0 / 3.0, m_terms=m_terms)
-    for x in (1.0 / 3.0, 0.0):
-        value, peak = traced_peak(lambda: se.lattice_bessel_sum(4, x, m_terms=m_terms))
-        assert peak < 8 * row_bytes, (x, peak)
-        half = float(uncached_periodic_zeta(x, 0)[0][0])
-        assert value.value == uncached_bracket_sum(4, x, m_terms=m_terms)[0] - 0.5 * half
-
-
 def test_cached_sum_at_zero_is_the_same_for_any_tol(monkeypatch):
     # at x = 0 every order is closed to the smallest envelope whatever tol,
     # so the cached (value, bound) is shared by every tol and is what a
     # fresh cache gives
     for nu, lattice in ((4, 1), (16, 2), (40, 1), (120, 1)):
-        seen = {_library_sum(nu, 0.0, tol, lattice, None)[:3] for tol in (1e-3, 1e-9, 1e-14, 1e-30)}
+        seen = {_library_sum(nu, 0.0, tol, lattice)[:3] for tol in (1e-3, 1e-9, 1e-14, 1e-30)}
         assert len(seen) == 1, (nu, lattice, seen)
         empty_caches(monkeypatch)
-        assert _library_sum(nu, 0.0, 1e-9, lattice, None)[:3] in seen
+        assert _library_sum(nu, 0.0, 1e-9, lattice)[:3] in seen
         assert se._zero_sum.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("fn", (se.regularized_bracket_sum, se.lattice_bessel_sum))
 @pytest.mark.parametrize("kwargs", (
     {"lattice": 0}, {"lattice": -1}, {"lattice": 1.25}, {"lattice": 2.0},
-    {"nu": 0}, {"nu": -2}, {"nu": 4.0}, {"m_terms": 0}, {"m_terms": -5}, {"m_terms": 2.5},
-    {"m_terms": True},
+    {"nu": 0}, {"nu": -2}, {"nu": 4.0}, {"nu": True}, {"nu": np.int64(-3)}, {"lattice": True},
+    {"lattice": np.int64(0)},
 ))
 def test_lattice_sums_reject_bad_arguments(fn, kwargs):
     args = {"nu": 4, "x": 0.3, **kwargs}
-    with pytest.raises(ValueError, match="nu|lattice|m_terms"):
+    with pytest.raises(ValueError, match="nu|lattice"):
         fn(**args)
 
 
@@ -816,7 +811,7 @@ def test_partial_sum_rejects_bad_m_terms(m_terms):
 def test_lattice_bessel_sum_checks_arguments_before_exact_zeros():
     # odd nu at x = 0 and 1/2 returns 0 without summing; the arguments are checked first
     assert se.lattice_bessel_sum(3, 0.5).value == 0.0
-    for kwargs in ({"lattice": 0}, {"m_terms": 0}):
+    for kwargs in ({"lattice": 0}, {"lattice": True}):
         with pytest.raises(ValueError):
             se.lattice_bessel_sum(3, 0.5, **kwargs)
 
