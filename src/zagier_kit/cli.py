@@ -270,7 +270,7 @@ def _converge_rows(series: str, n: int, x_text: str | None,
     else:
         naive = [series_engine.bessel_series_partial(nu, xf, m) for m in m_list]
         regularizer = 0.0
-    rest = formulas._formula_rest(nu, xf, 0.0, 1e-14)[0]
+    rest = formulas.non_lattice_part(nu, xf, 1e-11)  # its algebraic sums to 1e-14
     if series == "zagier-number":
         exact = float(exact_core.modified_bernoulli(nu))
     else:  # the columns carry the Bessel sum alone

@@ -615,9 +615,11 @@ def _trig(even_nu: bool, x: float, ms: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * pi * x * ms) if even_nu else np.sin(2.0 * pi * x * ms)
 
 
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    # a plain int skips the isinstance checks, which cost more than the rest of the test
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_lattice_args(nu, lattice) -> None:

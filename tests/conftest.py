@@ -18,10 +18,21 @@ import importlib
 import math
 import tracemalloc
 from math import comb, factorial, fsum, pi, sin, sqrt
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+
+
+def pytest_collection_modifyitems(config, items):
+    """Every warning fails a test of this directory, so that a numpy overflow or
+    invalid-value RuntimeWarning on the numeric path cannot pass unseen.  The
+    mark goes first, so a test's own filterwarnings marks still override it."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 @pytest.fixture(scope="session")
@@ -458,6 +469,7 @@ CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_zero_sum"), ("series_engine", "_periodic_zeta_rows"),
           ("series_engine", "_em_rows"),
           ("formulas", "_number_exact"), ("formulas", "_type_exact"),
+          ("formulas", "_number_terms"), ("formulas", "_type_terms"),
           ("formulas", "_weighted_profile"))
 
 

@@ -355,13 +355,113 @@ def test_bernoulli_fourier():
                + bernoulli_fourier_eval(5, 0.7, 500)) < 1e-12
 
 
-def test_formula_domain_errors():
-    with pytest.raises(ValueError):
-        fm.zagier_even_formula(0, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        fm.zagier_even_formula(1, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        fm.odd_asymptotic(1, 0.0)
+@pytest.mark.parametrize("fn,args,kwargs,match", [
+    pytest.param(fm.zagier_even_formula, (0, Fraction(1, 2)), {}, "^n must be an integer >= 1, got 0", id="even-n0"),
+    pytest.param(fm.zagier_even_formula, (1, Fraction(3, 2)), {}, "^x must lie", id="even-x"),
+    pytest.param(fm.odd_asymptotic, (1, 0.0), {}, "^x must lie", id="odd-asymptotic-x"),
+    pytest.param(fm.zagier_odd_formula, (-1, 0.3), {}, "^n must be an integer >= 0, got -1", id="odd-n-1"),
+    pytest.param(fm.zagier_even_formula, (1.5, 0.3), {}, "^n must be an integer", id="even-n-float"),
+    pytest.param(fm.zagier_odd_formula, (2.0, 0.3), {}, "^n must be an integer", id="odd-n-float"),
+    pytest.param(fm.zagier_number_formula, (True,), {}, "^n must be an integer", id="number-n-bool"),
+    pytest.param(fm.zagier_type_sum, (np.bool_(True),), {}, "^n must be an integer", id="type-n-npbool"),
+    pytest.param(fm.even_asymptotic, (2.5, 0.3), {}, "^n must be an integer", id="even-asymptotic-n"),
+    pytest.param(fm.zagier_even_formula, (1, 0.3), {"tol": math.nan}, "^tol must be positive",
+                 id="even-tol-nan"),
+    pytest.param(fm.zagier_odd_formula, (1, 0.3), {"tol": 0.0}, "^tol must be positive", id="odd-tol-0"),
+    pytest.param(fm.zagier_number_formula, (2,), {"tol": -1.0}, "^tol must be positive",
+                 id="number-tol-neg"),
+    pytest.param(fm.zagier_type_sum, (2,), {"tol": math.nan}, "^tol must be positive", id="type-tol-nan"),
+])
+def test_formula_domain_errors(fn, args, kwargs, match):
+    # a bad argument is a ValueError that names it, not a series failure
+    with pytest.raises(ValueError, match=match):
+        fn(*args, **kwargs)
+
+
+def test_numpy_integer_index_is_accepted():
+    for fn, args in ((fm.zagier_even_formula, (Fraction(1, 3),)), (fm.zagier_odd_formula, (Fraction(2, 7),)),
+                     (fm.zagier_number_formula, ()), (fm.zagier_type_sum, ())):
+        assert fn(np.int64(3), *args) == fn(3, *args), fn.__name__
+
+
+def _rebuilt_rhs(name: str, rep, x: Fraction | None) -> tuple[float, float, float]:
+    """The right-hand side as the formula's docstring writes it, from the report's
+    series values, the Chebyshev values and the constant; the bound README
+    states for it, sum |coef| bound over the series and the Chebyshev values
+    (10 (k+1) eps/(1 - t^2) at U_k(t)) plus 2 eps sum |coef part|; and that
+    sum |coef part|."""
+    from zagier_kit.specfun import chebyshev_U_value as u
+
+    meta, nu = rep.series_meta, rep.n
+    n, k = nu // 2, nu - 1
+    if name in ("even", "odd"):
+        xf, sign = float(x), (1.0 if name == "even" else -1.0)
+        c, cheb = 2.0 ** -(nu + 1), (0.25, ((xf + 1) / 2, xf / 2, (xf - 1) / 2, (xf - 2) / 2))
+        terms, coefs = [meta[0].value, c * meta[1].value, sign * c * meta[2].value], [1.0, c, c]
+    elif name == "number":
+        # ((sqrt(m+4) - sqrt(m))/2)^{4n} is 2^{-2n} w^{2n}, w = m + 2 - sqrt(m(m+4))
+        c, cheb = 2.0 ** (-2 * n), (0.0, ())
+        terms, coefs = [-n, meta[0].value, c * meta[1].value], [1.0, c]
+    else:
+        c, cheb = 2.0 ** (1 - 4 * n), (-0.5, (0.25, 0.75))
+        terms, coefs = [2.0 * meta[0].value, -n, c * meta[1].value], [2.0, c]
+    terms += [cheb[0] * u(k, t) for t in cheb[1]]
+    size = sum(map(abs, terms))
+    bound = (sum(w * s.tail_bound for w, s in zip(coefs, meta))
+             + sum(abs(cheb[0]) * 10 * (k + 1) * se._EPS / (1 - t * t) for t in cheb[1])
+             + 2 * se._EPS * size)
+    return math.fsum(terms), bound, size
+
+
+# each formula's own series, as the public series functions give them at
+# the formula's shares of tol: the lattice sum first, the algebraic sums after
+_OWN_SERIES = {
+    "even": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se.g_tail_sum(nu / 2, x, 1e-3 * tol),
+                                se.g_tail_sum(nu / 2, 1.0 - x, 1e-3 * tol)],
+    "odd": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se.g_tail_sum(nu / 2, x, 1e-3 * tol),
+                               se.g_tail_sum(nu / 2, 1.0 - x, 1e-3 * tol)],
+    "number": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, tol),
+                                  se.conjugate_power_sum(3.0, nu / 2, 4.0, 1e-3 * tol)],
+    "type": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, 0.5 * tol, lattice=2),
+                                se.conjugate_power_sum(5.0, nu / 2, 16.0, 1e-3 * tol)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CACHED_FORMULAS))
+@pytest.mark.parametrize("n", (1, 2, 5, 8, 13))
+def test_formula_tables_match_their_docstrings(name, n):
+    # formula_value is the docstring's right-hand side of the report's own
+    # series (within a few units of its terms' magnitude), those series are
+    # the public sums at the formula's tol shares, and tail_bound is README's
+    # bound rule (within a few units), so at least each series' bound times
+    # its coefficient
+    fn, point, _ = _CACHED_FORMULAS[name]
+    checked = 0
+    for x in ((Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(4, 7)) if point else (None,)):
+        for tol in (1e-6, 1e-9):
+            try:
+                rep = fn(n, *((x,) if point else ()), tol=tol)
+            except se.SeriesConvergenceError:
+                continue
+            checked += 1
+            value, bound, size = _rebuilt_rhs(name, rep, x)
+            assert abs(rep.formula_value - value) <= 4 * math.ulp(size), (name, n, x, tol)
+            own = _OWN_SERIES[name](rep.n, float(x) if point else 0.0, tol)
+            assert [(s.value, s.terms_used, s.tail_bound) for s in rep.series_meta] == \
+                [(s.value, s.terms_used, s.tail_bound) for s in own], (name, n, x, tol)
+            assert rep.tail_bound == pytest.approx(bound, rel=1e-15, abs=0), (name, n, x, tol)
+            if not point:
+                # at x = 0 the lattice sum is the same at every tol, so its share shows
+                # only in the raise: the bracket sum raises below its bound over the share
+                share, lattice = (0.5, 2) if name == "type" else (1.0, 1)
+                reg = se.regularized_bracket_sum(rep.n, 0.0, 1.0, lattice=lattice).tail_bound
+                with pytest.raises(se.SeriesConvergenceError, match="regularized_bracket_sum"):
+                    fn(n, tol=0.99 * reg / share)
+                try:
+                    fn(n, tol=1.01 * reg / share)
+                except se.SeriesConvergenceError as err:
+                    assert "regularized_bracket_sum" not in str(err), (name, n)
+    assert checked, (name, n)
 
 
 @pytest.mark.parametrize("nu", (0.5, 2, 2.5, 7.3))
@@ -386,12 +486,21 @@ def test_lattice_j_vs_oracle(nu):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_tail_bound_covers_abs_error(n):
-    # the reported bound covers the series, the Chebyshev values and the assembly
-    reports = [fm.zagier_number_formula(n), fm.zagier_type_sum(n)]
+    # the reported bound covers the series, the Chebyshev values and the
+    # assembly, on every call that meets tol, from loose to tight
+    calls = [(fm.zagier_number_formula, ()), (fm.zagier_type_sum, ())]
     for x in ("1/10", "1/4", "1/3", "1/2", "2/3", "3/4", "9/10", "2/7"):
-        reports += [fm.zagier_even_formula(n, x), fm.zagier_odd_formula(n, x)]
-    for rep in reports:
-        assert rep.abs_error <= rep.tail_bound, (rep.n, rep.x, rep.abs_error, rep.tail_bound)
+        calls += [(fm.zagier_even_formula, (x,)), (fm.zagier_odd_formula, (x,))]
+    passing = 0
+    for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        for fn, point in calls:
+            try:
+                rep = fn(n, *point, tol=tol)
+            except se.SeriesConvergenceError:
+                continue
+            passing += 1
+            assert rep.abs_error <= rep.tail_bound, (rep.n, rep.x, tol, rep.abs_error, rep.tail_bound)
+    assert passing >= 2 * len(calls), n
 
 
 # the formulas whose lattice sums sit at x = 0, their lattice and exact value
