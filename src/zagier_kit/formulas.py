@@ -18,7 +18,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from . import exact_core, series_engine, specfun
-from .series_engine import _EPS, _ZETA_EPS, SeriesResult
+from .series_engine import _EPS, SeriesResult
 
 __all__ = [
     "EvalReport",
@@ -391,22 +391,25 @@ def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
 def poisson_J_series_check(nu: float, x: float) -> EvalReport:
     """Poisson-summation identity for sum_m J_nu(4 pi m) cos(2 pi m x), 0 < nu <= 29.5.
 
-    The left side (the Cesaro sum) is closed.  Past the explicit range m <= M
-    of :func:`_lattice_J`, pi J_nu(4 pi m) is the lattice Hankel series
-    sum_k d_k m^{-(k+1/2)}; with H(m) its orders k <= K over pi,
-        LHS = sum_{m <= M} (J_nu(4 pi m) - H(m)) cos(2 pi m x) + sum_{k <= K} d_k C_{k+1/2}(x)/pi,
-    C_s from :func:`series_engine.periodic_zeta`, all parts in one math.fsum.
-    K is the last order reaching 1e-17 of the largest at m = M + 1, and at
-    least nu - 3/2.  At half-integer nu the series ends at order nu - 1/2, so
-    the form is exact (at nu = 5/2 it is one C_{3/2} term).  Otherwise the
-    even and the odd orders past nu - 1/2 each leave a remainder no larger
-    than their first term (DLMF 10.17(iii), real nu), so over m > M the
-    dropped orders add at most
-        (|d_{K+1}| zeta(K + 3/2, M + 1) + |d_{K+2}| zeta(K + 5/2, M + 1))/pi,
+    The left side (the Cesaro sum) is closed.  The terms m <= a of
+    :func:`_lattice_J`, a = max(near, ceil(6/x')) at most DEFAULT_MAX_TERMS,
+    are summed as they are.  Past a, pi J_nu(4 pi m) is the lattice Hankel
+    series sum_k d_k m^{-(k+1/2)}, whose orders k <= K, d_0 kept, close as
+    the real part of one Lerch tail (:func:`series_engine._lerch_sum`): the
+    tail is formed at its own size, so nothing cancels at large nu.  All
+    parts are one math.fsum.  K is the last order reaching 1e-17 of the
+    largest at m = near + 1, and at least nu - 3/2.  At half-integer nu the
+    series ends at order nu - 1/2, so the tail is exact up to the Watson
+    remainder.  Otherwise the even and the odd orders past nu - 1/2 each
+    leave a remainder no larger than their first term (DLMF 10.17(iii),
+    real nu), so over m > a the dropped orders add at most
+        (|d_{K+1}| zeta(K + 3/2, a + 1) + |d_{K+2}| zeta(K + 5/2, a + 1))/pi,
     which d_{K+2} <= d_30 limits to nu <= 29.5.  extras["lhs_bound"] adds the
-    rounding: _ZETA_EPS per C_s and K + 2 units of every part (the near J
-    carry a few units of Miller's normalization to 1).  The near terms take
-    nu integer or half-integer (:func:`specfun.bessel_J`).
+    tail's Watson remainder and rounding, K + 2 units of every explicit term
+    (the near J carry a few units of Miller's normalization to 1) and the
+    rounding of the phases.  Below x' = 6/DEFAULT_MAX_TERMS, about 3e-4, the
+    tail starts at the cap and its remainder, in the bound, grows past use.
+    The near terms take nu integer or half-integer (:func:`specfun.bessel_J`).
 
     The right side is four arcsin kernels minus two sin(nu pi/2) weighted
     algebraic tails, which vanish identically at even integer nu.
@@ -418,14 +421,16 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
     near = int(specfun.asymptotic_crossover(nu) / (4.0 * pi))
     d = specfun.hankel_lattice(nu)[0]
     k = max(specfun._hankel_top(d, 0, near + 1.0), math.ceil(nu - 1.5))
-    ms = np.arange(1.0, near + 1)
-    h = specfun._orders_sum(d, 0, k, ms) / pi
-    explicit = (_lattice_J(nu, near) - h) * np.cos(2.0 * pi * ms * x)
-    closed = d[: k + 1] * series_engine.periodic_zeta(x, k)[0] / pi
-    lhs = math.fsum(explicit.tolist() + closed.tolist())
-    dropped = sum(abs(d[k + i]) * specfun.hurwitz_zeta(k + i + 0.5, near + 1.0) for i in (1, 2))
-    rounding = (_ZETA_EPS * np.abs(d[: k + 1]).sum() / pi
-                + (k + 2) * _EPS * (near + np.abs(h).sum() + np.abs(closed).sum()))
+    a = series_engine._lerch_start(x, near)[0]
+    ms = np.arange(1.0, a + 1)
+    j = _lattice_J(nu, a)
+    rows = series_engine._lerch_rows((d[: k + 1] / pi).tolist(), np.arange(k + 1) + 0.5, a)
+    tail, _, remainder, tail_rounding = series_engine._lerch_sum(x, a, rows, k + 1)
+    lhs = math.fsum((j * np.cos(2.0 * pi * ms * x)).tolist() + [tail])
+    dropped = sum(abs(d[k + i]) * specfun.hurwitz_zeta(k + i + 0.5, a + 1.0) for i in (1, 2))
+    size = np.abs(j)
+    rounding = ((k + 2) * _EPS * float(size.sum()) + 2.0 * pi * x * _EPS * float((ms * size).sum())
+                + remainder + tail_rounding)
 
     def kernel(t: float) -> float:
         return cos(nu * math.asin(t / 2.0)) / sqrt((4.0 * pi) ** 2 - (2.0 * pi * t) ** 2)

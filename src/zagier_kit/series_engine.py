@@ -13,9 +13,13 @@ zeta(k + 1/2, M + 1), a sum of positive terms.  The explicit range
 therefore sits at the crossover 2 nu^2/(4 pi), and the tolerance picks how
 many orders are closed.  At x != 0 a loose tolerance also cuts the top of
 that range: Y_nu(4 pi m) falls like m^{-nu}, so at large nu under a
-relative tolerance one or two terms remain.  The reported bound is the
-first dropped order plus the rounding of every piece, plus what the cut
-dropped, and a tolerance below it raises.  An algebraic g-sum whose first
+relative tolerance one or two terms remain.  Where a closed difference
+cancels too many digits for the tolerance, the tail past a = max(M0, 6/x')
+is summed at its own size instead, by the Lerch expansion (Watson's lemma
+on the Lerch transcendent, Apostol, Pacific J. Math. 1, 1951), with a
+rigorous remainder.  The reported bound is the first dropped order plus
+the rounding of every piece, plus what the cut dropped or the Lerch
+remainder, and a tolerance below it raises.  An algebraic g-sum whose first
 term fits the tolerance sums no term at all; any other closes a prefix of
 a few terms by Euler-Maclaurin through B_12 with exact derivatives, and
 since its terms are completely monotone, the B_14 term bounds what is left.
@@ -33,8 +37,16 @@ is built once and cached, and every cached value is the one a call would
 otherwise build, so no value depends on what was cached before:
   * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
     coefficients b_k and |b_k|, the bracket values through the base
-    explicit range M0 (at most 10,760 floats), the tail envelopes at M0 and
-    lattice^{-s} with its rounding _ZETA_EPS lattice^{-s} (29 floats each);
+    explicit range M0 (at most 10,760 floats) and their m-sums, the tail
+    envelopes at M0 and lattice^{-s} with its rounding _ZETA_EPS
+    lattice^{-s} (29 floats each), and the Lerch rows F_n at a = M0
+    (2 x 49 floats);
+  * the coefficients of the cot-derivative polynomials of the Lerch tail
+    (:func:`_cot_table`, 49 x 50 floats, built on first use);
+  * one Lerch range per (nu, lattice, a) (:func:`_lerch_range`, 64
+    entries of at most DEFAULT_MAX_TERMS + 98 floats, the plan's own at
+    a = M0): the brackets through a, their m-sums, the orders closed, their
+    truncation and their rows;
   * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
     512 entries of at most 10,760 + 72 floats): bracket(q) minus its first
     K orders, the m-sums the rounding bound reads and the stairs of the top
@@ -81,7 +93,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_TERMS = 20000  # the cap on a window and on a g-sum prefix
+DEFAULT_MAX_TERMS = 20000  # the cap on the Lerch range a and on a g-sum prefix
 DEFAULT_X_WINDOW = (0.01, 0.99)
 
 _FSUM_CUTOFF = 1024  # sums up to this length go to math.fsum of a list, which is faster there
@@ -94,6 +106,8 @@ _EPS = 2.2e-16      # two units of double rounding
 _ZETA_EPS = 2.5e-15  # periodic_zeta (<= 1.8e-15 against mpmath) and the subtraction
 _EM_ORDERS = 6       # Euler-Maclaurin corrections B_2..B_12 that close a g-sum prefix
 _EM_START = 4        # the shortest g-sum prefix they close
+_LERCH_TERMS = 48    # the last order n of the Lerch expansion; 2 pi x'(a + 1) > 12 pi needs ~40
+_LERCH_REACH = 6.0   # the Lerch tail starts past a >= _LERCH_REACH/x'
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -308,6 +322,112 @@ def trig_power_sums(x: float) -> TrigPowerSums:
 
 
 # ---------------------------------------------------------------------------
+# the Lerch tail sum_{m>a} e^{2 pi i m x} f(m)
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _cot_table() -> np.ndarray:
+    """Row n holds the coefficients of c^j in h_n(c) = |cot^(n)(theta)|/(n! 2^{n+1}),
+    c = cot theta in [0, inf), n = 0.._LERCH_TERMS.
+
+    cot^(n) = (-1)^n Q_n(c) with Q_0 = c and Q_{n+1} = (1 + c^2) Q_n', so every
+    coefficient of Q_n is a nonnegative integer and h_n(c) sums terms of one
+    sign.  Each entry is one correctly rounded integer quotient."""
+    table = np.zeros((_LERCH_TERMS + 1, _LERCH_TERMS + 2))
+    q = [0, 1]
+    for n in range(_LERCH_TERMS + 1):
+        scale = math.factorial(n) << (n + 1)
+        table[n, : len(q)] = [v / scale for v in q]
+        dq = [j * v for j, v in enumerate(q)][1:] + [0, 0]
+        q = [dq[j] + (dq[j - 2] if j >= 2 else 0) for j in range(len(dq))]
+    table.flags.writeable = False
+    return table
+
+
+_LERCH_SIGNS = np.array([(-1.0) ** (n // 2) for n in range(_LERCH_TERMS + 1)])
+
+
+def _lerch_rows(coeffs, s, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_n F_n, |F|_n), n = 0.._LERCH_TERMS, the x-free half of :func:`_lerch_sum`
+    for f(m) = sum_k c_k m^{-s_k}: F_n = sum_k c_k (s_k)_n (a+1)^{-s_k-n},
+    |F|_n the same sum of |terms| and sigma_n = (-1)^{floor(n/2)} the sign
+    H_n's part carries.  Each row is c_k (a+1)^{-s_k} (Python's power) times
+    the running product of (s_k + n)/(a+1), so a term carries at most n + 3
+    units of 2^-53."""
+    a1 = float(a + 1)
+    s = np.asarray(s, dtype=float)
+    terms = np.empty((s.size, _LERCH_TERMS + 1))
+    terms[:, 0] = [c * a1**-sk for c, sk in zip(np.asarray(coeffs).tolist(), s.tolist())]
+    terms[:, 1:] = (s[:, None] + np.arange(_LERCH_TERMS)) / a1
+    np.cumprod(terms, axis=1, out=terms)
+    rows = _LERCH_SIGNS * terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
+               orders: int) -> tuple[float, float, float, float]:
+    """(Re T, Im T, remainder bound, rounding) for T = sum_{m>a} z^m f(m), z = e^{2 pi i x},
+    0 < x < 1, f(m) = sum_k c_k m^{-s_k} over `orders` orders, rows from :func:`_lerch_rows`.
+
+    With m^{-s} = Gamma(s)^{-1} integral_0^inf t^{s-1} e^{-m t} dt the tail is
+    z^{a+1} Gamma(s)^{-1} integral t^{s-1} e^{-(a+1) t} g(t) dt, g(t) = 1/(1 - z e^{-t})
+    (Apostol, Pacific J. Math. 1, 1951), and Watson's lemma with the Taylor
+    coefficients H_n of g gives T = z^{a+1} sum_{n<N} H_n F_n + R.  Here
+    g(t) = 1/2 + (i/2) cot(pi x + i t/2), so H_0 = 1/2 + i h_0 and H_n =
+    i (-i)^n h_n with h_n of :func:`_cot_table` at c = cot(pi x'), x' =
+    min(x, 1 - x): odd n feed the real part and even n the imaginary part,
+    with the signs sigma_n.  For x > 1/2, T is the conjugate of the tail at x'.
+
+    Partial fractions, g(t) = 1/2 - sum_k 1/(p_k - t) with p_k = 2 pi i (x' - k)
+    on the imaginary axis, so |p_k - t| >= |p_k| for real t, bound the
+    Taylor remainder on the whole half-line: |g - sum_{n<N} H_n t^n| <= t^N
+    sum_k |p_k|^{-N-1}, which is |H_N| = h_N for odd N.  Hence
+    |R| <= h_N sum_k |c_k| (s_k)_N (a+1)^{-s_k-N}, for any a and x'.  N is
+    the first odd order whose remainder is below _EPS of the terms before
+    it, else the odd order of the smallest remainder: fixed by bounds alone,
+    before anything is summed.  The terms fall like ((s + n)/(2 pi x' (a+1)))^n,
+    so a >= _LERCH_REACH/x' lets them fall far.
+    The rounding counts 4n + orders + 6 units per term (c carries 4, so h_n
+    about 6n + 8 units, and F_n n + orders + 3) and the turn of the phase
+    2 pi x'(a+1)."""
+    F, F_abs = rows[0].tolist(), rows[1].tolist()
+    t = 1.0 - x if x > 0.5 else x
+    c = math.cos(pi * t) / math.sin(pi * t)
+    powers = np.full(_LERCH_TERMS + 2, c)
+    powers[0] = 1.0
+    with np.errstate(over="ignore"):
+        np.cumprod(powers, out=powers)
+    # below x' ~ 1e-7 the top powers overflow: rows that reach one are infinite
+    top = int(np.searchsorted(powers, math.inf)) if c > 1.0 else powers.size
+    powers[top:] = 0.0
+    h = (_cot_table() * powers).sum(axis=1).tolist()
+    h[top - 1 :] = [math.inf] * (len(h) - top + 1)
+    sizes = [hn * fn for hn, fn in zip(h, F_abs)]
+    sizes[0] += 0.5 * F_abs[0]  # |H_0| <= 1/2 + h_0
+    N, before = 1, sizes[0]
+    for n in range(1, min(_LERCH_TERMS, top - 1), 2):
+        if sizes[n] <= _EPS * before:
+            N = n
+            break
+        if sizes[n] < sizes[N]:
+            N = n
+        before += sizes[n] + sizes[n + 1]
+    terms = [hn * fn for hn, fn in zip(h[:N], F)]
+    re, im = math.fsum([0.5 * F[0]] + terms[1::2]), math.fsum(terms[0::2])
+    turn = t * (a + 1)
+    angle = 2.0 * pi * math.fmod(turn, 1.0)
+    cs, sn = math.cos(angle), math.sin(angle)
+    real, imag = cs * re - sn * im, sn * re + cs * im
+    size = math.fsum(sizes[:N])
+    rounding = _EPS * (math.fsum([(4 * n + 6 + orders) * size_n for n, size_n in enumerate(sizes[:N])])
+                       + (2.0 * pi * turn + 10.0) * size)
+    remainder = sizes[N] * (1.0 + (4 * N + orders + 6) * _EPS)
+    return real, (-imag if x > 0.5 else imag), remainder, rounding
+
+
+# ---------------------------------------------------------------------------
 # algebraic g-series
 # ---------------------------------------------------------------------------
 
@@ -474,6 +594,11 @@ class _Plan:
     b_abs: np.ndarray      # |b_1..b_ORDERS|
     lam_s: np.ndarray      # lattice^{-s}, s = k + 1/2 for k = 1..ORDERS
     zeta_err: np.ndarray   # _ZETA_EPS lattice^{-s}, the rounding of the periodic zeta values
+    abs_sum: float         # sum_m |bracket| over m = 1..M0
+    abs_moment: float      # sum_m m |bracket|
+    orders: int            # K of the smallest envelope at M0, the orders of the x = 0 and Lerch tails
+    lerch_coeffs: np.ndarray  # b_k lattice^{-s} for k = 1..orders, by Python's power
+    lerch: tuple              # :func:`_lerch_rows` of those orders at a = M0
 
 
 @functools.lru_cache(maxsize=512)  # at most 10,760 brackets each (nu = 260, lattice 1)
@@ -503,9 +628,17 @@ def _plan(nu: int, lattice: int) -> _Plan:
     brackets = np.concatenate([(-1.0) ** (nu // 2) * pi * y_nu + 0.5 / np.sqrt(q),
                                _far_brackets(b, near, lattice, base)])
     lam_s = float(lattice) ** -_S
-    plan = _Plan(b, near, brackets, _envelopes(b, lattice, base), np.abs(b[1:]), lam_s,
-                 _ZETA_EPS * lam_s)
-    for array in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.zeta_err):
+    envelopes = _envelopes(b, lattice, base)
+    size = np.abs(brackets)
+    abs_sum = float(size.sum())
+    abs_moment = float(np.multiply(np.arange(1.0, base + 1.0), size, out=size).sum())
+    orders = int(np.argmin(envelopes)) + 1
+    coeffs = np.array([bk * float(lattice) ** -sk for bk, sk in zip(b[1 : orders + 1].tolist(),
+                                                                    _S[:orders].tolist())])
+    plan = _Plan(b, near, brackets, envelopes, np.abs(b[1:]), lam_s, _ZETA_EPS * lam_s,
+                 abs_sum, abs_moment, orders, coeffs, _lerch_rows(coeffs, _S[:orders], base))
+    for array in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.zeta_err,
+                  plan.lerch_coeffs):
         array.flags.writeable = False
     return plan
 
@@ -554,8 +687,6 @@ class _Residual:
     """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M."""
 
     row: np.ndarray            # bracket(q) - c(q), c(q) = sum_{k<=K} b_k q^{-(k+1/2)}
-    abs_sum: float             # sum_m |bracket(q)| over m = 1..M
-    abs_moment: float          # sum_m m |bracket(q)|
     power_sums: np.ndarray     # sum_m q^{-s}, s = k + 1/2 for k = 1..K
     power_moments: np.ndarray  # sum_m m q^{-s}
     stairs: tuple[float, ...]  # sum_{m>j} |row_m| at j = 1, 2, 4, ... < M0, rounded up
@@ -577,9 +708,7 @@ def _residual(nu: int, lattice: int, orders: int) -> _Residual:
     brackets, base = plan.brackets, plan.brackets.size
     ms = np.arange(1.0, base + 1.0)
     q = lattice * ms
-    size = np.abs(brackets)
-    abs_sum = float(size.sum())
-    abs_moment = float(np.multiply(ms, size, out=size).sum())
+    size = np.empty(base)
     row = brackets - _orders_sum(plan.b, 1, orders, q) if orders else brackets
     power, sums, moments = q**-1.5, [], []
     for _ in range(orders):
@@ -588,7 +717,7 @@ def _residual(nu: int, lattice: int, orders: int) -> _Residual:
         np.divide(power, q, out=power)
     steps = np.add.reduceat(np.abs(row, out=size), 1 << np.arange((base - 1).bit_length()))
     stairs = tuple((np.cumsum(steps[::-1])[::-1] * (1.0 + base * _EPS)).tolist())
-    residual = _Residual(row, abs_sum, abs_moment, np.array(sums), np.array(moments), stairs)
+    residual = _Residual(row, np.array(sums), np.array(moments), stairs)
     for array in (residual.row, residual.power_sums, residual.power_moments):
         array.flags.writeable = False
     return residual
@@ -601,7 +730,7 @@ def _zero_sum(nu: int, lattice: int) -> tuple[float, float, float]:
     envelope, and the bound that envelope plus the rounding.  None depends on tol."""
     plan = _plan(nu, lattice)
     brackets = plan.brackets
-    orders = int(np.argmin(plan.envelopes)) + 1
+    orders = plan.orders
     truncation = float(plan.envelopes[orders - 1])
     tails = [hurwitz_zeta(s, brackets.size + 1.0) for s in _S[:orders].tolist()]
     closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
@@ -649,31 +778,34 @@ def regularized_bracket_sum(
 
     A closed difference cancels O(1) values down to its tail, so it carries
     an absolute rounding error of a few units times |b_k|, and |b_k| reaches
-    6e4 at nu = 20.  When that alone breaks tol, the high orders, whose tails
-    beyond a window m <= W are negligible, are summed term by term over
-    (M, W] instead, W doubling from 2M up to DEFAULT_MAX_TERMS; the row keeps
-    the rest.
+    6e4 at nu = 20.  When that breaks tol while the explicit terms' rounding
+    and the dropped order fit it, the closed differences give way to the
+    Lerch tail of :func:`_lerch_bracket_sum`: the brackets m <= a =
+    max(M, ceil(6/x')) as they are, and the tail past a at its own size.
+    It raises when its bound exceeds tol, or when 6/x' passes
+    DEFAULT_MAX_TERMS (x' below 3e-4); the tail past the cap is then
+    closed all the same and carried as best.
 
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
     a few units of its own size.  Every order is closed up to the smallest
-    dropped one, whatever tol, and no window opens: the finished value and
-    bound are kept per (nu, lattice), and a call only compares the bound with tol.
+    dropped one, whatever tol: the finished value and bound are kept per
+    (nu, lattice), and a call only compares the bound with tol.
 
     The reported bound is the dropped order plus the rounding of the
-    explicit terms, of the closed tails and of the window (with its
-    remainder); SeriesConvergenceError is raised unless it is at most tol.
+    explicit terms and of the closed tails, or the Lerch tail's remainder
+    and rounding; SeriesConvergenceError is raised unless it is at most tol.
     ValueError is raised for nu or lattice not a positive integer, and when
     a bracket exceeds the double range (from nu = 261 on the 4 pi m lattice).
 
-    At x != 0, with no window and that bound within tol,
-    the top of the explicit range is cut: the residual row falls like
+    At x != 0, with the closed differences' bound within tol, the top of
+    the explicit range is cut: the residual row falls like
     m^{-nu} up to 4 pi m ~ nu, so the smallest j = 1, 2, 4, ... < M whose
     x-free suffix sum_{m>j} |row_m| (the stairs of :func:`_residual`) fits
     both 1e-4 tol and tol minus the bound ends the sum at j, and that
     suffix joins the bound.  Under a relative tol at large nu a few terms remain: the formula
     becomes its own asymptotic expansion with a bound.  terms_used counts the
-    m summed term by term: j after a cut, W with a window, M otherwise.
+    m summed term by term: j after a cut, a on the Lerch tail, M otherwise.
     Only the phases depend on x; the rest comes from the caches the module
     docstring lists.
     """
@@ -688,49 +820,37 @@ def regularized_bracket_sum(
         # a sum of positive terms: nothing cancels, so no window is needed, and
         # the finished value and bound depend on neither x nor tol
         value, truncation, bound = _zero_sum(nu, lattice)
-        W = M
+        W, reach = M, 0.0
     else:
         K = (next((k for k, envelope in enumerate(envelopes.tolist(), 1) if envelope <= tol), 0)
-             or int(np.argmin(envelopes)) + 1)
+             or plan.orders)
         truncation = float(envelopes[K - 1])
         res = _residual(nu, lattice, K)
-        s, b_abs, lam_s = _S[:K], plan.b_abs[:K], plan.lam_s[:K]
         xi = 2.0 * pi * x
         # trig(2 pi m x) is rounded by _EPS (1 + 2 pi x m), so its m-sums are x-free
-        closed_err = b_abs * (plan.zeta_err[:K] + _EPS * (res.power_sums + xi * res.power_moments))
-        fixed = truncation + (2e-15 + _EPS) * res.abs_sum + xi * _EPS * res.abs_moment
-        W, split, bound = M, K, fixed + float(closed_err.sum())
-
-        def windowed(w: int) -> tuple[int, float]:
-            # orders split+1..K over (M, w], each with its remainder past w
-            err = (b_abs * lam_s * (w ** (1.0 - s) + _EPS * (1.0 + xi * w) * M ** (1.0 - s))
-                   / (s - 1.0))
-            better = err < closed_err
-            k = 0 if better.all() else K - int(np.argmin(better[::-1]))
-            return k, fixed + float(closed_err[:k].sum() + err[k:].sum())
-
-        if bound > tol and windowed(DEFAULT_MAX_TERMS)[1] <= tol:
-            W = min(2 * M, DEFAULT_MAX_TERMS)
-            while (found := windowed(W))[1] > tol:
-                W = min(2 * W, DEFAULT_MAX_TERMS)
-            split, bound = found
-            res = _residual(nu, lattice, split)
-        elif res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
-            # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the slack
-            # (the stairs fall, so the last one decides whether any fits)
-            i = next(i for i, stair in enumerate(res.stairs)
-                     if stair <= 1e-4 * tol and bound + stair <= tol)
-            W, bound = 1 << i, bound + res.stairs[i]
-        # orders 1..split: sum_m trig (bracket - c) plus b_k lattice^{-s} T_s(x)
-        top = min(W, M)
-        trig = _trig(even_nu, x, np.arange(1.0, top + 1.0))
-        zeta_row = _periodic_zeta_rows(x, not even_nu)
-        closed = b[1 : split + 1] * lam_s[:split] * zeta_row[1 : split + 1]
-        value = chunked_fsum(res.row[:top] * trig) + math.fsum(closed.tolist())
-        if split < K:
-            mw = np.arange(M + 1, W + 1, dtype=float)
-            value += chunked_fsum(_trig(even_nu, x, mw) * _orders_sum(b, split + 1, K, lattice * mw))
+        closed_err = plan.b_abs[:K] * (plan.zeta_err[:K] + _EPS * (res.power_sums + xi * res.power_moments))
+        fixed = truncation + (2e-15 + _EPS) * plan.abs_sum + xi * _EPS * plan.abs_moment
+        W, reach, bound = M, 0.0, fixed + float(closed_err.sum())
+        if bound > tol and fixed <= tol:
+            # the closed differences cancel: sum the tail past a at its own size instead
+            value, W, truncation, bound, reach = _lerch_bracket_sum(nu, x, lattice)
+        else:
+            if res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
+                # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the
+                # slack (the stairs fall, so the last one decides whether any fits)
+                i = next(i for i, stair in enumerate(res.stairs)
+                         if stair <= 1e-4 * tol and bound + stair <= tol)
+                W, bound = 1 << i, bound + res.stairs[i]
+            # sum_m trig (bracket - c) plus b_k lattice^{-s} T_s(x) for k = 1..K
+            trig = _trig(even_nu, x, np.arange(1.0, W + 1.0))
+            zeta_row = _periodic_zeta_rows(x, not even_nu)
+            closed = b[1 : K + 1] * plan.lam_s[:K] * zeta_row[1 : K + 1]
+            value = chunked_fsum(res.row[:W] * trig) + math.fsum(closed.tolist())
     result = SeriesResult(value, W, bound)
+    if reach > DEFAULT_MAX_TERMS:
+        raise SeriesConvergenceError(
+            f"regularized_bracket_sum: the Lerch tail needs {reach:.6g} explicit terms, "
+            f"past the cap of {DEFAULT_MAX_TERMS} (nu={nu}, M={M})", result)
     if not bound <= tol:
         rounding = bound - truncation
         cause = (f"rounding bound {rounding:.2e}" if rounding > tol
@@ -740,6 +860,62 @@ def regularized_bracket_sum(
             result,
         )
     return result
+
+
+@functools.lru_cache(maxsize=64)  # at most DEFAULT_MAX_TERMS + 98 floats each
+def _lerch_range(nu: int, lattice: int, a: int) -> tuple:
+    """(K, brackets m <= a, their m-sums, truncation, rows) of the Lerch tail past a >= M0.
+
+    Past a, f(m) = sum_{k<=K} b_k (lattice m)^{-s}, and its first dropped
+    order, |b_{K+1}| sum_{m>a} (lattice m)^{-(K+3/2)} bounded by its
+    integral, is the truncation.  At a = M0 all of it is the plan's, K the
+    order of the smallest envelope.  Past M0 the brackets M0 < m <= a come
+    from their power series with the orders that reach 1e-17 at M0 + 1, K is
+    the first order whose truncation at a is no larger than the plan's at
+    M0, and the rows are :func:`_lerch_rows` of those K orders at a."""
+    plan = _plan(nu, lattice)
+    M = plan.brackets.size
+
+    def truncation_at(k: int, m: int) -> float:
+        return float(plan.b_abs[k]) * float(lattice * m) ** -(k + 1.5) * m / (k + 0.5)
+
+    if a == M:
+        return (plan.orders, plan.brackets, plan.abs_sum, plan.abs_moment,
+                truncation_at(plan.orders, M), plan.lerch)
+    limit = truncation_at(plan.orders, M)
+    K = next(k for k in range(1, plan.orders + 1) if truncation_at(k, a) <= limit)
+    far = _hankel_sum(plan.b, 1, lattice * np.arange(M + 1.0, a + 1.0))
+    brackets = np.concatenate([plan.brackets, far])
+    size = np.abs(brackets)
+    abs_sum = float(size.sum())
+    abs_moment = float(np.multiply(np.arange(1.0, a + 1.0), size, out=size).sum())
+    brackets.flags.writeable = False
+    return (K, brackets, abs_sum, abs_moment, truncation_at(K, a),
+            _lerch_rows(plan.lerch_coeffs[:K], _S[:K], a))
+
+
+def _lerch_start(x: float, least: int) -> tuple[int, float]:
+    """(a, reach) for a Lerch tail at 0 < x < 1: reach = _LERCH_REACH/x', x' = min(x, 1 - x),
+    and a = max(least, min(ceil(reach), DEFAULT_MAX_TERMS))."""
+    reach = _LERCH_REACH / min(x, 1.0 - x)
+    return max(least, math.ceil(min(reach, DEFAULT_MAX_TERMS))), reach
+
+
+def _lerch_bracket_sum(nu: int, x: float, lattice: int):
+    """(value, a, truncation, bound, reach) of the bracket sum at 0 < x < 1 with the
+    tail past a closed by :func:`_lerch_sum`, a and reach of :func:`_lerch_start` at
+    least M0.  The brackets m <= a are summed as they are; the x-free rest is
+    :func:`_lerch_range`.  The bound adds the truncation, the explicit terms'
+    rounding, as on the closed path, the Watson remainder and the tail's
+    rounding.
+    """
+    a, reach = _lerch_start(x, _plan(nu, lattice).brackets.size)
+    K, brackets, abs_sum, abs_moment, truncation, rows = _lerch_range(nu, lattice, a)
+    value = chunked_fsum(brackets * _trig(nu % 2 == 0, x, np.arange(1.0, a + 1.0)))
+    re, im, remainder, rounding = _lerch_sum(x, a, rows, K)
+    bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * x * _EPS * abs_moment
+             + remainder + rounding)
+    return value + (re if nu % 2 == 0 else im), a, truncation, bound, reach
 
 
 def _regularizer_sum(nu: int, x: float, lattice: int) -> float:

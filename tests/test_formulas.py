@@ -329,6 +329,17 @@ def test_poisson_check_rejects_bad_budgets(n_terms, window):
         fm.poisson_J_series_check(2.0, 0.3, n_terms=n_terms, window=window)
 
 
+@pytest.mark.parametrize("nu", (20.0, 24.0, 29.0))
+@pytest.mark.parametrize("x", (0.1, 0.62))
+def test_poisson_sides_agree_at_large_order(nu, x):
+    # the closed left side's tail is one Lerch sum formed at its own size, so
+    # the sides keep their digits where the closed differences lost them
+    # (5e-12, 1.3e-9 and 1.8e-6 apart at nu = 20, 24 and 29)
+    rep = fm.poisson_J_series_check(nu, x)
+    assert abs(rep.formula_value - rep.reference) <= 1e-13
+    assert rep.extras["lhs_bound"] < 1e-12
+
+
 @pytest.mark.parametrize("nu,x", [(0.0, 0.3), (-1.0, 0.3), (29.6, 0.3), (2.0, 0.0), (2.0, 1.0)])
 def test_poisson_check_domain(nu, x):
     # d_{K+2} must lie in the Hankel table, which holds orders through 30
@@ -543,6 +554,29 @@ def test_x_zero_sums_stop_at_the_base_range(name):
             assert rep.abs_error <= tol, (n, rel)
 
 
+# (index, x): the series-tight ops at seeds 11-13 whose closed differences
+# cancel past a relative 1e-12, where a term window up to 20,000 terms used to
+# open, and the four odd ops that raised on the closed differences' rounding
+_CANCELLING = ((16, Fraction(11, 14)), (16, Fraction(31, 44)), (16, Fraction(5, 27)),
+               (14, Fraction(12, 61)), (17, Fraction(61, 62)), (15, Fraction(41, 53)),
+               (15, Fraction(4, 7)), (15, Fraction(13, 29)), (15, Fraction(3, 53)),
+               (17, Fraction(13, 14)))
+
+
+@pytest.mark.parametrize("index,x", _CANCELLING)
+def test_cancelling_closed_differences_take_the_lerch_tail(index, x):
+    # the tail past a = max(M0, ceil(6/x')) closes at its own size: the op
+    # meets a relative 1e-12 with an honest bound and no term past a
+    exact = float(ec.zagier_eval(index, x))
+    tol = 1e-12 * max(1.0, abs(exact))
+    formula = fm.zagier_even_formula if index % 2 == 0 else fm.zagier_odd_formula
+    rep = formula(index // 2, x, tol=tol)
+    assert rep.abs_error <= rep.tail_bound <= tol
+    xf = float(x)
+    reach = max(se._plan(index, 1).brackets.size, math.ceil(6.0 / min(xf, 1.0 - xf)))
+    assert rep.series_meta[0].terms_used <= reach
+
+
 def _terms_used(call) -> list[int]:
     """Terms each component of call() summed; the best partial sum's count on a raise."""
     try:
@@ -555,14 +589,15 @@ def _terms_used(call) -> list[int]:
 @pytest.mark.parametrize("q", (1, 8, 64, 512, 4096))
 def test_no_component_runs_past_max_terms(q):
     # x = 1/(q+1) and q/(q+1) walk to both ends of (0, 1); at tol 1e-12 the
-    # even Bessel window runs into the cap, and tol 1e-30 no sum meets
+    # Bessel sums close their tails past a = max(M0, ceil(6/x')), which reaches
+    # the cap only where 6/x' passes it, at q = 4096; tol 1e-30 no sum meets
     cap = se.DEFAULT_MAX_TERMS
     used = []
     for x in (Fraction(1, q + 1), Fraction(q, q + 1)):
         for tol in (1e-12, 1e-30):
             used += _terms_used(lambda: fm.zagier_even_formula(8, x, tol=tol))
             used += _terms_used(lambda: fm.zagier_odd_formula(7, x, tol=tol))
-    assert max(used) == cap, used
+    assert max(used) <= cap and (max(used) == cap) == (6 * (q + 1) > cap), used
 
 
 def test_the_x_free_sums_stop_at_the_cap():

@@ -22,8 +22,8 @@ from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
 
 from conftest import (CACHES, conjugate_sum_oracle, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle,
-                      hurwitz_zeta_oracle, polylog_trig_oracle, uncached_bracket_sum,
-                      uncached_periodic_zeta)
+                      hurwitz_zeta_oracle, lerch_tail_oracle, polylog_trig_oracle,
+                      uncached_bracket_sum, uncached_periodic_zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,47 @@ def test_trig_sums_domain():
         se.trig_power_sums(0.0)
     with pytest.raises(ValueError):
         se.trig_power_sums(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the Lerch tail
+# ---------------------------------------------------------------------------
+
+# the acceptance grid's x and dyadic points toward both ends of (0, 1)
+_LERCH_X = sorted({0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9}
+                  | {2.0**-k for k in range(2, 12)} | {1.0 - 2.0**-k for k in range(2, 12)})
+
+
+def test_lerch_oracle_matches_mpmath_lerchphi():
+    # z^{a+1} lerchphi(z, s, a + 1) needs about s log10(a + 1) digits past the
+    # 30 it is asked for: at 30 digits it misses by 5.6e-6 at s = 59/2, a = 65
+    for x, a, k in ((0.1, 60, 0), (0.5, 12, 29), (2.0**-11, 12288, 1), (0.9, 65, 15)):
+        with mp.workdps(30 + math.ceil((k + 0.5) * math.log10(a + 1))):
+            z = mp.expjpi(2 * mp.mpf(x))
+            ref = z ** (a + 1) * mp.lerchphi(z, k + 0.5, a + 1)
+        assert abs(lerch_tail_oracle(x, a, k + 1)[k] - ref) <= 1e-29 * abs(ref), (x, a, k)
+
+
+@pytest.mark.parametrize("x", _LERCH_X)
+def test_lerch_kernel_lies_within_its_bound_of_the_tail(x):
+    # each order s = 1/2..59/2 on its own, at a = 6/x' of the rule and at the
+    # base range M0 = 65 of nu = 20, against the 30-digit tail; where a lies
+    # below 6/x' the terms up to it join the reference in doubles, each within
+    # 2 eps (2 pi x m + 4) of its size
+    rule, base = math.ceil(6.0 / min(x, 1.0 - x)), se._plan(20, 1).brackets.size
+    top = max(rule, base)
+    refs = lerch_tail_oracle(x, top, se._ORDERS)
+    for a in {rule, base}:
+        ms = np.arange(a + 1.0, top + 1.0)
+        angle = 2.0 * pi * np.fmod(x * ms, 1.0)
+        for k, ref in enumerate(refs):
+            size = ms ** -(k + 0.5)
+            near = mp.mpc(math.fsum((np.cos(angle) * size).tolist()),
+                          math.fsum((np.sin(angle) * size).tolist()))
+            allowance = 2.0 * se._EPS * float(((2.0 * pi * x * ms + 4.0) * size).sum())
+            re, im, remainder, rounding = se._lerch_sum(x, a, se._lerch_rows([1.0], [k + 0.5], a), 1)
+            err = abs(mp.mpc(re, im) - (ref + near))
+            assert err <= remainder + rounding + allowance, (a, k, float(err), remainder, rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +455,18 @@ def test_series_convergence_error():
 
 
 def test_lattice_sum_raises_with_the_lattice_result():
-    # the bracket sum at nu = 18, x = 1/4 misses tol 1e-12; the error's best
-    # is the lattice sum it gave up on, the regularizer subtracted, not the
-    # bracket sum, which lies 0.21 away
-    loose = se.lattice_bessel_sum(18, 0.25, 1e-9)
+    # the bracket sum at nu = 24, x = 1/4 misses tol 1e-12 on the explicit
+    # terms' rounding; the error's best is the lattice sum it gave up on, the
+    # regularizer subtracted, not the bracket sum, which lies 0.21 away
+    loose = se.lattice_bessel_sum(24, 0.25, 1e-9)
     with pytest.raises(se.SeriesConvergenceError, match=r"^regularized_bracket_sum: ") as err:
-        se.lattice_bessel_sum(18, 0.25, 1e-12)
+        se.lattice_bessel_sum(24, 0.25, 1e-12)
     best = err.value.best
     assert best.tail_bound > 1e-12
     assert abs(best.value - loose.value) <= best.tail_bound + loose.tail_bound
     # the same through the public evaluator
     with pytest.raises(se.SeriesConvergenceError) as err:
-        se.bessel_cos_series(9, 0.25, 1e-12)
+        se.bessel_cos_series(12, 0.25, 1e-12)
     assert err.value.best == best
 
 
@@ -434,6 +475,17 @@ def test_outside_window_flag():
     assert res.outside_window
     res2 = se.bessel_cos_series(1, 0.5, tol=1e-8)
     assert not res2.outside_window
+
+
+@pytest.mark.parametrize("x", (1e-5, 1e-12, 1e-200, 1.0 - 1e-12))
+def test_lerch_tail_past_the_cap_raises_with_its_bound(x):
+    # 6/x' passes DEFAULT_MAX_TERMS: the tail past the cap is closed all the
+    # same, with no overflow warning, and carried as best with its bound
+    with pytest.raises(se.SeriesConvergenceError, match="past the cap") as err:
+        se.regularized_bracket_sum(16, x, 1e-12)
+    best = err.value.best
+    assert best.terms_used == se.DEFAULT_MAX_TERMS and not best.tail_bound <= 1e-12
+    assert math.isfinite(best.value)
 
 
 def test_partial_sum_error_scaling():
@@ -767,7 +819,7 @@ def test_kept_tables_stay_small(fresh_caches):
     kept = se._residual.cache_info().currsize
     assert 2 * 121 <= kept <= 3 * 121
     assert se._zero_sum.cache_info().currsize == 60 * 2
-    # the plans' brackets, a row per kept residual, and the constants
+    # the plans' brackets, a row per kept residual, the Lerch rows and the constants
     assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
     # the plan holds the base range M0 only, and every cache is bounded
     for nu, lattice in ((4, 1), (4, 2), (121, 1), (121, 2)):
