@@ -515,7 +515,7 @@ CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_lerch_range"),
           ("series_engine", "_em_rows"),
           ("formulas", "_number_exact"), ("formulas", "_type_exact"),
-          ("formulas", "_number_terms"), ("formulas", "_type_terms"),
+          ("formulas", "_number_terms"), ("formulas", "_type_terms"), ("formulas", "_poisson_left"),
           ("formulas", "_weighted_profile"))
 
 
