@@ -388,21 +388,6 @@ def _lattice_J(nu: float, n_terms: int) -> np.ndarray:
                             for m in range(1, min(near, n_terms) + 1)], far])
 
 
-@functools.lru_cache(maxsize=64)  # at most DEFAULT_MAX_TERMS + 98 floats each
-def _poisson_left(nu: float, a: int) -> tuple:
-    """The x-free part of :func:`poisson_J_series_check`'s left side past a:
-    (J_nu(4 pi m) for m <= a, sum |J|, sum m |J|, K, the Lerch rows of
-    d_0..d_K over pi at a, the bound of the dropped orders)."""
-    d = specfun.hankel_lattice(nu)[0]
-    k = max(specfun._hankel_top(d, 0, a + 1.0), math.ceil(nu - 1.5))
-    j = _lattice_J(nu, a)
-    j.flags.writeable = False
-    size = np.abs(j)
-    rows = series_engine._lerch_rows((d[: k + 1] / pi).tolist(), np.arange(k + 1) + 0.5, a)
-    dropped = sum(abs(d[k + i]) * specfun.hurwitz_zeta(k + i + 0.5, a + 1.0) for i in (1, 2)) / pi
-    return j, float(size.sum()), float((np.arange(1.0, a + 1) * size).sum()), k, rows, dropped
-
-
 def poisson_J_series_check(nu: float, x: float) -> EvalReport:
     """Poisson-summation identity for sum_m J_nu(4 pi m) cos(2 pi m x), 0 < nu <= 29.5.
 
@@ -413,13 +398,13 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
     the real part of one Lerch tail (:func:`series_engine._lerch_sum`): the
     tail is formed at its own size, so nothing cancels at large nu.  All
     parts are one math.fsum.  K is the last order reaching 1e-17 of the
-    largest at m = a + 1, and at least nu - 3/2.  What does not depend on x
-    is kept per (nu, a) (:func:`_poisson_left`).  At half-integer nu the
+    largest at m = a + 1, and at least nu - 3/2.  At half-integer nu the
     series ends at order nu - 1/2, so the tail is exact up to the Watson
     remainder.  Otherwise the even and the odd orders past nu - 1/2 each
     leave a remainder no larger than their first term (DLMF 10.17(iii),
-    real nu), so over m > a the dropped orders add at most
-        (|d_{K+1}| zeta(K + 3/2, a + 1) + |d_{K+2}| zeta(K + 5/2, a + 1))/pi,
+    real nu), so over m > a the dropped orders add at most the integrals
+    that bound their sums,
+        (|d_{K+1}| a^{-K-1/2}/(K + 1/2) + |d_{K+2}| a^{-K-3/2}/(K + 3/2))/pi,
     which d_{K+2} <= d_30 limits to nu <= 29.5.  extras["lhs_bound"] adds the
     tail's Watson remainder and rounding, K + 2 units of every explicit term
     (the near J carry a few units of Miller's normalization to 1) and the
@@ -434,11 +419,17 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
         raise ValueError(f"nu must lie in (0, {specfun.HANKEL_ORDERS - 0.5}]")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    a = series_engine._lerch_start(x, int(specfun.asymptotic_crossover(nu) / (4.0 * pi)))[0]
-    j, abs_sum, abs_moment, k, rows, dropped = _poisson_left(nu, a)
+    a = series_engine._lerch_start(x, int(specfun.asymptotic_crossover(nu) / (4.0 * pi)))
+    d = specfun.hankel_lattice(nu)[0]
+    k = max(specfun._hankel_top(d, 0, a + 1.0), math.ceil(nu - 1.5))
+    rows = series_engine._lerch_rows((d[: k + 1] / pi).tolist(), 0, a)
     tail, _, remainder, tail_rounding = series_engine._lerch_sum(x, a, rows, k + 1)
-    lhs = math.fsum((j * np.cos(2.0 * pi * np.arange(1.0, a + 1) * x)).tolist() + [tail])
-    rounding = ((k + 2) * _EPS * abs_sum + 2.0 * pi * x * _EPS * abs_moment
+    j, ms = _lattice_J(nu, a), np.arange(1.0, a + 1)
+    lhs = math.fsum((j * np.cos(2.0 * pi * ms * x)).tolist() + [tail])
+    size = np.abs(j)
+    # sum_{m>a} m^{-s} <= a^{1-s}/(s - 1) for the dropped orders s = k + 3/2, k + 5/2
+    dropped = sum(abs(float(d[k + i])) * float(a) ** (0.5 - k - i) / (k + i - 0.5) for i in (1, 2)) / pi
+    rounding = ((k + 2) * _EPS * float(size.sum()) + 2.0 * pi * x * _EPS * float((ms * size).sum())
                 + remainder + tail_rounding)
 
     def kernel(t: float) -> float:
@@ -446,10 +437,11 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
 
     rhs = kernel(x) + kernel(x + 1.0) + kernel(1.0 - x) + kernel(2.0 - x)
     snu = 0.0 if abs(nu - round(nu)) < 1e-12 and round(nu) % 2 == 0 else sin(nu * pi / 2.0)
-    # the tails over 2 pi (m + x), m >= 2, and 2 pi (m - x), m >= 3, are the
-    # g-sums at exponent nu/2 on the gaps x and 1 - x, to 1e-17: the sides
-    # are compared down to 1e-15
-    g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0, 1e-17).value for gap in (x, 1.0 - x))
-    rhs -= snu / (2.0 * pi * 2.0**nu) * g
+    if snu:
+        # the tails over 2 pi (m + x), m >= 2, and 2 pi (m - x), m >= 3, are the
+        # g-sums at exponent nu/2 on the gaps x and 1 - x, to 1e-17: the sides
+        # are compared down to 1e-15
+        g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0, 1e-17).value for gap in (x, 1.0 - x))
+        rhs -= snu / (2.0 * pi * 2.0**nu) * g
     return _report(0, x, None, rhs, [], reference=lhs,
                    extras={"lhs_bound": float(dropped + rounding)})

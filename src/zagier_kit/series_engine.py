@@ -40,13 +40,9 @@ otherwise build, so no value depends on what was cached before:
     explicit range M0 (at most 10,760 floats) and their m-sums, the tail
     envelopes at M0 and lattice^{-s} with its rounding _ZETA_EPS
     lattice^{-s} (29 floats each), and the Lerch rows F_n at a = M0
-    (2 x 49 floats);
+    (2 x 49 floats; a Lerch tail that starts past M0 forms its range per call);
   * the coefficients of the cot-derivative polynomials of the Lerch tail
     (:func:`_cot_table`, 49 x 50 floats, built on first use);
-  * one Lerch range per (nu, lattice, a) (:func:`_lerch_range`, 64
-    entries of at most DEFAULT_MAX_TERMS + 98 floats, the plan's own at
-    a = M0): the brackets through a, their m-sums, the orders closed, their
-    truncation and their rows;
   * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
     512 entries of at most 10,760 + 72 floats): bracket(q) minus its first
     K orders, the m-sums the rounding bound reads and the stairs of the top
@@ -345,22 +341,27 @@ def _cot_table() -> np.ndarray:
 
 
 _LERCH_SIGNS = np.array([(-1.0) ** (n // 2) for n in range(_LERCH_TERMS + 1)])
+# row j, column n: the rising factorial (s)_n at s = j + 1/2, an integer over 2^n
+# rounded once
+_RISING = np.array([[math.prod(range(2 * j + 1, 2 * (j + n), 2)) / 2**n
+                     for n in range(_LERCH_TERMS + 1)] for j in range(_ORDERS + 1)])
 
 
-def _lerch_rows(coeffs, s, a: int) -> tuple[np.ndarray, np.ndarray]:
+def _lerch_rows(coeffs, lo: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_n F_n, |F|_n), n = 0.._LERCH_TERMS, the x-free half of :func:`_lerch_sum`
-    for f(m) = sum_k c_k m^{-s_k}: F_n = sum_k c_k (s_k)_n (a+1)^{-s_k-n},
-    |F|_n the same sum of |terms| and sigma_n = (-1)^{floor(n/2)} the sign
-    H_n's part carries.  Each row is c_k (a+1)^{-s_k} (Python's power) times
-    the running product of (s_k + n)/(a+1), so a term carries at most n + 3
-    units of 2^-53."""
+    for f(m) = sum_k c_k m^{-s_k}, s_k = lo + k + 1/2: F_n = sum_k c_k (s_k)_n
+    (a+1)^{-s_k-n}, |F|_n the same sum of |terms| and sigma_n = (-1)^{floor(n/2)}
+    the sign H_n's part carries.  The weights c_k (a+1)^{-s_k} are Python's
+    powers and (a+1)^{-n} the running product of 1/(a+1), so with the rounded
+    (s_k)_n of _RISING a term carries at most 2n + 5 units of 2^-53 before
+    the sum over k."""
     a1 = float(a + 1)
-    s = np.asarray(s, dtype=float)
-    terms = np.empty((s.size, _LERCH_TERMS + 1))
-    terms[:, 0] = [c * a1**-sk for c, sk in zip(np.asarray(coeffs).tolist(), s.tolist())]
-    terms[:, 1:] = (s[:, None] + np.arange(_LERCH_TERMS)) / a1
-    np.cumprod(terms, axis=1, out=terms)
-    rows = _LERCH_SIGNS * terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    weights = np.array([c * a1 ** -(lo + k + 0.5) for k, c in enumerate(np.asarray(coeffs).tolist())])
+    rising = _RISING[lo : lo + weights.size]
+    scale = np.full(_LERCH_TERMS + 1, 1.0 / a1)
+    scale[0] = 1.0
+    np.cumprod(scale, out=scale)
+    rows = _LERCH_SIGNS * scale * (weights @ rising), scale * (np.abs(weights) @ rising)
     for row in rows:
         row.flags.writeable = False
     return rows
@@ -389,21 +390,19 @@ def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
     it, else the odd order of the smallest remainder: fixed by bounds alone,
     before anything is summed.  The terms fall like ((s + n)/(2 pi x' (a+1)))^n,
     so a >= _LERCH_REACH/x' lets them fall far.
-    The rounding counts 4n + orders + 6 units per term (c carries 4, so h_n
-    about 6n + 8 units, and F_n n + orders + 3) and the turn of the phase
-    2 pi x'(a+1)."""
+    The rounding counts 4n + orders + 7 units of _EPS per term (c carries 4
+    units of 2^-53, so h_n about 6n + 8, and F_n 2n + orders + 5), at most
+    4N + orders + 3, and the turn of the phase 2 pi x'(a+1)."""
     F, F_abs = rows[0].tolist(), rows[1].tolist()
     t = 1.0 - x if x > 0.5 else x
     c = math.cos(pi * t) / math.sin(pi * t)
-    powers = np.full(_LERCH_TERMS + 2, c)
+    # c^j for j < top stays below e^700; below x' ~ 1e-7 the rows of h that need
+    # a higher power are infinite and never summed
+    top = _LERCH_TERMS + 2 if c <= 1.0 else min(_LERCH_TERMS + 2, int(700.0 / math.log(c)) + 1)
+    powers = np.full(top, c)
     powers[0] = 1.0
-    with np.errstate(over="ignore"):
-        np.cumprod(powers, out=powers)
-    # below x' ~ 1e-7 the top powers overflow: rows that reach one are infinite
-    top = int(np.searchsorted(powers, math.inf)) if c > 1.0 else powers.size
-    powers[top:] = 0.0
-    h = (_cot_table() * powers).sum(axis=1).tolist()
-    h[top - 1 :] = [math.inf] * (len(h) - top + 1)
+    np.cumprod(powers, out=powers)
+    h = (_cot_table()[: top - 1, :top] @ powers).tolist() + [math.inf] * (_LERCH_TERMS + 2 - top)
     sizes = [hn * fn for hn, fn in zip(h, F_abs)]
     sizes[0] += 0.5 * F_abs[0]  # |H_0| <= 1/2 + h_0
     N, before = 1, sizes[0]
@@ -420,10 +419,8 @@ def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
     angle = 2.0 * pi * math.fmod(turn, 1.0)
     cs, sn = math.cos(angle), math.sin(angle)
     real, imag = cs * re - sn * im, sn * re + cs * im
-    size = math.fsum(sizes[:N])
-    rounding = _EPS * (math.fsum([(4 * n + 6 + orders) * size_n for n, size_n in enumerate(sizes[:N])])
-                       + (2.0 * pi * turn + 10.0) * size)
-    remainder = sizes[N] * (1.0 + (4 * N + orders + 6) * _EPS)
+    rounding = _EPS * (4 * N + orders + 13 + 2.0 * pi * turn) * math.fsum(sizes[:N])
+    remainder = sizes[N] * (1.0 + (4 * N + orders + 7) * _EPS)
     return real, (-imag if x > 0.5 else imag), remainder, rounding
 
 
@@ -598,7 +595,7 @@ class _Plan:
     abs_moment: float      # sum_m m |bracket|
     orders: int            # K of the smallest envelope at M0, the orders of the x = 0 and Lerch tails
     lerch_coeffs: np.ndarray  # b_k lattice^{-s} for k = 1..orders, by Python's power
-    lerch: tuple              # :func:`_lerch_rows` of those orders at a = M0
+    lerch: tuple           # :func:`_lerch_rows` of those orders at a = M0
 
 
 @functools.lru_cache(maxsize=512)  # at most 10,760 brackets each (nu = 260, lattice 1)
@@ -636,7 +633,7 @@ def _plan(nu: int, lattice: int) -> _Plan:
     coeffs = np.array([bk * float(lattice) ** -sk for bk, sk in zip(b[1 : orders + 1].tolist(),
                                                                     _S[:orders].tolist())])
     plan = _Plan(b, near, brackets, envelopes, np.abs(b[1:]), lam_s, _ZETA_EPS * lam_s,
-                 abs_sum, abs_moment, orders, coeffs, _lerch_rows(coeffs, _S[:orders], base))
+                 abs_sum, abs_moment, orders, coeffs, _lerch_rows(coeffs, 1, base))
     for array in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.zeta_err,
                   plan.lerch_coeffs):
         array.flags.writeable = False
@@ -735,8 +732,7 @@ def _zero_sum(nu: int, lattice: int) -> tuple[float, float, float]:
     tails = [hurwitz_zeta(s, brackets.size + 1.0) for s in _S[:orders].tolist()]
     closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
-    rounding = ((2e-15 + _EPS) * float(np.abs(brackets).sum())
-                + _ZETA_EPS * float(np.abs(closed).sum()))
+    rounding = (2e-15 + _EPS) * plan.abs_sum + _ZETA_EPS * float(np.abs(closed).sum())
     return value, truncation, truncation + rounding
 
 
@@ -781,10 +777,10 @@ def regularized_bracket_sum(
     6e4 at nu = 20.  When that breaks tol while the explicit terms' rounding
     and the dropped order fit it, the closed differences give way to the
     Lerch tail of :func:`_lerch_bracket_sum`: the brackets m <= a =
-    max(M, ceil(6/x')) as they are, and the tail past a at its own size.
-    It raises when its bound exceeds tol, or when 6/x' passes
-    DEFAULT_MAX_TERMS (x' below 3e-4); the tail past the cap is then
-    closed all the same and carried as best.
+    max(M, min(ceil(6/x'), DEFAULT_MAX_TERMS)) as they are, and the tail
+    past a at its own size.  Its remainder bound holds for any a, so where
+    the cap shortens a (x' below 3e-4) the bound only grows, and it raises
+    like any other when that bound exceeds tol.
 
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
@@ -816,11 +812,11 @@ def regularized_bracket_sum(
     plan = _plan(nu, lattice)
     b, M, envelopes = plan.b, plan.brackets.size, plan.envelopes
     if x == 0.0:
-        # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1),
-        # a sum of positive terms: nothing cancels, so no window is needed, and
-        # the finished value and bound depend on neither x nor tol
+        # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1), a sum
+        # of positive terms: nothing cancels, and the finished value and bound depend
+        # on neither x nor tol
         value, truncation, bound = _zero_sum(nu, lattice)
-        W, reach = M, 0.0
+        W = M
     else:
         K = (next((k for k, envelope in enumerate(envelopes.tolist(), 1) if envelope <= tol), 0)
              or plan.orders)
@@ -830,10 +826,10 @@ def regularized_bracket_sum(
         # trig(2 pi m x) is rounded by _EPS (1 + 2 pi x m), so its m-sums are x-free
         closed_err = plan.b_abs[:K] * (plan.zeta_err[:K] + _EPS * (res.power_sums + xi * res.power_moments))
         fixed = truncation + (2e-15 + _EPS) * plan.abs_sum + xi * _EPS * plan.abs_moment
-        W, reach, bound = M, 0.0, fixed + float(closed_err.sum())
+        W, bound = M, fixed + float(closed_err.sum())
         if bound > tol and fixed <= tol:
             # the closed differences cancel: sum the tail past a at its own size instead
-            value, W, truncation, bound, reach = _lerch_bracket_sum(nu, x, lattice)
+            value, W, truncation, bound = _lerch_bracket_sum(nu, x, lattice)
         else:
             if res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
                 # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the
@@ -847,10 +843,6 @@ def regularized_bracket_sum(
             closed = b[1 : K + 1] * plan.lam_s[:K] * zeta_row[1 : K + 1]
             value = chunked_fsum(res.row[:W] * trig) + math.fsum(closed.tolist())
     result = SeriesResult(value, W, bound)
-    if reach > DEFAULT_MAX_TERMS:
-        raise SeriesConvergenceError(
-            f"regularized_bracket_sum: the Lerch tail needs {reach:.6g} explicit terms, "
-            f"past the cap of {DEFAULT_MAX_TERMS} (nu={nu}, M={M})", result)
     if not bound <= tol:
         rounding = bound - truncation
         cause = (f"rounding bound {rounding:.2e}" if rounding > tol
@@ -862,60 +854,50 @@ def regularized_bracket_sum(
     return result
 
 
-@functools.lru_cache(maxsize=64)  # at most DEFAULT_MAX_TERMS + 98 floats each
-def _lerch_range(nu: int, lattice: int, a: int) -> tuple:
-    """(K, brackets m <= a, their m-sums, truncation, rows) of the Lerch tail past a >= M0.
+def _lerch_start(x: float, least: int) -> int:
+    """a = max(least, min(ceil(_LERCH_REACH/x'), DEFAULT_MAX_TERMS)), x' = min(x, 1 - x),
+    where a Lerch tail at 0 < x < 1 starts."""
+    return max(least, math.ceil(min(_LERCH_REACH / min(x, 1.0 - x), DEFAULT_MAX_TERMS)))
 
-    Past a, f(m) = sum_{k<=K} b_k (lattice m)^{-s}, and its first dropped
-    order, |b_{K+1}| sum_{m>a} (lattice m)^{-(K+3/2)} bounded by its
-    integral, is the truncation.  At a = M0 all of it is the plan's, K the
-    order of the smallest envelope.  Past M0 the brackets M0 < m <= a come
-    from their power series with the orders that reach 1e-17 at M0 + 1, K is
-    the first order whose truncation at a is no larger than the plan's at
-    M0, and the rows are :func:`_lerch_rows` of those K orders at a."""
+
+def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, float, float]:
+    """(value, a, truncation, bound) of the bracket sum at 0 < x < 1 with the tail
+    past a = :func:`_lerch_start` at least M0 closed by :func:`_lerch_sum`.
+
+    The brackets m <= a are summed as they are, their phases formed at x' =
+    min(x, 1 - x).  Past a, f(m) = sum_{k<=K}
+    b_k (lattice m)^{-s}, and its first dropped order, the envelope of
+    :func:`_envelopes` at a, is the truncation.  At a = M0 all of the x-free
+    part is the plan's, K the order of the smallest envelope.  Past M0 it is
+    formed per call: the brackets through a (:func:`_bracket_values`), K the
+    first order whose envelope
+    at a is no larger than the plan's truncation at M0, and the rows of
+    those K orders at a.  The bound adds the truncation, the explicit
+    terms' rounding, as on the closed path, the Watson remainder and the
+    tail's rounding.
+    """
     plan = _plan(nu, lattice)
     M = plan.brackets.size
-
-    def truncation_at(k: int, m: int) -> float:
-        return float(plan.b_abs[k]) * float(lattice * m) ** -(k + 1.5) * m / (k + 0.5)
-
-    if a == M:
-        return (plan.orders, plan.brackets, plan.abs_sum, plan.abs_moment,
-                truncation_at(plan.orders, M), plan.lerch)
-    limit = truncation_at(plan.orders, M)
-    K = next(k for k in range(1, plan.orders + 1) if truncation_at(k, a) <= limit)
-    far = _hankel_sum(plan.b, 1, lattice * np.arange(M + 1.0, a + 1.0))
-    brackets = np.concatenate([plan.brackets, far])
-    size = np.abs(brackets)
-    abs_sum = float(size.sum())
-    abs_moment = float(np.multiply(np.arange(1.0, a + 1.0), size, out=size).sum())
-    brackets.flags.writeable = False
-    return (K, brackets, abs_sum, abs_moment, truncation_at(K, a),
-            _lerch_rows(plan.lerch_coeffs[:K], _S[:K], a))
-
-
-def _lerch_start(x: float, least: int) -> tuple[int, float]:
-    """(a, reach) for a Lerch tail at 0 < x < 1: reach = _LERCH_REACH/x', x' = min(x, 1 - x),
-    and a = max(least, min(ceil(reach), DEFAULT_MAX_TERMS))."""
-    reach = _LERCH_REACH / min(x, 1.0 - x)
-    return max(least, math.ceil(min(reach, DEFAULT_MAX_TERMS))), reach
-
-
-def _lerch_bracket_sum(nu: int, x: float, lattice: int):
-    """(value, a, truncation, bound, reach) of the bracket sum at 0 < x < 1 with the
-    tail past a closed by :func:`_lerch_sum`, a and reach of :func:`_lerch_start` at
-    least M0.  The brackets m <= a are summed as they are; the x-free rest is
-    :func:`_lerch_range`.  The bound adds the truncation, the explicit terms'
-    rounding, as on the closed path, the Watson remainder and the tail's
-    rounding.
-    """
-    a, reach = _lerch_start(x, _plan(nu, lattice).brackets.size)
-    K, brackets, abs_sum, abs_moment, truncation, rows = _lerch_range(nu, lattice, a)
-    value = chunked_fsum(brackets * _trig(nu % 2 == 0, x, np.arange(1.0, a + 1.0)))
+    a = _lerch_start(x, M)
+    K, brackets, rows = plan.orders, plan.brackets, plan.lerch
+    truncation, abs_sum, abs_moment = float(plan.envelopes[K - 1]), plan.abs_sum, plan.abs_moment
+    if a > M:
+        envelopes = _envelopes(plan.b, lattice, a)
+        K = int(np.argmax(envelopes <= truncation)) + 1
+        truncation = float(envelopes[K - 1])
+        brackets = _bracket_values(nu, lattice, a)
+        size = np.abs(brackets)
+        abs_sum = float(size.sum())
+        abs_moment = float(np.multiply(np.arange(1.0, a + 1.0), size, out=size).sum())
+        rows = _lerch_rows(plan.lerch_coeffs[:K], 1, a)
+    even_nu, t = nu % 2 == 0, min(x, 1.0 - x)
+    # the phases at x' (exact), whose rounding grows like x' m rather than x m:
+    # sin(2 pi m x) = -sin(2 pi m x') for x > 1/2
+    value = chunked_fsum(brackets * _trig(even_nu, t, np.arange(1.0, a + 1.0)))
     re, im, remainder, rounding = _lerch_sum(x, a, rows, K)
-    bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * x * _EPS * abs_moment
+    bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * t * _EPS * abs_moment
              + remainder + rounding)
-    return value + (re if nu % 2 == 0 else im), a, truncation, bound, reach
+    return (re + value if even_nu else im + (value if x <= 0.5 else -value)), a, truncation, bound
 
 
 def _regularizer_sum(nu: int, x: float, lattice: int) -> float:

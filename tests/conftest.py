@@ -420,7 +420,11 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
             raise ValueError(f"m_terms {m_terms} lies below the base range {base}")
         M = m_terms
     ks = np.arange(1, _ORDERS, dtype=float)
-    envelopes = np.abs(b[2:]) * (lam * M) ** -(ks + 1.5) * M / (ks + 0.5)
+
+    def envelopes_at(m):
+        return np.abs(b[2:]) * (lam * m) ** -(ks + 1.5) * m / (ks + 0.5)
+
+    envelopes = envelopes_at(M)
     below = np.flatnonzero(envelopes <= tol)
     if m_terms is None and below.size and x != 0.0:
         K = int(below[0]) + 1
@@ -470,28 +474,30 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
         # the Lerch regime: the brackets m <= a as they are, the tail past a by the
         # library's Lerch kernel, with its x-free rows formed afresh
         K = int(np.argmin(envelopes)) + 1
-        reach = 6.0 / min(x, 1.0 - x)
-        a = max(M, math.ceil(min(reach, cap)))
-
-        def truncation_at(k, m):
-            return abs(float(b[k + 1])) * float(lattice * m) ** -(k + 1.5) * m / (k + 0.5)
-
+        truncation = float(envelopes[K - 1])
+        a = max(M, math.ceil(min(6.0 / min(x, 1.0 - x), cap)))
         if a > M:
-            # the brackets past M from the orders that reach 1e-17 at M + 1, and
-            # the first order whose truncation at a is at most the one at M
-            K = next(k for k in range(1, K + 1) if truncation_at(k, a) <= truncation_at(K, M))
-            far_q = lattice * np.arange(M + 1, a + 1, dtype=float)
-            brackets = np.concatenate([brackets, _hankel_sum(b, 1, far_q)])
+            # the brackets past near from the orders that reach 1e-17 at near + 1,
+            # and the first order whose envelope at a is at most the truncation at M
+            far = envelopes_at(a)
+            K = int(np.argmax(far <= truncation)) + 1
+            truncation = float(far[K - 1])
+            far_q = lattice * np.arange(near + 1, a + 1, dtype=float)
+            brackets = np.concatenate([near_values, _hankel_sum(b, 1, far_q)])
             abs_sum = float(np.abs(brackets).sum())
             abs_moment = float((np.arange(1.0, a + 1.0) * np.abs(brackets)).sum())
         coeffs = [bk * lam ** -(k + 1.5) for k, bk in enumerate(b[1 : K + 1].tolist())]
-        rows = _lerch_rows(coeffs, np.arange(1, K + 1) + 0.5, a)
+        rows = _lerch_rows(coeffs, 1, a)
         re, im, remainder, rounding = _lerch_sum(x, a, rows, K)
-        truncation = truncation_at(K, a)
-        value = math.fsum((brackets * trig_at(np.arange(1.0, a + 1.0))).tolist())
-        bound = (truncation + (2e-15 + _EPS) * abs_sum + xi * _EPS * abs_moment
+        # the phases at x' = min(x, 1 - x), sin turning sign past 1/2
+        t, ms = min(x, 1.0 - x), np.arange(1.0, a + 1.0)
+        trig = np.cos(2.0 * pi * t * ms) if even_nu else np.sin(2.0 * pi * t * ms)
+        value = math.fsum((brackets * trig).tolist())
+        bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * t * _EPS * abs_moment
                  + remainder + rounding)
-        return value + (re if even_nu else im), bound, a, bound > tol or reach > cap
+        if even_nu:
+            return re + value, bound, a, bound > tol
+        return im + (value if x <= 0.5 else -value), bound, a, bound > tol
     # orders 1..K close as b_k (lattice^{-s} T_s(x) - sum_{m <= M} trig q^{-s}),
     # which is sum_m trig (bracket - c) plus the closed values
     row = brackets - _orders_sum(b, 1, K, q)
@@ -512,10 +518,9 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_zero_sum"), ("series_engine", "_periodic_zeta_rows"),
-          ("series_engine", "_lerch_range"),
           ("series_engine", "_em_rows"),
           ("formulas", "_number_exact"), ("formulas", "_type_exact"),
-          ("formulas", "_number_terms"), ("formulas", "_type_terms"), ("formulas", "_poisson_left"),
+          ("formulas", "_number_terms"), ("formulas", "_type_terms"),
           ("formulas", "_weighted_profile"))
 
 

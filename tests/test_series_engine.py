@@ -154,7 +154,7 @@ def test_lerch_kernel_lies_within_its_bound_of_the_tail(x):
             near = mp.mpc(math.fsum((np.cos(angle) * size).tolist()),
                           math.fsum((np.sin(angle) * size).tolist()))
             allowance = 2.0 * se._EPS * float(((2.0 * pi * x * ms + 4.0) * size).sum())
-            re, im, remainder, rounding = se._lerch_sum(x, a, se._lerch_rows([1.0], [k + 0.5], a), 1)
+            re, im, remainder, rounding = se._lerch_sum(x, a, se._lerch_rows([1.0], k, a), 1)
             err = abs(mp.mpc(re, im) - (ref + near))
             assert err <= remainder + rounding + allowance, (a, k, float(err), remainder, rounding)
 
@@ -479,13 +479,24 @@ def test_outside_window_flag():
 
 @pytest.mark.parametrize("x", (1e-5, 1e-12, 1e-200, 1.0 - 1e-12))
 def test_lerch_tail_past_the_cap_raises_with_its_bound(x):
-    # 6/x' passes DEFAULT_MAX_TERMS: the tail past the cap is closed all the
-    # same, with no overflow warning, and carried as best with its bound
-    with pytest.raises(se.SeriesConvergenceError, match="past the cap") as err:
+    # 6/x' passes DEFAULT_MAX_TERMS: the tail starts at the cap, where its
+    # remainder breaks tol; it is closed all the same, with no overflow
+    # warning, and carried as best with its bound
+    with pytest.raises(se.SeriesConvergenceError, match="exceeds tol") as err:
         se.regularized_bracket_sum(16, x, 1e-12)
     best = err.value.best
     assert best.terms_used == se.DEFAULT_MAX_TERMS and not best.tail_bound <= 1e-12
     assert math.isfinite(best.value)
+
+
+@pytest.mark.parametrize("x", (2.5e-4, 3e-4))
+def test_lerch_tail_at_the_cap_passes_where_its_bound_fits(x):
+    # 6/x' reaches or passes DEFAULT_MAX_TERMS, yet the tail at the cap still
+    # meets tol: the bound alone decides, against the uncached reference
+    got = se.regularized_bracket_sum(16, x, 1e-12)
+    value, bound, used, raised = uncached_bracket_sum(16, x, 1e-12)
+    assert (got.value, got.tail_bound, got.terms_used, raised) == (value, bound, used, False)
+    assert got.terms_used == se.DEFAULT_MAX_TERMS and got.tail_bound <= 1e-12
 
 
 def test_partial_sum_error_scaling():
