@@ -356,12 +356,15 @@ def _lerch_rows(coeffs, lo: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     (s_k)_n of _RISING a term carries at most 2n + 5 units of 2^-53 before
     the sum over k."""
     a1 = float(a + 1)
-    weights = np.array([c * a1 ** -(lo + k + 0.5) for k, c in enumerate(np.asarray(coeffs).tolist())])
+    coeffs = np.asarray(coeffs).tolist()
+    weights = np.array([c * a1 ** -(lo + k + 0.5) for k, c in enumerate(coeffs)])
     rising = _RISING[lo : lo + weights.size]
     scale = np.full(_LERCH_TERMS + 1, 1.0 / a1)
     scale[0] = 1.0
     np.cumprod(scale, out=scale)
-    rows = _LERCH_SIGNS * scale * (weights @ rising), scale * (np.abs(weights) @ rising)
+    # einsum's own loop, not BLAS: the same sums whatever the BLAS build and threads
+    rows = (_LERCH_SIGNS * scale * np.einsum("k,kn->n", weights, rising),
+            scale * np.einsum("k,kn->n", np.abs(weights), rising))
     for row in rows:
         row.flags.writeable = False
     return rows
@@ -402,7 +405,8 @@ def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
     powers = np.full(top, c)
     powers[0] = 1.0
     np.cumprod(powers, out=powers)
-    h = (_cot_table()[: top - 1, :top] @ powers).tolist() + [math.inf] * (_LERCH_TERMS + 2 - top)
+    h = (np.einsum("nj,j->n", _cot_table()[: top - 1, :top], powers).tolist()
+         + [math.inf] * (_LERCH_TERMS + 2 - top))
     sizes = [hn * fn for hn, fn in zip(h, F_abs)]
     sizes[0] += 0.5 * F_abs[0]  # |H_0| <= 1/2 + h_0
     N, before = 1, sizes[0]
