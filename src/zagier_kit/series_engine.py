@@ -362,9 +362,10 @@ def _lerch_rows(coeffs, lo: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     scale = np.full(_LERCH_TERMS + 1, 1.0 / a1)
     scale[0] = 1.0
     np.cumprod(scale, out=scale)
-    # einsum's own loop, not BLAS: the same sums whatever the BLAS build and threads
-    rows = (_LERCH_SIGNS * scale * np.einsum("k,kn->n", weights, rising),
-            scale * np.einsum("k,kn->n", np.abs(weights), rising))
+    # sums of products, not BLAS or einsum, whose first use in a process starts
+    # buffers of about 0.5 MB, and whose sums may change with the BLAS threads
+    rows = (_LERCH_SIGNS * scale * (rising * weights[:, None]).sum(axis=0),
+            scale * (rising * np.abs(weights)[:, None]).sum(axis=0))
     for row in rows:
         row.flags.writeable = False
     return rows
@@ -405,7 +406,7 @@ def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
     powers = np.full(top, c)
     powers[0] = 1.0
     np.cumprod(powers, out=powers)
-    h = (np.einsum("nj,j->n", _cot_table()[: top - 1, :top], powers).tolist()
+    h = ((_cot_table()[: top - 1, :top] * powers).sum(axis=1).tolist()
          + [math.inf] * (_LERCH_TERMS + 2 - top))
     sizes = [hn * fn for hn, fn in zip(h, F_abs)]
     sizes[0] += 0.5 * F_abs[0]  # |H_0| <= 1/2 + h_0
