@@ -8,7 +8,9 @@ C_{1/2}(x), S_{1/2}(x).  Past the Hankel crossover the bracket on the 4 pi m
 lattice is a pure power series in 1/m, sum_k b_k m^{-(k+1/2)}, so every
 order of the tail beyond the explicit range is summed in closed form, again
 through periodic zeta values at s = k + 1/2 (Wood's polylogarithm
-expansion).  At x = 0 each closed order is a Hurwitz zeta value
+expansion).  Their weights fold into Wood's coefficients once per residual
+row, so the closed orders together are one polynomial in a(x) with x-free
+coefficients (:class:`_Wood`).  At x = 0 each closed order is a Hurwitz zeta value
 zeta(k + 1/2, M + 1), a sum of positive terms.  The explicit range
 therefore sits at the crossover 2 nu^2/(4 pi), and the tolerance picks how
 many orders are closed.  At x != 0 a loose tolerance also cuts the top of
@@ -38,28 +40,33 @@ otherwise build, so no value depends on what was cached before:
   * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
     coefficients b_k and |b_k|, the bracket values through the base
     explicit range M0 (at most 10,760 floats) and their m-sums, the tail
-    envelopes at M0 and lattice^{-s} with its rounding _ZETA_EPS
-    lattice^{-s} (29 floats each), and the Lerch rows F_n at a = M0
-    (2 x 49 floats; a Lerch tail that starts past M0 forms its range per call);
+    envelopes at M0, lattice^{-s} and the weights b_k lattice^{-s} (29
+    floats each), the closed tails' rounding per order (2 x at most 29
+    floats), and the Lerch rows F_n at a = M0 (2 x 49 floats; a Lerch tail
+    that starts past M0 forms its range per call);
   * the coefficients of the cot-derivative polynomials of the Lerch tail
     (:func:`_cot_table`, 49 x 50 floats, built on first use);
   * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
-    512 entries of at most 10,760 + 72 floats): bracket(q) minus its first
-    K orders, the m-sums the rounding bound reads and the stairs of the top
-    cut;
+    512 entries of at most 10,760 + 109 floats): bracket(q) minus its first
+    K orders, the Wood polynomial of those K closed orders (at most 2 x 32 +
+    29 coefficients, the negligible top ones dropped), the two scalars of the
+    closed tails' rounding bound and the stairs of the top cut;
   * at x = 0, where K and the sum depend on neither x nor tol, the value,
     truncation and bound per (nu, lattice) (:func:`_zero_sum`, 512 entries);
   * the Euler-Maclaurin coefficients of the g-sums per exponent r
     (:func:`_em_rows`, 512 entries of 56 floats);
-  * the periodic zeta values at every order, per (x, parity) (128
-    entries): a sum over cos phases forms only C_s(x), one over sin phases
-    only S_s(x), and a bracket sum and its regularizer share that row.
+  * the Wood polynomial of a unit weight per order and parity
+    (:func:`_unit_wood`, at most 60 entries): order 0 gives the regularizer's
+    C_{1/2}(x) or S_{1/2}(x), and all of them :func:`periodic_zeta`;
+  * built once on first use: Wood's coefficient tables (:func:`_wood_tables`).
+  Nothing is kept per x.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from math import pi, sqrt
 
@@ -99,7 +106,7 @@ _MAX_PASSES = 4      # passes before a sum falls back to math.fsum
 _ORDERS = HANKEL_ORDERS  # orders k of the bracket expansion sum_k b_k m^{-(k+1/2)}
 _WOOD_TERMS = 64    # terms of Wood's expansion; 2^{-64} is far below rounding
 _EPS = 2.2e-16      # two units of double rounding
-_ZETA_EPS = 2.5e-15  # periodic_zeta (<= 1.8e-15 against mpmath) and the subtraction
+_ZETA_EPS = 2.5e-15  # of sum_k |w_k|: a Wood polynomial (0.9 of it against mpmath) and the subtraction
 _EM_ORDERS = 6       # Euler-Maclaurin corrections B_2..B_12 that close a g-sum prefix
 _EM_START = 4        # the shortest g-sum prefix they close
 _LERCH_TERMS = 48    # the last order n of the Lerch expansion; 2 pi x'(a + 1) > 12 pi needs ~40
@@ -214,14 +221,17 @@ def _extracted_sum(p: np.ndarray) -> float | None:
 
 @functools.cache
 def _wood_tables() -> tuple[np.ndarray, ...]:
-    """Coefficients of the expansions in :func:`periodic_zeta`, s = k + 1/2.
+    """Wood's expansions of :func:`periodic_zeta` as even polynomials in a,
+    row k for s = k + 1/2, k = 0.._ORDERS.
 
-    Returns (zeta, eta, gamma_c, gamma_s, re, im) with zeta[k, j] =
-    zeta(s - j) and eta[k, j] = (1 - 2^{1-s+j}) zeta(s - j) for j <
-    _WOOD_TERMS, gamma_c[k] + i gamma_s[k] = Gamma(1-s) e^{-i pi (s-1)/2}
-    and re[j] + i im[j] = i^j / j!.  Zeta at positive half-integers comes
-    from :func:`specfun.hurwitz_zeta` at 1, at negative ones from the
-    reflection zeta(h) = 2^h pi^{h-1} sin(pi h/2) Gamma(1-h) zeta(1-h).
+    Returns (cos, sin, gamma_c, gamma_s).  Columns i < h = _WOOD_TERMS/2 of
+    cos and sin hold the expansion about x = 0, cos[k, i] = (-1)^i zeta(s - 2i)/(2i)!
+    and sin[k, i] = (-1)^i zeta(s - 2i - 1)/(2i + 1)!, and columns h + i the one
+    about x = 1/2, cos[k, h + i] = -(-1)^i eta(s - 2i)/(2i)! and sin[k, h + i] =
+    (-1)^i eta(s - 2i - 1)/(2i + 1)! with eta(z) = (1 - 2^{1-z}) zeta(z);
+    gamma_c[k] + i gamma_s[k] = Gamma(1-s) e^{-i pi (s-1)/2}.  Zeta at positive
+    half-integers comes from :func:`specfun.hurwitz_zeta` at 1, at negative
+    ones from the reflection zeta(z) = 2^z pi^{z-1} sin(pi z/2) Gamma(1-z) zeta(1-z).
     Built on first use, so importing the package costs nothing.
     """
     positive = [hurwitz_zeta(k + 0.5, 1.0) for k in range(max(_ORDERS, _WOOD_TERMS) + 1)]
@@ -232,20 +242,103 @@ def _wood_tables() -> tuple[np.ndarray, ...]:
         h = k + 0.5
         return 2.0**h * pi ** (h - 1.0) * math.sin(pi * h / 2.0) * math.gamma(1.0 - h) * positive[-k]
 
-    ks = np.arange(_ORDERS + 1)
-    js = np.arange(_WOOD_TERMS)
-    zeta = np.array([[zeta_at(k - j) for j in js] for k in ks])
-    eta = (1.0 - 2.0 ** (0.5 - np.subtract.outer(ks, js))) * zeta
+    def row(k: int, parity: int) -> list[float]:
+        near, far = [], []
+        for i in range(_WOOD_TERMS // 2):
+            j = 2 * i + parity
+            zeta, scale = zeta_at(k - j), (-1.0) ** i * (1 / math.factorial(j))
+            near.append(zeta * scale)
+            far.append((1.0 - 2.0 ** (0.5 - k + j)) * zeta * (scale if parity else -scale))
+        return near + far
+
+    ks = range(_ORDERS + 1)
     gamma = np.array([math.gamma(0.5 - k) for k in ks])
-    theta = pi * (ks - 0.5) / 2.0
-    inv_fact = np.array([1.0 / math.factorial(j) for j in js])
-    quarter = js % 4
-    re = inv_fact * np.select([quarter == 0, quarter == 2], [1.0, -1.0], 0.0)
-    im = inv_fact * np.select([quarter == 1, quarter == 3], [1.0, -1.0], 0.0)
-    tables = (zeta, eta, gamma * np.cos(theta), -gamma * np.sin(theta), re, im)
+    theta = pi * (np.arange(_ORDERS + 1) - 0.5) / 2.0
+    tables = (np.array([row(k, 0) for k in ks]), np.array([row(k, 1) for k in ks]),
+              gamma * np.cos(theta), -gamma * np.sin(theta))
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _horner(row: tuple[float, ...] | array, t: float) -> float:
+    """The polynomial with coefficients row, highest power first, at t."""
+    total = 0.0
+    for a in row:
+        total = total * t + a
+    return total
+
+
+@dataclass(frozen=True)
+class _Wood:
+    """sum_k w_k T_s(x) over orders k = lo, lo + 1, ..., s = k + 1/2, with T_s = C_s,
+    or S_s when odd, of :func:`periodic_zeta`: Wood's expansions with the weights
+    folded in (:func:`_wood`), so that only a, a^2 and Horner's rule depend on x."""
+
+    near: array      # coefficients in a^2 of the regular part at t <= 1/4, highest first
+    singular: array  # coefficients in a of sum_k w_k Gamma-term a^{k-lo}, highest first
+    far: array       # coefficients in a^2 at t > 1/4, highest first
+    lo: int
+    odd: bool
+
+    def at(self, x: float) -> float:
+        """The sum at 0 <= x < 1: t = min(x, 1 - x), a = 2 pi t and the singular part
+        times a^{lo-1/2} for t <= 1/4, else a = pi (1 - 2t); the sine parts carry one
+        more a and turn sign past 1/2.  At x = 0 it is sum_k w_k zeta(s), 0 when odd."""
+        t = 1.0 - x if x > 0.5 else x
+        if t <= 0.25:
+            if x == 0.0:
+                return 0.0 if self.odd else self.near[-1]
+            a = 2.0 * pi * t
+            head, rows = _horner(self.singular, a) * a ** (self.lo - 0.5), self.near
+        else:
+            a = pi * (1.0 - 2.0 * t)
+            head, rows = 0.0, self.far
+        value = _horner(rows, a * a)
+        if not self.odd:
+            return value + head
+        value = a * value + head
+        return -value if x > 0.5 else value
+
+
+_WOOD_CUT = 1e-18  # of sum_k |w_k|: what the dropped top coefficients may add at a = pi/2
+# a^{2i}, or a^{2i+1} for the sine, at a = pi/2 by Python's power, for both halves of a table
+_WOOD_SIZE = tuple(np.array([(0.5 * pi) ** j for j in range(odd, _WOOD_TERMS + odd, 2)] * 2)
+                   for odd in (0, 1))
+
+
+def _wood(weights, lo: int, odd: bool) -> _Wood:
+    """The :class:`_Wood` of weights w_k at orders k = lo, lo + 1, ...
+
+    At a <= pi/2 the expansions' terms fall like 4^{-j}.  A column of the
+    products w_k times :func:`_wood_tables` is bounded by the sum of their
+    sizes, which numpy adds in order of k, and in each half of the table the
+    top columns whose bounds at a = pi/2 together stay below _WOOD_CUT
+    sum_k |w_k| are dropped, which leaves 11 to 29 of the 32.  Each
+    coefficient kept is one math.fsum of its column; the singular ones are
+    single products."""
+    tables, half = _wood_tables(), _WOOD_TERMS // 2
+    w = np.asarray(weights, dtype=float)
+    rows = slice(lo, lo + w.size)
+    terms = w[:, None] * tables[odd][rows]
+    bounds = (np.abs(terms).sum(axis=0) * _WOOD_SIZE[odd]).tolist()
+    columns = list(zip(*terms.tolist()))
+    cut = _WOOD_CUT * float(np.abs(w).sum())
+
+    def folded(start: int) -> array:  # highest power first
+        top, dropped = start + half, 0.0
+        while top > start + 1 and (dropped := dropped + bounds[top - 1]) <= cut:
+            top -= 1
+        return array("d", [math.fsum(columns[i]) for i in range(top - 1, start - 1, -1)])
+
+    singular = array("d", (w * tables[2 + odd][rows])[::-1].tolist())
+    return _Wood(folded(0), singular, folded(half), lo, odd)
+
+
+@functools.lru_cache(maxsize=2 * (_ORDERS + 1))  # every order of both parities
+def _unit_wood(k: int, odd: bool) -> _Wood:
+    """The :class:`_Wood` of one unit weight at order k: C_{k+1/2}, or S_{k+1/2} when odd."""
+    return _wood(np.ones(1), k, odd)
 
 
 def periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,46 +354,15 @@ def periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     Either way |mu|, |v| <= pi/2, so the terms fall like 2^{-j} and their
     sum carries at most ~e^{pi/2} times the value's rounding.  At x = 0 the
     pair is (zeta(s), 0); for s = 1/2 that is the analytic continuation.
+    Each entry is the :class:`_Wood` of a unit weight at its order
+    (:func:`_unit_wood`), so it is the same whatever k_max; nothing is
+    cached per x.
     """
     if not 0.0 <= x < 1.0:
         raise ValueError("x must lie in [0, 1)")
     if not 0 <= k_max <= _ORDERS:
         raise ValueError(f"k_max must lie in [0, {_ORDERS}]")
-    return tuple(_periodic_zeta_rows(x, odd)[: k_max + 1].copy() for odd in (False, True))
-
-
-_J = np.arange(_WOOD_TERMS, dtype=float)  # powers j of Wood's expansion
-_ALTERNATE = (-1.0) ** _J                 # (-1)^j
-_SINGULAR = np.arange(_ORDERS + 1) - 0.5   # exponents s - 1 of its singular term
-
-
-@functools.lru_cache(maxsize=128)  # a bracket sum and its regularizer ask at the same (x, parity)
-def _periodic_zeta_rows(x: float, odd: bool) -> np.ndarray:
-    """C_s(x), or S_s(x) when odd, of :func:`periodic_zeta` at every order
-    0.._ORDERS; each entry is the same whatever the number of orders or
-    the parity formed beside it, since the sum over j runs row by row."""
-    if not 0.0 <= x < 1.0:  # the lattice sums reach here without periodic_zeta's checks
-        raise ValueError("x must lie in [0, 1)")
-    zeta, eta, gamma_c, gamma_s, re, im = _wood_tables()
-    if x == 0.0:
-        row = np.zeros(_ORDERS + 1) if odd else zeta[:, 0].copy()
-    else:
-        t = 1.0 - x if x > 0.5 else x
-        if t <= 0.25:
-            a = 2.0 * pi * t
-            rows = zeta
-            head = (gamma_s if odd else gamma_c) * a**_SINGULAR
-            powers = a**_J
-        else:
-            a = pi * (1.0 - 2.0 * t)  # v = -i a; numpy's power is ~8x slower for a negative base
-            rows = -eta
-            head = 0.0
-            powers = _ALTERNATE * a**_J
-        row = head + (rows * (powers * (im if odd else re))).sum(axis=1)
-        if odd and x > 0.5:
-            row = -row
-    row.flags.writeable = False
-    return row
+    return tuple(np.array([_unit_wood(k, odd).at(x) for k in range(k_max + 1)]) for odd in (False, True))
 
 
 def trig_power_sums(x: float) -> TrigPowerSums:
@@ -476,14 +538,6 @@ def _em_rows(r: float) -> tuple[tuple[float, ...], ...]:
                  for j, ratio in enumerate(_bernoulli_ratios()[: _EM_ORDERS + 1], 1))
 
 
-def _horner(row: tuple[float, ...], t: float) -> float:
-    """The polynomial with coefficients row, highest power first, at t."""
-    total = 0.0
-    for a in row:
-        total = total * t + a
-    return total
-
-
 def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> SeriesResult:
     """sum_{j>=0} f(a0 + j) with f(A) = (A - sqrt(A^2-csq))^{2r}/sqrt(A^2-csq).
 
@@ -595,12 +649,14 @@ class _Plan:
     envelopes: np.ndarray  # :func:`_envelopes` at M0
     b_abs: np.ndarray      # |b_1..b_ORDERS|
     lam_s: np.ndarray      # lattice^{-s}, s = k + 1/2 for k = 1..ORDERS
-    zeta_err: np.ndarray   # _ZETA_EPS lattice^{-s}, the rounding of the periodic zeta values
+    # the closed tails' rounding per order k <= orders, P_k = sum_{m<=M0} q^{-s}
+    closed_err: np.ndarray     # |b_k| (_ZETA_EPS lattice^{-s} + _EPS P_k)
+    closed_moment: np.ndarray  # |b_k| sum_{m<=M0} m q^{-s}
     abs_sum: float         # sum_m |bracket| over m = 1..M0
     abs_moment: float      # sum_m m |bracket|
     orders: int            # K of the smallest envelope at M0, the orders of the x = 0 and Lerch tails
-    lerch_coeffs: np.ndarray  # b_k lattice^{-s} for k = 1..orders, by Python's power
-    lerch: tuple           # :func:`_lerch_rows` of those orders at a = M0
+    weights: np.ndarray    # w_k = b_k lattice^{-s} for k = 1..ORDERS, by Python's power
+    lerch: tuple           # :func:`_lerch_rows` of orders 1..orders at a = M0
 
 
 @functools.lru_cache(maxsize=512)  # at most 10,760 brackets each (nu = 260, lattice 1)
@@ -631,17 +687,26 @@ def _plan(nu: int, lattice: int) -> _Plan:
                                _far_brackets(b, near, lattice, base)])
     lam_s = float(lattice) ** -_S
     envelopes = _envelopes(b, lattice, base)
+    ms = np.arange(1.0, base + 1.0)
     size = np.abs(brackets)
     abs_sum = float(size.sum())
-    abs_moment = float(np.multiply(np.arange(1.0, base + 1.0), size, out=size).sum())
+    abs_moment = float(np.multiply(ms, size, out=size).sum())
+    # a sum at x != 0 closes K <= orders orders, since the first envelope within tol comes no
+    # later than the smallest; row k - 1 of powers is q^{-s}, the running product of 1/q
     orders = int(np.argmin(envelopes)) + 1
-    coeffs = np.array([bk * float(lattice) ** -sk for bk, sk in zip(b[1 : orders + 1].tolist(),
-                                                                    _S[:orders].tolist())])
-    plan = _Plan(b, near, brackets, envelopes, np.abs(b[1:]), lam_s, _ZETA_EPS * lam_s,
-                 abs_sum, abs_moment, orders, coeffs, _lerch_rows(coeffs, 1, base))
-    for array in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.zeta_err,
-                  plan.lerch_coeffs):
-        array.flags.writeable = False
+    q = lattice * ms
+    powers = np.empty((orders, base))
+    powers[0], powers[1:] = q**-1.5, 1.0 / q
+    np.cumprod(powers, axis=0, out=powers)
+    b_abs = np.abs(b[1:])
+    weights = np.array([bk * float(lattice) ** -sk for bk, sk in zip(b[1:].tolist(), _S.tolist())])
+    plan = _Plan(b, near, brackets, envelopes, b_abs, lam_s,
+                 b_abs[:orders] * (_ZETA_EPS * lam_s[:orders] + _EPS * powers.sum(axis=1)),
+                 b_abs[:orders] * np.multiply(powers, ms, out=powers).sum(axis=1),
+                 abs_sum, abs_moment, orders, weights, _lerch_rows(weights[:orders], 1, base))
+    for table in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.closed_err,
+                  plan.closed_moment, plan.weights):
+        table.flags.writeable = False
     return plan
 
 
@@ -686,43 +751,41 @@ _S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
 
 @dataclass(frozen=True)
 class _Residual:
-    """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M."""
+    """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M.
+
+    The closed tails sum_k w_k T_s(x), w_k = b_k lattice^{-s}, are one
+    :class:`_Wood` polynomial in a(x), and the rounding they add is
+    err0 + 2 pi x err1, the plan's closed_err and _EPS closed_moment summed
+    over k <= K: trig(2 pi m x) rounds by _EPS (1 + 2 pi x m) in the
+    subtracted partial sums."""
 
     row: np.ndarray            # bracket(q) - c(q), c(q) = sum_{k<=K} b_k q^{-(k+1/2)}
-    power_sums: np.ndarray     # sum_m q^{-s}, s = k + 1/2 for k = 1..K
-    power_moments: np.ndarray  # sum_m m q^{-s}
+    wood: _Wood                # the closed tails, cos for even nu, sin for odd
+    err0: float
+    err1: float
     stairs: tuple[float, ...]  # sum_{m>j} |row_m| at j = 1, 2, 4, ... < M0, rounded up
 
 
-@functools.lru_cache(maxsize=512)  # at most 10,760 + 72 floats each (nu = 260, lattice 1)
+@functools.lru_cache(maxsize=512)  # at most 10,760 + 109 floats each (nu = 260, lattice 1)
 def _residual(nu: int, lattice: int, orders: int) -> _Residual:
     """The :class:`_Residual` of (nu, lattice) over the base range M0, `orders` orders closed.
 
     The closed orders subtract sum_k b_k P_s(M) = sum_m trig(2 pi m x) c(q), so
     a call sums row * trig once, not one partial sum P_s per order.  c comes
-    by Horner's rule in 1/q, never as an orders x M array.  The bound's
-    m-sums only scale a rounding allowance: numpy's pairwise sum forms them.
+    by Horner's rule in 1/q, never as an orders x M array.
     A stair of the top cut sums at most M0 terms, each of which passes at
     most M0 additions, and the value's products row * trig round once more:
     the factor 1 + M0 _EPS covers both.
     """
     plan = _plan(nu, lattice)
-    brackets, base = plan.brackets, plan.brackets.size
-    ms = np.arange(1.0, base + 1.0)
-    q = lattice * ms
-    size = np.empty(base)
-    row = brackets - _orders_sum(plan.b, 1, orders, q) if orders else brackets
-    power, sums, moments = q**-1.5, [], []
-    for _ in range(orders):
-        sums.append(float(power.sum()))
-        moments.append(float(np.multiply(ms, power, out=size).sum()))
-        np.divide(power, q, out=power)
-    steps = np.add.reduceat(np.abs(row, out=size), 1 << np.arange((base - 1).bit_length()))
+    base = plan.brackets.size
+    row = plan.brackets - _orders_sum(plan.b, 1, orders, lattice * np.arange(1.0, base + 1.0))
+    steps = np.add.reduceat(np.abs(row), 1 << np.arange((base - 1).bit_length()))
     stairs = tuple((np.cumsum(steps[::-1])[::-1] * (1.0 + base * _EPS)).tolist())
-    residual = _Residual(row, np.array(sums), np.array(moments), stairs)
-    for array in (residual.row, residual.power_sums, residual.power_moments):
-        array.flags.writeable = False
-    return residual
+    row.flags.writeable = False
+    return _Residual(row, _wood(plan.weights[:orders], 1, bool(nu % 2)),
+                     float(plan.closed_err[:orders].sum()),
+                     _EPS * float(plan.closed_moment[:orders].sum()), stairs)
 
 
 @functools.lru_cache(maxsize=512)  # three floats each
@@ -775,7 +838,8 @@ def regularized_bracket_sum(
     first order whose dropped successor is below tol, or the smallest
     dropped order when none is.  The P_s are never formed: the explicit
     terms and sum_k b_k P_s(M) are one sum of trig times the residual row
-    of :func:`_residual`.
+    of :func:`_residual`, and sum_k b_k lattice^{-s} T_s(x) is the row's
+    Wood polynomial at x (:class:`_Wood`).  ValueError unless 0 <= x < 1.
 
     A closed difference cancels O(1) values down to its tail, so it carries
     an absolute rounding error of a few units times |b_k|, and |b_k| reaches
@@ -811,11 +875,14 @@ def regularized_bracket_sum(
     docstring lists.
     """
     _check_lattice_args(nu, lattice)
+    if not 0.0 <= x < 1.0:
+        raise ValueError("x must lie in [0, 1)")
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
         return SeriesResult(0.0, 0, 0.0)
     plan = _plan(nu, lattice)
-    b, M, envelopes = plan.b, plan.brackets.size, plan.envelopes
+    M, envelopes = plan.brackets.size, plan.envelopes
+    remainder = 0.0  # the Lerch tail's Watson remainder, when it is taken
     if x == 0.0:
         # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1), a sum
         # of positive terms: nothing cancels, and the finished value and bound depend
@@ -828,13 +895,11 @@ def regularized_bracket_sum(
         truncation = float(envelopes[K - 1])
         res = _residual(nu, lattice, K)
         xi = 2.0 * pi * x
-        # trig(2 pi m x) is rounded by _EPS (1 + 2 pi x m), so its m-sums are x-free
-        closed_err = plan.b_abs[:K] * (plan.zeta_err[:K] + _EPS * (res.power_sums + xi * res.power_moments))
         fixed = truncation + (2e-15 + _EPS) * plan.abs_sum + xi * _EPS * plan.abs_moment
-        W, bound = M, fixed + float(closed_err.sum())
+        W, bound = M, fixed + res.err0 + xi * res.err1
         if bound > tol and fixed <= tol:
             # the closed differences cancel: sum the tail past a at its own size instead
-            value, W, truncation, bound = _lerch_bracket_sum(nu, x, lattice)
+            value, W, truncation, remainder, bound = _lerch_bracket_sum(nu, x, lattice)
         else:
             if res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
                 # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the
@@ -842,18 +907,18 @@ def regularized_bracket_sum(
                 i = next(i for i, stair in enumerate(res.stairs)
                          if stair <= 1e-4 * tol and bound + stair <= tol)
                 W, bound = 1 << i, bound + res.stairs[i]
-            # sum_m trig (bracket - c) plus b_k lattice^{-s} T_s(x) for k = 1..K
+            # sum_m trig (bracket - c) plus sum_k b_k lattice^{-s} T_s(x) for k = 1..K
             trig = _trig(even_nu, x, np.arange(1.0, W + 1.0))
-            zeta_row = _periodic_zeta_rows(x, not even_nu)
-            closed = b[1 : K + 1] * plan.lam_s[:K] * zeta_row[1 : K + 1]
-            value = chunked_fsum(res.row[:W] * trig) + math.fsum(closed.tolist())
+            value = chunked_fsum(res.row[:W] * trig) + res.wood.at(x)
     result = SeriesResult(value, W, bound)
     if not bound <= tol:
-        rounding = bound - truncation
-        cause = (f"rounding bound {rounding:.2e}" if rounding > tol
-                 else f"bound {bound:.2e} (truncation term {truncation:.2e})")
+        parts = [f"truncation term {truncation:.2e}",
+                 f"rounding bound {bound - truncation - remainder:.2e}"]
+        if remainder:
+            parts.append(f"Lerch remainder {remainder:.2e} past a={W}")
         raise SeriesConvergenceError(
-            f"regularized_bracket_sum: {cause} exceeds tol {tol:.2e} (nu={nu}, M={M})",
+            f"regularized_bracket_sum: bound {bound:.2e} ({', '.join(parts)}) exceeds tol {tol:.2e} "
+            f"(nu={nu}, M={M})",
             result,
         )
     return result
@@ -865,8 +930,8 @@ def _lerch_start(x: float, least: int) -> int:
     return max(least, math.ceil(min(_LERCH_REACH / min(x, 1.0 - x), DEFAULT_MAX_TERMS)))
 
 
-def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, float, float]:
-    """(value, a, truncation, bound) of the bracket sum at 0 < x < 1 with the tail
+def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, float, float, float]:
+    """(value, a, truncation, remainder, bound) of the bracket sum at 0 < x < 1 with the tail
     past a = :func:`_lerch_start` at least M0 closed by :func:`_lerch_sum`.
 
     The brackets m <= a are summed as they are, their phases formed at x' =
@@ -894,7 +959,7 @@ def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, flo
         size = np.abs(brackets)
         abs_sum = float(size.sum())
         abs_moment = float(np.multiply(np.arange(1.0, a + 1.0), size, out=size).sum())
-        rows = _lerch_rows(plan.lerch_coeffs[:K], 1, a)
+        rows = _lerch_rows(plan.weights[:K], 1, a)
     even_nu, t = nu % 2 == 0, min(x, 1.0 - x)
     # the phases at x' (exact), whose rounding grows like x' m rather than x m:
     # sin(2 pi m x) = -sin(2 pi m x') for x > 1/2
@@ -902,13 +967,14 @@ def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, flo
     re, im, remainder, rounding = _lerch_sum(x, a, rows, K)
     bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * t * _EPS * abs_moment
              + remainder + rounding)
-    return (re + value if even_nu else im + (value if x <= 0.5 else -value)), a, truncation, bound
+    value = re + value if even_nu else im + (value if x <= 0.5 else -value)
+    return value, a, truncation, remainder, bound
 
 
 def _regularizer_sum(nu: int, x: float, lattice: int) -> float:
     """sum_m trig(2 pi m x)/(2 sqrt(lattice m)): (1/2) lattice^{-1/2} times C_{1/2}(x)
-    for even nu, S_{1/2}(x) for odd nu."""
-    return 0.5 * lattice**-0.5 * float(_periodic_zeta_rows(x, bool(nu % 2))[0])
+    for even nu, S_{1/2}(x) for odd nu, from the Wood polynomial of order 0."""
+    return 0.5 * lattice**-0.5 * _unit_wood(0, bool(nu % 2)).at(x)
 
 
 def lattice_bessel_sum(

@@ -154,10 +154,12 @@ def bessel_J(nu: float, z: float) -> float:
     """J_nu(z) for nu >= 0, z >= 0.
 
     Past the asymptotic crossover every order uses the Hankel expansion.
-    Below it integer orders ride the Miller batch, and half-integer orders
-    nu <= z climb from J_{-1/2}, J_{1/2} = sqrt(2/(pi z)) (cos z, sin z)
-    (DLMF 10.16.1) by the upward recurrence, stable while the order stays
-    below z; any other order there raises ValueError.
+    Below it integer orders ride the Miller batch.  Half-integer orders
+    start from J_{-1/2}, J_{1/2} = sqrt(2/(pi z)) (cos z, sin z) (DLMF
+    10.16.1): nu <= z climbs to them by the upward recurrence, stable while
+    the order stays below z, and nu > z by Miller's backward recurrence,
+    normalized to the larger of the two (J_{1/2} vanishes on the 4 pi
+    lattice).  Any other order there raises ValueError.
     """
     if nu < 0 or z < 0:
         raise ValueError("bessel_J requires nu >= 0 and z >= 0")
@@ -169,14 +171,27 @@ def bessel_J(nu: float, z: float) -> float:
     if abs(nu - n) < 1e-12:
         return float(bessel_J_int_batch(int(n), z)[int(n)])
     steps = round(nu - 0.5)
-    if abs(nu - 0.5 - steps) >= 1e-12 or nu > z:
+    if abs(nu - 0.5 - steps) >= 1e-12:
         raise ValueError(f"bessel_J below the crossover {asymptotic_crossover(nu):g} takes integer "
-                         f"orders or half-integer orders nu <= z, not nu = {nu:g} at z = {z:g}")
+                         f"or half-integer orders, not nu = {nu:g}")
     r = sqrt(2.0 / (pi * z))
-    prev, cur = r * cos(z), r * sin(z)
-    for k in range(steps):  # J_{k+3/2} = ((2k+1)/z) J_{k+1/2} - J_{k-1/2}
+    if nu <= z:
+        prev, cur = r * cos(z), r * sin(z)
+        for k in range(steps):  # J_{k+3/2} = ((2k+1)/z) J_{k+1/2} - J_{k-1/2}
+            prev, cur = cur, (2 * k + 1) / z * cur - prev
+        return cur
+    # down from J_{top+1/2} = 1e-300, J_{top+3/2} = 0, far past nu and z, as for the batch
+    top = steps + int(max(20.0, round(1.2 * z + 15.0 * z ** (1.0 / 3.0))))
+    prev, cur, value = 0.0, 1e-300, 0.0
+    for k in range(top, -1, -1):  # J_{k-1/2} = ((2k+1)/z) J_{k+1/2} - J_{k+3/2}
+        if k == steps:
+            value = cur
         prev, cur = cur, (2 * k + 1) / z * cur - prev
-    return cur
+        if abs(cur) > 1e250:
+            prev, cur, value = prev * 1e-250, cur * 1e-250, value * 1e-250
+    # now cur, prev hold J_{-1/2}, J_{1/2} up to one common factor
+    cz, sz = cos(z), sin(z)
+    return value * (r * cz / cur if abs(cz) >= abs(sz) else r * sz / prev)
 
 
 def bessel_Y_upward(n: int, z, y0, y1):

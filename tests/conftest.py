@@ -346,30 +346,68 @@ def bernoulli_fourier_eval(index: int, x: float, m_terms: int) -> float:
     return 2.0 * (-1.0) ** (index // 2 + 1) * factorial(index) * fsum(series.tolist())
 
 
-def uncached_periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """`series_engine.periodic_zeta` forming only the orders 0..k_max asked,
-    from the library's constant Wood tables."""
-    from zagier_kit.series_engine import _WOOD_TERMS, _wood_tables
+def uncached_wood_sum(weights, lo: int, x: float, odd: bool) -> float:
+    """sum_k w_k T_s(x) over orders k = lo, lo + 1, ..., s = k + 1/2, T_s = C_s or,
+    when odd, S_s: the library's Wood polynomial folded afresh from its constant
+    `_wood_tables()` in Python floats, with the same arithmetic, so that it is
+    bit for bit `series_engine._wood(weights, lo, odd).at(x)`.
 
-    zeta, eta, gamma_c, gamma_s, re, im = _wood_tables()
-    if x == 0.0:
-        return zeta[: k_max + 1, 0].copy(), np.zeros(k_max + 1)
+    Each coefficient in a^2 (t <= 1/4: a = 2 pi t; else a = pi (1 - 2t)) is
+    math.fsum over k of w_k times the table entry.  The top ones go while
+    the sizes of their products, added in order of k and times a^{2i} (or
+    a^{2i+1}) at a = pi/2, sum from the top to at most _WOOD_CUT sum_k |w_k|;
+    the polynomial is summed by Horner's rule, highest power first.  For
+    t <= 1/4 the singular part sum_k w_k Gamma-term a^{k-1/2} is a Horner
+    sum in a times a^{lo-1/2}."""
+    from zagier_kit.series_engine import _WOOD_CUT, _WOOD_TERMS, _wood_tables
+
+    tables = [table.tolist() for table in _wood_tables()]
+    table, gamma, half = tables[odd], tables[2 + odd], _WOOD_TERMS // 2
+    near, far = [r[:half] for r in table], [r[half:] for r in table]
+    weights = [float(w) for w in weights]
+    cut = _WOOD_CUT * float(np.abs(np.array(weights)).sum())
+
+    def folded(table):
+        columns = [[w * table[lo + k][i] for k, w in enumerate(weights)] for i in range(len(table[0]))]
+        kept, dropped = len(columns), 0.0
+        while kept > 1:
+            size = 0.0
+            for term in columns[kept - 1]:
+                size += abs(term)
+            dropped += size * (0.5 * pi) ** (2 * (kept - 1) + odd)
+            if dropped > cut:
+                break
+            kept -= 1
+        return [math.fsum(column) for column in columns[:kept]][::-1]
+
+    def horner(coeffs, t):
+        total = 0.0
+        for c in coeffs:
+            total = total * t + c
+        return total
+
     t = 1.0 - x if x > 0.5 else x
     if t <= 0.25:
+        if x == 0.0:
+            return 0.0 if odd else folded(near)[-1]
         a = 2.0 * pi * t
-        rows = zeta[: k_max + 1]
-        singular = a ** (np.arange(k_max + 1) - 0.5)
-        c = gamma_c[: k_max + 1] * singular
-        s = gamma_s[: k_max + 1] * singular
-        powers = a ** np.arange(_WOOD_TERMS, dtype=float)
-    else:  # (2t - 1)^j as (-1)^j (1 - 2t)^j, a positive base
+        singular = [w * gamma[lo + k] for k, w in enumerate(weights)][::-1]
+        head, rows = horner(singular, a) * a ** (lo - 0.5), folded(near)
+    else:
         a = pi * (1.0 - 2.0 * t)
-        rows = -eta[: k_max + 1]
-        c = s = 0.0
-        powers = (-1.0) ** np.arange(_WOOD_TERMS, dtype=float) * a ** np.arange(_WOOD_TERMS, dtype=float)
-    c = c + (rows * (powers * re)).sum(axis=1)
-    s = s + (rows * (powers * im)).sum(axis=1)
-    return c, -s if x > 0.5 else s
+        head, rows = 0.0, folded(far)
+    value = horner(rows, a * a)
+    if not odd:
+        return value + head
+    value = a * value + head
+    return -value if x > 0.5 else value
+
+
+def uncached_periodic_zeta(x: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """`series_engine.periodic_zeta` formed afresh: entry k is the Wood polynomial
+    of a unit weight at order k (:func:`uncached_wood_sum`)."""
+    return tuple(np.array([uncached_wood_sum([1.0], k, x, odd) for k in range(k_max + 1)])
+                 for odd in (False, True))
 
 
 def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
@@ -455,21 +493,18 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
         value = math.fsum(brackets.tolist()) + math.fsum(closed.tolist())
         bound = truncation + ((2e-15 + _EPS) * abs_sum + _ZETA_EPS * float(np.abs(closed).sum()))
         return value, bound, M, m_terms is None and bound > tol
-    # the bound's m-sums: of |bracket| and of q^{-s}, plain and weighted by m
+    # the bound's m-sums: of |bracket| and of q^{-s} (q^{-3/2} times powers of 1/q, one
+    # row per order), plain and weighted by m, folded over the orders into two x-free
+    # scalars as the library keeps them
     abs_moment = float((ms * np.abs(brackets)).sum())
-    power_sums, power_moments = [], []
-    power = q**-1.5
-    for k in range(K):
-        if k:
-            power = power / q
-        power_sums.append(float(power.sum()))
-        power_moments.append(float((ms * power).sum()))
+    powers = np.cumprod(np.vstack([q**-1.5, np.tile(1.0 / q, (K - 1, 1))]), axis=0)
     xi = 2.0 * pi * x
     s = np.arange(1, K + 1) + 0.5
     b_abs = np.abs(b[1 : K + 1])
-    closed_err = b_abs * (_ZETA_EPS * lam**-s + _EPS * (np.array(power_sums) + xi * np.array(power_moments)))
+    err0 = float((b_abs * (_ZETA_EPS * lam**-s + _EPS * powers.sum(axis=1))).sum())
+    err1 = _EPS * float((b_abs * (powers * ms).sum(axis=1)).sum())
     fixed = truncation + (2e-15 + _EPS) * abs_sum + xi * _EPS * abs_moment
-    bound = fixed + float(closed_err.sum())
+    bound = fixed + err0 + xi * err1
     if m_terms is None and bound > tol and fixed <= tol:
         # the Lerch regime: the brackets m <= a as they are, the tail past a by the
         # library's Lerch kernel, with its x-free rows formed afresh
@@ -510,14 +545,15 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
         if fits:
             top = int(starts[fits[0]])
             bound += float(stairs[fits[0]])
-    closed = b[1 : K + 1] * lam**-s * uncached_periodic_zeta(x, K)[0 if even_nu else 1][1:]
-    value = math.fsum((row[:top] * trig_at(ms[:top])).tolist()) + math.fsum(closed.tolist())
+    weights = [bk * lam ** -(k + 1.5) for k, bk in enumerate(b[1 : K + 1].tolist())]
+    closed = uncached_wood_sum(weights, 1, x, not even_nu)
+    value = math.fsum((row[:top] * trig_at(ms[:top])).tolist()) + closed
     return value, bound, top, m_terms is None and bound > tol
 
 
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
-          ("series_engine", "_zero_sum"), ("series_engine", "_periodic_zeta_rows"),
+          ("series_engine", "_zero_sum"), ("series_engine", "_unit_wood"),
           ("series_engine", "_em_rows"),
           ("formulas", "_number_exact"), ("formulas", "_type_exact"),
           ("formulas", "_number_terms"), ("formulas", "_type_terms"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 from math import pi, sin, sqrt
@@ -13,7 +14,7 @@ from zagier_kit import exact_core as ec
 from zagier_kit import formulas as fm
 from zagier_kit import series_engine as se
 
-from conftest import A_function_two_ways, bernoulli_fourier_eval, empty_caches, traced_peak
+from conftest import CACHES, A_function_two_ways, bernoulli_fourier_eval, empty_caches, traced_peak
 
 
 def test_even_formula_headline_values():
@@ -123,6 +124,22 @@ _CACHED_FORMULAS = {
     "type": (fm.zagier_type_sum, (),
              lambda n: ec.zagier_eval(2 * n, Fraction(-3, 2)) + ec.modified_bernoulli(2 * n)),
 }
+
+
+def test_distinct_points_grow_no_cache(monkeypatch):
+    # only the phases and the Wood polynomial's a(x) depend on x: once the first
+    # point has filled the caches, 300 distinct x at one index add no entry
+    empty_caches(monkeypatch)
+    caches = [getattr(importlib.import_module(f"zagier_kit.{module}"), name) for module, name in CACHES]
+    xs = [Fraction(k, 307) for k in range(1, 301)]
+    formulas = (fm.zagier_even_formula, fm.zagier_odd_formula)
+    for formula in formulas:
+        formula(8, xs[0], tol=1e-9)
+    filled = [cache.cache_info().currsize for cache in caches]
+    for x in xs:
+        for formula in formulas:
+            formula(8, x, tol=1e-9)
+    assert [cache.cache_info().currsize for cache in caches] == filled
 
 
 @pytest.mark.parametrize("name", sorted(_CACHED_FORMULAS))
@@ -338,6 +355,15 @@ def test_poisson_sides_agree_at_large_order(nu, x):
     rep = fm.poisson_J_series_check(nu, x)
     assert abs(rep.formula_value - rep.reference) <= 1e-13
     assert rep.extras["lhs_bound"] < 1e-12
+
+
+@pytest.mark.parametrize("nu", (20.5, 29.5))
+@pytest.mark.parametrize("x", (0.1, 0.62))
+def test_poisson_sides_agree_at_half_integer_orders_past_the_first_lattice_point(nu, x):
+    # nu > 4 pi: the near terms J_nu(4 pi m), nu > 4 pi m, come from Miller's
+    # backward recurrence, and the sides agree within the left side's bound
+    rep = fm.poisson_J_series_check(nu, x)
+    assert abs(rep.formula_value - rep.reference) <= rep.extras["lhs_bound"] < 1e-12
 
 
 @pytest.mark.parametrize("nu,x", [(0.0, 0.3), (-1.0, 0.3), (29.6, 0.3), (2.0, 0.0), (2.0, 1.0)])

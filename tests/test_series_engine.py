@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from scipy import special as sp_special
 
 from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
+from zagier_kit.verify import X_GRID
 
 from conftest import (CACHES, conjugate_sum_oracle, empty_caches, g_sum_nsum_oracle, g_sum_plain_oracle,
                       hurwitz_zeta_oracle, lerch_tail_oracle, polylog_trig_oracle,
@@ -109,6 +111,40 @@ def test_periodic_zeta_domain():
             se.periodic_zeta(x, 2)
     with pytest.raises(ValueError):
         se.periodic_zeta(0.3, -1)
+
+
+# the acceptance grid's x, dyadic points toward both ends of (0, 1) and both
+# sides of the branch switches at 1/4 and 3/4
+_WOOD_X = sorted({float(x) for x in X_GRID} | {2.0**-k for k in range(2, 12)}
+                 | {1.0 - 2.0**-k for k in range(2, 12)}
+                 | {0.25 - 1e-9, 0.25 + 1e-9, 0.75 - 1e-9, 0.75 + 1e-9})
+
+
+@pytest.fixture(scope="module")
+def polylog_rows():
+    """Li_s(e^{2 pi i x}) = C_s(x) + i S_s(x) at 30 digits, s = k + 1/2 for k = 1.._ORDERS."""
+    with mp.workdps(30):
+        return {x: [mp.polylog(k + mp.mpf(1) / 2, mp.expjpi(2 * mp.mpf(x)))
+                     for k in range(1, se._ORDERS + 1)] for x in _WOOD_X}
+
+
+@pytest.mark.parametrize("odd", (False, True))
+def test_wood_polynomial_lies_within_its_allowance_of_the_polylog(odd, polylog_rows):
+    # the closed tails sum_k w_k T_s(x), w_k = b_k of every nu <= 60 of the parity and
+    # K = 1..29 orders, against 30 digits: within _ZETA_EPS sum_k |w_k|, the
+    # allowance the bound gives them
+    worst = 0.0
+    with mp.workdps(30):
+        for nu in range(1 + odd, 61, 2):
+            weights = se._plan(nu, 1).weights.tolist()
+            woods = [se._wood(weights[:K], 1, odd) for K in range(1, se._ORDERS + 1)]
+            allowances = se._ZETA_EPS * np.cumsum(np.abs(weights))
+            for x, row in polylog_rows.items():
+                ref = mp.mpf(0)
+                for w, li, wood, allowance in zip(weights, row, woods, allowances.tolist()):
+                    ref += w * (li.imag if odd else li.real)
+                    worst = max(worst, float(abs(wood.at(x) - ref)) / allowance)
+    assert worst <= 1.0, worst
 
 
 def test_trig_sums_domain():
@@ -449,9 +485,25 @@ def test_series_convergence_error():
         with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
             se.regularized_bracket_sum(4, 0.3, tol=tol)
         assert err.value.best.terms_used == base
-    # a bound that breaks tol with a rounding below it names the truncation term
-    with pytest.raises(se.SeriesConvergenceError, match=r"bound \S+ \(truncation term \S+\) exceeds"):
+    # a bound that breaks tol with a rounding below it names the truncation term beside it
+    with pytest.raises(se.SeriesConvergenceError,
+                       match=r"bound \S+ \(truncation term \S+, rounding bound \S+\) exceeds"):
         se.regularized_bracket_sum(28, 0.3, tol=1e-8)
+
+
+def test_raise_names_truncation_rounding_and_remainder_apart():
+    # on the Lerch tail past the cap the Watson remainder breaks tol, and the message
+    # names it as such beside a rounding below 1e-13; the three parts make the bound
+    with pytest.raises(se.SeriesConvergenceError) as err:
+        se.regularized_bracket_sum(16, 1e-5, 1e-12)
+    message = str(err.value)
+    parts = re.fullmatch(r"regularized_bracket_sum: bound (\S+) \(truncation term (\S+), rounding bound "
+                         r"(\S+), Lerch remainder (\S+) past a=20000\) exceeds tol 1\.00e-12 "
+                         r"\(nu=16, M=42\)", message)
+    assert parts, message
+    bound, truncation, rounding, remainder = map(float, parts.groups())
+    assert rounding < 1e-13 < 1e-2 < remainder
+    assert bound == pytest.approx(truncation + rounding + remainder, rel=1e-2)
 
 
 def test_lattice_sum_raises_with_the_lattice_result():
@@ -733,7 +785,7 @@ def test_trimmed_sum_lies_within_its_added_bound_of_the_base_range_sum(nu, latti
 
 
 def test_lattice_sum_is_bit_identical_to_the_uncached_sums(uncached_grid):
-    # the regularizer's C_{1/2}, S_{1/2} come from the row the bracket sum formed
+    # the regularizer's C_{1/2}, S_{1/2} come from the order-0 Wood polynomial
     for (nu, x, tol, lattice), (value, bound, terms, raised) in uncached_grid.items():
         if raised or nu > 24 or (nu % 2 and x in (0.0, 0.5)):
             continue

@@ -59,31 +59,42 @@ def test_bessel_j_accuracy_targets(nu, z, ref):
 
 def _half_integer_points():
     """(nu, z) for nu = 1/2..19/2: the lattice 4 pi, 8 pi, 12 pi and points from
-    z = nu up to the crossover, where the upward recurrence is taken."""
+    z = nu up to the crossover, where the upward recurrence is taken, and below
+    nu, where Miller's backward recurrence is."""
     for k in range(10):
         nu = k + 0.5
         top = sf.asymptotic_crossover(nu)
-        spread = [nu, nu + 0.25, 1.5 * nu + 1.0, 0.5 * (nu + top), top]
+        spread = [0.1, 0.5 * nu, nu - 0.1, nu, nu + 0.25, 1.5 * nu + 1.0, 0.5 * (nu + top), top]
         for z in (4 * pi, 8 * pi, 12 * pi, *spread):
-            if nu <= z <= top:
+            if 0 < z <= top:
                 yield nu, z
 
 
 def test_bessel_j_half_integer_vs_mpmath():
-    # error scaled by max(|J|, sqrt(2/(pi z))): at most 4.3e-16 on these 80 points
-    # (nu = 19/2, z = 9.75), 4.6e-16 on 300 points per order from nu to the crossover
+    # error relative to |J| below nu, else scaled by max(|J|, sqrt(2/(pi z))): at most
+    # 4.3e-16 on the points past nu (nu = 19/2, z = 9.75), 4.6e-16 on 300 points per
+    # order from nu to the crossover
     for nu, z in _half_integer_points():
         with mp.workdps(40):
             ref = float(mp.besselj(nu, z))
-        err = abs(sf.bessel_J(nu, z) - ref) / max(abs(ref), sqrt(2 / (pi * z)))
+        err = abs(sf.bessel_J(nu, z) - ref) / (abs(ref) if z < nu else max(abs(ref), sqrt(2 / (pi * z))))
         assert err < 1e-15, (nu, z, err)
 
 
-@pytest.mark.parametrize("nu,z", [(2.5, 1.0), (37.3, 250.0), (0.3, 5.0), (9.5, 9.0)])
+@pytest.mark.parametrize("nu,z", [(37.3, 250.0), (0.3, 5.0)])
 def test_bessel_j_outside_domain_raises(nu, z):
-    # below the crossover only integer orders and half-integer orders nu <= z
-    with pytest.raises(ValueError, match="half-integer orders nu <= z"):
+    # below the crossover only integer and half-integer orders
+    with pytest.raises(ValueError, match="integer or half-integer orders"):
         sf.bessel_J(nu, z)
+
+
+def test_bessel_j_half_integer_orders_vs_scipy():
+    # on the lattice z = 4 pi m, where J_{1/2} vanishes, Miller's recurrence (nu > z)
+    # and the upward one (nu <= z) against scipy's jv (within 1.1e-14 of mpmath here)
+    for nu in (13.5, 20.5, 29.5):
+        for z in (4 * pi, 8 * pi, 20 * pi):
+            ref = float(sp_special.jv(nu, z))
+            assert abs(sf.bessel_J(nu, z) - ref) <= 2e-14 * abs(ref), (nu, z)
 
 
 def test_bessel_j_domain():
