@@ -266,7 +266,7 @@ def _converge_rows(series: str, n: int, x_text: str | None,
     if series == "zagier-number":
         # the explicit brackets and the closed regularizer, no tail correction
         naive = [series_engine.chunked_fsum(series_engine._bracket_values(nu, 1, m)) for m in m_list]
-        regularizer = series_engine._regularizer_sum(nu, 0.0, 1)
+        regularizer = series_engine._regularizer_sum(nu, 0.0, 1)[0]
     else:
         naive = [series_engine.bessel_series_partial(nu, xf, m) for m in m_list]
         regularizer = 0.0

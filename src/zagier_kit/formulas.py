@@ -3,14 +3,15 @@ exact rational core.
 
 Every evaluator returns an :class:`EvalReport`.  When the evaluation point
 is rational the report carries the exact value and true absolute/relative
-errors; float points without a rational tag only report the formula value
-(or a mutual-oracle reference for lemma-level checks).
+errors, formed on their first read; float points without a rational tag only
+report the formula value (or a mutual-oracle reference for lemma-level checks).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, pi, sin, sqrt
@@ -36,14 +37,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Cross-check record: formula value vs exact (or reference) value."""
+    """Cross-check record: formula value vs exact (or reference) value.
+
+    exact, abs_error and rel_error are formed on first read and kept, exact by
+    the evaluator's zero-argument reference _exact, so an unread check costs
+    nothing; the errors are taken against float(exact), else reference."""
 
     n: int
     x: float | Fraction | None
-    exact: Fraction | None
     formula_value: float
-    abs_error: float | None
-    rel_error: float | None
     series_meta: list[SeriesResult] = field(default_factory=list)
     reference: float | None = None
     extras: dict[str, float] = field(default_factory=dict)
@@ -51,6 +53,27 @@ class EvalReport:
     # rounding) plus its assembly's rounding (:func:`_assemble`); None for the
     # lemma-level checks
     tail_bound: float | None = None
+    _exact: Callable[[], Fraction] | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def exact(self) -> Fraction | None:
+        return None if self._exact is None else self._exact()
+
+    @property
+    def _target(self) -> float | None:
+        return float(self.exact) if self.exact is not None else self.reference
+
+    @functools.cached_property
+    def abs_error(self) -> float | None:
+        target = self._target
+        return None if target is None else abs(self.formula_value - target)
+
+    @functools.cached_property
+    def rel_error(self) -> float | None:
+        target = self._target
+        if target is None:
+            return None
+        return self.abs_error / abs(target) if target != 0 else math.inf
 
 
 def _as_point(x: float | Fraction | str) -> tuple[float, Fraction | None]:
@@ -62,22 +85,6 @@ def _as_point(x: float | Fraction | str) -> tuple[float, Fraction | None]:
     if isinstance(x, int):
         return float(x), Fraction(x)
     return float(x), None
-
-
-def _report(n: int, x, exact: tuple[Fraction, float] | None, value: float,
-            meta: list[SeriesResult], tail_bound: float | None = None,
-            reference: float | None = None,
-            extras: dict[str, float] | None = None) -> EvalReport:
-    """exact is the exact value and its float; without it the errors are taken
-    against reference.  The fields go in by position, which builds the frozen
-    dataclass about 10% faster than by keyword."""
-    abs_err = rel_err = None
-    target = exact[1] if exact is not None else reference
-    if target is not None:
-        abs_err = abs(value - target)
-        rel_err = abs_err / abs(target) if target != 0 else math.inf
-    return EvalReport(n, x, exact[0] if exact is not None else None, value, abs_err,
-                      rel_err, meta, reference, extras or {}, tail_bound)
 
 
 def _index(n, least: int) -> int:
@@ -186,9 +193,9 @@ def _polynomial_formula(nu: int, x: float | Fraction | str, tol: float) -> EvalR
         raise ValueError("x must lie in (0, 1)")
     value, meta, bound = _assemble(_polynomial_terms(nu, xf), tol)
     if xq is None:
-        return _report(nu, xf, None, value, meta, bound)
-    exact = exact_core.zagier_eval(nu, xq)
-    return _report(nu, xq, (exact, float(exact)), value, meta, bound)
+        return EvalReport(nu, xf, value, meta, None, {}, bound)
+    return EvalReport(nu, xq, value, meta, None, {}, bound,
+                      functools.partial(exact_core.zagier_eval, nu, xq))
 
 
 def zagier_even_formula(n: int, x: float | Fraction | str,
@@ -216,23 +223,6 @@ def zagier_odd_formula(n: int, x: float | Fraction | str,
 _ZERO, _MINUS_THREE_HALVES = Fraction(0), Fraction(-3, 2)
 
 
-# The exact references of the number and type formulas depend on n alone,
-# so they are kept per n with their floats, as the series plans are per
-# (nu, lattice).
-@functools.lru_cache(maxsize=256)
-def _number_exact(n: int) -> tuple[Fraction, float]:
-    """B_{2n}^*, the exact value of :func:`zagier_number_formula`."""
-    exact = exact_core.modified_bernoulli(2 * n)
-    return exact, float(exact)
-
-
-@functools.lru_cache(maxsize=256)
-def _type_exact(n: int) -> tuple[Fraction, float]:
-    """B_{2n}^*(-3/2) + B_{2n}^*, the exact value of :func:`zagier_type_sum`."""
-    exact = exact_core.zagier_eval(2 * n, _MINUS_THREE_HALVES) + _number_exact(n)[0]
-    return exact, float(exact)
-
-
 def zagier_number_formula(n: int, tol: float = series_engine.DEFAULT_TOL) -> EvalReport:
     """Exact series formula for the modified Bernoulli number B_{2n}^*.
 
@@ -242,7 +232,8 @@ def zagier_number_formula(n: int, tol: float = series_engine.DEFAULT_TOL) -> Eva
     """
     n = _index(n, 1)
     value, meta, bound = _assemble(_number_terms(n), tol)
-    return _report(2 * n, _ZERO, _number_exact(n), value, meta, bound)
+    return EvalReport(2 * n, _ZERO, value, meta, None, {}, bound,
+                      functools.partial(exact_core.modified_bernoulli, 2 * n))
 
 
 def zagier_type_sum(n: int, tol: float = series_engine.DEFAULT_TOL) -> EvalReport:
@@ -255,7 +246,13 @@ def zagier_type_sum(n: int, tol: float = series_engine.DEFAULT_TOL) -> EvalRepor
     """
     n = _index(n, 1)
     value, meta, bound = _assemble(_type_terms(n), tol)
-    return _report(2 * n, _MINUS_THREE_HALVES, _type_exact(n), value, meta, bound)
+    return EvalReport(2 * n, _MINUS_THREE_HALVES, value, meta, None, {}, bound,
+                      functools.partial(_type_exact_value, n))
+
+
+def _type_exact_value(n: int) -> Fraction:
+    """B_{2n}^*(-3/2) + B_{2n}^*, of :func:`zagier_type_sum` (module-level, so reports pickle)."""
+    return exact_core.zagier_eval(2 * n, _MINUS_THREE_HALVES) + exact_core.modified_bernoulli(2 * n)
 
 
 def even_asymptotic(n: int, x: float) -> float:
@@ -358,7 +355,7 @@ def _fourier_check(profile, reference, constant: str, n: int, m: int) -> EvalRep
         raise ValueError("n and m must be positive")
     c0, cm = _fourier_pair(profile, n, m)
     ref = reference(2 * n, 4.0 * pi * m)
-    return _report(n, float(m), None, cm, [], reference=ref, extras={constant: c0})
+    return EvalReport(n, float(m), cm, [], ref, {constant: c0})
 
 
 def fourier_coeff_P_check(n: int, m: int) -> EvalReport:
@@ -443,5 +440,4 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
         # are compared down to 1e-15
         g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0, 1e-17).value for gap in (x, 1.0 - x))
         rhs -= snu / (2.0 * pi * 2.0**nu) * g
-    return _report(0, x, None, rhs, [], reference=lhs,
-                   extras={"lhs_bound": float(dropped + rounding)})
+    return EvalReport(0, x, rhs, [], lhs, {"lhs_bound": float(dropped + rounding)})

@@ -971,10 +971,12 @@ def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, flo
     return value, a, truncation, remainder, bound
 
 
-def _regularizer_sum(nu: int, x: float, lattice: int) -> float:
-    """sum_m trig(2 pi m x)/(2 sqrt(lattice m)): (1/2) lattice^{-1/2} times C_{1/2}(x)
-    for even nu, S_{1/2}(x) for odd nu, from the Wood polynomial of order 0."""
-    return 0.5 * lattice**-0.5 * _unit_wood(0, bool(nu % 2)).at(x)
+def _regularizer_sum(nu: int, x: float, lattice: int) -> tuple[float, float]:
+    """sum_m trig(2 pi m x)/(2 sqrt(lattice m)) = (1/2) lattice^{-1/2} T, T = C_{1/2}(x)
+    for even nu and S_{1/2}(x) for odd nu from the Wood polynomial of order 0, and its
+    allowance (1/2) lattice^{-1/2} _ZETA_EPS max(1, |T|): T's rounding grows with T."""
+    half, t = 0.5 * lattice**-0.5, _unit_wood(0, bool(nu % 2)).at(x)
+    return half * t, half * _ZETA_EPS * max(1.0, abs(t))
 
 
 def lattice_bessel_sum(
@@ -987,9 +989,9 @@ def lattice_bessel_sum(
     """sum_m (-1)^{floor(nu/2)} pi Y_nu(4 pi lattice m) trig(2 pi m x), 0 <= x < 1.
 
     The regularized bracket sum minus the closed sum of its regularizer,
-    zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that value's
-    _ZETA_EPS.  For odd nu at x = 0 and 1/2 the sum is exactly 0.  Points
-    0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
+    zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that sum's allowance
+    (:func:`_regularizer_sum`).  For odd nu at x = 0 and 1/2 the sum is exactly 0.
+    Points 0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
     ValueError for nu or lattice out of their domains, as in
     :func:`regularized_bracket_sum`; each call checks them once, here before
     an exact zero and in the bracket sum otherwise.  When the bracket sum
@@ -1002,8 +1004,9 @@ def lattice_bessel_sum(
     outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
 
     def unregularized(reg: SeriesResult) -> SeriesResult:
-        return SeriesResult(reg.value - _regularizer_sum(nu, x, lattice), reg.terms_used,
-                            reg.tail_bound + 0.5 * lattice**-0.5 * _ZETA_EPS, outside_window=outside)
+        closed, rounding = _regularizer_sum(nu, x, lattice)
+        return SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding,
+                            outside_window=outside)
 
     try:
         reg = regularized_bracket_sum(nu, x, tol, lattice=lattice)

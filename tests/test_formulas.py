@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import pickle
 from fractions import Fraction
 from math import pi, sin, sqrt
 
@@ -143,6 +144,27 @@ def test_distinct_points_grow_no_cache(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(_CACHED_FORMULAS))
+def test_exact_reference_is_formed_on_first_read(name, monkeypatch):
+    # a Fraction call forms no exact value; the first read of exact, abs_error
+    # or rel_error forms it once, and later reads keep it; an unread report pickles
+    fn, args, fresh_exact = _CACHED_FORMULAS[name]
+    exact = fresh_exact(7)
+    rep = fn(7, *args, tol=1e-9)
+    assert pickle.loads(pickle.dumps(rep)).exact == exact
+    empty_caches(monkeypatch)
+    calls = []
+    for core in ("zagier_eval", "modified_bernoulli"):
+        monkeypatch.setattr(ec, core, lambda *a, _f=getattr(ec, core): calls.append(_f.__name__) or _f(*a))
+    rep = fn(7, *args, tol=1e-9)
+    assert calls == [], name
+    err = abs(rep.formula_value - float(exact))
+    for _ in range(2):
+        assert (rep.rel_error, rep.abs_error, rep.exact) == (err / abs(float(exact)), err, exact)
+        assert sorted(calls) == {"number": ["modified_bernoulli"],
+                                 "type": ["modified_bernoulli", "zagier_eval"]}.get(name, ["zagier_eval"])
+
+
+@pytest.mark.parametrize("name", sorted(_CACHED_FORMULAS))
 def test_formula_caches_are_bit_identical_to_empty_caches(name, monkeypatch):
     # every EvalReport field, or the raise message and best result, is the
     # same with each cache emptied before the call and with warm caches in
@@ -156,7 +178,7 @@ def test_formula_caches_are_bit_identical_to_empty_caches(name, monkeypatch):
         except se.SeriesConvergenceError as err:
             return "raised", str(err), repr(err.best)
         assert rep.exact == exact, (name, n)
-        return repr(rep)
+        return repr(rep), rep.exact, rep.abs_error, rep.rel_error
 
     ns = range(1, 61)
     cold = {}

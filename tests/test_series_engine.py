@@ -795,6 +795,25 @@ def test_lattice_sum_is_bit_identical_to_the_uncached_sums(uncached_grid):
         assert got.terms_used == terms
 
 
+@pytest.mark.parametrize("nu", (4, 5))
+def test_regularizer_allowance_covers_its_error(nu):
+    # T = C_{1/2}(x), or S_{1/2}(x) for odd nu, and its rounding grow like
+    # (2 pi x')^{-1/2} towards either end: the allowance _ZETA_EPS max(1, |T|)
+    # covers the error against the 40-digit polylogarithm there (a flat
+    # _ZETA_EPS fails from x' = 1e-3 on), and the lattice sum adds exactly it
+    ends = (1e-8, 1e-5, 1e-3)
+    for x in (*ends, *(1.0 - e for e in ends), *map(float, X_GRID)):
+        for lattice in (1, 2):
+            closed, rounding = se._regularizer_sum(nu, x, lattice)
+            true = 0.5 * lattice**-0.5 * polylog_trig_oracle(0.5, x)[nu % 2]
+            assert abs(closed - true) <= rounding, (x, lattice, abs(closed - true) / rounding)
+            if nu % 2 and x == 0.5:
+                continue  # the lattice sum is exactly 0 there
+            reg = se.regularized_bracket_sum(nu, x, 1e-6, lattice=lattice)
+            got = se.lattice_bessel_sum(nu, x, 1e-6, lattice=lattice)
+            assert (got.value, got.tail_bound) == (reg.value - closed, reg.tail_bound + rounding), x
+
+
 def test_zeta_tails_within_two_ulp(fresh_caches):
     # the closed tails zeta(s, M + 1), s = 3/2..59/2, at the base range M0 of
     # every even-nu plan (nu <= 260, lattices 1 and 2), at both sides of the
