@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,34 +103,38 @@ def _lattice(args, tol: float):
 
 
 def _algebraic(args, tol: float):
-    """args = (nu, lattice, signed_gaps): the sum of sign A(gap), each A(gap) to
-    1e-3 tol.  A(gap) is the positive sum of w(A)^nu/sqrt(A^2 - c^2),
-    w(A) = A - sqrt(A^2 - c^2), over A = c + gap + j, j >= 0, with c = 2 lattice
-    (:func:`series_engine._conjugate_sum`)."""
-    nu, lattice, signed_gaps = args
-    value = size = bound = 0.0
-    sums, share = [], 1e-3 * tol
-    for sign, gap in signed_gaps:
-        s = series_engine._conjugate_sum(gap, nu / 2, 2.0 * lattice, share)
-        value += sign * s.value
-        size += s.value
-        bound += s.tail_bound
-        sums.append(s)
-    return value, size, bound, sums
+    """args = (nu, lattice): the g-sum at gap 1 to 1e-3 tol, the positive sum of
+    w(A)^nu/sqrt(A^2 - c^2), w(A) = A - sqrt(A^2 - c^2), over A = c + 1 + j,
+    j >= 0, with c = 2 lattice (:func:`series_engine._conjugate_sum`)."""
+    nu, lattice = args
+    s = series_engine._conjugate_sum(1.0, nu / 2, 2.0 * lattice, 1e-3 * tol)
+    return s.value, s.value, s.tail_bound, (s,)
+
+
+def _pair(args, tol: float):
+    """args = (nu, x): the g-sums at gaps x and 1 - x of :func:`_algebraic`, added
+    for even nu and subtracted for odd nu, as one sum to 1e-3 tol
+    (:func:`series_engine._g_pair`), whose bound covers its own rounding."""
+    nu, x = args
+    s = series_engine._g_pair(x, 1.0 if nu % 2 == 0 else -1.0, nu / 2, 2.0, 1e-3 * tol)
+    return s.value, abs(s.value), s.tail_bound, (s,)
 
 
 def _chebyshev(args, tol: float):
     """args = (k, points): the sum of U_k(t) over points.  t and acos(t) carry a
     few units, which sin((k+1) theta)/sin(theta) turns into at most
-    10 (k+1) units/(1 - t^2), since |U_k| <= k + 1."""
+    10 (k+1) units/(1 - t^2), since |U_k| <= k + 1.  Near t = +-1, where that
+    grows without bound, |U_k'| <= k(k+1)(k+2)/3 on [-1, 1] bounds what 10
+    units in t do, so each point adds 10 (k+1) units/max(1 - t^2, 3/(3 + k(k+2)))."""
     k, points = args
     value = size = bound = 0.0
-    unit = 10.0 * (k + 1) * _EPS
+    unit, floor = 10.0 * (k + 1) * _EPS, 3.0 / (3.0 + k * (k + 2))
     for t in points:
         u = specfun.chebyshev_U_value(k, t)
         value += u
         size += abs(u)
-        bound += unit / (1.0 - t * t)
+        room = 1.0 - t * t
+        bound += unit / (room if room > floor else floor)
     return value, size, bound, ()
 
 
@@ -139,17 +144,16 @@ def _constant(c: int, tol: float):
 
 def _polynomial_terms(nu: int, x: float) -> tuple:
     """B_nu^*(x), 0 < x < 1 (:func:`zagier_even_formula`, :func:`zagier_odd_formula`)."""
-    sign = 1.0 if nu % 2 == 0 else -1.0
     return ((1.0, _lattice, (nu, x, 1, 1.0)),
             (0.25, _chebyshev, (nu - 1, ((x + 1.0) / 2, x / 2, (x - 1.0) / 2, (x - 2.0) / 2))),
-            (2.0 ** -(nu + 1), _algebraic, (nu, 1, ((1.0, x), (sign, 1.0 - x)))))
+            (2.0 ** -(nu + 1), _pair, (nu, x)))
 
 
 @functools.lru_cache(maxsize=256)
 def _number_terms(n: int) -> tuple:
     """B_{2n}^* (:func:`zagier_number_formula`)."""
     return ((1.0, _lattice, (2 * n, 0.0, 1, 1.0)), (-1.0, _constant, n),
-            (2.0 ** (-2 * n), _algebraic, (2 * n, 1, ((1.0, 1.0),))))
+            (2.0 ** (-2 * n), _algebraic, (2 * n, 1)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -157,7 +161,7 @@ def _type_terms(n: int) -> tuple:
     """B_{2n}^*(-3/2) + B_{2n}^* (:func:`zagier_type_sum`): its lattice sum gets half of tol."""
     return ((2.0, _lattice, (2 * n, 0.0, 2, 0.5)), (-1.0, _constant, n),
             (-0.5, _chebyshev, (2 * n - 1, (0.25, 0.75))),
-            (2.0 ** (1 - 4 * n), _algebraic, (2 * n, 2, ((1.0, 1.0),))))
+            (2.0 ** (1 - 4 * n), _algebraic, (2 * n, 2)))
 
 
 def _assemble(terms: tuple, tol: float) -> tuple[float, list[SeriesResult], float]:
@@ -191,6 +195,11 @@ def _polynomial_formula(nu: int, x: float | Fraction | str, tol: float) -> EvalR
     xf, xq = _as_point(x)
     if not 0.0 < xf < 1.0:
         raise ValueError("x must lie in (0, 1)")
+    if xf < sys.float_info.min:  # 1 - x is never subnormal
+        raise ValueError(f"x = {xf!r} is subnormal: 2 pi x keeps too few digits for the formula")
+    # the g-sum pair's x-free table before the lattice sum, which may raise, so
+    # that a call at any x and tol leaves it built
+    series_engine._g_table(nu / 2, 2.0)
     value, meta, bound = _assemble(_polynomial_terms(nu, xf), tol)
     if xq is None:
         return EvalReport(nu, xf, value, meta, None, {}, bound)
@@ -320,11 +329,8 @@ def _lemma_P_profile(x: float, n: int) -> float:
 
 def _lemma_dJ_profile(x: float, n: int) -> float:
     h1 = (-1.0) ** n / (4.0 * pi) * _arc_cheb_sum(x, n, math.asin)
-    # the g-sums to 1e-17, far below the 1e-9 at which the suite holds b0
-    h2 = (-1.0) ** (n + 1) / 4.0 ** (n + 1) * (
-        series_engine.g_tail_sum(n, x, tol=1e-17).value
-        + series_engine.g_tail_sum(n, 1.0 - x, tol=1e-17).value
-    )
+    # the g-sum pair to 1e-17, far below the 1e-9 at which the suite holds b0
+    h2 = (-1.0) ** (n + 1) / 4.0 ** (n + 1) * series_engine._g_pair(x, 1.0, n, 2.0, 1e-17).value
     return h1 + h2
 
 
@@ -438,6 +444,6 @@ def poisson_J_series_check(nu: float, x: float) -> EvalReport:
         # the tails over 2 pi (m + x), m >= 2, and 2 pi (m - x), m >= 3, are the
         # g-sums at exponent nu/2 on the gaps x and 1 - x, to 1e-17: the sides
         # are compared down to 1e-15
-        g = sum(series_engine._conjugate_sum(gap, nu / 2, 2.0, 1e-17).value for gap in (x, 1.0 - x))
+        g = series_engine._g_pair(x, 1.0, nu / 2, 2.0, 1e-17).value
         rhs -= snu / (2.0 * pi * 2.0**nu) * g
     return EvalReport(0, x, rhs, [], lhs, {"lhs_bound": float(dropped + rounding)})

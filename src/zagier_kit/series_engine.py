@@ -25,6 +25,11 @@ remainder, and a tolerance below it raises.  An algebraic g-sum whose first
 term fits the tolerance sums no term at all; any other closes a prefix of
 a few terms by Euler-Maclaurin through B_12 with exact derivatives, and
 since its terms are completely monotone, the B_14 term bounds what is left.
+The polynomial formulas' two g-sums, at x and at 1 - x, are summed as one
+pair: past their first two terms they are one even or odd polynomial in
+h = x - 1/2 whose coefficients depend on neither x nor the tolerance
+(:func:`_g_pair`), and Cauchy's estimate on a disc where the tail is
+completely monotone bounds the orders left out.
 
 Every reduction over m is correctly rounded: it returns exactly what
 math.fsum returns for the same terms, so results are reproducible bit for
@@ -55,6 +60,9 @@ otherwise build, so no value depends on what was cached before:
     truncation and bound per (nu, lattice) (:func:`_zero_sum`, 512 entries);
   * the Euler-Maclaurin coefficients of the g-sums per exponent r
     (:func:`_em_rows`, 512 entries of 56 floats);
+  * the Taylor coefficients of a g-sum pair's tail per (r, c)
+    (:func:`_g_table`, 512 entries of 31 floats and two scalars), and the
+    factors they share (:func:`_g_steps`, built on first use);
   * the Wood polynomial of a unit weight per order and parity
     (:func:`_unit_wood`, at most 60 entries): order 0 gives the regularizer's
     C_{1/2}(x) or S_{1/2}(x), and all of them :func:`periodic_zeta`;
@@ -111,6 +119,10 @@ _EM_ORDERS = 6       # Euler-Maclaurin corrections B_2..B_12 that close a g-sum 
 _EM_START = 4        # the shortest g-sum prefix they close
 _LERCH_TERMS = 48    # the last order n of the Lerch expansion; 2 pi x'(a + 1) > 12 pi needs ~40
 _LERCH_REACH = 6.0   # the Lerch tail starts past a >= _LERCH_REACH/x'
+_G_SPLIT = 2         # J: a g-sum pair sums j < J directly, and its table's Taylor orders the rest
+_G_ORDERS = 30       # K: the table's orders; q <= 1/4 leaves 2^-62 of A(1/2) past them
+_G_FAR = 16          # N*: the table closes its sums by Euler-Maclaurin from j = N*
+_G_TOP = _G_ORDERS + 2 * _EM_ORDERS + 1  # the highest order of f the closure takes, at B_14
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -633,6 +645,149 @@ def g_tail_sum(r: float, x: float, tol: float = 1e-12) -> SeriesResult:
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
     return _conjugate_sum(x, r, 2.0, tol)
+
+
+@functools.cache
+def _g_steps() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The x- and r-free factors of :func:`_g_table`: -(2k + 3)/(k + 2),
+    (k + 1)^2 and 1/((k + 1)(k + 2)) for the recurrence steps
+    k = 0.._G_TOP - 2, and the Euler-Maclaurin weights
+    -B_2i/(2i)! (k + 1)...(k + 2i - 1) of f^(k+2i-1)/(k+2i-1)! in the sum of
+    f^(k)/k!, row k <= _G_ORDERS, i = 1..7."""
+    k = np.arange(_G_TOP - 1.0)
+    ratios = _bernoulli_ratios()[: _EM_ORDERS + 1]
+    weights = [[-ratio * math.prod(range(k + 1, k + 2 * i)) for i, ratio in enumerate(ratios, 1)]
+               for k in range(_G_ORDERS + 1)]
+    return (-(2.0 * k + 3.0) / (k + 2.0), (k + 1.0) * (k + 1.0), 1.0 / ((k + 1.0) * (k + 2.0)),
+            np.array(weights))
+
+
+@functools.lru_cache(maxsize=512)  # 31 floats and two scalars each
+def _g_table(r: float, c: float) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
+    """(even, odd, size, error): the x-free part of :func:`_g_pair` for one (r, c).
+
+    D_k = sum_{j >= J} f^(k)(c + 1/2 + j)/k!, k <= K (J = _G_SPLIT,
+    K = _G_ORDERS), are the Taylor coefficients about g = 1/2 of the tail
+    T(g) = sum_{j >= J} f(c + g + j) of the g-sum A(g) = sum_{j >= 0} f(c + g + j),
+    f(A) = w^{2r}/rho, rho = sqrt(A^2 - c^2), w = A - rho.  even holds
+    D_0, D_2, ..., D_K and odd D_1, D_3, ..., D_{K-1}, highest first; size
+    bounds A(1/2) = sum_{j<J} f(c + 1/2 + j) + D_0, and error bounds
+    2 sum_k |error of D_k| 2^{-k}.
+
+    f solves the Laplace-transformed Bessel equation
+    (A^2 - c^2) f'' + 3A f' + (1 - 4r^2) f = 0, so a_k = f^(k)(A)/k! follow
+    from a_0 = f and a_1 = -(f/rho)(2r + 1 + w/rho) by
+        a_{k+2} = -[A (k+1)(2k+3) a_{k+1} + ((k+1)^2 - 4r^2) a_k]/(rho^2 (k+1)(k+2)),
+    at the points A = c + 1/2 + j, j = J..N* (N* = _G_FAR), all at once.  The
+    direct terms j < N* and the Euler-Maclaurin closure at A* = c + 1/2 + N*
+    through B_12, with integral_{A*}^inf f^(k) = -f^(k-1)(A*) and the
+    integral w^{2r}/(2r) at k = 0, make D_k, one math.fsum each.  Since
+    (-1)^k f^(k) is completely monotone, the remainder lies within the
+    first dropped (B_14) term.  Past k + 1 = 2r the second product of the
+    step has the opposite sign and subtracts; the same step with both
+    products' magnitudes, carried beside it, gives a majorant b_k >= |a_k|,
+    and a_k errs by at most (6r + 6 + 4k) units _EPS of b_k (f's own
+    rounding, as in :func:`_conjugate_sum`, and four units per step).
+    Every power is Python's, and numpy only adds, multiplies and divides.
+    """
+    two_r, csq = 2.0 * r, c * c
+    gaps = [0.5 + j for j in range(_G_FAR + 1)]
+    roots = [sqrt(g * (g + 2.0 * c)) for g in gaps]
+    ws = [csq / (c + g + s) for g, s in zip(gaps, roots)]
+    powers = [w**two_r for w in ws]
+    fs = [p / s for p, s in zip(powers, roots)]
+    g, rho, w, f = (np.array(v[_G_SPLIT:]) for v in (gaps, roots, ws, fs))
+    inv = 1.0 / (g * (g + 2.0 * c))  # rho^{-2}
+    a1 = -(f / rho) * (two_r + 1.0 + w / rho)
+    points = g.size
+    s1, squares, s2, weights = _g_steps()
+    s2 = (4.0 * r * r - squares) * s2
+    step1 = s1[:, None] * np.concatenate([(c + g) * inv, -(c + g) * inv])
+    step2 = np.concatenate([s2[:, None] * inv, np.abs(s2)[:, None] * inv], axis=1)
+    rows = np.empty((_G_TOP + 1, 2 * points))
+    rows[0, :points], rows[0, points:] = f, f
+    rows[1, :points], rows[1, points:] = a1, np.abs(a1)
+    for k in range(_G_TOP - 1):
+        np.multiply(step1[k], rows[k + 1], out=rows[k + 2])
+        rows[k + 2] += step2[k] * rows[k]
+    a, b = rows[:, :points], rows[:, points:]  # b: the majorants
+    ks = np.arange(_G_ORDERS + 1)
+    top = a[:, -1]  # the a_k at A*
+    # sum_{j >= N*} f^(k)(c + 1/2 + j)/k!: the integral, half the term and the corrections
+    integral = np.concatenate([[powers[-1] / two_r], -top[: _G_ORDERS] / ks[1:]])
+    higher = ks[:, None] + 2 * np.arange(1, _EM_ORDERS + 2) - 1  # the order k + 2i - 1
+    corrections = weights * top[higher]
+    parts = np.concatenate([a[: _G_ORDERS + 1, :-1], integral[:, None], 0.5 * top[: _G_ORDERS + 1, None],
+                            corrections[:, :-1]], axis=1)
+    coefs = [math.fsum(row) for row in parts.tolist()]
+    unit = _EPS * (6.0 * r + 6.0 + 4.0 * np.arange(_G_TOP + 1.0))
+    # the B_14 term, then each part's rounding: the a_k at every point (the last
+    # one for half the term), the integral and the corrections
+    integral_b = np.concatenate([integral[:1], b[: _G_ORDERS, -1] / ks[1:]])
+    slack = np.concatenate([np.abs(corrections[:, -1:]), b[: _G_ORDERS + 1] * unit[: _G_ORDERS + 1, None],
+                            (integral_b * unit[: _G_ORDERS + 1])[:, None],
+                            np.abs(weights) * b[higher, -1] * unit[higher]], axis=1)
+    errors = [math.fsum(row) + _EPS * abs(d) for row, d in zip(slack.tolist(), coefs)]
+    error = 2.0 * math.fsum(e * 0.5**k for k, e in enumerate(errors))
+    size = math.fsum(fs[:_G_SPLIT] + coefs[:1]) * (1.0 + _EPS * (6.0 * r + 6.0)) + errors[0]
+    return tuple(coefs[::-2]), tuple(coefs[-2::-2]), size, error
+
+
+def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResult:
+    """A(x) + sign A(1 - x), sign = +1 or -1, 0 < x < 1, for the g-sums
+    A(g) = sum_{j >= 0} f(c + g + j) of :func:`_conjugate_sum`.
+
+    With h = x - 1/2 the tails past j = J (:func:`_g_table`) are
+    T(x) + sign T(1 - x) = 2 sum_k D_k h^k over the k of sign's parity, one
+    Horner sum in h^2 whose terms share one sign, since (-1)^k D_k > 0;
+    the terms j < J of both sides are added directly, and all is one
+    math.fsum.  f(A) = c^{2r} integral_0^inf e^{-As} I_{2r}(cs) ds, so T is
+    completely monotone on g > -J, and on the disc |g - 1/2| <= J it is at
+    most T(1/2 - J) = A(1/2): by Cauchy's estimate the orders k >= k0 of
+    sign's parity add at most 2 A(1/2) q^{k0}/(1 - q^2), q = |h|/J <= 1/(2J).
+    The call sums the fewest orders whose such bound fits tol, and raises
+    SeriesConvergenceError when all K do not.  The reported bound adds the
+    table's error and the rounding.  As in :func:`_conjugate_sum`, when
+    half of each side's first term fits tol nothing is summed and each side
+    is its integral plus half its first term; the table is fetched first,
+    so every call leaves it built.  terms_used counts the direct terms and
+    the orders summed.
+    """
+    even, odd, size, error = _g_table(r, c)
+    x = float(x)
+    y, two_r, csq, units = 1.0 - x, 2.0 * r, c * c, _EPS * (5.0 * r + 3.0)
+    root_x, root_y = sqrt(x * (x + 2.0 * c)), sqrt(y * (y + 2.0 * c))
+    wp_x, wp_y = (csq / (c + x + root_x)) ** two_r, (csq / (c + y + root_y)) ** two_r
+    half_x, half_y = 0.5 * wp_x / root_x, 0.5 * wp_y / root_y
+    bound_x = half_x + units * (wp_x / two_r + 2.0 * half_x)
+    bound_y = half_y + units * (wp_y / two_r + 2.0 * half_y)
+    if bound_x <= tol and bound_y <= tol:
+        return SeriesResult((wp_x / two_r + half_x) + sign * (wp_y / two_r + half_y), 0, bound_x + bound_y)
+
+    near, far = [2.0 * half_x], [2.0 * half_y]
+    for j in range(1, _G_SPLIT):
+        for gap, terms in ((x + j, near), (y + j, far)):
+            root = sqrt(gap * (gap + 2.0 * c))
+            terms.append((csq / (c + gap + root)) ** two_r / root)
+    h = x - 0.5
+    h2 = h * h
+    q2 = h2 / (_G_SPLIT * _G_SPLIT)
+    coefs = even if sign > 0 else odd
+    truncation = 2.0 * size / (1.0 - q2) * (1.0 if sign > 0 else abs(h) / _G_SPLIT)
+    used = 0
+    while truncation > tol and used < len(coefs):
+        used += 1
+        truncation *= q2
+    series = 2.0 * _horner(coefs[len(coefs) - used:], h2) * (1.0 if sign > 0 else h)
+    value = math.fsum(near + [sign * v for v in far] + [series])
+    rounding = (_EPS * (6.0 * r + 4.0) * (sum(near) + sum(far)) + _EPS * (2 * used + 4) * abs(series)
+                + _EPS * abs(value))
+    result = SeriesResult(value, 2 * _G_SPLIT + used, truncation + error + rounding)
+    if truncation > tol:
+        raise SeriesConvergenceError(
+            f"g-sum pair: truncation {truncation:.2e} exceeds tol {tol:.2e} at the "
+            f"table's {_G_ORDERS} orders", result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -554,7 +554,7 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_zero_sum"), ("series_engine", "_unit_wood"),
-          ("series_engine", "_em_rows"),
+          ("series_engine", "_em_rows"), ("series_engine", "_g_table"),
           ("formulas", "_number_terms"), ("formulas", "_type_terms"),
           ("formulas", "_weighted_profile"))
 

@@ -444,3 +444,16 @@ def test_clean_failures_exit_2(capsys, argv, needle):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("x", (pytest.param("1/100000000000000000", id="1e-17"),
+                               pytest.param(f"1/{10**100}", id="1e-100"),
+                               pytest.param(f"1/{10**300}", id="1e-300"),
+                               pytest.param(f"{2**53 - 1}/{2**53}", id="1-2^-53"),
+                               pytest.param(f"1/{2**1074}", id="2^-1074")))
+@pytest.mark.parametrize("method", ("even-formula --n 2", "even-formula --n 8", "odd-formula --n 3",
+                                    "odd-formula --n 9"))
+def test_polynomial_formulas_near_either_end_exit_cleanly(capsys, method, x):
+    # a Chebyshev argument at t = +-1 or a subnormal x ends in exit 0, 2 or 3, never a traceback
+    code, _ = run_cli("eval", "--method", *method.split(), "--x", x)
+    assert code in (0, 2, 3) and "Traceback" not in capsys.readouterr().err, (method, x, code)

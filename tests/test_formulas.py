@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import math
 import pickle
+import sys
 from fractions import Fraction
 from math import pi, sin, sqrt
 
@@ -162,6 +163,16 @@ def test_exact_reference_is_formed_on_first_read(name, monkeypatch):
         assert (rep.rel_error, rep.abs_error, rep.exact) == (err / abs(float(exact)), err, exact)
         assert sorted(calls) == {"number": ["modified_bernoulli"],
                                  "type": ["modified_bernoulli", "zagier_eval"]}.get(name, ["zagier_eval"])
+
+
+@pytest.mark.parametrize("fn", (fm.zagier_even_formula, fm.zagier_odd_formula))
+def test_a_polynomial_formula_that_raises_still_builds_its_g_table(fn, monkeypatch):
+    # the lattice sum, summed first, raises at tol 1e-17; the g-sum pair's table is
+    # built all the same, so no later call at another x builds it
+    empty_caches(monkeypatch)
+    with pytest.raises(se.SeriesConvergenceError, match="^regularized_bracket_sum"):
+        fn(1, 0.3, tol=1e-17)
+    assert se._g_table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("name", sorted(_CACHED_FORMULAS))
@@ -437,6 +448,26 @@ def test_formula_domain_errors(fn, args, kwargs, match):
         fn(*args, **kwargs)
 
 
+# points within an ulp of either end, where a Chebyshev argument rounds to +-1
+_ENDS = (1e-17, 1e-100, 1e-300, 1 - 2**-53, 2**-1074)
+
+
+@pytest.mark.parametrize("x", _ENDS)
+@pytest.mark.parametrize("fn, n", ((fm.zagier_even_formula, 1), (fm.zagier_even_formula, 4),
+                                   (fm.zagier_odd_formula, 1), (fm.zagier_odd_formula, 4)))
+def test_polynomial_formulas_near_either_end_return_honestly_or_raise(fn, n, x):
+    # a finite Chebyshev bound at t = +-1 and a subnormal x rejected by name
+    if x < sys.float_info.min:
+        with pytest.raises(ValueError, match=r"^x = 5e-324 is subnormal"):
+            fn(n, Fraction(x))
+        return
+    try:
+        rep = fn(n, Fraction(x))
+    except se.SeriesConvergenceError:
+        return
+    assert math.isfinite(rep.tail_bound) and rep.abs_error <= rep.tail_bound, (n, x, rep)
+
+
 def test_numpy_integer_index_is_accepted():
     for fn, args in ((fm.zagier_even_formula, (Fraction(1, 3),)), (fm.zagier_odd_formula, (Fraction(2, 7),)),
                      (fm.zagier_number_formula, ()), (fm.zagier_type_sum, ())):
@@ -447,16 +478,16 @@ def _rebuilt_rhs(name: str, rep, x: Fraction | None) -> tuple[float, float, floa
     """The right-hand side as the formula's docstring writes it, from the report's
     series values, the Chebyshev values and the constant; the bound README
     states for it, sum |coef| bound over the series and the Chebyshev values
-    (10 (k+1) eps/(1 - t^2) at U_k(t)) plus 2 eps sum |coef part|; and that
+    (10 (k+1) eps/max(1 - t^2, 3/(3 + k(k+2))) at U_k(t)) plus 2 eps sum |coef part|; and that
     sum |coef part|."""
     from zagier_kit.specfun import chebyshev_U_value as u
 
     meta, nu = rep.series_meta, rep.n
     n, k = nu // 2, nu - 1
     if name in ("even", "odd"):
-        xf, sign = float(x), (1.0 if name == "even" else -1.0)
+        xf = float(x)
         c, cheb = 2.0 ** -(nu + 1), (0.25, ((xf + 1) / 2, xf / 2, (xf - 1) / 2, (xf - 2) / 2))
-        terms, coefs = [meta[0].value, c * meta[1].value, sign * c * meta[2].value], [1.0, c, c]
+        terms, coefs = [meta[0].value, c * meta[1].value], [1.0, c]
     elif name == "number":
         # ((sqrt(m+4) - sqrt(m))/2)^{4n} is 2^{-2n} w^{2n}, w = m + 2 - sqrt(m(m+4))
         c, cheb = 2.0 ** (-2 * n), (0.0, ())
@@ -467,18 +498,19 @@ def _rebuilt_rhs(name: str, rep, x: Fraction | None) -> tuple[float, float, floa
     terms += [cheb[0] * u(k, t) for t in cheb[1]]
     size = sum(map(abs, terms))
     bound = (sum(w * s.tail_bound for w, s in zip(coefs, meta))
-             + sum(abs(cheb[0]) * 10 * (k + 1) * se._EPS / (1 - t * t) for t in cheb[1])
+             + sum(abs(cheb[0]) * 10 * (k + 1) * se._EPS / max(1 - t * t, 3 / (3 + k * (k + 2)))
+                   for t in cheb[1])
              + 2 * se._EPS * size)
     return math.fsum(terms), bound, size
 
 
-# each formula's own series, as the public series functions give them at
-# the formula's shares of tol: the lattice sum first, the algebraic sums after
+# each formula's own series, as the series functions give them at the
+# formula's shares of tol: the lattice sum first, the algebraic sums after;
+# the polynomial formulas' two g-sums are one pair, added for even nu and
+# subtracted for odd nu
 _OWN_SERIES = {
-    "even": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se.g_tail_sum(nu / 2, x, 1e-3 * tol),
-                                se.g_tail_sum(nu / 2, 1.0 - x, 1e-3 * tol)],
-    "odd": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se.g_tail_sum(nu / 2, x, 1e-3 * tol),
-                               se.g_tail_sum(nu / 2, 1.0 - x, 1e-3 * tol)],
+    "even": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se._g_pair(x, 1.0, nu / 2, 2.0, 1e-3 * tol)],
+    "odd": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se._g_pair(x, -1.0, nu / 2, 2.0, 1e-3 * tol)],
     "number": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, tol),
                                   se.conjugate_power_sum(3.0, nu / 2, 4.0, 1e-3 * tol)],
     "type": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, 0.5 * tol, lattice=2),

@@ -331,6 +331,98 @@ def test_g_tail_sum_rejects_small_exponent():
 
 
 # ---------------------------------------------------------------------------
+# g-sum pairs from the x-free table
+# ---------------------------------------------------------------------------
+
+_PAIR_R = (0.25, 0.5, 1.0, 1.25, 2.5, 4.0, 8.5, 30.0, 60.5)
+_PAIR_X = (1e-12, 1e-3, 0.1, 1 / 3, 0.5, 0.62, 0.9, 0.999, 1 - 1e-9)
+
+
+@pytest.mark.parametrize("r", _PAIR_R)
+def test_g_pair_lies_within_its_bound_of_the_extended_precision_sums(r):
+    # A(x) + sign A(1 - x) against two 40-digit sums, 1 - x formed at 40 digits;
+    # a call either meets tol with an honest bound or raises below the table's floor
+    for x in _PAIR_X:
+        with mp.workdps(40):
+            near, far = conjugate_sum_oracle(r, x, 2.0), conjugate_sum_oracle(r, 1 - mp.mpf(x), 2.0)
+        for sign in (1.0, -1.0):
+            with mp.workdps(40):
+                ref = near + sign * far
+            for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-17):
+                try:
+                    res = se._g_pair(x, sign, r, 2.0, tol)
+                except se.SeriesConvergenceError as err:
+                    assert tol < 1e-16, (r, x, sign, tol, err)
+                    assert err.best.tail_bound > tol
+                    continue
+                with mp.workdps(40):
+                    error = float(abs(mp.mpf(res.value) - ref))
+                assert error <= res.tail_bound, (r, x, sign, tol, res, error)
+                # past the truncation, which fits tol, the bound is the table's error and the rounding
+                slack = se._g_table(r, 2.0)[3] + (6 * r + 40) * se._EPS * float(abs(near) + abs(far))
+                assert not res.terms_used or res.tail_bound <= tol + slack, (r, x, sign, tol, res)
+
+
+@pytest.mark.parametrize("r, c", ((0.25, 2.0), (1.5, 2.0), (8.5, 2.0), (2.0, 4.0)))
+def test_g_table_matches_the_taylor_coefficients_of_the_tail(r, c):
+    # D_k = sum_{j >= 2} f^(k)(c + 1/2 + j)/k! from 60-digit mpmath.taylor at each
+    # point j < 40 and an Euler-Maclaurin closure at j = 40 through B_24
+    even, odd, size, error = se._g_table(r, c)
+    coefs = [0.0] * (se._G_ORDERS + 1)
+    coefs[::2], coefs[1::2] = even[::-1], odd[::-1]
+    order, far, closing = se._G_ORDERS, 40, 12
+    with mp.workdps(60):
+        rr, cc, half = mp.mpf(r), mp.mpf(c), mp.mpf(1) / 2
+
+        def f(a):
+            root = mp.sqrt(a * a - cc * cc)
+            return (a - root) ** (2 * rr) / root
+
+        ref = [mp.mpf(0)] * (order + 1)
+        for j in range(se._G_SPLIT, far):
+            for k, a in enumerate(mp.taylor(f, cc + half + j, order)):
+                ref[k] += a
+        top = cc + half + far
+        a = mp.taylor(f, top, order + 2 * closing)
+        w = top - mp.sqrt(top * top - cc * cc)
+        for k in range(order + 1):
+            ref[k] += (w ** (2 * rr) / (2 * rr) if k == 0 else -a[k - 1] / k) + a[k] / 2
+            ref[k] -= mp.fsum(mp.bernoulli(2 * i) / mp.factorial(2 * i) * a[k + 2 * i - 1]
+                              * mp.factorial(k + 2 * i - 1) / mp.factorial(k) for i in range(1, closing + 1))
+        head = mp.fsum(f(cc + half + j) for j in range(se._G_SPLIT))
+        assert ref[0] + head <= size <= (ref[0] + head) * (1 + 1e-12)
+        for k, (got, want) in enumerate(zip(coefs, ref)):
+            assert (-1) ** k * want > 0 and abs(got - want) <= 1e-13 * abs(want), (k, got, want)
+        assert 2 * mp.fsum(abs(got - want) / 2**k for k, (got, want) in enumerate(zip(coefs, ref))) <= error
+
+
+@pytest.mark.parametrize("r", (0.5, 1.0, 2.5, 8.5, 30.0))
+@pytest.mark.parametrize("x", (1e-6, 0.1, 0.37, 0.5, 0.8, 1 - 1e-6))
+def test_g_pair_matches_the_two_public_g_sums(r, x):
+    # the pair and g_tail_sum(r, x) +- g_tail_sum(r, 1 - x) agree within their summed bounds
+    for sign in (1.0, -1.0):
+        for tol in (1e-6, 1e-10, 1e-14):
+            pair = se._g_pair(x, sign, r, 2.0, tol)
+            near, far = se.g_tail_sum(r, x, tol), se.g_tail_sum(r, 1.0 - x, tol)
+            assert abs(pair.value - (near.value + sign * far.value)) <= \
+                pair.tail_bound + near.tail_bound + far.tail_bound, (r, x, sign, tol)
+
+
+def test_g_pair_without_a_term_still_builds_its_table(monkeypatch):
+    # at r = 1 and x = 0.4 half of each side's first term fits tol 1: the pair is
+    # both sides' integral plus half their first term, bit for bit, and the table
+    # it did not need is built all the same
+    empty_caches(monkeypatch)
+    for sign in (1.0, -1.0):
+        res = se._g_pair(0.4, sign, 1.0, 2.0, 1.0)
+        near, far = se._conjugate_sum(0.4, 1.0, 2.0, 1.0), se._conjugate_sum(1.0 - 0.4, 1.0, 2.0, 1.0)
+        assert res.terms_used == near.terms_used == far.terms_used == 0
+        assert res.value == near.value + sign * far.value
+        assert res.tail_bound == near.tail_bound + far.tail_bound
+    assert se._g_table.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------------------------
 # regularized bracket machinery
 # ---------------------------------------------------------------------------
 
