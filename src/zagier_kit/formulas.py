@@ -103,11 +103,13 @@ def _lattice(args, tol: float):
 
 
 def _algebraic(args, tol: float):
-    """args = (nu, lattice): the g-sum at gap 1 to 1e-3 tol, the positive sum of
+    """args = (nu, lattice): the g-sum at gap 1, the positive sum of
     w(A)^nu/sqrt(A^2 - c^2), w(A) = A - sqrt(A^2 - c^2), over A = c + 1 + j,
-    j >= 0, with c = 2 lattice (:func:`series_engine._conjugate_sum`)."""
+    j >= 0, with c = 2 lattice, from the g-sum pair's table
+    (:func:`series_engine._g_one`).  It depends on neither x nor tol and
+    never raises, like :func:`_chebyshev`; its bound joins the formula's."""
     nu, lattice = args
-    s = series_engine._conjugate_sum(1.0, nu / 2, 2.0 * lattice, 1e-3 * tol)
+    s = series_engine._g_one(nu / 2, 2.0 * lattice)
     return s.value, s.value, s.tail_bound, (s,)
 
 

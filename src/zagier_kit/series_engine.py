@@ -21,15 +21,18 @@ is summed at its own size instead, by the Lerch expansion (Watson's lemma
 on the Lerch transcendent, Apostol, Pacific J. Math. 1, 1951), with a
 rigorous remainder.  The reported bound is the first dropped order plus
 the rounding of every piece, plus what the cut dropped or the Lerch
-remainder, and a tolerance below it raises.  An algebraic g-sum whose first
-term fits the tolerance sums no term at all; any other closes a prefix of
-a few terms by Euler-Maclaurin through B_12 with exact derivatives, and
-since its terms are completely monotone, the B_14 term bounds what is left.
-The polynomial formulas' two g-sums, at x and at 1 - x, are summed as one
-pair: past their first two terms they are one even or odd polynomial in
-h = x - 1/2 whose coefficients depend on neither x nor the tolerance
-(:func:`_g_pair`), and Cauchy's estimate on a disc where the tail is
-completely monotone bounds the orders left out.
+remainder, and a tolerance below it raises.  A public g-sum
+(:func:`g_tail_sum`, :func:`conjugate_power_sum`) whose first term fits the
+tolerance sums no term at all; any other closes a prefix of a few terms by
+Euler-Maclaurin through B_12 with exact derivatives, and since its terms
+are completely monotone, the B_14 term bounds what is left.  The formulas'
+g-sums all come from one x-free Taylor table per (r, c) (:func:`_g_table`).
+The polynomial formulas' two, at x and at 1 - x, are summed as one pair:
+past their first two terms they are one even or odd polynomial in
+h = x - 1/2 (:func:`_g_pair`), and Cauchy's estimate on a disc where the
+tail is completely monotone bounds the orders left out.  The number and
+type formulas' g-sum at gap 1 is the same table at h = 1/2
+(:func:`_g_one`), where Lagrange's remainder bounds them.
 
 Every reduction over m is correctly rounded: it returns exactly what
 math.fsum returns for the same terms, so results are reproducible bit for
@@ -56,13 +59,17 @@ otherwise build, so no value depends on what was cached before:
     K orders, the Wood polynomial of those K closed orders (at most 2 x 32 +
     29 coefficients, the negligible top ones dropped), the two scalars of the
     closed tails' rounding bound and the stairs of the top cut;
-  * at x = 0, where K and the sum depend on neither x nor tol, the value,
-    truncation and bound per (nu, lattice) (:func:`_zero_sum`, 512 entries);
-  * the Euler-Maclaurin coefficients of the g-sums per exponent r
+  * at x = 0, where K and the sum depend on neither x nor tol, the finished
+    bracket sum and lattice sum per (nu, lattice), the regularizer's closed
+    sum and allowance folded into the second (:func:`_zero_sum`, 512
+    entries of two results);
+  * the Euler-Maclaurin coefficients of the public g-sums per exponent r
     (:func:`_em_rows`, 512 entries of 56 floats);
   * the Taylor coefficients of a g-sum pair's tail per (r, c)
     (:func:`_g_table`, 512 entries of 31 floats and two scalars), and the
     factors they share (:func:`_g_steps`, built on first use);
+  * the finished g-sum at gap 1 per (r, c), read from that table
+    (:func:`_g_one`, 512 entries of one result);
   * the Wood polynomial of a unit weight per order and parity
     (:func:`_unit_wood`, at most 60 entries): order 0 gives the regularizer's
     C_{1/2}(x) or S_{1/2}(x), and all of them :func:`periodic_zeta`;
@@ -790,6 +797,35 @@ def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResu
     return result
 
 
+@functools.lru_cache(maxsize=512)  # one SeriesResult each
+def _g_one(r: float, c: float) -> SeriesResult:
+    """A(1) = sum_{j >= 0} f(c + 1 + j), the g-sum of :func:`_g_pair` at g = 1, from
+    the same table: f(c + 1) + f(c + 2) + T(1), T(1) = sum_{k<K} D_k 2^{-k}.
+
+    The even and the odd orders are two Horner sums in h^2 = 1/4, each of
+    one sign, and all is one math.fsum.  T is completely monotone, so
+    (-1)^K T^(K) is positive and decreasing, and Lagrange's remainder at
+    h = 1/2 > 0 is at most |T^(K)(1/2)| h^K/K! = |D_K| 2^{-K}, which needs
+    neither a disc nor A(1/2).  The bound adds it, half the table's error
+    (which counts both sides of a pair) and the rounding, as in
+    :func:`_g_pair`.  Nothing depends on tol, so the finished result is kept
+    per (r, c) and never raises; terms_used counts the direct terms and the
+    orders summed.
+    """
+    even, odd, _, error = _g_table(r, c)
+    two_r, csq = 2.0 * r, c * c
+    near = []
+    for gap in range(1, _G_SPLIT + 1):
+        root = sqrt(gap * (gap + 2.0 * c))
+        near.append((csq / (c + gap + root)) ** two_r / root)
+    evens, odds = _horner(even[1:], 0.25), 0.5 * _horner(odd, 0.25)
+    value = math.fsum(near + [evens, odds])
+    truncation = abs(even[0]) * 0.5**_G_ORDERS
+    rounding = (_EPS * (6.0 * r + 4.0) * sum(near) + _EPS * (_G_ORDERS + 4) * (abs(evens) + abs(odds))
+                + _EPS * abs(value))
+    return SeriesResult(value, _G_SPLIT + _G_ORDERS, truncation + 0.5 * error + rounding)
+
+
 # ---------------------------------------------------------------------------
 # regularized Bessel sums
 # ---------------------------------------------------------------------------
@@ -943,11 +979,14 @@ def _residual(nu: int, lattice: int, orders: int) -> _Residual:
                      _EPS * float(plan.closed_moment[:orders].sum()), stairs)
 
 
-@functools.lru_cache(maxsize=512)  # three floats each
-def _zero_sum(nu: int, lattice: int) -> tuple[float, float, float]:
-    """(value, truncation, bound) at x = 0 over the base range M0: orders 1..K
-    closed as b_k lattice^{-s} zeta(s, M0 + 1), K the order of the smallest
-    envelope, and the bound that envelope plus the rounding.  None depends on tol."""
+@functools.lru_cache(maxsize=512)  # two SeriesResults each
+def _zero_sum(nu: int, lattice: int) -> tuple[SeriesResult, SeriesResult]:
+    """(bracket sum, lattice sum) at x = 0 for even nu over the base range M0:
+    orders 1..K closed as b_k lattice^{-s} zeta(s, M0 + 1), K the order of the
+    smallest envelope, and the bound that envelope plus the rounding; the
+    lattice sum is the bracket sum less the regularizer's closed sum
+    zeta(1/2)/(2 sqrt(lattice)), its allowance added to the bound
+    (:func:`_unregularized`).  None depends on tol."""
     plan = _plan(nu, lattice)
     brackets = plan.brackets
     orders = plan.orders
@@ -956,7 +995,19 @@ def _zero_sum(nu: int, lattice: int) -> tuple[float, float, float]:
     closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
     rounding = (2e-15 + _EPS) * plan.abs_sum + _ZETA_EPS * float(np.abs(closed).sum())
-    return value, truncation, truncation + rounding
+    bracket = SeriesResult(value, brackets.size, truncation + rounding)
+    return bracket, _unregularized(bracket, nu, 0.0, lattice)
+
+
+def _exact_zero(nu: int, lattice: int) -> SeriesResult:
+    """The sum of odd nu at x = 0 or 1/2, where every sine vanishes.  The plan
+    is built first, as at any other x, so that no later call builds it;
+    past the double range there is none."""
+    try:
+        _plan(nu, lattice)
+    except ValueError:
+        pass
+    return SeriesResult(0.0, 0, 0.0)
 
 
 def _trig(even_nu: bool, x: float, ms: np.ndarray) -> np.ndarray:
@@ -1009,8 +1060,9 @@ def regularized_bracket_sum(
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
     a few units of its own size.  Every order is closed up to the smallest
-    dropped one, whatever tol: the finished value and bound are kept per
-    (nu, lattice), and a call only compares the bound with tol.
+    dropped one, whatever tol: the finished result is kept per
+    (nu, lattice) (:func:`_zero_sum`), and a call only compares its bound
+    with tol.
 
     The reported bound is the dropped order plus the rounding of the
     explicit terms and of the closed tails, or the Lerch tail's remainder
@@ -1034,16 +1086,16 @@ def regularized_bracket_sum(
         raise ValueError("x must lie in [0, 1)")
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
-        return SeriesResult(0.0, 0, 0.0)
+        return _exact_zero(nu, lattice)
     plan = _plan(nu, lattice)
     M, envelopes = plan.brackets.size, plan.envelopes
     remainder = 0.0  # the Lerch tail's Watson remainder, when it is taken
     if x == 0.0:
         # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1), a sum
-        # of positive terms: nothing cancels, and the finished value and bound depend
-        # on neither x nor tol
-        value, truncation, bound = _zero_sum(nu, lattice)
-        W = M
+        # of positive terms: nothing cancels, and the finished result depends on
+        # neither x nor tol
+        result = _zero_sum(nu, lattice)[0]
+        truncation, bound = float(envelopes[plan.orders - 1]), result.tail_bound
     else:
         K = (next((k for k, envelope in enumerate(envelopes.tolist(), 1) if envelope <= tol), 0)
              or plan.orders)
@@ -1065,7 +1117,7 @@ def regularized_bracket_sum(
             # sum_m trig (bracket - c) plus sum_k b_k lattice^{-s} T_s(x) for k = 1..K
             trig = _trig(even_nu, x, np.arange(1.0, W + 1.0))
             value = chunked_fsum(res.row[:W] * trig) + res.wood.at(x)
-    result = SeriesResult(value, W, bound)
+        result = SeriesResult(value, W, bound)
     if not bound <= tol:
         parts = [f"truncation term {truncation:.2e}",
                  f"rounding bound {bound - truncation - remainder:.2e}"]
@@ -1134,6 +1186,16 @@ def _regularizer_sum(nu: int, x: float, lattice: int) -> tuple[float, float]:
     return half * t, half * _ZETA_EPS * max(1.0, abs(t))
 
 
+def _unregularized(reg: SeriesResult, nu: int, x: float, lattice: int) -> SeriesResult:
+    """The lattice sum from the bracket sum reg: less the regularizer's closed sum,
+    its allowance added to the bound (:func:`_regularizer_sum`), and flagged at
+    0 < x outside DEFAULT_X_WINDOW."""
+    closed, rounding = _regularizer_sum(nu, x, lattice)
+    outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
+    return SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding,
+                        outside_window=outside)
+
+
 def lattice_bessel_sum(
     nu: int,
     x: float,
@@ -1145,29 +1207,29 @@ def lattice_bessel_sum(
 
     The regularized bracket sum minus the closed sum of its regularizer,
     zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that sum's allowance
-    (:func:`_regularizer_sum`).  For odd nu at x = 0 and 1/2 the sum is exactly 0.
-    Points 0 < x outside DEFAULT_X_WINDOW are flagged: the closed sum grows like x^{-1/2}.
-    ValueError for nu or lattice out of their domains, as in
-    :func:`regularized_bracket_sum`; each call checks them once, here before
-    an exact zero and in the bracket sum otherwise.  When the bracket sum
-    raises, SeriesConvergenceError carries its message and, as best, the
-    lattice sum formed from the bracket sum it gave up on.
+    (:func:`_unregularized`).  At x = 0 that result is kept whole per
+    (nu, lattice) beside the bracket sum's (:func:`_zero_sum`), and a call
+    only compares the bracket sum's bound with tol.  For odd nu at x = 0 and
+    1/2 the sum is exactly 0.  Points 0 < x outside DEFAULT_X_WINDOW are
+    flagged: the closed sum grows like x^{-1/2}.  ValueError for nu or
+    lattice out of their domains, as in :func:`regularized_bracket_sum`;
+    each call checks them here at x = 0 and before an exact zero, and in the
+    bracket sum otherwise.  When the bracket sum raises,
+    SeriesConvergenceError carries its message and, as best, the lattice sum
+    formed from the bracket sum it gave up on.
     """
-    if x in (0.0, 0.5) and isinstance(nu, (int, np.integer)) and nu % 2:
+    if x == 0.0 or (x == 0.5 and isinstance(nu, (int, np.integer)) and nu % 2):
         _check_lattice_args(nu, lattice)
-        return SeriesResult(0.0, 0, 0.0)
-    outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
-
-    def unregularized(reg: SeriesResult) -> SeriesResult:
-        closed, rounding = _regularizer_sum(nu, x, lattice)
-        return SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding,
-                            outside_window=outside)
-
+        if nu % 2:
+            return _exact_zero(nu, lattice)
+        bracket, result = _zero_sum(nu, lattice)
+        if bracket.tail_bound <= tol:
+            return result
     try:
         reg = regularized_bracket_sum(nu, x, tol, lattice=lattice)
     except SeriesConvergenceError as err:
-        raise SeriesConvergenceError(str(err), unregularized(err.best)) from err
-    return unregularized(reg)
+        raise SeriesConvergenceError(str(err), _unregularized(err.best, nu, x, lattice)) from err
+    return _unregularized(reg, nu, x, lattice)
 
 
 def bessel_cos_series(n: int, x: float, tol: float = DEFAULT_TOL) -> SeriesResult:

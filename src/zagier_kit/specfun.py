@@ -83,11 +83,18 @@ def hankel_lattice(nu: float) -> np.ndarray:
 
 
 def _orders_sum(d: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
-    """sum_{k=lo}^{hi} d_k q^{-(k+1/2)} by Horner's rule in 1/q."""
+    """sum_{k=lo}^{hi} d_k q^{-(k+1/2)} by Horner's rule in 1/q.
+
+    The last step divides by sqrt(q) q^lo, q^lo a run of products: numpy's
+    square roots, products and quotients round correctly under every SIMD
+    kernel, where its powers do not, so the bits are the same on every host."""
     total = np.full_like(q, d[hi])
     for k in range(hi - 1, lo - 1, -1):
         total = total / q + d[k]
-    return total * q ** -(lo + 0.5)
+    scale = np.sqrt(q)
+    for _ in range(lo):
+        scale = scale * q
+    return total / scale
 
 
 def _hankel_top(d: np.ndarray, lo: int, q0: float) -> int:

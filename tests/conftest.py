@@ -555,8 +555,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_zero_sum"), ("series_engine", "_unit_wood"),
           ("series_engine", "_em_rows"), ("series_engine", "_g_table"),
-          ("formulas", "_number_terms"), ("formulas", "_type_terms"),
-          ("formulas", "_weighted_profile"))
+          ("series_engine", "_g_one"), ("formulas", "_number_terms"),
+          ("formulas", "_type_terms"), ("formulas", "_weighted_profile"))
 
 
 def empty_caches(monkeypatch) -> None:

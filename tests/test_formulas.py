@@ -507,14 +507,13 @@ def _rebuilt_rhs(name: str, rep, x: Fraction | None) -> tuple[float, float, floa
 # each formula's own series, as the series functions give them at the
 # formula's shares of tol: the lattice sum first, the algebraic sums after;
 # the polynomial formulas' two g-sums are one pair, added for even nu and
-# subtracted for odd nu
+# subtracted for odd nu, and the number and type formulas' g-sum at gap 1 is
+# read from that pair's table, whatever tol
 _OWN_SERIES = {
     "even": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se._g_pair(x, 1.0, nu / 2, 2.0, 1e-3 * tol)],
     "odd": lambda nu, x, tol: [se.lattice_bessel_sum(nu, x, tol), se._g_pair(x, -1.0, nu / 2, 2.0, 1e-3 * tol)],
-    "number": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, tol),
-                                  se.conjugate_power_sum(3.0, nu / 2, 4.0, 1e-3 * tol)],
-    "type": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, 0.5 * tol, lattice=2),
-                                se.conjugate_power_sum(5.0, nu / 2, 16.0, 1e-3 * tol)],
+    "number": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, tol), se._g_one(nu / 2, 2.0)],
+    "type": lambda nu, x, tol: [se.lattice_bessel_sum(nu, 0.0, 0.5 * tol, lattice=2), se._g_one(nu / 2, 4.0)],
 }
 
 
@@ -632,6 +631,68 @@ def test_x_zero_sums_stop_at_the_base_range(name):
             rep = fn(n, tol=tol)
             assert rep.series_meta[0].terms_used == se._plan(2 * n, lattice).brackets.size, (n, rel)
             assert rep.abs_error <= tol, (n, rel)
+
+
+@pytest.mark.parametrize("name", sorted(_AT_ZERO))
+def test_x_zero_formulas_read_only_their_cached_results(name):
+    # a number or type call reads the kept lattice sum at x = 0 and the g-sum
+    # A(1) from the pair's table, the very objects, whatever tol; each lands
+    # within a relative 1e-12 without raising
+    fn, lattice, exact_at = _AT_ZERO[name]
+    for n in range(1, 61):
+        tol = 1e-12 * max(1.0, abs(float(exact_at(n))))
+        rep = fn(n, tol=tol)
+        assert rep.abs_error <= tol, n
+        lattice_sum, g_sum = rep.series_meta
+        assert lattice_sum is se._zero_sum(2 * n, lattice)[1], n
+        assert g_sum is se._g_one(float(n), 2.0 * lattice), n
+        assert g_sum.terms_used == se._G_SPLIT + se._G_ORDERS
+
+
+def test_no_formula_calls_the_euler_maclaurin_g_sum(monkeypatch):
+    # every formula's g-sums come from the pair's x-free table; the
+    # Euler-Maclaurin prefix serves only the public g_tail_sum and
+    # conjugate_power_sum
+    calls = []
+    original = se._conjugate_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(se, "_conjugate_sum", counted)
+    empty_caches(monkeypatch)
+    for n in (1, 2, 8, 30):
+        for tol in (1e-3, 1e-9, 1e-14):
+            for call in (lambda: fm.zagier_number_formula(n, tol=tol),
+                         lambda: fm.zagier_type_sum(n, tol=tol),
+                         lambda: fm.zagier_even_formula(n, Fraction(1, 3), tol=tol),
+                         lambda: fm.zagier_odd_formula(n, Fraction(2, 7), tol=tol)):
+                try:
+                    call()
+                except se.SeriesConvergenceError:
+                    pass
+    fm.fourier_coeff_dJ_check(2, 1)
+    fm.poisson_J_series_check(2.5, 0.3)
+    assert calls == []
+    se.g_tail_sum(1.0, 0.3)
+    assert len(calls) == 1
+
+
+def test_odd_formula_at_one_half_builds_its_plan(monkeypatch):
+    # the lattice sum of odd nu at x = 1/2 is exactly 0, yet the call builds
+    # the plan a later x needs; past the double range there is none, and the
+    # formula still returns
+    empty_caches(monkeypatch)
+    rep = fm.zagier_odd_formula(7, Fraction(1, 2))
+    assert rep.series_meta[0].value == 0.0 and rep.abs_error < 1e-8
+    assert se._plan.cache_info().currsize == 1
+    se._plan(15, 1)
+    assert se._plan.cache_info().hits == 1
+    rep = fm.zagier_odd_formula(130, Fraction(1, 2))
+    assert rep.series_meta[0].value == 0.0 and math.isfinite(rep.formula_value)
+    with pytest.raises(ValueError, match="exceeds the double range"):
+        se.lattice_bessel_sum(261, 1.0 / 3.0)
 
 
 # (index, x): the series-tight ops at seeds 11-13 whose closed differences

@@ -408,6 +408,21 @@ def test_g_pair_matches_the_two_public_g_sums(r, x):
                 pair.tail_bound + near.tail_bound + far.tail_bound, (r, x, sign, tol)
 
 
+@pytest.mark.parametrize("c", (2.0, 4.0))
+def test_g_one_lies_within_its_bound_of_the_extended_precision_sum(c):
+    # A(1) from the pair's table at h = 1/2, against a 40-digit sum: the bound
+    # holds, and Lagrange's remainder |D_K| 2^-K is far below the value
+    for r in (1, 2, 5, 8, 9, 20, 31, 60, 100, 130):
+        res = se._g_one(float(r), c)
+        ref = conjugate_sum_oracle(float(r), 1.0, c)
+        with mp.workdps(40):
+            error = float(abs(mp.mpf(res.value) - ref))
+        assert error <= res.tail_bound, (r, c, res, error)
+        assert abs(se._g_table(float(r), c)[0][0]) * 0.5**se._G_ORDERS <= 3e-16 * res.value, (r, c)
+        assert res.terms_used == se._G_SPLIT + se._G_ORDERS
+        assert res is se._g_one(float(r), c)
+
+
 def test_g_pair_without_a_term_still_builds_its_table(monkeypatch):
     # at r = 1 and x = 0.4 half of each side's first term fits tol 1: the pair is
     # both sides' integral plus half their first term, bit for bit, and the table
@@ -972,10 +987,26 @@ def test_cached_bracket_sum_under_threads(uncached_grid, monkeypatch):
     assert not errors and not mismatches, (errors, mismatches[:5])
 
 
+@pytest.mark.parametrize("nu, lattice", ((4, 1), (16, 2), (40, 1), (121, 1), (260, 2)))
+def test_far_brackets_match_a_python_float_recomputation(nu, lattice):
+    # past the crossover a plan's brackets take only quotients, sums, one
+    # square root and products, each correctly rounded under every SIMD
+    # kernel, so they are bit for bit what Python's own floats give
+    plan = se._plan(nu, lattice)
+    b = plan.b.tolist()
+    top = sf._hankel_top(plan.b, 1, float(lattice * (plan.near + 1)))
+    for m in range(plan.near + 1, plan.brackets.size + 1):
+        q = float(lattice * m)
+        total = b[top]
+        for k in range(top - 1, 0, -1):
+            total = total / q + b[k]
+        assert plan.brackets[m - 1] == total / (math.sqrt(q) * q), (nu, lattice, m)
+
+
 def test_kept_tables_stay_small(fresh_caches):
     # the residual rows span the base range M0, one per (nu, lattice, K),
     # each as long as the plan's brackets and with no copy of the lattice
-    # points; a sum at x = 0 keeps three floats
+    # points; a sum at x = 0 keeps its bracket and lattice results
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -993,6 +1024,9 @@ def test_kept_tables_stay_small(fresh_caches):
     kept = se._residual.cache_info().currsize
     assert 2 * 121 <= kept <= 3 * 121
     assert se._zero_sum.cache_info().currsize == 60 * 2
+    bracket, lattice_sum = se._zero_sum(4, 2)
+    assert bracket is se.regularized_bracket_sum(4, 0.0, 1.0, lattice=2)
+    assert lattice_sum is se.lattice_bessel_sum(4, 0.0, 1.0, lattice=2)
     # the plans' brackets, a row per kept residual, the Lerch rows and the constants
     assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
     # the plan holds the base range M0 only, and every cache is bounded
