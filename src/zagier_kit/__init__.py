@@ -45,7 +45,6 @@ _NUMERIC = {
         "bessel_cos_series",
         "bessel_sin_series",
         "g_tail_sum",
-        "g_term",
         "trig_power_sums",
     ),
     "specfun": (

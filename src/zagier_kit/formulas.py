@@ -140,8 +140,8 @@ def _chebyshev(args, tol: float):
     return value, size, bound, ()
 
 
-def _constant(c: int, tol: float):
-    return c, abs(c), 0.0, ()
+def _constant(args, tol: float):  # args = (value, size, bound), free of x and tol
+    return (*args, ())
 
 
 def _polynomial_terms(nu: int, x: float) -> tuple:
@@ -154,15 +154,16 @@ def _polynomial_terms(nu: int, x: float) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _number_terms(n: int) -> tuple:
     """B_{2n}^* (:func:`zagier_number_formula`)."""
-    return ((1.0, _lattice, (2 * n, 0.0, 1, 1.0)), (-1.0, _constant, n),
+    return ((1.0, _lattice, (2 * n, 0.0, 1, 1.0)), (-1.0, _constant, (n, n, 0.0)),
             (2.0 ** (-2 * n), _algebraic, (2 * n, 1)))
 
 
 @functools.lru_cache(maxsize=256)
 def _type_terms(n: int) -> tuple:
-    """B_{2n}^*(-3/2) + B_{2n}^* (:func:`zagier_type_sum`): its lattice sum gets half of tol."""
-    return ((2.0, _lattice, (2 * n, 0.0, 2, 0.5)), (-1.0, _constant, n),
-            (-0.5, _chebyshev, (2 * n - 1, (0.25, 0.75))),
+    """B_{2n}^*(-3/2) + B_{2n}^* (:func:`zagier_type_sum`): its lattice sum gets half of tol,
+    and its Chebyshev values, which depend on neither, are formed here once."""
+    return ((2.0, _lattice, (2 * n, 0.0, 2, 0.5)), (-1.0, _constant, (n, n, 0.0)),
+            (-0.5, _constant, _chebyshev((2 * n - 1, (0.25, 0.75)), 0.0)[:3]),
             (2.0 ** (1 - 4 * n), _algebraic, (2 * n, 2)))
 
 

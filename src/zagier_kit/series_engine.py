@@ -21,18 +21,17 @@ is summed at its own size instead, by the Lerch expansion (Watson's lemma
 on the Lerch transcendent, Apostol, Pacific J. Math. 1, 1951), with a
 rigorous remainder.  The reported bound is the first dropped order plus
 the rounding of every piece, plus what the cut dropped or the Lerch
-remainder, and a tolerance below it raises.  A public g-sum
-(:func:`g_tail_sum`, :func:`conjugate_power_sum`) whose first term fits the
-tolerance sums no term at all; any other closes a prefix of a few terms by
-Euler-Maclaurin through B_12 with exact derivatives, and since its terms
-are completely monotone, the B_14 term bounds what is left.  The formulas'
-g-sums all come from one x-free Taylor table per (r, c) (:func:`_g_table`).
-The polynomial formulas' two, at x and at 1 - x, are summed as one pair:
-past their first two terms they are one even or odd polynomial in
-h = x - 1/2 (:func:`_g_pair`), and Cauchy's estimate on a disc where the
-tail is completely monotone bounds the orders left out.  The number and
-type formulas' g-sum at gap 1 is the same table at h = 1/2
-(:func:`_g_one`), where Lagrange's remainder bounds them.
+remainder, and a tolerance below it raises.  Every g-sum is one engine
+(:func:`_g_sums`): direct terms and an Euler-Maclaurin closure through B_12
+of the Taylor coefficients of its completely monotone terms, which a
+recurrence gives with majorants (:func:`_taylor`), so the B_14 term bounds
+what is left.  A public g-sum (:func:`g_tail_sum`, :func:`conjugate_power_sum`)
+is its order 0 after a short prefix, or no term at all when its first term
+fits the tolerance.  The formulas' g-sums come from one x-free table of 31
+orders per (r, c) (:func:`_g_table`): the polynomial formulas' pair at x and
+1 - x is one even or odd polynomial in h = x - 1/2 (:func:`_g_pair`), bounded
+by Cauchy's estimate, and the number and type formulas' sum at gap 1 is the
+table at h = 1/2 (:func:`_g_one`), bounded by Lagrange's remainder.
 
 Every reduction over m is correctly rounded: it returns exactly what
 math.fsum returns for the same terms, so results are reproducible bit for
@@ -48,8 +47,8 @@ otherwise build, so no value depends on what was cached before:
   * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
     coefficients b_k and |b_k|, the bracket values through the base
     explicit range M0 (at most 10,760 floats) and their m-sums, the tail
-    envelopes at M0, lattice^{-s} and the weights b_k lattice^{-s} (29
-    floats each), the closed tails' rounding per order (2 x at most 29
+    envelopes at M0 and the weights b_k lattice^{-s} (29 floats each, by
+    Python's powers), the closed tails' rounding per order (2 x at most 29
     floats), and the Lerch rows F_n at a = M0 (2 x 49 floats; a Lerch tail
     that starts past M0 forms its range per call);
   * the coefficients of the cot-derivative polynomials of the Lerch tail
@@ -63,13 +62,10 @@ otherwise build, so no value depends on what was cached before:
     bracket sum and lattice sum per (nu, lattice), the regularizer's closed
     sum and allowance folded into the second (:func:`_zero_sum`, 512
     entries of two results);
-  * the Euler-Maclaurin coefficients of the public g-sums per exponent r
-    (:func:`_em_rows`, 512 entries of 56 floats);
-  * the Taylor coefficients of a g-sum pair's tail per (r, c)
-    (:func:`_g_table`, 512 entries of 31 floats and two scalars), and the
-    factors they share (:func:`_g_steps`, built on first use);
-  * the finished g-sum at gap 1 per (r, c), read from that table
-    (:func:`_g_one`, 512 entries of one result);
+  * the Taylor coefficients of a g-sum pair's tail and the finished g-sum
+    at gap 1 per (r, c) (:func:`_g_table`, 512 entries of 31 floats, two
+    scalars and one result), and the factors every g-sum shares
+    (:func:`_g_steps`, built on first use);
   * the Wood polynomial of a unit weight per order and parity
     (:func:`_unit_wood`, at most 60 entries): order 0 gives the regularizer's
     C_{1/2}(x) or S_{1/2}(x), and all of them :func:`periodic_zeta`;
@@ -96,7 +92,6 @@ __all__ = [
     "TrigPowerSums",
     "trig_power_sums",
     "periodic_zeta",
-    "g_term",
     "g_tail_sum",
     "conjugate_power_sum",
     "bessel_cos_series",
@@ -514,62 +509,136 @@ def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
 # algebraic g-series
 # ---------------------------------------------------------------------------
 
-def g_term(y: float, r: float, x: float) -> float:
-    """(y+1+x - sqrt((y-1+x)(y+3+x)))^{2r} / sqrt(...), cancellation-free.
+def _f(gap: float, r: float, c: float) -> tuple[float, float, float, float]:
+    """(f, rho, w, w^{2r}) at A = c + gap for the g-sum term f(A) = w^{2r}/rho, rho =
+    sqrt(A^2 - c^2) and w = A - rho, with rho^2 formed as gap (gap + 2c) and w as
+    c^2/(A + rho): a small gap keeps its digits, nothing cancels, w carries at
+    most 4.5 units of 2^-53 and Python's power 9 r + 1 more (OverflowError for
+    w > 1 and a huge r)."""
+    rho = sqrt(gap * (gap + 2.0 * c))
+    w = c * c / (c + gap + rho)
+    wp = w ** (2.0 * r)
+    return wp / rho, rho, w, wp
 
-    Uses (A - sqrt(A^2-4)) = 4/(A + sqrt(A^2-4)) with A = y+1+x.
+
+def _g_edge(gap: float, r: float, c: float) -> tuple[float, float, float]:
+    """(I + f(a0)/2, bound, f(a0)) for sum_{j>=0} f(a0 + j), a0 = c + gap, with no term
+    summed: f is positive and decreasing, so the sum lies in [I, I + f(a0)], I =
+    w(a0)^{2r}/(2r).  The bound is f(a0)/2, the rounding (:func:`_f`'s and a few
+    units) and 2^-1075 for each of the five parts that may round below the
+    normal range, the power's reaching f/2 and I through 1/(2 rho) and 1/(2r)."""
+    f, rho, _, wp = _f(gap, r, c)
+    half, integral = 0.5 * f, wp / (2.0 * r)
+    bound = (half + _EPS * (5.0 * r + 3.0) * (integral + 2.0 * half)
+             + 2.0**-1074 * (2.0 + 0.25 / rho + 0.25 / r))
+    return integral + half, bound, f
+
+
+@functools.cache
+def _g_steps() -> tuple[list[float], list[float], list[float], np.ndarray, list[float]]:
+    """The x- and r-free factors of :func:`_taylor` and :func:`_g_sums`: -(2k + 3)/(k + 2),
+    (k + 1)^2 and 1/((k + 1)(k + 2)) for the steps k = 0.._G_TOP - 2, and the
+    Euler-Maclaurin weights -B_2i/(2i)! (k + 1)...(k + 2i - 1) of f^(k+2i-1)/(k+2i-1)!
+    in the sum of f^(k)/k!, row k <= _G_ORDERS, i = 1..7, and row 0 as a list."""
+    ks = [float(k) for k in range(_G_TOP - 1)]
+    ratios = _bernoulli_ratios()[: _EM_ORDERS + 1]
+    weights = [[-ratio * math.prod(range(k + 1, k + 2 * i)) for i, ratio in enumerate(ratios, 1)]
+               for k in range(_G_ORDERS + 1)]
+    return ([-(2.0 * k + 3.0) / (k + 2.0) for k in ks], [(k + 1.0) * (k + 1.0) for k in ks],
+            [1.0 / ((k + 1.0) * (k + 2.0)) for k in ks], np.array(weights), weights[0])
+
+
+def _taylor(r: float, c: float, g, f, rho, w, top: int):
+    """a_k = f^(k)(A)/k! and majorants b_k >= |a_k|, k = 0..top, at A = c + g (:func:`_f`).
+
+    f solves (A^2 - c^2) f'' + 3A f' + (1 - 4r^2) f = 0, the Laplace-transformed
+    Bessel equation, so from a_0 = f and a_1 = -(f/rho)(2r + 1 + w/rho)
+        a_{k+2} = -[A (k+1)(2k+3) a_{k+1} + ((k+1)^2 - 4r^2) a_k]/(rho^2 (k+1)(k+2)).
+    Past k + 1 = 2r the second product subtracts; the same step with both
+    products' magnitudes gives b_k, and a_k errs by at most (6r + 6 + 4k)
+    units _EPS of b_k (f's own rounding and four units per step).  One point gives two
+    lists in plain floats; an array of points one array of rows k, a then b.
     """
-    prod = (y - 1.0 + x) * (y + 3.0 + x)
-    if prod <= 0.0:
-        raise ValueError("g_term requires (y-1+x)(y+3+x) > 0")
-    a = y + 1.0 + x
-    root = sqrt(prod)
-    return (4.0 / (a + root)) ** (2.0 * r) / root
-
-
-def _derivative_rows(r: float, k_max: int = 13) -> list[list[float]]:
-    """Coefficients c_0..c_k of Q_k, k = 0..k_max, with
-        f^(k)(A) = (-1)^k f(A) rho^{-k} Q_k(t),  Q_k(t) = sum_j c_j t^j,
-    for f(A) = w^{2r}/rho, rho = sqrt(A^2 - c^2), w = A - rho and t = w/(2 rho).
-
-    Q_0 = 1, and Q_{k+1} has c'_j = (2r + 1 + k + 2j) c_j + 2(k + j) c_{j-1},
-    so every coefficient is positive for r > -1/2 and nothing cancels,
-    neither here nor in Q_k(t) at t > 0.  With u = w/c and v = u^2, so that
-    1 - v = 2 u rho/c, this is f^(k) = (-1)^k f (2u/c)^k (1-v)^{-2k} P_k(v)
-    with P_k(v) = (1-v)^k Q_k(v/(1-v)): P_k in the basis v^j (1-v)^{k-j},
-    where its coefficients are the c_j.
-    """
-    rows, row = [[1.0]], [1.0]
-    for k in range(k_max):
-        row = [(2.0 * r + 1.0 + k + 2 * j) * (row[j] if j <= k else 0.0)
-               + 2.0 * (k + j) * (row[j - 1] if j else 0.0) for j in range(k + 2)]
-        rows.append(row)
+    s1, squares, s2 = _g_steps()[:3]
+    inv = 1.0 / (g * (g + 2.0 * c))  # rho^{-2}
+    a1 = -(f / rho) * (2.0 * r + 1.0 + w / rho)
+    p, four = (c + g) * inv, 4.0 * r * r
+    # a_{k+2} = t1 a_{k+1} + t2 a_k with t1 = s1_k p and t2 = (4r^2 - squares_k) s2_k inv;
+    # s1 < 0 < p, inv, so b_{k+2} = -t1 b_{k+1} + |t2| b_k
+    if not isinstance(g, np.ndarray):
+        a, b = [f, a1], [f, abs(a1)]
+        for u, q, v in zip(s1[: top - 1], squares, s2):
+            t1, t2 = u * p, (four - q) * v * inv
+            a.append(t1 * a[-1] + t2 * a[-2])
+            b.append(abs(t2) * b[-2] - t1 * b[-1])
+        return a, b
+    t1 = np.multiply.outer(s1[: top - 1], p)
+    t2 = np.multiply.outer((four - np.array(squares[: top - 1])) * s2[: top - 1], inv)
+    step1, step2 = np.concatenate([t1, -t1], axis=1), np.concatenate([t2, np.abs(t2)], axis=1)
+    rows = np.empty((top + 1, 2 * g.size))
+    rows[0], rows[1] = np.concatenate([f, f]), np.concatenate([a1, np.abs(a1)])
+    for k in range(top - 1):
+        np.multiply(step1[k], rows[k + 1], out=rows[k + 2])
+        rows[k + 2] += step2[k] * rows[k]
     return rows
 
 
-@functools.lru_cache(maxsize=512)  # 56 floats each
-def _em_rows(r: float) -> tuple[tuple[float, ...], ...]:
-    """B_2j/(2j)! times the coefficients of Q_{2j-1} (:func:`_derivative_rows`),
-    highest power first, for j = 1.._EM_ORDERS + 1: the Euler-Maclaurin
-    corrections through B_12 and the first dropped one, B_14 > 0."""
-    rows = _derivative_rows(r, 2 * _EM_ORDERS + 1)
-    return tuple(tuple(ratio * a for a in reversed(rows[2 * j - 1]))
-                 for j, ratio in enumerate(_bernoulli_ratios()[: _EM_ORDERS + 1], 1))
+def _g_sums(r: float, c: float, start: float, count: int, orders: int) -> tuple[list[float], list[float]]:
+    """(D, errors): D_k = sum_{j >= 0} f^(k)(c + start + j)/k!, k <= orders, f of
+    :func:`_f`, and a bound on the error of each.
+
+    The terms j < count are direct, and Euler-Maclaurin at A* = c + start + count
+    through B_12 closes the rest with integral_{A*}^inf f^(k) = -f^(k-1)(A*)
+    and w^{2r}/(2r) at k = 0, all one math.fsum.  f(A) = c^{2r} integral_0^inf
+    e^{-As} I_{2r}(cs) ds (Gradshteyn-Ryzhik 6.611), so (-1)^k f^(k) is
+    completely monotone and the B_14 term bounds the remainder; the error adds
+    each part's rounding, from :func:`_taylor`'s majorants, and _EPS |D_k|.
+    Past order 0 the recurrence runs on every point at once and the closure on
+    every order at once; at order 0 only A* needs it, in plain floats.  Every
+    power is Python's, and numpy only adds, multiplies and divides.
+    """
+    two_r, top = 2.0 * r, orders + 2 * _EM_ORDERS + 1
+    points = [_f(start + j, r, c) for j in range(count + 1)]
+    fs, wp = [p[0] for p in points], points[-1][3]
+    if not orders:
+        a, b = _taylor(r, c, start + count, *points[-1][:3], top)
+        unit, integral = _EPS * (6.0 * r + 6.0), wp / two_r
+        parts, slack = fs[:-1] + [integral, 0.5 * a[0]], [(math.fsum(fs) + integral) * unit]
+        for k, weight in zip(range(1, top + 1, 2), _g_steps()[4]):
+            parts.append(weight * a[k])
+            slack.append(abs(weight) * b[k] * (unit + 4.0 * k * _EPS))
+        truncation, value = abs(parts.pop()), math.fsum(parts)
+        return [value], [math.fsum(slack) + truncation + _EPS * abs(value)]
+    g = start + np.arange(count + 1.0)
+    rows = _taylor(r, c, g, *(np.array([p[i] for p in points]) for i in range(3)), top)
+    a, b = rows[:, : g.size], rows[:, g.size :]
+    ks = np.arange(orders + 1)
+    at = a[:, -1]  # the a_k at A*
+    weights = _g_steps()[3][: orders + 1]
+    integral = np.concatenate([[wp / two_r], -at[:orders] / ks[1:]])
+    higher = ks[:, None] + 2 * np.arange(1, _EM_ORDERS + 2) - 1  # the order k + 2i - 1
+    corrections = weights * at[higher]
+    parts = np.concatenate([a[: orders + 1, :-1], integral[:, None], 0.5 * at[: orders + 1, None],
+                            corrections[:, :-1]], axis=1)
+    coefs = [math.fsum(row) for row in parts.tolist()]
+    unit = _EPS * (6.0 * r + 6.0 + 4.0 * np.arange(top + 1.0))
+    # the B_14 term, then each part's rounding: the a_k at every point (the last
+    # one for half the term), the integral and the corrections
+    integral_b = np.concatenate([integral[:1], b[:orders, -1] / ks[1:]])
+    slack = np.concatenate([np.abs(corrections[:, -1:]), b[: orders + 1] * unit[: orders + 1, None],
+                            (integral_b * unit[: orders + 1])[:, None],
+                            np.abs(weights) * b[higher, -1] * unit[higher]], axis=1).tolist()
+    return coefs, [math.fsum(row) + _EPS * abs(d) for row, d in zip(slack, coefs)]
 
 
 def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> SeriesResult:
     """sum_{j>=0} f(a0 + j) with f(A) = (A - sqrt(A^2-csq))^{2r}/sqrt(A^2-csq).
 
-    Terms fall off like (c/2A)^{2r}/A.  A direct prefix is closed by
-    Euler-Maclaurin through B_12 with exact derivatives; the integral term
-    has the closed form (A - sqrt(A^2-csq))^{2r}/(2r).  The prefix is the
-    smallest power of two >= 4 whose first dropped (B_14) correction is
-    <= tol, at most DEFAULT_MAX_TERMS; SeriesConvergenceError is raised if
-    that correction still exceeds tol there.  The reported bound adds the
-    rounding of the terms, the integral and the corrections to it; the
-    rounding drives neither the prefix nor the raise.  When half the first
-    term and its rounding fit tol, no term is summed: the value is the
-    integral plus half the first term and terms_used = 0 (:func:`_conjugate_sum`).
+    Terms fall off like (c/2A)^{2r}/A.  Euler-Maclaurin through B_12 closes a
+    prefix of 4, 8, 16, ... terms, the first whose B_14 term fits tol, at
+    most DEFAULT_MAX_TERMS (SeriesConvergenceError past it), or none when
+    half the first term fits tol (:func:`_conjugate_sum`).  The bound adds
+    the rounding, which drives neither the prefix nor the raise.
     """
     if r < 0.5:
         raise ValueError("exponent r must be >= 1/2 for a usable tail bound")
@@ -577,167 +646,68 @@ def conjugate_power_sum(a0: float, r: float, csq: float, tol: float = 1e-12) -> 
 
 
 def _conjugate_sum(gap, r, c, tol=1e-12):
-    """:func:`conjugate_power_sum` at a0 = c + gap, any r > 0: each A^2 - c^2 is
-    formed as (A - c)(A + c) from the gap, so a small gap keeps its digits.
-
-    f is positive and decreasing, so the sum lies in [I, I + f(a0)] with
-    I = integral_{a0}^inf f = w(a0)^{2r}/(2r), w(A) = A - sqrt(A^2 - csq).
-    When half of f(a0), with the rounding, fits tol, the prefix is empty:
-    the value is I + f(a0)/2, the bound f(a0)/2 plus the rounding of w(a0)
-    raised to 2r, and terms_used = 0.
-
-    Otherwise the N prefix terms, I and f/2 at a0 + N and the corrections
-    B_2j/(2j)! f^(2j-1) through B_12 (:func:`_em_rows`) are one math.fsum.
-    f(A) = c^{2r} integral_0^inf e^{-As} I_{2r}(cs) ds (Gradshteyn-Ryzhik
-    6.611) is completely monotone, so the remainder lies between 0 and the
-    first dropped correction, the B_14 term, which is the truncation bound.
-    """
+    """:func:`conjugate_power_sum` at a0 = c + gap, any r > 0, from the gap (:func:`_f`):
+    empty when half of f(a0) and its rounding fit tol (:func:`_g_edge`), else
+    order 0 of :func:`_g_sums` with N direct terms, N the first of _EM_START,
+    twice that, ... whose B_14 term, from :func:`_taylor` at a0 + N, fits tol."""
     if gap <= 0.0:
         raise ValueError("series start must satisfy a0 > sqrt(csq)")
-    csq, a0, two_r = c * c, c + gap, 2.0 * r
-    root = sqrt(gap * (gap + 2.0 * c))
-    wp = (csq / (a0 + root)) ** two_r  # OverflowError for w(a0) > 1 and a huge r
-    half, integral = 0.5 * wp / root, wp / two_r
-    # w(a0) carries at most 4.5 units of 2^-53, so w^{2r} 9 r + 1 and I + f/2 a few more
-    bound = half + _EPS * (5.0 * r + 3.0) * (integral + 2.0 * half)
+    value, bound, _ = _g_edge(gap, r, c)
     if bound <= tol:
-        return SeriesResult(integral + half, 0, bound)
-
-    rows = _em_rows(r)
-    n_direct = _EM_START
+        return SeriesResult(value, 0, bound)
+    n_direct, top = _EM_START, 2 * _EM_ORDERS + 1
     while True:
-        end = gap + n_direct
-        rho = sqrt(end * (end + 2.0 * c))
-        w = csq / (c + end + rho)
-        wp, inv = w**two_r, 1.0 / rho
-        t = 0.5 * w * inv
-        truncation = wp * inv ** (2 * _EM_ORDERS + 2) * _horner(rows[-1], t)
+        a = _taylor(r, c, gap + n_direct, *_f(gap + n_direct, r, c)[:3], top)[0]
+        truncation = abs(_g_steps()[4][-1] * a[top])
         if not truncation > tol or n_direct >= DEFAULT_MAX_TERMS:
             break
         n_direct = min(2 * n_direct, DEFAULT_MAX_TERMS)
-    # B_2j/(2j)! f^(2j-1) is f rho^{1-2j} times row j at t, f = wp/rho
-    corrections, scale = [], wp * inv * inv
-    for row in rows[:-1]:
-        corrections.append(scale * _horner(row, t))
-        scale *= inv * inv
-    parts = corrections + [wp / two_r, 0.5 * wp * inv]
-    for j in range(n_direct):
-        g = gap + j
-        s = sqrt(g * (g + 2.0 * c))
-        parts.append((csq / (c + g + s)) ** two_r / s)
-    value = math.fsum(parts)
-    # a term, I and f/2 carry at most 11 r + 6 units of 2^-53 (w 4.5, its power
-    # 9 r + 1, rho and the division 3.5, the rounded A (2 r + 1)); a correction
-    # or the truncation up to 220 more (13 factors 1/rho, Q's 13 steps and t^13)
-    spread = sum(map(abs, corrections)) + truncation
-    rounding = _EPS * ((6.0 * r + 4.0) * (value + spread) + 120.0 * spread)
-    result = SeriesResult(value, n_direct, truncation + rounding)
+    (value,), (bound,) = _g_sums(r, c, gap, n_direct, 0)
+    result = SeriesResult(value, n_direct, bound)
     if truncation > tol:
-        raise SeriesConvergenceError(
-            f"conjugate_power_sum: Euler-Maclaurin correction {truncation:.2e} exceeds "
-            f"tol {tol:.2e} at the {DEFAULT_MAX_TERMS}-term cap",
-            result,
-        )
+        raise SeriesConvergenceError(f"conjugate_power_sum: Euler-Maclaurin correction {truncation:.2e} "
+                                     f"exceeds tol {tol:.2e} at the {DEFAULT_MAX_TERMS}-term cap", result)
     return result
 
 
 def g_tail_sum(r: float, x: float, tol: float = 1e-12) -> SeriesResult:
-    """sum_{m >= 1} g(m, r, x); the sum from m = k is g_tail_sum(r, x + k - 1).
-
-    A prefix of 4, 8, 16, ... terms is closed by Euler-Maclaurin through
-    B_12, so even the slow r = 1/2 exponent sums 16 terms at tol 1e-17.
-    It runs on the gap A - 2 = m - 1 + x.  When half the first term fits
-    tol the prefix is empty and terms_used = 0 (:func:`_conjugate_sum`).
-    """
+    """sum_{m >= 1} g(m, r, x) on the gap A - 2 = m - 1 + x (:func:`_conjugate_sum`); the
+    sum from m = k is g_tail_sum(r, x + k - 1).  Even r = 1/2 sums 16 terms at tol 1e-17."""
     if r < 0.5:
         raise ValueError("g_tail_sum requires r >= 1/2")
     return _conjugate_sum(x, r, 2.0, tol)
 
 
-@functools.cache
-def _g_steps() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The x- and r-free factors of :func:`_g_table`: -(2k + 3)/(k + 2),
-    (k + 1)^2 and 1/((k + 1)(k + 2)) for the recurrence steps
-    k = 0.._G_TOP - 2, and the Euler-Maclaurin weights
-    -B_2i/(2i)! (k + 1)...(k + 2i - 1) of f^(k+2i-1)/(k+2i-1)! in the sum of
-    f^(k)/k!, row k <= _G_ORDERS, i = 1..7."""
-    k = np.arange(_G_TOP - 1.0)
-    ratios = _bernoulli_ratios()[: _EM_ORDERS + 1]
-    weights = [[-ratio * math.prod(range(k + 1, k + 2 * i)) for i, ratio in enumerate(ratios, 1)]
-               for k in range(_G_ORDERS + 1)]
-    return (-(2.0 * k + 3.0) / (k + 2.0), (k + 1.0) * (k + 1.0), 1.0 / ((k + 1.0) * (k + 2.0)),
-            np.array(weights))
+@functools.lru_cache(maxsize=512)  # 31 floats, two scalars and one SeriesResult each
+def _g_table(r: float, c: float) -> tuple[tuple[float, ...], tuple[float, ...], float, float, SeriesResult]:
+    """(even, odd, size, error, one): the x-free part of :func:`_g_pair` for one (r, c).
 
+    D_k = sum_{j >= J} f^(k)(c + 1/2 + j)/k!, k <= K (J = _G_SPLIT, K = _G_ORDERS),
+    are the Taylor coefficients about g = 1/2 of the tail T(g) = sum_{j >= J}
+    f(c + g + j) of A(g) = sum_{j >= 0} f(c + g + j): :func:`_g_sums` with
+    N* - J direct terms (N* = _G_FAR).  even holds D_0, D_2, ..., D_K and odd
+    D_1, ..., D_{K-1}, highest first; size bounds A(1/2) = sum_{j<J} f(c + 1/2 + j)
+    + D_0, and error 2 sum_k |error of D_k| 2^{-k}.
 
-@functools.lru_cache(maxsize=512)  # 31 floats and two scalars each
-def _g_table(r: float, c: float) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
-    """(even, odd, size, error): the x-free part of :func:`_g_pair` for one (r, c).
-
-    D_k = sum_{j >= J} f^(k)(c + 1/2 + j)/k!, k <= K (J = _G_SPLIT,
-    K = _G_ORDERS), are the Taylor coefficients about g = 1/2 of the tail
-    T(g) = sum_{j >= J} f(c + g + j) of the g-sum A(g) = sum_{j >= 0} f(c + g + j),
-    f(A) = w^{2r}/rho, rho = sqrt(A^2 - c^2), w = A - rho.  even holds
-    D_0, D_2, ..., D_K and odd D_1, D_3, ..., D_{K-1}, highest first; size
-    bounds A(1/2) = sum_{j<J} f(c + 1/2 + j) + D_0, and error bounds
-    2 sum_k |error of D_k| 2^{-k}.
-
-    f solves the Laplace-transformed Bessel equation
-    (A^2 - c^2) f'' + 3A f' + (1 - 4r^2) f = 0, so a_k = f^(k)(A)/k! follow
-    from a_0 = f and a_1 = -(f/rho)(2r + 1 + w/rho) by
-        a_{k+2} = -[A (k+1)(2k+3) a_{k+1} + ((k+1)^2 - 4r^2) a_k]/(rho^2 (k+1)(k+2)),
-    at the points A = c + 1/2 + j, j = J..N* (N* = _G_FAR), all at once.  The
-    direct terms j < N* and the Euler-Maclaurin closure at A* = c + 1/2 + N*
-    through B_12, with integral_{A*}^inf f^(k) = -f^(k-1)(A*) and the
-    integral w^{2r}/(2r) at k = 0, make D_k, one math.fsum each.  Since
-    (-1)^k f^(k) is completely monotone, the remainder lies within the
-    first dropped (B_14) term.  Past k + 1 = 2r the second product of the
-    step has the opposite sign and subtracts; the same step with both
-    products' magnitudes, carried beside it, gives a majorant b_k >= |a_k|,
-    and a_k errs by at most (6r + 6 + 4k) units _EPS of b_k (f's own
-    rounding, as in :func:`_conjugate_sum`, and four units per step).
-    Every power is Python's, and numpy only adds, multiplies and divides.
+    one is A(1) = f(c + 1) + f(c + 2) + T(1), T(1) = sum_{k<K} D_k 2^{-k}: two
+    one-signed Horner sums in h^2 = 1/4 and one math.fsum.  (-1)^K T^(K) is
+    positive and decreasing, so Lagrange's remainder at h = 1/2 is at most
+    |D_K| 2^{-K}; the bound adds it, half the table's error (which counts
+    both sides of a pair) and the rounding.  terms_used counts the direct
+    terms and the orders summed.
     """
-    two_r, csq = 2.0 * r, c * c
-    gaps = [0.5 + j for j in range(_G_FAR + 1)]
-    roots = [sqrt(g * (g + 2.0 * c)) for g in gaps]
-    ws = [csq / (c + g + s) for g, s in zip(gaps, roots)]
-    powers = [w**two_r for w in ws]
-    fs = [p / s for p, s in zip(powers, roots)]
-    g, rho, w, f = (np.array(v[_G_SPLIT:]) for v in (gaps, roots, ws, fs))
-    inv = 1.0 / (g * (g + 2.0 * c))  # rho^{-2}
-    a1 = -(f / rho) * (two_r + 1.0 + w / rho)
-    points = g.size
-    s1, squares, s2, weights = _g_steps()
-    s2 = (4.0 * r * r - squares) * s2
-    step1 = s1[:, None] * np.concatenate([(c + g) * inv, -(c + g) * inv])
-    step2 = np.concatenate([s2[:, None] * inv, np.abs(s2)[:, None] * inv], axis=1)
-    rows = np.empty((_G_TOP + 1, 2 * points))
-    rows[0, :points], rows[0, points:] = f, f
-    rows[1, :points], rows[1, points:] = a1, np.abs(a1)
-    for k in range(_G_TOP - 1):
-        np.multiply(step1[k], rows[k + 1], out=rows[k + 2])
-        rows[k + 2] += step2[k] * rows[k]
-    a, b = rows[:, :points], rows[:, points:]  # b: the majorants
-    ks = np.arange(_G_ORDERS + 1)
-    top = a[:, -1]  # the a_k at A*
-    # sum_{j >= N*} f^(k)(c + 1/2 + j)/k!: the integral, half the term and the corrections
-    integral = np.concatenate([[powers[-1] / two_r], -top[: _G_ORDERS] / ks[1:]])
-    higher = ks[:, None] + 2 * np.arange(1, _EM_ORDERS + 2) - 1  # the order k + 2i - 1
-    corrections = weights * top[higher]
-    parts = np.concatenate([a[: _G_ORDERS + 1, :-1], integral[:, None], 0.5 * top[: _G_ORDERS + 1, None],
-                            corrections[:, :-1]], axis=1)
-    coefs = [math.fsum(row) for row in parts.tolist()]
-    unit = _EPS * (6.0 * r + 6.0 + 4.0 * np.arange(_G_TOP + 1.0))
-    # the B_14 term, then each part's rounding: the a_k at every point (the last
-    # one for half the term), the integral and the corrections
-    integral_b = np.concatenate([integral[:1], b[: _G_ORDERS, -1] / ks[1:]])
-    slack = np.concatenate([np.abs(corrections[:, -1:]), b[: _G_ORDERS + 1] * unit[: _G_ORDERS + 1, None],
-                            (integral_b * unit[: _G_ORDERS + 1])[:, None],
-                            np.abs(weights) * b[higher, -1] * unit[higher]], axis=1)
-    errors = [math.fsum(row) + _EPS * abs(d) for row, d in zip(slack.tolist(), coefs)]
+    coefs, errors = _g_sums(r, c, 0.5 + _G_SPLIT, _G_FAR - _G_SPLIT, _G_ORDERS)
     error = 2.0 * math.fsum(e * 0.5**k for k, e in enumerate(errors))
-    size = math.fsum(fs[:_G_SPLIT] + coefs[:1]) * (1.0 + _EPS * (6.0 * r + 6.0)) + errors[0]
-    return tuple(coefs[::-2]), tuple(coefs[-2::-2]), size, error
+    head = [_f(0.5 + j, r, c)[0] for j in range(_G_SPLIT)]
+    size = math.fsum(head + coefs[:1]) * (1.0 + _EPS * (6.0 * r + 6.0)) + errors[0]
+    even, odd = tuple(coefs[::-2]), tuple(coefs[-2::-2])
+    near = [_f(float(j), r, c)[0] for j in range(1, _G_SPLIT + 1)]
+    evens, odds = _horner(even[1:], 0.25), 0.5 * _horner(odd, 0.25)
+    value = math.fsum(near + [evens, odds])
+    rounding = (_EPS * (6.0 * r + 4.0) * sum(near) + _EPS * (_G_ORDERS + 4) * (abs(evens) + abs(odds))
+                + _EPS * abs(value))
+    one = SeriesResult(value, _G_SPLIT + _G_ORDERS, abs(even[0]) * 0.5**_G_ORDERS + 0.5 * error + rounding)
+    return even, odd, size, error, one
 
 
 def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResult:
@@ -746,36 +716,27 @@ def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResu
 
     With h = x - 1/2 the tails past j = J (:func:`_g_table`) are
     T(x) + sign T(1 - x) = 2 sum_k D_k h^k over the k of sign's parity, one
-    Horner sum in h^2 whose terms share one sign, since (-1)^k D_k > 0;
-    the terms j < J of both sides are added directly, and all is one
-    math.fsum.  f(A) = c^{2r} integral_0^inf e^{-As} I_{2r}(cs) ds, so T is
-    completely monotone on g > -J, and on the disc |g - 1/2| <= J it is at
-    most T(1/2 - J) = A(1/2): by Cauchy's estimate the orders k >= k0 of
-    sign's parity add at most 2 A(1/2) q^{k0}/(1 - q^2), q = |h|/J <= 1/(2J).
-    The call sums the fewest orders whose such bound fits tol, and raises
-    SeriesConvergenceError when all K do not.  The reported bound adds the
-    table's error and the rounding.  As in :func:`_conjugate_sum`, when
-    half of each side's first term fits tol nothing is summed and each side
-    is its integral plus half its first term; the table is fetched first,
-    so every call leaves it built.  terms_used counts the direct terms and
-    the orders summed.
+    Horner sum in h^2 of one sign, since (-1)^k D_k > 0; with the terms
+    j < J of both sides it is one math.fsum.  T is completely monotone on
+    g > -J, so on the disc |g - 1/2| <= J it is at most T(1/2 - J) = A(1/2),
+    and by Cauchy's estimate the orders k >= k0 of sign's parity add at most
+    2 A(1/2) q^{k0}/(1 - q^2), q = |h|/J.  The call sums the fewest orders
+    whose bound fits tol and raises SeriesConvergenceError when all K do
+    not; the bound adds the table's error and the rounding.  When half of
+    each side's first term fits tol nothing is summed (:func:`_g_edge`); the
+    table is fetched first, so every call leaves it built.  terms_used
+    counts the direct terms and the orders summed.
     """
-    even, odd, size, error = _g_table(r, c)
+    even, odd, size, error, _ = _g_table(r, c)
     x = float(x)
-    y, two_r, csq, units = 1.0 - x, 2.0 * r, c * c, _EPS * (5.0 * r + 3.0)
-    root_x, root_y = sqrt(x * (x + 2.0 * c)), sqrt(y * (y + 2.0 * c))
-    wp_x, wp_y = (csq / (c + x + root_x)) ** two_r, (csq / (c + y + root_y)) ** two_r
-    half_x, half_y = 0.5 * wp_x / root_x, 0.5 * wp_y / root_y
-    bound_x = half_x + units * (wp_x / two_r + 2.0 * half_x)
-    bound_y = half_y + units * (wp_y / two_r + 2.0 * half_y)
+    y = 1.0 - x
+    (value_x, bound_x, f_x), (value_y, bound_y, f_y) = _g_edge(x, r, c), _g_edge(y, r, c)
     if bound_x <= tol and bound_y <= tol:
-        return SeriesResult((wp_x / two_r + half_x) + sign * (wp_y / two_r + half_y), 0, bound_x + bound_y)
-
-    near, far = [2.0 * half_x], [2.0 * half_y]
+        return SeriesResult(value_x + sign * value_y, 0, bound_x + bound_y)
+    near, far = [f_x], [f_y]
     for j in range(1, _G_SPLIT):
-        for gap, terms in ((x + j, near), (y + j, far)):
-            root = sqrt(gap * (gap + 2.0 * c))
-            terms.append((csq / (c + gap + root)) ** two_r / root)
+        near.append(_f(x + j, r, c)[0])
+        far.append(_f(y + j, r, c)[0])
     h = x - 0.5
     h2 = h * h
     q2 = h2 / (_G_SPLIT * _G_SPLIT)
@@ -797,33 +758,10 @@ def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResu
     return result
 
 
-@functools.lru_cache(maxsize=512)  # one SeriesResult each
 def _g_one(r: float, c: float) -> SeriesResult:
-    """A(1) = sum_{j >= 0} f(c + 1 + j), the g-sum of :func:`_g_pair` at g = 1, from
-    the same table: f(c + 1) + f(c + 2) + T(1), T(1) = sum_{k<K} D_k 2^{-k}.
-
-    The even and the odd orders are two Horner sums in h^2 = 1/4, each of
-    one sign, and all is one math.fsum.  T is completely monotone, so
-    (-1)^K T^(K) is positive and decreasing, and Lagrange's remainder at
-    h = 1/2 > 0 is at most |T^(K)(1/2)| h^K/K! = |D_K| 2^{-K}, which needs
-    neither a disc nor A(1/2).  The bound adds it, half the table's error
-    (which counts both sides of a pair) and the rounding, as in
-    :func:`_g_pair`.  Nothing depends on tol, so the finished result is kept
-    per (r, c) and never raises; terms_used counts the direct terms and the
-    orders summed.
-    """
-    even, odd, _, error = _g_table(r, c)
-    two_r, csq = 2.0 * r, c * c
-    near = []
-    for gap in range(1, _G_SPLIT + 1):
-        root = sqrt(gap * (gap + 2.0 * c))
-        near.append((csq / (c + gap + root)) ** two_r / root)
-    evens, odds = _horner(even[1:], 0.25), 0.5 * _horner(odd, 0.25)
-    value = math.fsum(near + [evens, odds])
-    truncation = abs(even[0]) * 0.5**_G_ORDERS
-    rounding = (_EPS * (6.0 * r + 4.0) * sum(near) + _EPS * (_G_ORDERS + 4) * (abs(evens) + abs(odds))
-                + _EPS * abs(value))
-    return SeriesResult(value, _G_SPLIT + _G_ORDERS, truncation + 0.5 * error + rounding)
+    """A(1) = sum_{j >= 0} f(c + 1 + j), the g-sum of :func:`_g_pair` at g = 1, kept in
+    the same (r, c) entry of :func:`_g_table`.  It depends on no tol and never raises."""
+    return _g_table(r, c)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +777,6 @@ class _Plan:
     brackets: np.ndarray   # bracket(lattice m) for m = 1..M0, the base explicit range
     envelopes: np.ndarray  # :func:`_envelopes` at M0
     b_abs: np.ndarray      # |b_1..b_ORDERS|
-    lam_s: np.ndarray      # lattice^{-s}, s = k + 1/2 for k = 1..ORDERS
     # the closed tails' rounding per order k <= orders, P_k = sum_{m<=M0} q^{-s}
     closed_err: np.ndarray     # |b_k| (_ZETA_EPS lattice^{-s} + _EPS P_k)
     closed_moment: np.ndarray  # |b_k| sum_{m<=M0} m q^{-s}
@@ -876,7 +813,6 @@ def _plan(nu: int, lattice: int) -> _Plan:
     y_nu = bessel_Y_upward(nu, 4.0 * pi * q, *_lattice_y01(q))
     brackets = np.concatenate([(-1.0) ** (nu // 2) * pi * y_nu + 0.5 / np.sqrt(q),
                                _far_brackets(b, near, lattice, base)])
-    lam_s = float(lattice) ** -_S
     envelopes = _envelopes(b, lattice, base)
     ms = np.arange(1.0, base + 1.0)
     size = np.abs(brackets)
@@ -887,15 +823,16 @@ def _plan(nu: int, lattice: int) -> _Plan:
     orders = int(np.argmin(envelopes)) + 1
     q = lattice * ms
     powers = np.empty((orders, base))
-    powers[0], powers[1:] = q**-1.5, 1.0 / q
+    powers[0], powers[1:] = [v**-1.5 for v in q.tolist()], 1.0 / q
     np.cumprod(powers, axis=0, out=powers)
     b_abs = np.abs(b[1:])
-    weights = np.array([bk * float(lattice) ** -sk for bk, sk in zip(b[1:].tolist(), _S.tolist())])
-    plan = _Plan(b, near, brackets, envelopes, b_abs, lam_s,
+    lam_s = np.array([float(lattice) ** -s for s in _S.tolist()])  # lattice^{-s}
+    weights = b[1:] * lam_s
+    plan = _Plan(b, near, brackets, envelopes, b_abs,
                  b_abs[:orders] * (_ZETA_EPS * lam_s[:orders] + _EPS * powers.sum(axis=1)),
                  b_abs[:orders] * np.multiply(powers, ms, out=powers).sum(axis=1),
                  abs_sum, abs_moment, orders, weights, _lerch_rows(weights[:orders], 1, base))
-    for table in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.lam_s, plan.closed_err,
+    for table in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.closed_err,
                   plan.closed_moment, plan.weights):
         table.flags.writeable = False
     return plan
@@ -933,9 +870,10 @@ def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
 
 def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
     """Entry K-1: |b_{K+1}| sum_{j>m} (lattice j)^{-(K+3/2)} bounded by its
-    integral, the first order dropped when orders 1..K are closed past m."""
-    ks = np.arange(1, _ORDERS, dtype=float)
-    return np.abs(b[2:]) * (float(lattice) * m) ** -(ks + 1.5) * m / (ks + 0.5)
+    integral, the first order dropped when orders 1..K are closed past m.  The
+    powers are Python's, which round the same on every host."""
+    qm = float(lattice) * m
+    return np.array([abs(bk) * qm ** -(k + 1.5) * m / (k + 0.5) for k, bk in enumerate(b[2:].tolist(), 1)])
 
 
 _S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
@@ -992,7 +930,7 @@ def _zero_sum(nu: int, lattice: int) -> tuple[SeriesResult, SeriesResult]:
     orders = plan.orders
     truncation = float(plan.envelopes[orders - 1])
     tails = [hurwitz_zeta(s, brackets.size + 1.0) for s in _S[:orders].tolist()]
-    closed = plan.b[1 : orders + 1] * plan.lam_s[:orders] * np.array(tails)
+    closed = plan.weights[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
     rounding = (2e-15 + _EPS) * plan.abs_sum + _ZETA_EPS * float(np.abs(closed).sum())
     bracket = SeriesResult(value, brackets.size, truncation + rounding)

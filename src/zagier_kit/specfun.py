@@ -98,9 +98,11 @@ def _orders_sum(d: np.ndarray, lo: int, hi: int, q: np.ndarray) -> np.ndarray:
 
 
 def _hankel_top(d: np.ndarray, lo: int, q0: float) -> int:
-    """The last order k >= lo whose d_k q0^{-(k+1/2)} reaches 1e-17 of the largest."""
-    sizes = np.abs(d[lo:]) * q0 ** -np.arange(lo, d.size, dtype=float)
-    return lo + int(np.flatnonzero(sizes >= 1e-17 * sizes.max())[-1])
+    """The last order k >= lo whose d_k q0^{-(k+1/2)} reaches 1e-17 of the largest,
+    by Python's powers, which round the same on every host."""
+    sizes = [abs(dk) * q0 ** -k for k, dk in enumerate(d.tolist()[lo:], lo)]
+    least = 1e-17 * max(sizes)
+    return lo + max(i for i, size in enumerate(sizes) if size >= least)
 
 
 def _hankel_sum(d: np.ndarray, lo: int, q: np.ndarray) -> np.ndarray:

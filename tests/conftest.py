@@ -458,9 +458,11 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
             raise ValueError(f"m_terms {m_terms} lies below the base range {base}")
         M = m_terms
     ks = np.arange(1, _ORDERS, dtype=float)
+    # every power is Python's, as in the engine, so the bits are the same on every host
+    lam_s = np.array([lam ** -(k + 0.5) for k in range(1, _ORDERS + 1)])  # lattice^{-s}
 
     def envelopes_at(m):
-        return np.abs(b[2:]) * (lam * m) ** -(ks + 1.5) * m / (ks + 0.5)
+        return np.abs(b[2:]) * np.array([(lam * m) ** -(k + 1.5) for k in range(1, _ORDERS)]) * m / (ks + 0.5)
 
     envelopes = envelopes_at(M)
     below = np.flatnonzero(envelopes <= tol)
@@ -488,8 +490,7 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     abs_sum = float(np.abs(brackets).sum())
     if x == 0.0:
         zeta_tails = np.array([hurwitz_zeta(k + 0.5, M + 1.0) for k in range(1, K + 1)])
-        s = np.arange(1, _ORDERS + 1) + 0.5  # every order, as the plan forms lattice^{-s}
-        closed = b[1 : K + 1] * (lam**-s)[:K] * zeta_tails
+        closed = b[1 : K + 1] * lam_s[:K] * zeta_tails
         value = math.fsum(brackets.tolist()) + math.fsum(closed.tolist())
         bound = truncation + ((2e-15 + _EPS) * abs_sum + _ZETA_EPS * float(np.abs(closed).sum()))
         return value, bound, M, m_terms is None and bound > tol
@@ -497,11 +498,10 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     # row per order), plain and weighted by m, folded over the orders into two x-free
     # scalars as the library keeps them
     abs_moment = float((ms * np.abs(brackets)).sum())
-    powers = np.cumprod(np.vstack([q**-1.5, np.tile(1.0 / q, (K - 1, 1))]), axis=0)
+    powers = np.cumprod(np.vstack([[v**-1.5 for v in q.tolist()], np.tile(1.0 / q, (K - 1, 1))]), axis=0)
     xi = 2.0 * pi * x
-    s = np.arange(1, K + 1) + 0.5
     b_abs = np.abs(b[1 : K + 1])
-    err0 = float((b_abs * (_ZETA_EPS * lam**-s + _EPS * powers.sum(axis=1))).sum())
+    err0 = float((b_abs * (_ZETA_EPS * lam_s[:K] + _EPS * powers.sum(axis=1))).sum())
     err1 = _EPS * float((b_abs * (powers * ms).sum(axis=1)).sum())
     fixed = truncation + (2e-15 + _EPS) * abs_sum + xi * _EPS * abs_moment
     bound = fixed + err0 + xi * err1
@@ -554,8 +554,7 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
           ("series_engine", "_zero_sum"), ("series_engine", "_unit_wood"),
-          ("series_engine", "_em_rows"), ("series_engine", "_g_table"),
-          ("series_engine", "_g_one"), ("formulas", "_number_terms"),
+          ("series_engine", "_g_table"), ("formulas", "_number_terms"),
           ("formulas", "_type_terms"), ("formulas", "_weighted_profile"))
 
 

@@ -15,6 +15,7 @@ import pytest
 from zagier_kit import exact_core as ec
 from zagier_kit import formulas as fm
 from zagier_kit import series_engine as se
+from zagier_kit import specfun as sf
 
 from conftest import CACHES, A_function_two_ways, bernoulli_fourier_eval, empty_caches, traced_peak
 
@@ -559,7 +560,6 @@ def test_lattice_j_vs_oracle(nu):
     # past the crossover J_nu(4 pi m) comes from the lattice Hankel series d^J at any
     # order; below it bessel_J, and so _lattice_J, takes integer and half-integer orders
     import mpmath as mp
-    from zagier_kit import specfun as sf
 
     near = int(sf.asymptotic_crossover(nu) / (4 * pi))
     far = sf._hankel_sum(sf.hankel_lattice(nu)[0], 0, np.arange(near + 1, 3001.0)) / pi
@@ -647,6 +647,27 @@ def test_x_zero_formulas_read_only_their_cached_results(name):
         assert lattice_sum is se._zero_sum(2 * n, lattice)[1], n
         assert g_sum is se._g_one(float(n), 2.0 * lattice), n
         assert g_sum.terms_used == se._G_SPLIT + se._G_ORDERS
+
+
+def test_a_warm_type_sum_forms_no_chebyshev_value(monkeypatch):
+    # U_{2n-1}(1/4) + U_{2n-1}(3/4) depends on neither x nor tol: the first call
+    # forms it in the cached table of terms, and a second call reads it there
+    calls = []
+    original = sf.chebyshev_U_value
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    empty_caches(monkeypatch)
+    monkeypatch.setattr(sf, "chebyshev_U_value", counted)
+    for n in (1, 5, 30):
+        tol = 1e-12 * max(1.0, abs(float(ec.zagier_eval(2 * n, Fraction(-3, 2)) + ec.modified_bernoulli(2 * n))))
+        first = fm.zagier_type_sum(n, tol=tol)
+        assert len(calls) == 2, n
+        calls.clear()
+        assert fm.zagier_type_sum(n, tol=tol).formula_value == first.formula_value
+        assert calls == [], n
 
 
 def test_no_formula_calls_the_euler_maclaurin_g_sum(monkeypatch):

@@ -26,7 +26,7 @@ PACKAGE_ALL = [
     "EvalReport", "even_asymptotic", "odd_asymptotic", "zagier_even_formula",
     "zagier_number_formula", "zagier_odd_formula", "zagier_type_sum",
     "SeriesConvergenceError", "SeriesResult", "TrigPowerSums", "bessel_cos_series",
-    "bessel_sin_series", "g_tail_sum", "g_term", "trig_power_sums",
+    "bessel_sin_series", "g_tail_sum", "trig_power_sums",
     "bessel_J", "bessel_J_int_batch", "bessel_Y_int", "coates_integral",
     "coates_series", "dJ_dnu_at_int", "schlafli_S",
     "__version__",

@@ -15,7 +15,7 @@ from math import pi, sqrt
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
@@ -199,11 +199,15 @@ def test_lerch_kernel_lies_within_its_bound_of_the_tail(x):
 # g-series
 # ---------------------------------------------------------------------------
 
+# g(y, r, x) of the paper's sums is f(A) = w^{2r}/rho at c = 2 and A = y + 1 + x,
+# so its gap A - c is y - 1 + x
+
+
 def test_g_term_dominant_closed_form():
     # single-term identity at y = 1
     for n in (1, 2, 5):
         for x in (0.2, 0.5, 0.9):
-            lhs = se.g_term(1.0, n, x)
+            lhs = se._f(x, float(n), 2.0)[0]
             rhs = 2.0 ** (4 * n) / (
                 (2.0 + x + sqrt(x * (x + 4.0))) ** (2 * n) * sqrt(x * (x + 4.0))
             )
@@ -211,19 +215,19 @@ def test_g_term_dominant_closed_form():
 
 
 def test_g_term_positive_and_domain():
-    assert se.g_term(3.0, 0.5, 0.1) > 0.0
+    assert se._f(3.0 - 1.0 + 0.1, 0.5, 2.0)[0] > 0.0
     with pytest.raises(ValueError):
-        se.g_term(1.0, 1.0, -0.5)  # (y-1+x) < 0
+        se._f(1.0 - 1.0 - 0.5, 1.0, 2.0)  # (y-1+x) < 0
 
 
 def test_g_term_large_y_extended_precision():
+    # f(A) = w^{2r}/rho is formed from the gap A - c, so nothing cancels in
+    # w = A - rho even at A = 1e6 + 3/2
     with mp.workdps(60):
-        y, r, x = mp.mpf(10) ** 6, 1, mp.mpf("0.5")
-        naive = (y + 1 + x - mp.sqrt((y - 1 + x) * (y + 3 + x))) ** (2 * r) / mp.sqrt(
-            (y - 1 + x) * (y + 3 + x)
-        )
-        ref = float(naive)
-    got = se.g_term(1e6, 1.0, 0.5)
+        a, c = mp.mpf(10) ** 6 + mp.mpf("1.5"), mp.mpf(2)
+        root = mp.sqrt(a * a - c * c)
+        ref = float((a - root) ** 2 / root)
+    got = se._f(1e6 - 0.5, 1.0, 2.0)[0]
     assert abs(got - ref) < 1e-12 * ref
 
 
@@ -294,11 +298,13 @@ def test_conjugate_sum_lies_between_the_integral_and_one_term_more(r, gap, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(r=st.floats(0.25, 130.0), gap=st.floats(1e-12, 2.0), c=st.sampled_from((2.0, 4.0)),
+@given(r=st.floats(0.25, 130.0), gap=st.floats(1e-12, 60.0), c=st.sampled_from((2.0, 4.0)),
        log_tol=st.floats(-15.0, -6.0))
+@example(r=112.0, gap=53.0, c=2.0, log_tol=-6.0)  # a sum of 7.7e-325, below the normal range
 def test_conjugate_sum_lies_within_its_bound_of_the_extended_precision_sum(r, gap, c, log_tol):
     # the B_14 term bounds what Euler-Maclaurin through B_12 leaves out, and the
-    # rounding term covers the terms, the integral and the corrections
+    # rounding term covers the terms, the integral and the corrections; starts
+    # far past the pair table's disc run on the same recurrence
     res = se._conjugate_sum(gap, r, c, 10.0**log_tol)
     ref = conjugate_sum_oracle(r, gap, c)
     with mp.workdps(40):
@@ -308,21 +314,22 @@ def test_conjugate_sum_lies_within_its_bound_of_the_extended_precision_sum(r, ga
 @pytest.mark.parametrize("r, c, gap", ((0.25, 2.0, 1e-3), (0.5, 4.0, 0.5), (1.0, 2.0, 3.0),
                                        (7.5, 4.0, 0.01), (40.0, 2.0, 20.0), (130.0, 4.0, 1.0)))
 def test_closed_form_derivatives_match_numerical_ones(r, c, gap):
-    # f^(k)(A) = (-1)^k f(A) rho^{-k} Q_k(w/(2 rho)) for k <= 13, against mpmath's
-    # numerical derivatives at 50 digits
-    rows = se._derivative_rows(r, 13)
+    # the recurrence's a_k k! = f^(k)(A) for k <= 13, against mpmath's numerical
+    # derivatives at 50 digits: within 1e-13 relative, and within the
+    # (6r + 6 + 4k) units _EPS of its majorant b_k that the closure's bound takes
+    a, b = se._taylor(r, c, gap, *se._f(gap, r, c)[:3], 13)
     with mp.workdps(50):
-        rr, cc, a = mp.mpf(r), mp.mpf(c), mp.mpf(c) + mp.mpf(gap)
+        rr, cc = mp.mpf(r), mp.mpf(c)
 
         def f(x):
             root = mp.sqrt(x * x - cc * cc)
             return (x - root) ** (2 * rr) / root
 
-        rho = mp.sqrt(mp.mpf(gap) * (mp.mpf(gap) + 2 * cc))
-        w, numerical = a - rho, mp.diffs(f, a, 13)
-        for k, (row, ref) in enumerate(zip(rows, numerical)):
-            closed = (-1) ** k * f(a) / rho**k * mp.fsum(cj * (w / (2 * rho)) ** j for j, cj in enumerate(row))
-            assert abs(closed - ref) <= 1e-13 * abs(ref), (k, closed, ref)
+        numerical = mp.diffs(f, cc + mp.mpf(gap), 13)
+        for k, (ak, bk, ref) in enumerate(zip(a, b, numerical)):
+            error = abs(mp.mpf(ak) * mp.factorial(k) - ref)
+            assert error <= 1e-13 * abs(ref), (k, ak, ref)
+            assert error <= (6 * r + 6 + 4 * k) * se._EPS * bk * mp.factorial(k), (k, ak, bk, ref)
 
 
 def test_g_tail_sum_rejects_small_exponent():
@@ -367,7 +374,7 @@ def test_g_pair_lies_within_its_bound_of_the_extended_precision_sums(r):
 def test_g_table_matches_the_taylor_coefficients_of_the_tail(r, c):
     # D_k = sum_{j >= 2} f^(k)(c + 1/2 + j)/k! from 60-digit mpmath.taylor at each
     # point j < 40 and an Euler-Maclaurin closure at j = 40 through B_24
-    even, odd, size, error = se._g_table(r, c)
+    even, odd, size, error, _ = se._g_table(r, c)
     coefs = [0.0] * (se._G_ORDERS + 1)
     coefs[::2], coefs[1::2] = even[::-1], odd[::-1]
     order, far, closing = se._G_ORDERS, 40, 12
@@ -410,8 +417,9 @@ def test_g_pair_matches_the_two_public_g_sums(r, x):
 
 @pytest.mark.parametrize("c", (2.0, 4.0))
 def test_g_one_lies_within_its_bound_of_the_extended_precision_sum(c):
-    # A(1) from the pair's table at h = 1/2, against a 40-digit sum: the bound
-    # holds, and Lagrange's remainder |D_K| 2^-K is far below the value
+    # A(1) from the pair's table at h = 1/2, kept in the table's entry, against a
+    # 40-digit sum: the bound holds, and Lagrange's remainder |D_K| 2^-K is far
+    # below the value
     for r in (1, 2, 5, 8, 9, 20, 31, 60, 100, 130):
         res = se._g_one(float(r), c)
         ref = conjugate_sum_oracle(float(r), 1.0, c)
@@ -420,7 +428,7 @@ def test_g_one_lies_within_its_bound_of_the_extended_precision_sum(c):
         assert error <= res.tail_bound, (r, c, res, error)
         assert abs(se._g_table(float(r), c)[0][0]) * 0.5**se._G_ORDERS <= 3e-16 * res.value, (r, c)
         assert res.terms_used == se._G_SPLIT + se._G_ORDERS
-        assert res is se._g_one(float(r), c)
+        assert res is se._g_table(float(r), c)[4]
 
 
 def test_g_pair_without_a_term_still_builds_its_table(monkeypatch):
@@ -1001,6 +1009,13 @@ def test_far_brackets_match_a_python_float_recomputation(nu, lattice):
         for k in range(top - 1, 0, -1):
             total = total / q + b[k]
         assert plan.brackets[m - 1] == total / (math.sqrt(q) * q), (nu, lattice, m)
+    # the orders summed there and the envelopes at M0 take Python's powers, so K and
+    # the bounds are the same on every host too
+    sizes = [abs(bk) * float(lattice * (plan.near + 1)) ** -k for k, bk in enumerate(b[1:], 1)]
+    assert top == max(k for k, size in enumerate(sizes, 1) if size >= 1e-17 * max(sizes)), (nu, lattice)
+    m, qm = plan.brackets.size, float(lattice * plan.brackets.size)
+    assert plan.envelopes.tolist() == [abs(bk) * qm ** -(k + 1.5) * m / (k + 0.5)
+                                       for k, bk in enumerate(b[2:], 1)], (nu, lattice)
 
 
 def test_kept_tables_stay_small(fresh_caches):
