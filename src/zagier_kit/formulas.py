@@ -36,13 +36,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvalReport:
     """Cross-check record: formula value vs exact (or reference) value.
 
     exact, abs_error and rel_error are formed on first read and kept, exact by
     the evaluator's zero-argument reference _exact, so an unread check costs
-    nothing; the errors are taken against float(exact), else reference."""
+    nothing; the errors are taken against float(exact), else reference.  Not
+    frozen: a frozen dataclass sets each field through object.__setattr__,
+    which cost several times the rest of building one, and a report holds a
+    list and a dict, so it was never hashable; nothing assigns to one."""
 
     n: int
     x: float | Fraction | None
@@ -78,6 +81,8 @@ class EvalReport:
 
 
 def _as_point(x: float | Fraction | str) -> tuple[float, Fraction | None]:
+    if isinstance(x, float):  # first: the common case, and Fraction, an ABC, is slow to test
+        return float(x), None
     if isinstance(x, Fraction):
         return float(x), x
     if isinstance(x, str):
@@ -114,11 +119,12 @@ def _algebraic(args, tol: float):
 
 
 def _pair(args, tol: float):
-    """args = (nu, x): the g-sums at gaps x and 1 - x of :func:`_algebraic`, added
+    """args = (nu, x, table): the g-sums at gaps x and 1 - x of :func:`_algebraic`, added
     for even nu and subtracted for odd nu, as one sum to 1e-3 tol
-    (:func:`series_engine._g_pair`), whose bound covers its own rounding."""
-    nu, x = args
-    s = series_engine._g_pair(x, 1.0 if nu % 2 == 0 else -1.0, nu / 2, 2.0, 1e-3 * tol)
+    (:func:`series_engine._g_pair` from its x-free table), whose bound covers its own
+    rounding."""
+    nu, x, table = args
+    s = series_engine._g_pair(x, 1.0 if nu % 2 == 0 else -1.0, nu / 2, 2.0, 1e-3 * tol, table)
     return s.value, abs(s.value), s.tail_bound, (s,)
 
 
@@ -145,10 +151,13 @@ def _constant(args, tol: float):  # args = (value, size, bound), free of x and t
 
 
 def _polynomial_terms(nu: int, x: float) -> tuple:
-    """B_nu^*(x), 0 < x < 1 (:func:`zagier_even_formula`, :func:`zagier_odd_formula`)."""
+    """B_nu^*(x), 0 < x < 1 (:func:`zagier_even_formula`, :func:`zagier_odd_formula`).
+    The g-sum pair's x-free table is fetched here, before the lattice sum, which
+    may raise, so that a call at any x and tol leaves it built."""
+    table = series_engine._g_table(nu / 2, 2.0)
     return ((1.0, _lattice, (nu, x, 1, 1.0)),
             (0.25, _chebyshev, (nu - 1, ((x + 1.0) / 2, x / 2, (x - 1.0) / 2, (x - 2.0) / 2))),
-            (2.0 ** -(nu + 1), _pair, (nu, x)))
+            (2.0 ** -(nu + 1), _pair, (nu, x, table)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -200,9 +209,6 @@ def _polynomial_formula(nu: int, x: float | Fraction | str, tol: float) -> EvalR
         raise ValueError("x must lie in (0, 1)")
     if xf < sys.float_info.min:  # 1 - x is never subnormal
         raise ValueError(f"x = {xf!r} is subnormal: 2 pi x keeps too few digits for the formula")
-    # the g-sum pair's x-free table before the lattice sum, which may raise, so
-    # that a call at any x and tol leaves it built
-    series_engine._g_table(nu / 2, 2.0)
     value, meta, bound = _assemble(_polynomial_terms(nu, xf), tol)
     if xq is None:
         return EvalReport(nu, xf, value, meta, None, {}, bound)

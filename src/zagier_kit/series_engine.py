@@ -48,7 +48,9 @@ otherwise build, so no value depends on what was cached before:
     coefficients b_k and |b_k|, the bracket values through the base
     explicit range M0 (at most 10,760 floats) and their m-sums, the tail
     envelopes at M0 and the weights b_k lattice^{-s} (29 floats each, by
-    Python's powers), the closed tails' rounding per order (2 x at most 29
+    Python's powers), the envelopes' negated prefix minima, which a call
+    bisects for the number K of closed orders (at most 29 floats, an
+    array('d')), the closed tails' rounding per order (2 x at most 29
     floats), and the Lerch rows F_n at a = M0 (2 x 49 floats; a Lerch tail
     that starts past M0 forms its range per call);
   * the coefficients of the cot-derivative polynomials of the Lerch tail
@@ -69,17 +71,21 @@ otherwise build, so no value depends on what was cached before:
   * the Wood polynomial of a unit weight per order and parity
     (:func:`_unit_wood`, at most 60 entries): order 0 gives the regularizer's
     C_{1/2}(x) or S_{1/2}(x), and all of them :func:`periodic_zeta`;
-  * built once on first use: Wood's coefficient tables (:func:`_wood_tables`).
+  * built once on first use: Wood's coefficient tables (:func:`_wood_tables`);
+  * at import, one read-only row m = 1..DEFAULT_MAX_TERMS (160 KB), from
+    which every call slices the indices of its phases.
   Nothing is kept per x.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from array import array
 from dataclasses import dataclass, field
 from math import pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,8 +141,10 @@ class SeriesConvergenceError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
+    """A series value, the terms summed one by one and a bound on its error: a named
+    tuple, immutable and hashable, and built without a setattr per field."""
+
     value: float
     terms_used: int
     tail_bound: float
@@ -583,9 +591,11 @@ def _taylor(r: float, c: float, g, f, rho, w, top: int):
     return rows
 
 
-def _g_sums(r: float, c: float, start: float, count: int, orders: int) -> tuple[list[float], list[float]]:
+def _g_sums(r: float, c: float, start: float, count: int, orders: int,
+            at: tuple[list[float], list[float]] | None = None) -> tuple[list[float], list[float]]:
     """(D, errors): D_k = sum_{j >= 0} f^(k)(c + start + j)/k!, k <= orders, f of
-    :func:`_f`, and a bound on the error of each.
+    :func:`_f`, and a bound on the error of each.  At order 0, at holds the two
+    lists of :func:`_taylor` at A*, which the caller formed to choose count.
 
     The terms j < count are direct, and Euler-Maclaurin at A* = c + start + count
     through B_12 closes the rest with integral_{A*}^inf f^(k) = -f^(k-1)(A*)
@@ -594,14 +604,18 @@ def _g_sums(r: float, c: float, start: float, count: int, orders: int) -> tuple[
     completely monotone and the B_14 term bounds the remainder; the error adds
     each part's rounding, from :func:`_taylor`'s majorants, and _EPS |D_k|.
     Past order 0 the recurrence runs on every point at once and the closure on
-    every order at once; at order 0 only A* needs it, in plain floats.  Every
-    power is Python's, and numpy only adds, multiplies and divides.
+    every order at once; at order 0 only A* needs it, in plain floats.  The
+    points' rho and w are :func:`_f`'s in one pass, since numpy's square roots,
+    sums, products and quotients round correctly; every power is Python's.
     """
     two_r, top = 2.0 * r, orders + 2 * _EM_ORDERS + 1
-    points = [_f(start + j, r, c) for j in range(count + 1)]
-    fs, wp = [p[0] for p in points], points[-1][3]
+    g = np.array([start + j for j in range(count + 1)], dtype=float)  # each rounded once, as _f's gap
+    rho = np.sqrt(g * (g + 2.0 * c))
+    w = c * c / (c + g + rho)
+    wps = [v**two_r for v in w.tolist()]
+    f, wp = np.array(wps) / rho, wps[-1]
     if not orders:
-        a, b = _taylor(r, c, start + count, *points[-1][:3], top)
+        (a, b), fs = at, f.tolist()
         unit, integral = _EPS * (6.0 * r + 6.0), wp / two_r
         parts, slack = fs[:-1] + [integral, 0.5 * a[0]], [(math.fsum(fs) + integral) * unit]
         for k, weight in zip(range(1, top + 1, 2), _g_steps()[4]):
@@ -609,8 +623,7 @@ def _g_sums(r: float, c: float, start: float, count: int, orders: int) -> tuple[
             slack.append(abs(weight) * b[k] * (unit + 4.0 * k * _EPS))
         truncation, value = abs(parts.pop()), math.fsum(parts)
         return [value], [math.fsum(slack) + truncation + _EPS * abs(value)]
-    g = start + np.arange(count + 1.0)
-    rows = _taylor(r, c, g, *(np.array([p[i] for p in points]) for i in range(3)), top)
+    rows = _taylor(r, c, g, f, rho, w, top)
     a, b = rows[:, : g.size], rows[:, g.size :]
     ks = np.arange(orders + 1)
     at = a[:, -1]  # the a_k at A*
@@ -657,12 +670,12 @@ def _conjugate_sum(gap, r, c, tol=1e-12):
         return SeriesResult(value, 0, bound)
     n_direct, top = _EM_START, 2 * _EM_ORDERS + 1
     while True:
-        a = _taylor(r, c, gap + n_direct, *_f(gap + n_direct, r, c)[:3], top)[0]
-        truncation = abs(_g_steps()[4][-1] * a[top])
+        at = _taylor(r, c, gap + n_direct, *_f(gap + n_direct, r, c)[:3], top)
+        truncation = abs(_g_steps()[4][-1] * at[0][top])
         if not truncation > tol or n_direct >= DEFAULT_MAX_TERMS:
             break
         n_direct = min(2 * n_direct, DEFAULT_MAX_TERMS)
-    (value,), (bound,) = _g_sums(r, c, gap, n_direct, 0)
+    (value,), (bound,) = _g_sums(r, c, gap, n_direct, 0, at)
     result = SeriesResult(value, n_direct, bound)
     if truncation > tol:
         raise SeriesConvergenceError(f"conjugate_power_sum: Euler-Maclaurin correction {truncation:.2e} "
@@ -710,7 +723,7 @@ def _g_table(r: float, c: float) -> tuple[tuple[float, ...], tuple[float, ...], 
     return even, odd, size, error, one
 
 
-def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResult:
+def _g_pair(x: float, sign: float, r: float, c: float, tol: float, table: tuple | None = None) -> SeriesResult:
     """A(x) + sign A(1 - x), sign = +1 or -1, 0 < x < 1, for the g-sums
     A(g) = sum_{j >= 0} f(c + g + j) of :func:`_conjugate_sum`.
 
@@ -724,10 +737,10 @@ def _g_pair(x: float, sign: float, r: float, c: float, tol: float) -> SeriesResu
     whose bound fits tol and raises SeriesConvergenceError when all K do
     not; the bound adds the table's error and the rounding.  When half of
     each side's first term fits tol nothing is summed (:func:`_g_edge`); the
-    table is fetched first, so every call leaves it built.  terms_used
-    counts the direct terms and the orders summed.
+    table, unless the caller passes it, is fetched first, so every call leaves
+    it built.  terms_used counts the direct terms and the orders summed.
     """
-    even, odd, size, error, _ = _g_table(r, c)
+    even, odd, size, error, _ = table or _g_table(r, c)
     x = float(x)
     y = 1.0 - x
     (value_x, bound_x, f_x), (value_y, bound_y, f_y) = _g_edge(x, r, c), _g_edge(y, r, c)
@@ -783,6 +796,10 @@ class _Plan:
     abs_sum: float         # sum_m |bracket| over m = 1..M0
     abs_moment: float      # sum_m m |bracket|
     orders: int            # K of the smallest envelope at M0, the orders of the x = 0 and Lerch tails
+    # entry k - 1, k <= orders: the float just above -min(envelopes[:k]), which is
+    # above -tol just when that minimum is within tol, so bisect_right at -tol counts
+    # the orders before the first envelope within tol, and a NaN tol counts them all
+    minima: array
     weights: np.ndarray    # w_k = b_k lattice^{-s} for k = 1..ORDERS, by Python's power
     lerch: tuple           # :func:`_lerch_rows` of orders 1..orders at a = M0
 
@@ -828,10 +845,12 @@ def _plan(nu: int, lattice: int) -> _Plan:
     b_abs = np.abs(b[1:])
     lam_s = np.array([float(lattice) ** -s for s in _S.tolist()])  # lattice^{-s}
     weights = b[1:] * lam_s
+    minima = np.nextafter(-np.minimum.accumulate(envelopes[:orders]), math.inf)
     plan = _Plan(b, near, brackets, envelopes, b_abs,
                  b_abs[:orders] * (_ZETA_EPS * lam_s[:orders] + _EPS * powers.sum(axis=1)),
                  b_abs[:orders] * np.multiply(powers, ms, out=powers).sum(axis=1),
-                 abs_sum, abs_moment, orders, weights, _lerch_rows(weights[:orders], 1, base))
+                 abs_sum, abs_moment, orders, array("d", minima.tolist()), weights,
+                 _lerch_rows(weights[:orders], 1, base))
     for table in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.closed_err,
                   plan.closed_moment, plan.weights):
         table.flags.writeable = False
@@ -877,6 +896,9 @@ def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
 
 
 _S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
+# m = 1..DEFAULT_MAX_TERMS: a call slices its phases' indices from this one row
+_INDEX = np.arange(1.0, DEFAULT_MAX_TERMS + 1.0)
+_INDEX.flags.writeable = False
 
 @dataclass(frozen=True)
 class _Residual:
@@ -924,7 +946,7 @@ def _zero_sum(nu: int, lattice: int) -> tuple[SeriesResult, SeriesResult]:
     smallest envelope, and the bound that envelope plus the rounding; the
     lattice sum is the bracket sum less the regularizer's closed sum
     zeta(1/2)/(2 sqrt(lattice)), its allowance added to the bound
-    (:func:`_unregularized`).  None depends on tol."""
+    (:func:`_regularizer_sum`).  None depends on tol."""
     plan = _plan(nu, lattice)
     brackets = plan.brackets
     orders = plan.orders
@@ -934,7 +956,8 @@ def _zero_sum(nu: int, lattice: int) -> tuple[SeriesResult, SeriesResult]:
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
     rounding = (2e-15 + _EPS) * plan.abs_sum + _ZETA_EPS * float(np.abs(closed).sum())
     bracket = SeriesResult(value, brackets.size, truncation + rounding)
-    return bracket, _unregularized(bracket, nu, 0.0, lattice)
+    regularizer, allowance = _regularizer_sum(nu, 0.0, lattice)
+    return bracket, SeriesResult(value - regularizer, brackets.size, bracket.tail_bound + allowance)
 
 
 def _exact_zero(nu: int, lattice: int) -> SeriesResult:
@@ -957,11 +980,6 @@ def _check_count(name: str, value, least: int = 1) -> None:
     if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))
             or value < least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_lattice_args(nu, lattice) -> None:
-    _check_count("nu", nu)
-    _check_count("lattice", lattice)
 
 
 def regularized_bracket_sum(
@@ -1019,7 +1037,8 @@ def regularized_bracket_sum(
     Only the phases depend on x; the rest comes from the caches the module
     docstring lists.
     """
-    _check_lattice_args(nu, lattice)
+    _check_count("nu", nu)
+    _check_count("lattice", lattice)
     if not 0.0 <= x < 1.0:
         raise ValueError("x must lie in [0, 1)")
     even_nu = nu % 2 == 0
@@ -1035,8 +1054,8 @@ def regularized_bracket_sum(
         result = _zero_sum(nu, lattice)[0]
         truncation, bound = float(envelopes[plan.orders - 1]), result.tail_bound
     else:
-        K = (next((k for k, envelope in enumerate(envelopes.tolist(), 1) if envelope <= tol), 0)
-             or plan.orders)
+        # the first order whose envelope is within tol, else the smallest envelope's
+        K = min(bisect.bisect_right(plan.minima, -tol) + 1, plan.orders)
         truncation = float(envelopes[K - 1])
         res = _residual(nu, lattice, K)
         xi = 2.0 * pi * x
@@ -1053,7 +1072,7 @@ def regularized_bracket_sum(
                          if stair <= 1e-4 * tol and bound + stair <= tol)
                 W, bound = 1 << i, bound + res.stairs[i]
             # sum_m trig (bracket - c) plus sum_k b_k lattice^{-s} T_s(x) for k = 1..K
-            trig = _trig(even_nu, x, np.arange(1.0, W + 1.0))
+            trig = _trig(even_nu, x, _INDEX[:W])
             value = chunked_fsum(res.row[:W] * trig) + res.wood.at(x)
         result = SeriesResult(value, W, bound)
     if not bound <= tol:
@@ -1103,12 +1122,12 @@ def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, flo
         brackets = _bracket_values(nu, lattice, a)
         size = np.abs(brackets)
         abs_sum = float(size.sum())
-        abs_moment = float(np.multiply(np.arange(1.0, a + 1.0), size, out=size).sum())
+        abs_moment = float(np.multiply(_INDEX[:a], size, out=size).sum())
         rows = _lerch_rows(plan.weights[:K], 1, a)
     even_nu, t = nu % 2 == 0, min(x, 1.0 - x)
     # the phases at x' (exact), whose rounding grows like x' m rather than x m:
     # sin(2 pi m x) = -sin(2 pi m x') for x > 1/2
-    value = chunked_fsum(brackets * _trig(even_nu, t, np.arange(1.0, a + 1.0)))
+    value = chunked_fsum(brackets * _trig(even_nu, t, _INDEX[:a]))
     re, im, remainder, rounding = _lerch_sum(x, a, rows, K)
     bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * t * _EPS * abs_moment
              + remainder + rounding)
@@ -1124,16 +1143,6 @@ def _regularizer_sum(nu: int, x: float, lattice: int) -> tuple[float, float]:
     return half * t, half * _ZETA_EPS * max(1.0, abs(t))
 
 
-def _unregularized(reg: SeriesResult, nu: int, x: float, lattice: int) -> SeriesResult:
-    """The lattice sum from the bracket sum reg: less the regularizer's closed sum,
-    its allowance added to the bound (:func:`_regularizer_sum`), and flagged at
-    0 < x outside DEFAULT_X_WINDOW."""
-    closed, rounding = _regularizer_sum(nu, x, lattice)
-    outside = not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1])
-    return SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding,
-                        outside_window=outside)
-
-
 def lattice_bessel_sum(
     nu: int,
     x: float,
@@ -1145,7 +1154,7 @@ def lattice_bessel_sum(
 
     The regularized bracket sum minus the closed sum of its regularizer,
     zeta(1/2)/(2 sqrt(lattice)) at x = 0; the bound adds that sum's allowance
-    (:func:`_unregularized`).  At x = 0 that result is kept whole per
+    (:func:`_regularizer_sum`).  At x = 0 that result is kept whole per
     (nu, lattice) beside the bracket sum's (:func:`_zero_sum`), and a call
     only compares the bracket sum's bound with tol.  For odd nu at x = 0 and
     1/2 the sum is exactly 0.  Points 0 < x outside DEFAULT_X_WINDOW are
@@ -1157,17 +1166,24 @@ def lattice_bessel_sum(
     formed from the bracket sum it gave up on.
     """
     if x == 0.0 or (x == 0.5 and isinstance(nu, (int, np.integer)) and nu % 2):
-        _check_lattice_args(nu, lattice)
+        _check_count("nu", nu)
+        _check_count("lattice", lattice)
         if nu % 2:
             return _exact_zero(nu, lattice)
         bracket, result = _zero_sum(nu, lattice)
         if bracket.tail_bound <= tol:
             return result
+    failure = None  # the bracket sum's message, not the error: its traceback holds this frame
     try:
         reg = regularized_bracket_sum(nu, x, tol, lattice=lattice)
     except SeriesConvergenceError as err:
-        raise SeriesConvergenceError(str(err), _unregularized(err.best, nu, x, lattice)) from err
-    return _unregularized(reg, nu, x, lattice)
+        reg, failure = err.best, str(err)
+    closed, rounding = _regularizer_sum(nu, x, lattice)
+    result = SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding,
+                          not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1]))
+    if failure is not None:
+        raise SeriesConvergenceError(failure, result)
+    return result
 
 
 def bessel_cos_series(n: int, x: float, tol: float = DEFAULT_TOL) -> SeriesResult:

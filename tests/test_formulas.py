@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import math
 import pickle
@@ -16,6 +17,7 @@ from zagier_kit import exact_core as ec
 from zagier_kit import formulas as fm
 from zagier_kit import series_engine as se
 from zagier_kit import specfun as sf
+from zagier_kit.verify import X_GRID
 
 from conftest import CACHES, A_function_two_ways, bernoulli_fourier_eval, empty_caches, traced_peak
 
@@ -768,3 +770,46 @@ def test_the_x_free_sums_stop_at_the_cap():
     for call in (lambda: fm.zagier_number_formula(8, tol=1e-30),
                  lambda: fm.zagier_type_sum(8, tol=1e-30)):
         assert max(_terms_used(call)) <= cap
+
+
+# sha256 of _formula_bit_rows(); a change that moves a formula's bits on purpose
+# updates it and says which bits moved and why
+_FORMULA_BITS = "9c15c34862d393045f5f15bc2bda583288f4330eec798894a31351d4961e503f"
+
+
+def _formula_bit_rows():
+    """One line per call of the four formulas at index 1..60, X_GRID as Fraction and
+    as float, relative tol 1e-6, 1e-9 and 1e-12: float.hex of the value and bound
+    and of each series result's, its terms and window flag, or the raise's
+    message and best."""
+    for nu in range(1, 61):
+        n, formula = nu // 2, fm.zagier_odd_formula if nu % 2 else fm.zagier_even_formula
+        calls = []
+        for x in X_GRID:
+            exact = float(ec.zagier_eval(nu, x))
+            calls += [(formula, (n, x), exact), (formula, (n, float(x)), exact)]
+        if nu % 2 == 0:
+            calls.append((fm.zagier_number_formula, (n,), float(ec.modified_bernoulli(nu))))
+            calls.append((fm.zagier_type_sum, (n,),
+                          float(ec.zagier_eval(nu, Fraction(-3, 2)) + ec.modified_bernoulli(nu))))
+        for call, args, exact in calls:
+            for rel in (1e-6, 1e-9, 1e-12):
+                try:
+                    rep = call(*args, tol=rel * max(1.0, abs(exact)))
+                    out = [rep.formula_value.hex(), rep.tail_bound.hex()] + [
+                        (s.value.hex(), s.tail_bound.hex(), s.terms_used, s.outside_window)
+                        for s in rep.series_meta]
+                except se.SeriesConvergenceError as err:
+                    best = err.best
+                    out = ["raises", str(err), best.value.hex(), best.tail_bound.hex(), best.terms_used,
+                           best.outside_window]
+                yield f"{call.__name__} {args!r} {rel!r} {out!r}"
+
+
+def test_formula_bits_are_pinned():
+    # every value, bound, term count, window flag and raise of the four
+    # formulas over 2,340 calls hashes to the pinned digest
+    digest = hashlib.sha256()
+    for row in _formula_bit_rows():
+        digest.update(row.encode() + b"\n")
+    assert digest.hexdigest() == _FORMULA_BITS

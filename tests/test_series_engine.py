@@ -1018,6 +1018,25 @@ def test_far_brackets_match_a_python_float_recomputation(nu, lattice):
                                        for k, bk in enumerate(b[2:], 1)], (nu, lattice)
 
 
+def test_trig_rows_match_python_floats():
+    # the phases of every explicit range M0 (nu = 1..121, lattices 1 and 2) at
+    # X_GRID and at 200 seeded p/q with q <= 64: numpy's cos and sin rows are
+    # bit for bit math.cos and math.sin of the same arguments, 2 pi x m
+    lengths = sorted({se._plan(nu, lattice).brackets.size for nu in range(1, 122) for lattice in (1, 2)})
+    rng = random.Random(20)
+    points = [float(x) for x in X_GRID]
+    while len(points) < len(X_GRID) + 200:
+        q = rng.randint(2, 64)
+        points.append(rng.randint(1, q - 1) / q)
+    for x in points:
+        phases = [2.0 * pi * x * m for m in range(1, lengths[-1] + 1)]
+        for even_nu, trig in ((True, math.cos), (False, math.sin)):
+            want = np.array([trig(phase) for phase in phases]).view(np.int64)
+            for m0 in lengths:
+                got = se._trig(even_nu, x, se._INDEX[:m0]).view(np.int64)
+                assert np.array_equal(got, want[:m0]), (x, even_nu, m0, int(np.argmax(got != want[:m0])))
+
+
 def test_kept_tables_stay_small(fresh_caches):
     # the residual rows span the base range M0, one per (nu, lattice, K),
     # each as long as the plan's brackets and with no copy of the lattice
@@ -1109,3 +1128,34 @@ def test_nan_bound_raises(monkeypatch):
     with pytest.raises(se.SeriesConvergenceError) as err:
         se.regularized_bracket_sum(4, 0.3)
     assert math.isnan(err.value.best.tail_bound)
+
+
+def test_bisected_closed_orders_match_the_linear_scan(monkeypatch):
+    # K, the first order whose envelope is within tol (else the smallest
+    # envelope's), comes from a bisection of the plan's prefix minima; it is
+    # the order of the first envelope <= tol, found by scanning them, at tol
+    # on each envelope, one float either side of it, on a log grid a decade
+    # past them both ways, and at 0, inf and nan
+    seen = []
+    residual = se._residual
+
+    def recorded(nu, lattice, orders):
+        seen.append(orders)
+        return residual(nu, lattice, orders)
+
+    monkeypatch.setattr(se, "_residual", recorded)
+    for nu in range(1, 122):
+        for lattice in (1, 2):
+            plan = se._plan(nu, lattice)
+            envelopes = plan.envelopes.tolist()
+            lo, hi = (4 * math.floor(math.log10(f(envelopes))) for f in (min, max))
+            tols = [10.0 ** (k / 4) for k in range(lo - 4, hi + 9, 2)] + [0.0, math.inf, math.nan]
+            tols += [t for e in envelopes for t in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+            for tol in tols:
+                seen.clear()
+                try:
+                    se.regularized_bracket_sum(nu, 1.0 / 3.0, tol, lattice=lattice)
+                except se.SeriesConvergenceError:
+                    pass
+                scan = next((k for k, e in enumerate(envelopes, 1) if e <= tol), 0) or plan.orders
+                assert seen == [scan], (nu, lattice, tol)
