@@ -63,6 +63,36 @@ def fmt(v) -> str:
     return str(v)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, default=fmt), byte for byte; pad is the newline and
+    indent before obj's closing bracket.
+
+    An indent sends json to its pure-Python encoder, which builds the text piece by
+    piece; with none it takes the C encoder.  So a dict or list that holds no
+    container is one C pass whose item separator carries the newline and the
+    padding, and one that holds containers is joined here, item by item."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        nested = any(isinstance(value, _CONTAINERS) for value in obj.values())
+    else:
+        nested = isinstance(obj, (list, tuple)) and any(isinstance(value, _CONTAINERS) for value in obj)
+    if not nested:
+        text = json.JSONEncoder(separators=("," + inner, ": "), default=fmt).encode(obj)
+        # the first item follows the opening bracket and the last precedes the closing one
+        return text[0] + inner + text[1:-1] + pad + text[-1] if isinstance(obj, _CONTAINERS) and obj else text
+    if isinstance(obj, dict):
+        # a key that is not a str prints as json's own text of it, as json.dumps does
+        items = [f"{json.dumps(key if isinstance(key, str) else json.dumps(key))}: {_json_text(value, inner)}"
+                 for key, value in obj.items()]
+        brackets = "{}"
+    else:
+        items, brackets = [_json_text(value, inner) for value in obj], "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def parse_x(text: str) -> tuple[float, Fraction | None]:
     """Parse an evaluation point.
 
@@ -85,9 +115,7 @@ def parse_x(text: str) -> tuple[float, Fraction | None]:
 
 def _emit_rows(rows: list[dict], columns: list[str], output_format: str, stream) -> None:
     if output_format == "json":
-        payload = [{c: row.get(c) for c in columns} for row in rows]
-        json.dump(payload, stream, indent=2, default=fmt)
-        stream.write("\n")
+        stream.write(_json_text([{c: row.get(c) for c in columns} for row in rows]) + "\n")
     elif output_format == "csv":
         stream.write(",".join(columns) + "\n")
         for row in rows:
@@ -219,9 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cols = ["identity", "case", "value", "expected", "abs_error", "tolerance", "passed"]
         _emit_rows([c.to_dict() for c in all_checks], cols, "csv", sys.stdout)
     elif args.format == "json":
-        payload = {"summary": summary, "checks": [c.to_dict() for c in all_checks]}
-        json.dump(payload, sys.stdout, indent=2, default=fmt)
-        sys.stdout.write("\n")
+        sys.stdout.write(_json_text({"summary": summary, "checks": [c.to_dict() for c in all_checks]}) + "\n")
     else:
         for c in all_checks:
             status = "PASS" if c.passed else "FAIL"

@@ -16,10 +16,10 @@ therefore sits at the crossover 2 nu^2/(4 pi), and the tolerance picks how
 many orders are closed.  At x != 0 a loose tolerance also cuts the top of
 that range: Y_nu(4 pi m) falls like m^{-nu}, so at large nu under a
 relative tolerance one or two terms remain.  Where a closed difference
-cancels too many digits for the tolerance, the tail past a = max(M0, 6/x')
-is summed at its own size instead, by the Lerch expansion (Watson's lemma
-on the Lerch transcendent, Apostol, Pacific J. Math. 1, 1951), with a
-rigorous remainder.  The reported bound is the first dropped order plus
+cancels too many digits for the tolerance, the tail past a, the first
+M0 2^i >= 6/x', is summed at its own size instead, by the Lerch expansion
+(Watson's lemma on the Lerch transcendent, Apostol, Pacific J. Math. 1,
+1951), with a rigorous remainder.  The reported bound is the first dropped order plus
 the rounding of every piece, plus what the cut dropped or the Lerch
 remainder, and a tolerance below it raises.  Every g-sum is one engine
 (:func:`_g_sums`): direct terms and an Euler-Maclaurin closure through B_12
@@ -50,9 +50,13 @@ otherwise build, so no value depends on what was cached before:
     envelopes at M0 and the weights b_k lattice^{-s} (29 floats each, by
     Python's powers), the envelopes' negated prefix minima, which a call
     bisects for the number K of closed orders (at most 29 floats, an
-    array('d')), the closed tails' rounding per order (2 x at most 29
-    floats), and the Lerch rows F_n at a = M0 (2 x 49 floats; a Lerch tail
-    that starts past M0 forms its range per call);
+    array('d')) and the closed tails' rounding per order (2 x at most 29
+    floats);
+  * the x-free part of a Lerch tail per (nu, lattice, a), a the doubling
+    start min(M0 2^i, DEFAULT_MAX_TERMS) (:func:`_watson`, 64 entries): the
+    brackets through a (the plan's own at a = M0, at most 20,000 floats
+    past it), the orders K it closes and their truncation, the two m-sums
+    of |bracket| and the Lerch rows F_n, |F|_n (2 x 49 floats, as lists);
   * the coefficients of the cot-derivative polynomials of the Lerch tail
     (:func:`_cot_table`, 49 x 50 floats, built on first use);
   * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
@@ -89,8 +93,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import (ASYM_Z_MIN, HANKEL_ORDERS, _bernoulli_ratios, _hankel_sum, _orders_sum,
-                      asymptotic_crossover, bessel_Y01, bessel_Y_upward, hankel_lattice, hurwitz_zeta)
+from .specfun import (ASYM_Z_MIN, HANKEL_ORDERS, _bernoulli_ratios, _hankel_sum, _hankel_top,
+                      _orders_sum, asymptotic_crossover, bessel_Y01, bessel_Y_upward, hankel_lattice,
+                      hurwitz_zeta)
 
 __all__ = [
     "SeriesResult",
@@ -431,8 +436,8 @@ _RISING = np.array([[math.prod(range(2 * j + 1, 2 * (j + n), 2)) / 2**n
                      for n in range(_LERCH_TERMS + 1)] for j in range(_ORDERS + 1)])
 
 
-def _lerch_rows(coeffs, lo: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_n F_n, |F|_n), n = 0.._LERCH_TERMS, the x-free half of :func:`_lerch_sum`
+def _lerch_rows(coeffs, lo: int, a: int) -> tuple[list[float], list[float]]:
+    """(sigma_n F_n, |F|_n), n = 0.._LERCH_TERMS as two lists, the x-free half of :func:`_lerch_sum`
     for f(m) = sum_k c_k m^{-s_k}, s_k = lo + k + 1/2: F_n = sum_k c_k (s_k)_n
     (a+1)^{-s_k-n}, |F|_n the same sum of |terms| and sigma_n = (-1)^{floor(n/2)}
     the sign H_n's part carries.  The weights c_k (a+1)^{-s_k} are Python's
@@ -448,14 +453,11 @@ def _lerch_rows(coeffs, lo: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     np.cumprod(scale, out=scale)
     # sums of products, not BLAS or einsum, whose first use in a process starts
     # buffers of about 0.5 MB, and whose sums may change with the BLAS threads
-    rows = (_LERCH_SIGNS * scale * (rising * weights[:, None]).sum(axis=0),
-            scale * (rising * np.abs(weights)[:, None]).sum(axis=0))
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+    return ((_LERCH_SIGNS * scale * (rising * weights[:, None]).sum(axis=0)).tolist(),
+            (scale * (rising * np.abs(weights)[:, None]).sum(axis=0)).tolist())
 
 
-def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
+def _lerch_sum(x: float, a: int, rows: tuple[list[float], list[float]],
                orders: int) -> tuple[float, float, float, float]:
     """(Re T, Im T, remainder bound, rounding) for T = sum_{m>a} z^m f(m), z = e^{2 pi i x},
     0 < x < 1, f(m) = sum_k c_k m^{-s_k} over `orders` orders, rows from :func:`_lerch_rows`.
@@ -481,7 +483,7 @@ def _lerch_sum(x: float, a: int, rows: tuple[np.ndarray, np.ndarray],
     The rounding counts 4n + orders + 7 units of _EPS per term (c carries 4
     units of 2^-53, so h_n about 6n + 8, and F_n 2n + orders + 5), at most
     4N + orders + 3, and the turn of the phase 2 pi x'(a+1)."""
-    F, F_abs = rows[0].tolist(), rows[1].tolist()
+    F, F_abs = rows
     t = 1.0 - x if x > 0.5 else x
     c = math.cos(pi * t) / math.sin(pi * t)
     # c^j for j < top stays below e^700; below x' ~ 1e-7 the rows of h that need
@@ -801,7 +803,6 @@ class _Plan:
     # the orders before the first envelope within tol, and a NaN tol counts them all
     minima: array
     weights: np.ndarray    # w_k = b_k lattice^{-s} for k = 1..ORDERS, by Python's power
-    lerch: tuple           # :func:`_lerch_rows` of orders 1..orders at a = M0
 
 
 @functools.lru_cache(maxsize=512)  # at most 10,760 brackets each (nu = 260, lattice 1)
@@ -829,7 +830,7 @@ def _plan(nu: int, lattice: int) -> _Plan:
     q = lattice * np.arange(1.0, near + 1.0)
     y_nu = bessel_Y_upward(nu, 4.0 * pi * q, *_lattice_y01(q))
     brackets = np.concatenate([(-1.0) ** (nu // 2) * pi * y_nu + 0.5 / np.sqrt(q),
-                               _far_brackets(b, near, lattice, base)])
+                               _far_brackets(b, near, lattice, near, base)])
     envelopes = _envelopes(b, lattice, base)
     ms = np.arange(1.0, base + 1.0)
     size = np.abs(brackets)
@@ -849,8 +850,7 @@ def _plan(nu: int, lattice: int) -> _Plan:
     plan = _Plan(b, near, brackets, envelopes, b_abs,
                  b_abs[:orders] * (_ZETA_EPS * lam_s[:orders] + _EPS * powers.sum(axis=1)),
                  b_abs[:orders] * np.multiply(powers, ms, out=powers).sum(axis=1),
-                 abs_sum, abs_moment, orders, array("d", minima.tolist()), weights,
-                 _lerch_rows(weights[:orders], 1, base))
+                 abs_sum, abs_moment, orders, array("d", minima.tolist()), weights)
     for table in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.closed_err,
                   plan.closed_moment, plan.weights):
         table.flags.writeable = False
@@ -870,21 +870,22 @@ def _lattice_y01(q: np.ndarray) -> np.ndarray:
     return y01
 
 
-def _far_brackets(b: np.ndarray, near: int, lattice: int, m_terms: int) -> np.ndarray:
-    """bracket(lattice m) for m = near+1..m_terms, from its power series in 1/q;
-    the orders summed are set by the first m past the crossover, so every
-    value is the same whatever m_terms."""
-    return _hankel_sum(b, 1, lattice * np.arange(near + 1, m_terms + 1, dtype=float))
+def _far_brackets(b: np.ndarray, near: int, lattice: int, start: int, m_terms: int) -> np.ndarray:
+    """bracket(lattice m) for m = start+1..m_terms, start >= near, from its power series
+    in 1/q; the orders summed are those :func:`specfun._hankel_sum` takes at the first m
+    past the crossover, near + 1, so every value is the same whatever start and m_terms."""
+    top = _hankel_top(b, 1, float(lattice * (near + 1)))
+    return _orders_sum(b, 1, top, lattice * np.arange(start + 1, m_terms + 1, dtype=float))
 
 
 def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
     """bracket(lattice m) for m = 1..m_terms: a slice of the plan's brackets
-    through the base range, built afresh beyond it."""
+    through the base range, and past it those with the terms m > M0 built afresh."""
     plan = _plan(nu, lattice)
     if m_terms <= plan.brackets.size:
         return plan.brackets[:m_terms]
-    far = _far_brackets(plan.b, plan.near, lattice, m_terms)
-    return np.concatenate([plan.brackets[: plan.near], far])
+    far = _far_brackets(plan.b, plan.near, lattice, plan.brackets.size, m_terms)
+    return np.concatenate([plan.brackets, far])
 
 
 def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
@@ -1007,11 +1008,19 @@ def regularized_bracket_sum(
     an absolute rounding error of a few units times |b_k|, and |b_k| reaches
     6e4 at nu = 20.  When that breaks tol while the explicit terms' rounding
     and the dropped order fit it, the closed differences give way to the
-    Lerch tail of :func:`_lerch_bracket_sum`: the brackets m <= a =
-    max(M, min(ceil(6/x'), DEFAULT_MAX_TERMS)) as they are, and the tail
-    past a at its own size.  Its remainder bound holds for any a, so where
-    the cap shortens a (x' below 3e-4) the bound only grows, and it raises
-    like any other when that bound exceeds tol.
+    Lerch tail of :func:`_lerch_bracket_sum`: the brackets m <= a as they
+    are, a the first of M, 2M, 4M, ... at least ceil(6/x'), at most
+    DEFAULT_MAX_TERMS, and the tail past a at its own size.  The starts
+    double so that the x-free part is kept per band of x (:func:`_watson`).
+    Its remainder bound holds for any a: a larger a only shrinks it, and
+    where the cap shortens a (x' below 3e-4) the bound only grows, and it
+    raises like any other when that bound exceeds tol.
+
+    At x = 1/4 and 3/4 an even nu's sum is the x = 1/2 sum on the doubled
+    lattice, exactly: cos(pi m/2) vanishes at odd m and is (-1)^j at m = 2j.
+    The call takes that path, whose phases are exactly +-1: the odd m, whose
+    cosines round to about 6e-17 rather than 0, leave the sum, and with them
+    the largest bracket, m = 1, leaves the rounding bound.
 
     At x = 0 (even nu) the difference is lattice^{-s} zeta(s, M + 1), taken
     whole from :func:`specfun.hurwitz_zeta`: it cancels nothing and carries
@@ -1033,7 +1042,8 @@ def regularized_bracket_sum(
     both 1e-4 tol and tol minus the bound ends the sum at j, and that
     suffix joins the bound.  Under a relative tol at large nu a few terms remain: the formula
     becomes its own asymptotic expansion with a bound.  terms_used counts the
-    m summed term by term: j after a cut, a on the Lerch tail, M otherwise.
+    m summed term by term: j after a cut, a on the Lerch tail, M otherwise,
+    all on the doubled lattice at x = 1/4 and 3/4.
     Only the phases depend on x; the rest comes from the caches the module
     docstring lists.
     """
@@ -1044,6 +1054,10 @@ def regularized_bracket_sum(
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
         return _exact_zero(nu, lattice)
+    if even_nu and (x == 0.25 or x == 0.75):
+        # cos(pi m/2) is 0 at odd m and (-1)^j at m = 2j: the sum at x = 1/2 on the
+        # doubled lattice, whose phases are exactly +-1
+        x, lattice = 0.5, 2 * lattice
     plan = _plan(nu, lattice)
     M, envelopes = plan.brackets.size, plan.envelopes
     remainder = 0.0  # the Lerch tail's Watson remainder, when it is taken
@@ -1063,7 +1077,7 @@ def regularized_bracket_sum(
         W, bound = M, fixed + res.err0 + xi * res.err1
         if bound > tol and fixed <= tol:
             # the closed differences cancel: sum the tail past a at its own size instead
-            value, W, truncation, remainder, bound = _lerch_bracket_sum(nu, x, lattice)
+            value, W, truncation, remainder, bound = _lerch_bracket_sum(nu, x, lattice, M)
         else:
             if res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
                 # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the
@@ -1090,49 +1104,74 @@ def regularized_bracket_sum(
 
 def _lerch_start(x: float, least: int) -> int:
     """a = max(least, min(ceil(_LERCH_REACH/x'), DEFAULT_MAX_TERMS)), x' = min(x, 1 - x),
-    where a Lerch tail at 0 < x < 1 starts."""
+    the least start of a Lerch tail at 0 < x < 1."""
     return max(least, math.ceil(min(_LERCH_REACH / min(x, 1.0 - x), DEFAULT_MAX_TERMS)))
 
 
-def _lerch_bracket_sum(nu: int, x: float, lattice: int) -> tuple[float, int, float, float, float]:
-    """(value, a, truncation, remainder, bound) of the bracket sum at 0 < x < 1 with the tail
-    past a = :func:`_lerch_start` at least M0 closed by :func:`_lerch_sum`.
+@dataclass(frozen=True)
+class _Watson:
+    """The x-free part of a Lerch tail past a for one (nu, lattice)."""
 
-    The brackets m <= a are summed as they are, their phases formed at x' =
-    min(x, 1 - x).  Past a, f(m) = sum_{k<=K}
-    b_k (lattice m)^{-s}, and its first dropped order, the envelope of
-    :func:`_envelopes` at a, is the truncation.  At a = M0 all of the x-free
-    part is the plan's, K the order of the smallest envelope.  Past M0 it is
-    formed per call: the brackets through a (:func:`_bracket_values`), K the
-    first order whose envelope
-    at a is no larger than the plan's truncation at M0, and the rows of
-    those K orders at a.  The bound adds the truncation, the explicit
-    terms' rounding, as on the closed path, the Watson remainder and the
-    tail's rounding.
-    """
+    brackets: np.ndarray  # bracket(lattice m) for m = 1..a
+    orders: int           # K: the tail closes orders 1..K
+    truncation: float     # the first dropped order, the envelope of :func:`_envelopes` at a
+    abs_sum: float        # sum_m |bracket| over m = 1..a
+    abs_moment: float     # sum_m m |bracket|
+    rows: tuple[list[float], list[float]]  # :func:`_lerch_rows` of orders 1..K at a
+
+
+@functools.lru_cache(maxsize=64)  # at most DEFAULT_MAX_TERMS brackets each
+def _watson(nu: int, lattice: int, a: int) -> _Watson:
+    """The :class:`_Watson` of (nu, lattice) at a start a >= M0 (:func:`_lerch_bracket_sum`).
+
+    At a = M0 it is all the plan's, K the order of the smallest envelope.  Past M0
+    the brackets m <= M0 are the plan's and the rest come from the power series in
+    1/q through the orders the plan takes at the crossover (:func:`_bracket_values`),
+    so each is the value any range would hold; K is the first order whose envelope
+    at a is no larger than the plan's truncation at M0."""
     plan = _plan(nu, lattice)
-    M = plan.brackets.size
-    a = _lerch_start(x, M)
-    K, brackets, rows = plan.orders, plan.brackets, plan.lerch
+    K, brackets = plan.orders, plan.brackets
     truncation, abs_sum, abs_moment = float(plan.envelopes[K - 1]), plan.abs_sum, plan.abs_moment
-    if a > M:
+    if a > brackets.size:
         envelopes = _envelopes(plan.b, lattice, a)
         K = int(np.argmax(envelopes <= truncation)) + 1
         truncation = float(envelopes[K - 1])
         brackets = _bracket_values(nu, lattice, a)
+        brackets.flags.writeable = False
         size = np.abs(brackets)
         abs_sum = float(size.sum())
         abs_moment = float(np.multiply(_INDEX[:a], size, out=size).sum())
-        rows = _lerch_rows(plan.weights[:K], 1, a)
+    return _Watson(brackets, K, truncation, abs_sum, abs_moment, _lerch_rows(plan.weights[:K], 1, a))
+
+
+def _lerch_bracket_sum(nu: int, x: float, lattice: int,
+                       least: int) -> tuple[float, int, float, float, float]:
+    """(value, a, truncation, remainder, bound) of the bracket sum at 0 < x < 1 with the tail
+    past a closed by :func:`_lerch_sum`: a = min(M0 2^i, DEFAULT_MAX_TERMS), least = M0,
+    the first of M0, 2 M0, 4 M0, ... that reaches :func:`_lerch_start`, so that the
+    points of one band share one :func:`_watson` entry.
+
+    The brackets m <= a are summed as they are, their phases formed at x' =
+    min(x, 1 - x).  Past a, f(m) = sum_{k<=K} b_k (lattice m)^{-s}, and its
+    first dropped order, the envelope of :func:`_envelopes` at a, is the
+    truncation.  All of that is x-free and comes from :func:`_watson`; only the
+    phases and the Lerch kernel's cot(pi x') rows depend on x.  The bound adds
+    the truncation, the explicit terms' rounding, as on the closed path, the
+    Watson remainder and the tail's rounding.
+    """
+    reach = _lerch_start(x, least)
+    # least 2^i with 2^{i-1} least < reach <= 2^i least: i is the bit length of ceil(reach/least) - 1
+    tail = _watson(nu, lattice, min(least << (-(-reach // least) - 1).bit_length(), DEFAULT_MAX_TERMS))
+    a = tail.brackets.size
     even_nu, t = nu % 2 == 0, min(x, 1.0 - x)
     # the phases at x' (exact), whose rounding grows like x' m rather than x m:
     # sin(2 pi m x) = -sin(2 pi m x') for x > 1/2
-    value = chunked_fsum(brackets * _trig(even_nu, t, _INDEX[:a]))
-    re, im, remainder, rounding = _lerch_sum(x, a, rows, K)
-    bound = (truncation + (2e-15 + _EPS) * abs_sum + 2.0 * pi * t * _EPS * abs_moment
+    value = chunked_fsum(tail.brackets * _trig(even_nu, t, _INDEX[:a]))
+    re, im, remainder, rounding = _lerch_sum(x, a, tail.rows, tail.orders)
+    bound = (tail.truncation + (2e-15 + _EPS) * tail.abs_sum + 2.0 * pi * t * _EPS * tail.abs_moment
              + remainder + rounding)
     value = re + value if even_nu else im + (value if x <= 0.5 else -value)
-    return value, a, truncation, remainder, bound
+    return value, a, tail.truncation, remainder, bound
 
 
 def _regularizer_sum(nu: int, x: float, lattice: int) -> tuple[float, float]:

@@ -426,7 +426,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     forms its stairs sum_{m>j} |row_m|, j = 1, 2, 4, ... < M, afresh; with
     top_cut=False the sum keeps the whole base range.  Where the closed
     differences break tol, the Lerch regime forms its brackets through a,
-    its orders, truncation and rows afresh and closes the tail with the
+    the first of M0, 2 M0, 4 M0, ... at least 6/x' (at most the cap), its
+    orders, truncation and rows afresh and closes the tail with the
     library's kernel `_lerch_sum`, which `test_lerch_kernel_lies_within_its_bound_of_the_tail`
     checks against a 30-digit integral.  Returns (value, tail_bound,
     terms_used, raised).
@@ -435,7 +436,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     the explicit range [1, m_terms] and closes every order up to the
     smallest dropped one, with no Lerch tail, no top cut and no raise.  It must
     be at least the base range M0, past the crossover, where the closed
-    tails' bound holds; a shorter one raises ValueError.
+    tails' bound holds; a shorter one raises ValueError.  An even nu at
+    x = 1/4 or 3/4 sums at x = 1/2 on the doubled lattice, as the library does.
     """
     from zagier_kit.series_engine import (_EPS, _ORDERS, _ZETA_EPS, DEFAULT_MAX_TERMS as cap,
                                           _lerch_rows, _lerch_sum)
@@ -445,6 +447,8 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
     even_nu = nu % 2 == 0
     if not even_nu and x == 0.0:
         return 0.0, 0.0, 0, False
+    if even_nu and x in (0.25, 0.75):  # cos(pi m/2): the x = 1/2 sum over m = 2j
+        x, lattice = 0.5, 2 * lattice
     b = (-1.0) ** (nu // 2) * hankel_lattice(nu)[1]
     b[0] = 0.0
     lam = float(lattice)
@@ -510,7 +514,11 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
         # library's Lerch kernel, with its x-free rows formed afresh
         K = int(np.argmin(envelopes)) + 1
         truncation = float(envelopes[K - 1])
-        a = max(M, math.ceil(min(6.0 / min(x, 1.0 - x), cap)))
+        # the first of M, 2M, 4M, ... that reaches 6/x', at most the cap
+        a, reach = M, math.ceil(min(6.0 / min(x, 1.0 - x), cap))
+        while a < reach:
+            a *= 2
+        a = min(a, cap)
         if a > M:
             # the brackets past near from the orders that reach 1e-17 at near + 1,
             # and the first order whose envelope at a is at most the truncation at M
@@ -553,7 +561,7 @@ def uncached_bracket_sum(nu: int, x: float, tol: float = 1e-9, lattice: int = 1,
 
 # every lru_cache of the numeric side, as (module, function) in zagier_kit
 CACHES = (("series_engine", "_plan"), ("series_engine", "_residual"),
-          ("series_engine", "_zero_sum"), ("series_engine", "_unit_wood"),
+          ("series_engine", "_zero_sum"), ("series_engine", "_watson"), ("series_engine", "_unit_wood"),
           ("series_engine", "_g_table"), ("formulas", "_number_terms"),
           ("formulas", "_type_terms"), ("formulas", "_weighted_profile"))
 

@@ -241,6 +241,27 @@ def test_verify_json_is_the_same_bytes_at_one_and_two_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+_ODD_ROWS = [
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "zero": -0.0, "tiny": 5e-324},
+    {"fraction": Fraction(-7, 3), "quote": 'a "b" \\ c', "lines": "one\ntwo\r\tthree", "none": None,
+     "bool": True, "int": 10**30, "unicode": "x\u00e9\u2028"},
+    {}, [], {"empty dict": {}, "empty list": [], "nested": [{"a": [1, [2.5]]}, []], 3: "int key"},
+]
+
+
+@pytest.mark.parametrize("identity", cli.IDENTITY_NAMES)
+def test_json_text_is_the_indented_json_bytes(identity):
+    # each suite's verify payload, and the table rows of its checks, as
+    # json.dumps(indent=2) writes them; so are rows of odd values
+    from zagier_kit import verify
+
+    checks = verify.run_identity(identity)
+    summary = {"identities": [identity], "checks": len(checks), "failed": 0, "passed": True}
+    rows = [c.to_dict() for c in checks]
+    for payload in ({"summary": summary, "checks": rows}, rows, _ODD_ROWS, *_ODD_ROWS, 1.5, "s", None):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, default=cli.fmt)
+
+
 def test_verify_denominators():
     code, out = run_cli("verify", "--identity", "denominators", "--n-max", "60",
                         "--format", "json")
@@ -304,8 +325,8 @@ def test_converge_schema_stable_across_runs():
 def test_converge_reports_the_engine_result_with_an_honest_bound(n, x, m_list):
     # one engine sum on every row, its error within its bound; at n = 9 the
     # closed differences cancel and the Lerch tail meets the relative tol; at
-    # n = 11 the engine misses it on the explicit terms' rounding at x = 1/4,
-    # and the row carries the result it gave up on
+    # x = 1/4 the sum is the x = 1/2 one on the doubled lattice, which meets it
+    # at n = 9 and 11 alike
     code, out = run_cli("converge", "--series", "bessel-cos", "--n", str(n), "--x", x,
                         "--m-list", m_list, "--format", "json")
     assert code == 0
@@ -313,7 +334,7 @@ def test_converge_reports_the_engine_result_with_an_honest_bound(n, x, m_list):
     assert len({(r["accelerated_value"], r["accelerated_terms"]) for r in rows}) == 1
     assert all(r["accelerated_error"] <= r["accelerated_bound"] for r in rows)
     tol = 1e-12 * max(1.0, abs(rows[0]["exact"]))
-    assert (rows[0]["accelerated_bound"] > tol) == (n == 11)
+    assert rows[0]["accelerated_bound"] <= tol
 
 
 def test_converge_requires_rational_x():

@@ -729,16 +729,37 @@ _CANCELLING = ((16, Fraction(11, 14)), (16, Fraction(31, 44)), (16, Fraction(5, 
 
 @pytest.mark.parametrize("index,x", _CANCELLING)
 def test_cancelling_closed_differences_take_the_lerch_tail(index, x):
-    # the tail past a = max(M0, ceil(6/x')) closes at its own size: the op
-    # meets a relative 1e-12 with an honest bound and no term past a
+    # the tail past a, the first of M0, 2 M0, 4 M0, ... at least ceil(6/x'),
+    # closes at its own size: the op meets a relative 1e-12 with an honest
+    # bound and no term past a
     exact = float(ec.zagier_eval(index, x))
     tol = 1e-12 * max(1.0, abs(exact))
     formula = fm.zagier_even_formula if index % 2 == 0 else fm.zagier_odd_formula
     rep = formula(index // 2, x, tol=tol)
     assert rep.abs_error <= rep.tail_bound <= tol
     xf = float(x)
-    reach = max(se._plan(index, 1).brackets.size, math.ceil(6.0 / min(xf, 1.0 - xf)))
-    assert rep.series_meta[0].terms_used <= reach
+    reach, start = math.ceil(6.0 / min(xf, 1.0 - xf)), se._plan(index, 1).brackets.size
+    while start < reach:
+        start *= 2
+    assert rep.series_meta[0].terms_used <= start
+
+
+def test_quarter_points_sum_on_the_doubled_lattice(monkeypatch):
+    # at x = 1/4 and 3/4 the even formula's lattice sum is the x = 1/2 sum on the
+    # 8 pi m lattice: every even index 2..256 meets a relative 1e-12 with no
+    # raise, and the sum reads the (nu, 2) plan, the only one it builds
+    for n in range(1, 129):
+        empty_caches(monkeypatch)
+        for x in (Fraction(1, 4), Fraction(3, 4)):
+            exact = float(ec.zagier_eval(2 * n, x))
+            tol = 1e-12 * max(1.0, abs(exact))
+            rep = fm.zagier_even_formula(n, x, tol=tol)
+            assert rep.abs_error <= tol, (n, x)
+        info = se._plan.cache_info()
+        se._plan(2 * n, 2)
+        assert (info.misses, info.currsize, se._plan.cache_info().hits) == (1, 1, info.hits + 1), n
+        half = se.regularized_bracket_sum(2 * n, 0.5, tol, lattice=2)
+        assert all(se.regularized_bracket_sum(2 * n, x, tol) == half for x in (0.25, 0.75)), n
 
 
 def _terms_used(call) -> list[int]:
@@ -753,8 +774,9 @@ def _terms_used(call) -> list[int]:
 @pytest.mark.parametrize("q", (1, 8, 64, 512, 4096))
 def test_no_component_runs_past_max_terms(q):
     # x = 1/(q+1) and q/(q+1) walk to both ends of (0, 1); at tol 1e-12 the
-    # Bessel sums close their tails past a = max(M0, ceil(6/x')), which reaches
-    # the cap only where 6/x' passes it, at q = 4096; tol 1e-30 no sum meets
+    # Bessel sums close their tails past a, the first M0 2^i at least
+    # ceil(6/x'), which reaches the cap only where 6/x' passes it, at q = 4096
+    # (at q = 512 the start is 42 * 2^7 = 5,376); tol 1e-30 no sum meets
     cap = se.DEFAULT_MAX_TERMS
     used = []
     for x in (Fraction(1, q + 1), Fraction(q, q + 1)):
@@ -774,7 +796,7 @@ def test_the_x_free_sums_stop_at_the_cap():
 
 # sha256 of _formula_bit_rows(); a change that moves a formula's bits on purpose
 # updates it and says which bits moved and why
-_FORMULA_BITS = "9c15c34862d393045f5f15bc2bda583288f4330eec798894a31351d4961e503f"
+_FORMULA_BITS = "c27d89a61eefe24d539617daff8c9603039a694068e5676a857a183670ac0bd6"
 
 
 def _formula_bit_rows():

@@ -622,18 +622,21 @@ def test_raise_names_truncation_rounding_and_remainder_apart():
 
 
 def test_lattice_sum_raises_with_the_lattice_result():
-    # the bracket sum at nu = 24, x = 1/4 misses tol 1e-12 on the explicit
-    # terms' rounding; the error's best is the lattice sum it gave up on, the
-    # regularizer subtracted, not the bracket sum, which lies 0.21 away
-    loose = se.lattice_bessel_sum(24, 0.25, 1e-9)
+    # the bracket sum at nu = 16, x = 1e-5 misses tol 1e-12 on the Lerch
+    # remainder at the cap; the error's best is the lattice sum it gave up on,
+    # the regularizer subtracted, not the bracket sum, which lies 78 away
+    loose = se.lattice_bessel_sum(16, 1e-5, 1e-9)
     with pytest.raises(se.SeriesConvergenceError, match=r"^regularized_bracket_sum: ") as err:
-        se.lattice_bessel_sum(24, 0.25, 1e-12)
+        se.lattice_bessel_sum(16, 1e-5, 1e-12)
     best = err.value.best
     assert best.tail_bound > 1e-12
     assert abs(best.value - loose.value) <= best.tail_bound + loose.tail_bound
+    with pytest.raises(se.SeriesConvergenceError) as err:
+        se.regularized_bracket_sum(16, 1e-5, 1e-12)
+    assert abs(err.value.best.value - best.value) > 10.0
     # the same through the public evaluator
     with pytest.raises(se.SeriesConvergenceError) as err:
-        se.bessel_cos_series(12, 0.25, 1e-12)
+        se.bessel_cos_series(8, 1e-5, 1e-12)
     assert err.value.best == best
 
 
@@ -894,7 +897,9 @@ def test_trimmed_sum_lies_within_its_added_bound_of_the_base_range_sum(nu, latti
         got = se.regularized_bracket_sum(nu, x, tol=tol, lattice=lattice)
         full, full_bound, full_terms, _ = uncached_bracket_sum(nu, x, tol=tol, lattice=lattice,
                                                                top_cut=False)
-        assert got.terms_used <= full_terms == se._plan(nu, lattice).brackets.size
+        # at x = 1/4 the sum runs on the doubled lattice, over that plan's base range
+        base = se._plan(nu, 2 * lattice if x == 0.25 else lattice).brackets.size
+        assert got.terms_used <= full_terms == base
         assert full_bound <= got.tail_bound <= tol, x
         assert abs(got.value - full) <= got.tail_bound - full_bound + 2 * math.ulp(full), x
 
@@ -1040,7 +1045,9 @@ def test_trig_rows_match_python_floats():
 def test_kept_tables_stay_small(fresh_caches):
     # the residual rows span the base range M0, one per (nu, lattice, K),
     # each as long as the plan's brackets and with no copy of the lattice
-    # points; a sum at x = 0 keeps its bracket and lattice results
+    # points; a sum at x = 0 keeps its bracket and lattice results; a Lerch
+    # tail keeps its x-free part per start a, at most DEFAULT_MAX_TERMS brackets
+    cap = se.DEFAULT_MAX_TERMS
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -1051,6 +1058,8 @@ def test_kept_tables_stay_small(fresh_caches):
                         se.lattice_bessel_sum(nu, x, tol=1e-12, lattice=lattice)
                     except se.SeriesConvergenceError:
                         pass
+        with pytest.raises(se.SeriesConvergenceError):  # 6/x' passes the cap
+            se.lattice_bessel_sum(16, 1e-5, tol=1e-12)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -1061,7 +1070,9 @@ def test_kept_tables_stay_small(fresh_caches):
     bracket, lattice_sum = se._zero_sum(4, 2)
     assert bracket is se.regularized_bracket_sum(4, 0.0, 1.0, lattice=2)
     assert lattice_sum is se.lattice_bessel_sum(4, 0.0, 1.0, lattice=2)
-    # the plans' brackets, a row per kept residual, the Lerch rows and the constants
+    hits = se._watson.cache_info().hits
+    assert se._watson(16, 1, cap).brackets.size == cap and se._watson.cache_info().hits == hits + 1
+    # the plans' brackets, a row per kept residual, the Lerch tails and the constants
     assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
     # the plan holds the base range M0 only, and every cache is bounded
     for nu, lattice in ((4, 1), (4, 2), (121, 1), (121, 2)):
@@ -1070,6 +1081,21 @@ def test_kept_tables_stay_small(fresh_caches):
     for module, name in CACHES:
         assert getattr(importlib.import_module(f"zagier_kit.{module}"), name).cache_info().maxsize \
             is not None, name
+
+
+def test_lerch_tails_of_one_band_share_one_entry(fresh_caches):
+    # at nu = 16 (M0 = 42) the starts double: ceil(6/x') = 6,000 and 5,455 both
+    # take a = 42 * 2^8 = 10,752, at x and 1 - x alike, and one x-free entry;
+    # 3,000 takes 5,376 and a second; each sum is the uncached one bit for bit
+    band, other = (1e-3, 1.1e-3, 1.0 - 1e-3), 2e-3
+    for x in band:
+        got = se.regularized_bracket_sum(16, x, 1e-12)
+        assert (got.value, got.tail_bound, got.terms_used, False) == uncached_bracket_sum(16, x, 1e-12)
+        assert got.terms_used == 42 * 2**8
+    info = se._watson.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(band) - 1, 1)
+    assert se.regularized_bracket_sum(16, other, 1e-12).terms_used == 42 * 2**7
+    assert se._watson.cache_info().currsize == 2
 
 
 def test_cached_sum_at_zero_is_the_same_for_any_tol(monkeypatch):
