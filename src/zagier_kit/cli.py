@@ -97,7 +97,8 @@ def parse_x(text: str) -> tuple[float, Fraction | None]:
     """Parse an evaluation point.
 
     "p/q" is exact; a decimal snaps to a nearby rational only when it sits
-    within 1e-12 of one with denominator <= 64 (then it is flagged exact).
+    within 1e-12 of one with denominator <= 64 (then it is flagged exact),
+    and a decimal inside (0, 1) never snaps to 0 or 1.
     """
     text = text.strip()
     try:
@@ -108,7 +109,7 @@ def parse_x(text: str) -> tuple[float, Fraction | None]:
     if "/" in text:
         return value, frac
     snapped = Fraction(value).limit_denominator(64)
-    if abs(float(snapped) - value) < 1e-12:
+    if abs(float(snapped) - value) < 1e-12 and not (0.0 < value < 1.0 and snapped in (0, 1)):
         return float(snapped), snapped
     return value, None
 
@@ -153,13 +154,14 @@ def _evaluate(method: str, n: int, x_text: str | None, options: dict) -> dict:
             raise ValueError(f"{method} requires --x" if takes_x else f"{method} takes no --x")
         if n % 2 != parity or n < 2 - parity:
             raise ValueError(f"{method} needs an {('even', 'odd')[parity]} index n >= {2 - parity}")
-        from . import formulas
+        from . import formulas, series_engine
 
         point = (xq if xq is not None else xf,) if takes_x else ()
         rep = getattr(formulas, formula)(n // 2, *point, **options)
-        if rep.series_meta[0].outside_window:
-            print(f"warning: x={x_text} lies outside the supported window; accuracy near "
-                  f"the endpoints degrades like x^(-1/2)", file=sys.stderr)
+        tol = options.get("tol", series_engine.DEFAULT_TOL)
+        if not rep.tail_bound <= tol:
+            print(f"warning: {method} at n={n}{f', x={x_text}' if takes_x else ''}: the error bound "
+                  f"{rep.tail_bound:.3g} exceeds tol {tol:.3g}", file=sys.stderr)
         return {**row, "x": "-3/2" if method == "zagier-type" else x_text,
                 "formula": rep.formula_value, "exact": rep.exact, "report": rep,
                 "terms_used": max(m.terms_used for m in rep.series_meta)}

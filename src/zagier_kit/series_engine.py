@@ -45,25 +45,25 @@ In a lattice sum only the phases trig(2 pi m x) depend on x.  What does not
 is built once and cached, and every cached value is the one a call would
 otherwise build, so no value depends on what was cached before:
   * one plan per (nu, lattice) (:func:`_plan`, 512 entries): the bracket
-    coefficients b_k and |b_k|, the bracket values through the base
-    explicit range M0 (at most 10,760 floats) and their m-sums, the tail
+    coefficients b_k and the last order of their series past the crossover,
+    the base explicit range M0 as a :class:`_Range` (the bracket values, at
+    most 10,760 floats, the orders it closes, their truncation and the two
+    m-sums of |bracket| that its one rounding rule reads), the tail
     envelopes at M0 and the weights b_k lattice^{-s} (29 floats each, by
     Python's powers), the envelopes' negated prefix minima, which a call
-    bisects for the number K of closed orders (at most 29 floats, an
-    array('d')) and the closed tails' rounding per order (2 x at most 29
-    floats);
+    bisects for the number K of closed orders, and the closed tails'
+    rounding for each K (3 x at most 29 floats, each an array('d'));
   * the x-free part of a Lerch tail per (nu, lattice, a), a the doubling
     start min(M0 2^i, DEFAULT_MAX_TERMS) (:func:`_watson`, 64 entries): the
-    brackets through a (the plan's own at a = M0, at most 20,000 floats
-    past it), the orders K it closes and their truncation, the two m-sums
-    of |bracket| and the Lerch rows F_n, |F|_n (2 x 49 floats, as lists);
+    :class:`_Range` m = 1..a (the plan's own at a = M0, at most 20,000
+    brackets past it) and the Lerch rows F_n, |F|_n (2 x 49 floats, as lists);
   * the coefficients of the cot-derivative polynomials of the Lerch tail
     (:func:`_cot_table`, 49 x 50 floats, built on first use);
-  * at x != 0, one residual row per (nu, lattice, K) (:func:`_residual`,
-    512 entries of at most 10,760 + 109 floats): bracket(q) minus its first
-    K orders, the Wood polynomial of those K closed orders (at most 2 x 32 +
-    29 coefficients, the negligible top ones dropped), the two scalars of the
-    closed tails' rounding bound and the stairs of the top cut;
+  * on the closed path at x != 0, one residual row per (nu, lattice, K)
+    (:func:`_residual`, 512 entries of at most 10,760 + 107 floats):
+    bracket(q) minus its first K orders, the Wood polynomial of those K
+    closed orders (at most 2 x 32 + 29 coefficients, the negligible top ones
+    dropped) and the stairs of the top cut;
   * at x = 0, where K and the sum depend on neither x nor tol, the finished
     bracket sum and lattice sum per (nu, lattice), the regularizer's closed
     sum and allowance folded into the second (:func:`_zero_sum`, 512
@@ -113,12 +113,10 @@ __all__ = [
     "chunked_fsum",
     "DEFAULT_TOL",
     "DEFAULT_MAX_TERMS",
-    "DEFAULT_X_WINDOW",
 ]
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_TERMS = 20000  # the cap on the Lerch range a and on a g-sum prefix
-DEFAULT_X_WINDOW = (0.01, 0.99)
 
 _FSUM_CUTOFF = 1024  # sums up to this length go to math.fsum of a list, which is faster there
 _BLOCK = 1 << 15     # floats per block of the extraction passes
@@ -153,7 +151,6 @@ class SeriesResult(NamedTuple):
     value: float
     terms_used: int
     tail_bound: float
-    outside_window: bool = False
 
     def __float__(self) -> float:
         return self.value
@@ -783,22 +780,55 @@ def _g_one(r: float, c: float) -> SeriesResult:
 # regularized Bessel sums
 # ---------------------------------------------------------------------------
 
+_S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
+# m = 1..DEFAULT_MAX_TERMS: a call slices its phases' indices from this one row
+_INDEX = np.arange(1.0, DEFAULT_MAX_TERMS + 1.0)
+_INDEX.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _Range:
+    """The x-free explicit range m = 1..a of a lattice sum: its brackets, the orders
+    1..K its tail closes, the first order dropped and the two m-sums its rounding reads."""
+
+    brackets: np.ndarray  # bracket(lattice m) for m = 1..a
+    orders: int           # K: the tail past a closes orders 1..K
+    truncation: float     # the first dropped order, the envelope of :func:`_envelopes` at a
+    abs_sum: float        # sum_m |bracket|
+    abs_moment: float     # sum_m m |bracket|
+
+    @classmethod
+    def over(cls, brackets: np.ndarray, orders: int, truncation: float) -> _Range:
+        """The range of brackets, its m-sums numpy's pairwise sums."""
+        size = np.abs(brackets)
+        return cls(brackets, orders, truncation, float(size.sum()),
+                   float(np.multiply(_INDEX[: brackets.size], size, out=size).sum()))
+
+    def bound(self, t: float, truncation: float) -> float:
+        """truncation plus the rounding of the explicit terms bracket * trig(2 pi m t): 2e-15
+        + _EPS of sum |bracket| for the brackets and the products, and _EPS 2 pi t of
+        sum m |bracket| for the phases, the one rule of every lattice sum, left to right."""
+        return truncation + (2e-15 + _EPS) * self.abs_sum + 2.0 * pi * t * _EPS * self.abs_moment
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The x-free part of the lattice sum for one (nu, lattice)."""
 
     b: np.ndarray          # b_0..b_ORDERS of bracket(q) ~ sum_k b_k q^{-(k+1/2)}, b_0 = 0
     near: int              # the last m with 4 pi lattice m at or below the crossover
-    brackets: np.ndarray   # bracket(lattice m) for m = 1..M0, the base explicit range
+    # the last order of the brackets' series in 1/q past near, the one :func:`specfun._hankel_sum`
+    # takes at near + 1, so a bracket is the same whatever range holds it (:func:`_bracket_values`)
+    top: int
+    base: _Range           # the base explicit range M0, K the order of the smallest envelope
     envelopes: np.ndarray  # :func:`_envelopes` at M0
-    b_abs: np.ndarray      # |b_1..b_ORDERS|
-    # the closed tails' rounding per order k <= orders, P_k = sum_{m<=M0} q^{-s}
-    closed_err: np.ndarray     # |b_k| (_ZETA_EPS lattice^{-s} + _EPS P_k)
-    closed_moment: np.ndarray  # |b_k| sum_{m<=M0} m q^{-s}
-    abs_sum: float         # sum_m |bracket| over m = 1..M0
-    abs_moment: float      # sum_m m |bracket|
-    orders: int            # K of the smallest envelope at M0, the orders of the x = 0 and Lerch tails
-    # entry k - 1, k <= orders: the float just above -min(envelopes[:k]), which is
+    # entry K - 1: the closed tails' rounding err0 + 2 pi x err1 when orders 1..K close
+    # past M0, sums over k <= K of |b_k| (_ZETA_EPS lattice^{-s} + _EPS P_k) and of
+    # _EPS |b_k| sum_{m<=M0} m q^{-s}, P_k = sum_{m<=M0} q^{-s}: trig(2 pi m x) rounds
+    # by _EPS (1 + 2 pi x m) in the subtracted partial sums
+    err0: array
+    err1: array
+    # entry k - 1, k <= K: the float just above -min(envelopes[:k]), which is
     # above -tol just when that minimum is within tol, so bisect_right at -tol counts
     # the orders before the first envelope within tol, and a NaN tol counts them all
     minima: array
@@ -827,34 +857,34 @@ def _plan(nu: int, lattice: int) -> _Plan:
         raise ValueError(f"the Bessel term Y_{nu}({4 * lattice} pi) exceeds the double range")
     b = (-1.0) ** (nu // 2) * hankel_lattice(nu)[1]
     b[0] = 0.0
+    top = _hankel_top(b, 1, float(lattice * (near + 1)))
     q = lattice * np.arange(1.0, near + 1.0)
     y_nu = bessel_Y_upward(nu, 4.0 * pi * q, *_lattice_y01(q))
     brackets = np.concatenate([(-1.0) ** (nu // 2) * pi * y_nu + 0.5 / np.sqrt(q),
-                               _far_brackets(b, near, lattice, near, base)])
+                               _orders_sum(b, 1, top, lattice * np.arange(near + 1.0, base + 1.0))])
     envelopes = _envelopes(b, lattice, base)
-    ms = np.arange(1.0, base + 1.0)
-    size = np.abs(brackets)
-    abs_sum = float(size.sum())
-    abs_moment = float(np.multiply(ms, size, out=size).sum())
     # a sum at x != 0 closes K <= orders orders, since the first envelope within tol comes no
     # later than the smallest; row k - 1 of powers is q^{-s}, the running product of 1/q
     orders = int(np.argmin(envelopes)) + 1
+    ms = np.arange(1.0, base + 1.0)
     q = lattice * ms
     powers = np.empty((orders, base))
     powers[0], powers[1:] = [v**-1.5 for v in q.tolist()], 1.0 / q
     np.cumprod(powers, axis=0, out=powers)
-    b_abs = np.abs(b[1:])
+    b_abs = np.abs(b[1 : orders + 1])
     lam_s = np.array([float(lattice) ** -s for s in _S.tolist()])  # lattice^{-s}
-    weights = b[1:] * lam_s
+    err = b_abs * (_ZETA_EPS * lam_s[:orders] + _EPS * powers.sum(axis=1))
+    moment = b_abs * np.multiply(powers, ms, out=powers).sum(axis=1)
     minima = np.nextafter(-np.minimum.accumulate(envelopes[:orders]), math.inf)
-    plan = _Plan(b, near, brackets, envelopes, b_abs,
-                 b_abs[:orders] * (_ZETA_EPS * lam_s[:orders] + _EPS * powers.sum(axis=1)),
-                 b_abs[:orders] * np.multiply(powers, ms, out=powers).sum(axis=1),
-                 abs_sum, abs_moment, orders, array("d", minima.tolist()), weights)
-    for table in (plan.b, plan.brackets, plan.envelopes, plan.b_abs, plan.closed_err,
-                  plan.closed_moment, plan.weights):
+    weights = b[1:] * lam_s
+    for table in (b, brackets, envelopes, weights):
         table.flags.writeable = False
-    return plan
+    # entry K - 1 of the closed tails' rounding is one numpy sum over orders 1..K
+    ks = range(1, orders + 1)
+    return _Plan(b, near, top, _Range.over(brackets, orders, float(envelopes[orders - 1])), envelopes,
+                 array("d", [np.add.reduce(err[:k]) for k in ks]),
+                 array("d", [_EPS * np.add.reduce(moment[:k]) for k in ks]),
+                 array("d", minima.tolist()), weights)
 
 
 def _lattice_y01(q: np.ndarray) -> np.ndarray:
@@ -870,22 +900,16 @@ def _lattice_y01(q: np.ndarray) -> np.ndarray:
     return y01
 
 
-def _far_brackets(b: np.ndarray, near: int, lattice: int, start: int, m_terms: int) -> np.ndarray:
-    """bracket(lattice m) for m = start+1..m_terms, start >= near, from its power series
-    in 1/q; the orders summed are those :func:`specfun._hankel_sum` takes at the first m
-    past the crossover, near + 1, so every value is the same whatever start and m_terms."""
-    top = _hankel_top(b, 1, float(lattice * (near + 1)))
-    return _orders_sum(b, 1, top, lattice * np.arange(start + 1, m_terms + 1, dtype=float))
-
-
 def _bracket_values(nu: int, lattice: int, m_terms: int) -> np.ndarray:
     """bracket(lattice m) for m = 1..m_terms: a slice of the plan's brackets
-    through the base range, and past it those with the terms m > M0 built afresh."""
+    through the base range, and past it those with the terms m > M0 built afresh
+    from the power series in 1/q through the plan's top order."""
     plan = _plan(nu, lattice)
-    if m_terms <= plan.brackets.size:
-        return plan.brackets[:m_terms]
-    far = _far_brackets(plan.b, plan.near, lattice, plan.brackets.size, m_terms)
-    return np.concatenate([plan.brackets, far])
+    brackets = plan.base.brackets
+    if m_terms <= brackets.size:
+        return brackets[:m_terms]
+    far = _orders_sum(plan.b, 1, plan.top, lattice * np.arange(brackets.size + 1.0, m_terms + 1.0))
+    return np.concatenate([brackets, far])
 
 
 def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
@@ -896,25 +920,14 @@ def _envelopes(b: np.ndarray, lattice: int, m: int) -> np.ndarray:
     return np.array([abs(bk) * qm ** -(k + 1.5) * m / (k + 0.5) for k, bk in enumerate(b[2:].tolist(), 1)])
 
 
-_S = np.arange(1, _ORDERS + 1) + 0.5  # s = k + 1/2 of the orders k = 1.._ORDERS
-# m = 1..DEFAULT_MAX_TERMS: a call slices its phases' indices from this one row
-_INDEX = np.arange(1.0, DEFAULT_MAX_TERMS + 1.0)
-_INDEX.flags.writeable = False
-
 @dataclass(frozen=True)
 class _Residual:
-    """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M.
-
-    The closed tails sum_k w_k T_s(x), w_k = b_k lattice^{-s}, are one
-    :class:`_Wood` polynomial in a(x), and the rounding they add is
-    err0 + 2 pi x err1, the plan's closed_err and _EPS closed_moment summed
-    over k <= K: trig(2 pi m x) rounds by _EPS (1 + 2 pi x m) in the
-    subtracted partial sums."""
+    """The x-free part of a lattice sum at x != 0 that closes orders 1..K past M0: the
+    closed tails sum_k w_k T_s(x), w_k = b_k lattice^{-s}, are one :class:`_Wood`
+    polynomial in a(x), and the plan keeps the rounding they add (err0, err1)."""
 
     row: np.ndarray            # bracket(q) - c(q), c(q) = sum_{k<=K} b_k q^{-(k+1/2)}
     wood: _Wood                # the closed tails, cos for even nu, sin for odd
-    err0: float
-    err1: float
     stairs: tuple[float, ...]  # sum_{m>j} |row_m| at j = 1, 2, 4, ... < M0, rounded up
 
 
@@ -930,14 +943,12 @@ def _residual(nu: int, lattice: int, orders: int) -> _Residual:
     the factor 1 + M0 _EPS covers both.
     """
     plan = _plan(nu, lattice)
-    base = plan.brackets.size
-    row = plan.brackets - _orders_sum(plan.b, 1, orders, lattice * np.arange(1.0, base + 1.0))
+    base = plan.base.brackets.size
+    row = plan.base.brackets - _orders_sum(plan.b, 1, orders, lattice * np.arange(1.0, base + 1.0))
     steps = np.add.reduceat(np.abs(row), 1 << np.arange((base - 1).bit_length()))
     stairs = tuple((np.cumsum(steps[::-1])[::-1] * (1.0 + base * _EPS)).tolist())
     row.flags.writeable = False
-    return _Residual(row, _wood(plan.weights[:orders], 1, bool(nu % 2)),
-                     float(plan.closed_err[:orders].sum()),
-                     _EPS * float(plan.closed_moment[:orders].sum()), stairs)
+    return _Residual(row, _wood(plan.weights[:orders], 1, bool(nu % 2)), stairs)
 
 
 @functools.lru_cache(maxsize=512)  # two SeriesResults each
@@ -949,14 +960,13 @@ def _zero_sum(nu: int, lattice: int) -> tuple[SeriesResult, SeriesResult]:
     zeta(1/2)/(2 sqrt(lattice)), its allowance added to the bound
     (:func:`_regularizer_sum`).  None depends on tol."""
     plan = _plan(nu, lattice)
-    brackets = plan.brackets
-    orders = plan.orders
-    truncation = float(plan.envelopes[orders - 1])
+    base = plan.base
+    brackets, orders = base.brackets, base.orders
     tails = [hurwitz_zeta(s, brackets.size + 1.0) for s in _S[:orders].tolist()]
     closed = plan.weights[:orders] * np.array(tails)
     value = chunked_fsum(brackets) + math.fsum(closed.tolist())
-    rounding = (2e-15 + _EPS) * plan.abs_sum + _ZETA_EPS * float(np.abs(closed).sum())
-    bracket = SeriesResult(value, brackets.size, truncation + rounding)
+    bracket = SeriesResult(value, brackets.size,
+                           base.bound(0.0, base.truncation) + _ZETA_EPS * float(np.abs(closed).sum()))
     regularizer, allowance = _regularizer_sum(nu, 0.0, lattice)
     return bracket, SeriesResult(value - regularizer, brackets.size, bracket.tail_bound + allowance)
 
@@ -1006,15 +1016,16 @@ def regularized_bracket_sum(
 
     A closed difference cancels O(1) values down to its tail, so it carries
     an absolute rounding error of a few units times |b_k|, and |b_k| reaches
-    6e4 at nu = 20.  When that breaks tol while the explicit terms' rounding
-    and the dropped order fit it, the closed differences give way to the
-    Lerch tail of :func:`_lerch_bracket_sum`: the brackets m <= a as they
-    are, a the first of M, 2M, 4M, ... at least ceil(6/x'), at most
-    DEFAULT_MAX_TERMS, and the tail past a at its own size.  The starts
-    double so that the x-free part is kept per band of x (:func:`_watson`).
-    Its remainder bound holds for any a: a larger a only shrinks it, and
-    where the cap shortens a (x' below 3e-4) the bound only grows, and it
-    raises like any other when that bound exceeds tol.
+    6e4 at nu = 20; the plan keeps that rounding for each K.  When it breaks
+    tol while the explicit terms' rounding and the dropped order fit it (a
+    choice read from the plan alone), the closed differences give way to the
+    Lerch tail of :func:`_lerch_bracket_sum`, and no residual row is built:
+    the brackets m <= a as they are, a the first of M, 2M, 4M, ... at least
+    ceil(6/x'), at most DEFAULT_MAX_TERMS, and the tail past a at its own
+    size.  The starts double so that the x-free part is kept per band of x
+    (:func:`_watson`).  Its remainder bound holds for any a: a larger a only
+    shrinks it, and where the cap shortens a (x' below 3e-4) the bound only
+    grows, and it raises like any other when that bound exceeds tol.
 
     At x = 1/4 and 3/4 an even nu's sum is the x = 1/2 sum on the doubled
     lattice, exactly: cos(pi m/2) vanishes at odd m and is (-1)^j at m = 2j.
@@ -1030,8 +1041,9 @@ def regularized_bracket_sum(
     with tol.
 
     The reported bound is the dropped order plus the rounding of the
-    explicit terms and of the closed tails, or the Lerch tail's remainder
-    and rounding; SeriesConvergenceError is raised unless it is at most tol.
+    explicit terms, by the one rule of :meth:`_Range.bound` on every path,
+    and of the closed tails, or the Lerch tail's remainder and rounding;
+    SeriesConvergenceError is raised unless it is at most tol.
     ValueError is raised for nu or lattice not a positive integer, and when
     a bracket exceeds the double range (from nu = 261 on the 4 pi m lattice).
 
@@ -1059,26 +1071,26 @@ def regularized_bracket_sum(
         # doubled lattice, whose phases are exactly +-1
         x, lattice = 0.5, 2 * lattice
     plan = _plan(nu, lattice)
-    M, envelopes = plan.brackets.size, plan.envelopes
+    base = plan.base
+    M = base.brackets.size
     remainder = 0.0  # the Lerch tail's Watson remainder, when it is taken
     if x == 0.0:
         # every phase is 1 and order k closes as b_k lattice^{-s} zeta(s, M + 1), a sum
         # of positive terms: nothing cancels, and the finished result depends on
         # neither x nor tol
         result = _zero_sum(nu, lattice)[0]
-        truncation, bound = float(envelopes[plan.orders - 1]), result.tail_bound
+        truncation, bound = base.truncation, result.tail_bound
     else:
         # the first order whose envelope is within tol, else the smallest envelope's
-        K = min(bisect.bisect_right(plan.minima, -tol) + 1, plan.orders)
-        truncation = float(envelopes[K - 1])
-        res = _residual(nu, lattice, K)
-        xi = 2.0 * pi * x
-        fixed = truncation + (2e-15 + _EPS) * plan.abs_sum + xi * _EPS * plan.abs_moment
-        W, bound = M, fixed + res.err0 + xi * res.err1
+        K = min(bisect.bisect_right(plan.minima, -tol) + 1, base.orders)
+        truncation = float(plan.envelopes[K - 1])
+        fixed = base.bound(x, truncation)
+        W, bound = M, fixed + plan.err0[K - 1] + 2.0 * pi * x * plan.err1[K - 1]
         if bound > tol and fixed <= tol:
             # the closed differences cancel: sum the tail past a at its own size instead
             value, W, truncation, remainder, bound = _lerch_bracket_sum(nu, x, lattice, M)
         else:
+            res = _residual(nu, lattice, K)
             if res.stairs[-1] <= 1e-4 * tol and bound + res.stairs[-1] <= tol:
                 # the top cut: drop m > j = 2^i, the first whose |row| sum fits 1e-4 tol and the
                 # slack (the stairs fall, so the last one decides whether any fits)
@@ -1108,40 +1120,25 @@ def _lerch_start(x: float, least: int) -> int:
     return max(least, math.ceil(min(_LERCH_REACH / min(x, 1.0 - x), DEFAULT_MAX_TERMS)))
 
 
-@dataclass(frozen=True)
-class _Watson:
-    """The x-free part of a Lerch tail past a for one (nu, lattice)."""
-
-    brackets: np.ndarray  # bracket(lattice m) for m = 1..a
-    orders: int           # K: the tail closes orders 1..K
-    truncation: float     # the first dropped order, the envelope of :func:`_envelopes` at a
-    abs_sum: float        # sum_m |bracket| over m = 1..a
-    abs_moment: float     # sum_m m |bracket|
-    rows: tuple[list[float], list[float]]  # :func:`_lerch_rows` of orders 1..K at a
-
-
 @functools.lru_cache(maxsize=64)  # at most DEFAULT_MAX_TERMS brackets each
-def _watson(nu: int, lattice: int, a: int) -> _Watson:
-    """The :class:`_Watson` of (nu, lattice) at a start a >= M0 (:func:`_lerch_bracket_sum`).
+def _watson(nu: int, lattice: int, a: int) -> tuple[_Range, tuple[list[float], list[float]]]:
+    """The x-free part of a Lerch tail of (nu, lattice) past a start a >= M0
+    (:func:`_lerch_bracket_sum`): the :class:`_Range` m = 1..a and the
+    :func:`_lerch_rows` of its orders at a.
 
-    At a = M0 it is all the plan's, K the order of the smallest envelope.  Past M0
-    the brackets m <= M0 are the plan's and the rest come from the power series in
-    1/q through the orders the plan takes at the crossover (:func:`_bracket_values`),
-    so each is the value any range would hold; K is the first order whose envelope
-    at a is no larger than the plan's truncation at M0."""
+    At a = M0 the range is the plan's own.  Past M0 the brackets m <= M0 are the
+    plan's and the rest come from the power series in 1/q through the plan's top
+    order (:func:`_bracket_values`), so each is the value any range would hold; K is
+    the first order whose envelope at a is no larger than the plan's truncation at M0."""
     plan = _plan(nu, lattice)
-    K, brackets = plan.orders, plan.brackets
-    truncation, abs_sum, abs_moment = float(plan.envelopes[K - 1]), plan.abs_sum, plan.abs_moment
-    if a > brackets.size:
+    rng = plan.base
+    if a > rng.brackets.size:
         envelopes = _envelopes(plan.b, lattice, a)
-        K = int(np.argmax(envelopes <= truncation)) + 1
-        truncation = float(envelopes[K - 1])
+        K = int(np.argmax(envelopes <= rng.truncation)) + 1
         brackets = _bracket_values(nu, lattice, a)
         brackets.flags.writeable = False
-        size = np.abs(brackets)
-        abs_sum = float(size.sum())
-        abs_moment = float(np.multiply(_INDEX[:a], size, out=size).sum())
-    return _Watson(brackets, K, truncation, abs_sum, abs_moment, _lerch_rows(plan.weights[:K], 1, a))
+        rng = _Range.over(brackets, K, float(envelopes[K - 1]))
+    return rng, _lerch_rows(plan.weights[: rng.orders], 1, a)
 
 
 def _lerch_bracket_sum(nu: int, x: float, lattice: int,
@@ -1156,22 +1153,21 @@ def _lerch_bracket_sum(nu: int, x: float, lattice: int,
     first dropped order, the envelope of :func:`_envelopes` at a, is the
     truncation.  All of that is x-free and comes from :func:`_watson`; only the
     phases and the Lerch kernel's cot(pi x') rows depend on x.  The bound adds
-    the truncation, the explicit terms' rounding, as on the closed path, the
+    the truncation, the explicit terms' rounding (:meth:`_Range.bound`), the
     Watson remainder and the tail's rounding.
     """
     reach = _lerch_start(x, least)
     # least 2^i with 2^{i-1} least < reach <= 2^i least: i is the bit length of ceil(reach/least) - 1
-    tail = _watson(nu, lattice, min(least << (-(-reach // least) - 1).bit_length(), DEFAULT_MAX_TERMS))
-    a = tail.brackets.size
+    rng, rows = _watson(nu, lattice, min(least << (-(-reach // least) - 1).bit_length(), DEFAULT_MAX_TERMS))
+    a = rng.brackets.size
     even_nu, t = nu % 2 == 0, min(x, 1.0 - x)
     # the phases at x' (exact), whose rounding grows like x' m rather than x m:
     # sin(2 pi m x) = -sin(2 pi m x') for x > 1/2
-    value = chunked_fsum(tail.brackets * _trig(even_nu, t, _INDEX[:a]))
-    re, im, remainder, rounding = _lerch_sum(x, a, tail.rows, tail.orders)
-    bound = (tail.truncation + (2e-15 + _EPS) * tail.abs_sum + 2.0 * pi * t * _EPS * tail.abs_moment
-             + remainder + rounding)
+    value = chunked_fsum(rng.brackets * _trig(even_nu, t, _INDEX[:a]))
+    re, im, remainder, rounding = _lerch_sum(x, a, rows, rng.orders)
+    bound = rng.bound(t, rng.truncation) + remainder + rounding
     value = re + value if even_nu else im + (value if x <= 0.5 else -value)
-    return value, a, tail.truncation, remainder, bound
+    return value, a, rng.truncation, remainder, bound
 
 
 def _regularizer_sum(nu: int, x: float, lattice: int) -> tuple[float, float]:
@@ -1196,8 +1192,9 @@ def lattice_bessel_sum(
     (:func:`_regularizer_sum`).  At x = 0 that result is kept whole per
     (nu, lattice) beside the bracket sum's (:func:`_zero_sum`), and a call
     only compares the bracket sum's bound with tol.  For odd nu at x = 0 and
-    1/2 the sum is exactly 0.  Points 0 < x outside DEFAULT_X_WINDOW are
-    flagged: the closed sum grows like x^{-1/2}.  ValueError for nu or
+    1/2 the sum is exactly 0.  Near x = 0 and 1 the closed sum grows like
+    x'^{-1/2}, x' = min(x, 1 - x), and its allowance with it: the bound says
+    what a point near an end costs, with no window on x.  ValueError for nu or
     lattice out of their domains, as in :func:`regularized_bracket_sum`;
     each call checks them here at x = 0 and before an exact zero, and in the
     bracket sum otherwise.  When the bracket sum raises,
@@ -1218,8 +1215,7 @@ def lattice_bessel_sum(
     except SeriesConvergenceError as err:
         reg, failure = err.best, str(err)
     closed, rounding = _regularizer_sum(nu, x, lattice)
-    result = SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding,
-                          not (x == 0.0 or DEFAULT_X_WINDOW[0] <= x <= DEFAULT_X_WINDOW[1]))
+    result = SeriesResult(reg.value - closed, reg.terms_used, reg.tail_bound + rounding)
     if failure is not None:
         raise SeriesConvergenceError(failure, result)
     return result

@@ -92,6 +92,23 @@ def test_eval_high_index_reaches_tight_tol(args):
     assert float(row["abs_err"]) <= float(row["tail_bound"]) <= 1e-10
 
 
+@pytest.mark.parametrize("method, n, x, warns", [
+    ("even-formula", "4", "1/200", False),                  # bound 2.7e-10
+    ("even-formula", "4", "0.00000000000001", True),        # bound 1.8e-8
+    ("odd-formula", "21", "1/100000000000000", True),       # bound 4.6e-8
+])
+def test_eval_warns_exactly_when_the_bound_exceeds_tol(capsys, method, n, x, warns):
+    # near either end the reported bound alone decides the warning, against the
+    # default tol 1e-9; the value is printed and the exit code is 0 either way
+    code, out = run_cli("eval", "--method", method, "--n", n, "--x", x, "--format", "json")
+    err = capsys.readouterr().err
+    assert code == 0
+    bound = float(json.loads(out)[0]["tail_bound"])
+    assert (bound > 1e-9) == warns
+    assert err == (f"warning: {method} at n={n}, x={x}: the error bound {bound:.3g} exceeds tol 1e-09\n"
+                   if warns else "")
+
+
 def test_eval_decimal_snapping():
     # 0.25 sits within 1e-12 of 1/4 (denominator <= 64) and is snapped
     code, out = run_cli("eval", "--n", "4", "--x", "0.25", "--method", "exact")
@@ -386,6 +403,9 @@ def test_parse_x():
     assert xq == Fraction(1, 2)
     xf, xq = cli.parse_x("0.1234567891")
     assert xq is None and abs(xf - 0.1234567891) < 1e-15
+    # a decimal inside (0, 1) never snaps to an end, however close it lies
+    assert cli.parse_x("0.00000000000001") == (1e-14, None)
+    assert cli.parse_x("0.9999999999999999") == (0.9999999999999999, None)
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -3,6 +3,7 @@ against extended precision, bracket decay, and the acceleration contracts."""
 
 from __future__ import annotations
 
+import bisect
 import importlib
 import math
 import random
@@ -10,6 +11,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import types
 from math import pi, sqrt
 
 import mpmath as mp
@@ -179,7 +181,7 @@ def test_lerch_kernel_lies_within_its_bound_of_the_tail(x):
     # base range M0 = 65 of nu = 20, against the 30-digit tail; where a lies
     # below 6/x' the terms up to it join the reference in doubles, each within
     # 2 eps (2 pi x m + 4) of its size
-    rule, base = math.ceil(6.0 / min(x, 1.0 - x)), se._plan(20, 1).brackets.size
+    rule, base = math.ceil(6.0 / min(x, 1.0 - x)), se._plan(20, 1).base.brackets.size
     top = max(rule, base)
     refs = lerch_tail_oracle(x, top, se._ORDERS)
     for a in {rule, base}:
@@ -466,7 +468,7 @@ def test_bracket_asymptotic_matches_true_bracket():
 def test_lattice_brackets_vs_oracle(nu):
     # upward recurrence from exact-phase Y_0, Y_1 over the explicit range
     # (scipy's yn is off by ~5e-14 at nu = 16 and ~1e-12 at nu = 200 here)
-    brackets = se._plan(nu, 1).brackets
+    brackets = se._plan(nu, 1).base.brackets
     for m in (1, 2, 3, 4, 11, brackets.size // 3, brackets.size):
         with mp.workdps(40):
             ref = float((-1) ** (nu // 2) * mp.pi * mp.bessely(nu, 4 * mp.pi * m)
@@ -490,7 +492,7 @@ def test_cos_series_doubling_stability():
     # the default sum against the reference over twice the base range
     tol = 1e-9
     res = se.bessel_cos_series(2, 0.3, tol=tol)
-    wide = uncached_bracket_sum(4, 0.3, m_terms=2 * se._plan(4, 1).brackets.size)[0]
+    wide = uncached_bracket_sum(4, 0.3, m_terms=2 * se._plan(4, 1).base.brackets.size)[0]
     doubled = wide - 0.5 * se.periodic_zeta(0.3, 0)[0][0]
     assert abs(res.value - doubled) < 2 * tol
 
@@ -541,7 +543,7 @@ def test_acceleration_consistency_across_budgets():
         x = float(rng.uniform(0.05, 0.95))
         base = se.regularized_bracket_sum(2 * n, x, tol=1e-8)
         wide, wide_bound, _, _ = uncached_bracket_sum(2 * n, x,
-                                                      m_terms=4 * se._plan(2 * n, 1).brackets.size)
+                                                      m_terms=4 * se._plan(2 * n, 1).base.brackets.size)
         allowed = base.tail_bound + wide_bound + 1e-12
         assert abs(base.value - wide) <= allowed, (n, x)
 
@@ -558,7 +560,7 @@ def test_bracket_sum_bounds_are_honest(lattice):
     # the default evaluation (or the result it gave up on) and the reference
     # over 4x the base range differ by no more than their two reported bounds
     for nu in range(1, 41):
-        wide_range = 4 * se._plan(nu, lattice).brackets.size
+        wide_range = 4 * se._plan(nu, lattice).base.brackets.size
         for x in (0.0, 0.01, 1.0 / 3.0, 0.5, 0.99):
             base = _default_or_best(nu, x, lattice)
             wide, wide_bound, _, _ = uncached_bracket_sum(nu, x, lattice=lattice, m_terms=wide_range)
@@ -574,7 +576,7 @@ def test_closed_tails_keep_the_explicit_range_at_the_crossover():
     # it is M0 unless the |row| sum past some j = 2^i fits the cut's budget,
     # min(tol - bound, 1e-4 tol), when it is the smallest such j
     plan, used = se._plan(40, 1), []
-    base = plan.brackets.size
+    base = plan.base.brackets.size
     assert base == 256
     for tol in (1e-6 * 1e15, 1e-9 * 1e15, 1e-12 * 1e15):
         res = se.regularized_bracket_sum(40, 0.3, tol=tol)
@@ -594,7 +596,7 @@ def test_series_convergence_error():
     # a tol below the rounding floor raises at the base range and names the
     # rounding, though the truncation term (1.8e-40 at nu = 4) breaks tol
     # 1e-60 as well: a longer explicit range only adds rounding
-    base = se._plan(4, 1).brackets.size
+    base = se._plan(4, 1).base.brackets.size
     assert base == 8
     for tol in (1e-30, 1e-60):
         with pytest.raises(se.SeriesConvergenceError, match=rf"rounding bound .*M={base}\)") as err:
@@ -638,13 +640,6 @@ def test_lattice_sum_raises_with_the_lattice_result():
     with pytest.raises(se.SeriesConvergenceError) as err:
         se.bessel_cos_series(8, 1e-5, 1e-12)
     assert err.value.best == best
-
-
-def test_outside_window_flag():
-    res = se.bessel_cos_series(1, 0.005, tol=1e-8)
-    assert res.outside_window
-    res2 = se.bessel_cos_series(1, 0.5, tol=1e-8)
-    assert not res2.outside_window
 
 
 @pytest.mark.parametrize("x", (1e-5, 1e-12, 1e-200, 1.0 - 1e-12))
@@ -883,7 +878,7 @@ def test_grid_pins_trimmed_sums(uncached_grid):
     # the relative tols reach the top cut on both lattices
     trimmed = {(nu, lattice) for (nu, x, tol, lattice), (_, _, terms, raised)
                in uncached_grid.items()
-               if not raised and terms < se._plan(nu, lattice).brackets.size}
+               if not raised and terms < se._plan(nu, lattice).base.brackets.size}
     assert {(nu, lattice) for nu in (60, 120, 260) for lattice in (1, 2)} <= trimmed
 
 
@@ -898,7 +893,7 @@ def test_trimmed_sum_lies_within_its_added_bound_of_the_base_range_sum(nu, latti
         full, full_bound, full_terms, _ = uncached_bracket_sum(nu, x, tol=tol, lattice=lattice,
                                                                top_cut=False)
         # at x = 1/4 the sum runs on the doubled lattice, over that plan's base range
-        base = se._plan(nu, 2 * lattice if x == 0.25 else lattice).brackets.size
+        base = se._plan(nu, 2 * lattice if x == 0.25 else lattice).base.brackets.size
         assert got.terms_used <= full_terms == base
         assert full_bound <= got.tail_bound <= tol, x
         assert abs(got.value - full) <= got.tail_bound - full_bound + 2 * math.ulp(full), x
@@ -1008,17 +1003,18 @@ def test_far_brackets_match_a_python_float_recomputation(nu, lattice):
     plan = se._plan(nu, lattice)
     b = plan.b.tolist()
     top = sf._hankel_top(plan.b, 1, float(lattice * (plan.near + 1)))
-    for m in range(plan.near + 1, plan.brackets.size + 1):
+    for m in range(plan.near + 1, plan.base.brackets.size + 1):
         q = float(lattice * m)
         total = b[top]
         for k in range(top - 1, 0, -1):
             total = total / q + b[k]
-        assert plan.brackets[m - 1] == total / (math.sqrt(q) * q), (nu, lattice, m)
+        assert plan.base.brackets[m - 1] == total / (math.sqrt(q) * q), (nu, lattice, m)
     # the orders summed there and the envelopes at M0 take Python's powers, so K and
     # the bounds are the same on every host too
     sizes = [abs(bk) * float(lattice * (plan.near + 1)) ** -k for k, bk in enumerate(b[1:], 1)]
     assert top == max(k for k, size in enumerate(sizes, 1) if size >= 1e-17 * max(sizes)), (nu, lattice)
-    m, qm = plan.brackets.size, float(lattice * plan.brackets.size)
+    assert plan.top == top, (nu, lattice)
+    m, qm = plan.base.brackets.size, float(lattice * plan.base.brackets.size)
     assert plan.envelopes.tolist() == [abs(bk) * qm ** -(k + 1.5) * m / (k + 0.5)
                                        for k, bk in enumerate(b[2:], 1)], (nu, lattice)
 
@@ -1027,7 +1023,7 @@ def test_trig_rows_match_python_floats():
     # the phases of every explicit range M0 (nu = 1..121, lattices 1 and 2) at
     # X_GRID and at 200 seeded p/q with q <= 64: numpy's cos and sin rows are
     # bit for bit math.cos and math.sin of the same arguments, 2 pi x m
-    lengths = sorted({se._plan(nu, lattice).brackets.size for nu in range(1, 122) for lattice in (1, 2)})
+    lengths = sorted({se._plan(nu, lattice).base.brackets.size for nu in range(1, 122) for lattice in (1, 2)})
     rng = random.Random(20)
     points = [float(x) for x in X_GRID]
     while len(points) < len(X_GRID) + 200:
@@ -1043,8 +1039,8 @@ def test_trig_rows_match_python_floats():
 
 
 def test_kept_tables_stay_small(fresh_caches):
-    # the residual rows span the base range M0, one per (nu, lattice, K),
-    # each as long as the plan's brackets and with no copy of the lattice
+    # the residual rows span the base range M0, one per (nu, lattice, K) of a
+    # closed-path sum, each as long as the plan's brackets and with no copy of the lattice
     # points; a sum at x = 0 keeps its bracket and lattice results; a Lerch
     # tail keeps its x-free part per start a, at most DEFAULT_MAX_TERMS brackets
     cap = se.DEFAULT_MAX_TERMS
@@ -1063,21 +1059,23 @@ def test_kept_tables_stay_small(fresh_caches):
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    brackets = sum(se._plan(nu, lattice).brackets.nbytes for nu in range(1, 122) for lattice in (1, 2))
+    brackets = sum(se._plan(nu, lattice).base.brackets.nbytes for nu in range(1, 122) for lattice in (1, 2))
+    # each sum at x = 1/3 keeps a residual row, or on the Lerch tail a Lerch entry, never
+    # both, and the one at x = 1e-5 a Lerch entry
     kept = se._residual.cache_info().currsize
-    assert 2 * 121 <= kept <= 3 * 121
+    assert kept + se._watson.cache_info().misses == 2 * 121 + 1
     assert se._zero_sum.cache_info().currsize == 60 * 2
     bracket, lattice_sum = se._zero_sum(4, 2)
     assert bracket is se.regularized_bracket_sum(4, 0.0, 1.0, lattice=2)
     assert lattice_sum is se.lattice_bessel_sum(4, 0.0, 1.0, lattice=2)
     hits = se._watson.cache_info().hits
-    assert se._watson(16, 1, cap).brackets.size == cap and se._watson.cache_info().hits == hits + 1
+    assert se._watson(16, 1, cap)[0].brackets.size == cap and se._watson.cache_info().hits == hits + 1
     # the plans' brackets, a row per kept residual, the Lerch tails and the constants
     assert 2 * brackets < held < 3.5 * brackets, (held, brackets)
     # the plan holds the base range M0 only, and every cache is bounded
     for nu, lattice in ((4, 1), (4, 2), (121, 1), (121, 2)):
         base = max(math.ceil(sf.asymptotic_crossover(nu) / (4 * pi * lattice)) + 1, 8)
-        assert se._plan(nu, lattice).brackets.size == base, (nu, lattice)
+        assert se._plan(nu, lattice).base.brackets.size == base, (nu, lattice)
     for module, name in CACHES:
         assert getattr(importlib.import_module(f"zagier_kit.{module}"), name).cache_info().maxsize \
             is not None, name
@@ -1096,6 +1094,34 @@ def test_lerch_tails_of_one_band_share_one_entry(fresh_caches):
     assert (info.misses, info.hits, info.currsize) == (1, len(band) - 1, 1)
     assert se.regularized_bracket_sum(16, other, 1e-12).terms_used == 42 * 2**7
     assert se._watson.cache_info().currsize == 2
+
+
+def test_lerch_path_builds_no_residual_row(fresh_caches):
+    # the closed-versus-Lerch choice reads the plan's rows alone: a sum that
+    # takes the Lerch tail past a = 376 keeps its Lerch entry and no residual row
+    res = se.regularized_bracket_sum(17, 61 / 62, 1e-12)
+    assert res.terms_used == 376 and res.tail_bound <= 1e-12
+    assert se._watson.cache_info().currsize == 1
+    assert se._residual.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("nu", (14, 40))
+def test_brackets_past_the_base_range_reuse_the_plans_top_order(nu, fresh_caches, monkeypatch):
+    # once the plan is built, a Lerch entry past M0 and the brackets through 2 M0
+    # take the Hankel top order the plan picked at the crossover, and pick none afresh
+    base = se._plan(nu, 1).base.brackets.size
+    calls, top = [], sf._hankel_top
+
+    def counted(*args):
+        calls.append(args)
+        return top(*args)
+
+    monkeypatch.setattr(sf, "_hankel_top", counted)
+    monkeypatch.setattr(se, "_hankel_top", counted)
+    rng, _ = se._watson(nu, 1, 2 * base)
+    brackets = se._bracket_values(nu, 1, 2 * base)
+    assert calls == []
+    assert rng.brackets.size == 2 * base and np.array_equal(brackets, rng.brackets)
 
 
 def test_cached_sum_at_zero_is_the_same_for_any_tol(monkeypatch):
@@ -1161,15 +1187,22 @@ def test_bisected_closed_orders_match_the_linear_scan(monkeypatch):
     # envelope's), comes from a bisection of the plan's prefix minima; it is
     # the order of the first envelope <= tol, found by scanning them, at tol
     # on each envelope, one float either side of it, on a log grid a decade
-    # past them both ways, and at 0, inf and nan
+    # past them both ways, and at 0, inf and nan; a closed-path sum then builds
+    # the residual row of that K, and a Lerch-path sum none
     seen = []
-    residual = se._residual
+    residual, bisect_right = se._residual, bisect.bisect_right
 
     def recorded(nu, lattice, orders):
         seen.append(orders)
         return residual(nu, lattice, orders)
 
+    def bisected(minima, key):
+        found = bisect_right(minima, key)
+        seen.append(min(found + 1, len(minima)))
+        return found
+
     monkeypatch.setattr(se, "_residual", recorded)
+    monkeypatch.setattr(se, "bisect", types.SimpleNamespace(bisect_right=bisected))
     for nu in range(1, 122):
         for lattice in (1, 2):
             plan = se._plan(nu, lattice)
@@ -1183,5 +1216,5 @@ def test_bisected_closed_orders_match_the_linear_scan(monkeypatch):
                     se.regularized_bracket_sum(nu, 1.0 / 3.0, tol, lattice=lattice)
                 except se.SeriesConvergenceError:
                     pass
-                scan = next((k for k, e in enumerate(envelopes, 1) if e <= tol), 0) or plan.orders
-                assert seen == [scan], (nu, lattice, tol)
+                scan = next((k for k, e in enumerate(envelopes, 1) if e <= tol), 0) or plan.base.orders
+                assert seen in ([scan], [scan, scan]), (nu, lattice, tol)
